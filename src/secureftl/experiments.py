@@ -28,8 +28,10 @@ from .datasets import (
     weighted_f1,
 )
 from .nets import autoencoder_pretrain, init_network
-from .plain import TrainingConfig, predict_plain, train_plain
-from .protocol import predict_encrypted, train_encrypted
+from .plain import TrainingConfig
+# train_encrypted and predict_encrypted stay importable from here for the
+# benchmark's tracer; every run goes through Engine.
+from .protocol import ENGINE_KINDS, Engine, predict_encrypted, train_encrypted  # noqa: F401
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -90,8 +92,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.dataset != "synth" and not os.path.exists(self.dataset):
             raise ValueError(f"dataset file {self.dataset!r} does not exist")
-        if self.engine not in ("plain", "encrypted"):
+        if self.engine not in ENGINE_KINDS:
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.engine == "encrypted" and self.loss_mode != "taylor":
+            raise ValueError("the encrypted engine trains the Taylor loss only")
+        if self.engine == "encrypted" and self.kind in ("taylor-vs-exact", "ftl-vs-self"):
+            raise ValueError(f"{self.kind} trains the exact loss, which the "
+                             "encrypted engine cannot")
+        if self.kind == "scaling-sweep" and self.engine != "encrypted":
+            raise ValueError("scaling-sweep measures the encrypted engine; "
+                             "set engine = encrypted")
         if self.transport not in ("loopback", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.hidden < 1:
@@ -183,9 +193,31 @@ def open_channels(cfg: ExperimentConfig):
     return loopback_pair()
 
 
+class _ChannelFactory:
+    """Opens the configured channel pair for each protocol run and keeps the
+    transcript of the first pair, which transcript_summary.csv describes."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.first_transcript = None
+
+    def __call__(self):
+        # Looked up per call, so a caller that swaps open_channels sees every run.
+        channels = open_channels(self.cfg)
+        if self.first_transcript is None:
+            self.first_transcript = channels[2]
+        return channels
+
+
+def _make_engine(cfg: ExperimentConfig) -> Engine:
+    return Engine(cfg.engine, cfg.key_bits, cfg.frac_bits, _ChannelFactory(cfg))
+
+
 def _train_and_eval(cfg: ExperimentConfig, split: FederationSplit, seed: int,
-                    loss_mode: str | None = None):
+                    loss_mode: str | None = None, engine: Engine | None = None):
     """One engine run; returns (loss_history, eval F1, transcript or None)."""
+    if engine is None:
+        engine = _make_engine(cfg)
     dims_a, dims_b = cfg.dims()
     net_a = init_network(dims_a, seed=seed)
     net_b = init_network(dims_b, seed=seed + 1)
@@ -194,33 +226,23 @@ def _train_and_eval(cfg: ExperimentConfig, split: FederationSplit, seed: int,
                                      epochs=cfg.pretrain_epochs, learning_rate=0.1)
         net_b = autoencoder_pretrain(net_b, split.x_target,
                                      epochs=cfg.pretrain_epochs, learning_rate=0.1)
-    training = cfg.training(loss_mode)
-    transcript = None
-    if cfg.engine == "encrypted":
-        run = train_encrypted(split, net_a, net_b, training, key_bits=cfg.key_bits,
-                              frac_bits=cfg.frac_bits, seed=seed,
-                              channels=open_channels(cfg))
-        history, transcript = run.result.loss_history, run.transcript
-        predicted = predict_encrypted(split, net_a, net_b, split.eval_ids,
-                                      key_bits=cfg.key_bits, frac_bits=cfg.frac_bits,
-                                      seed=seed, channels=open_channels(cfg)).labels
-    else:
-        history = train_plain(split, net_a, net_b, training).loss_history
-        predicted = predict_plain(split, net_a, net_b, split.eval_ids)
+    trained, transcript = engine.train(split, net_a, net_b, cfg.training(loss_mode), seed)
+    predicted = engine.predict(split, net_a, net_b, split.eval_ids, seed)
     score = weighted_f1(predicted, split.labels_eval).weighted_f1
-    return history, score, transcript
+    return trained.loss_history, score, transcript
 
 
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def _run_taylor_vs_exact(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
+def _run_taylor_vs_exact(cfg: ExperimentConfig, engine: Engine, result: RunResult,
+                         loss_rows: list):
     finals: dict[str, list[float]] = {"taylor": [], "exact": []}
     for s in range(cfg.seeds):
         seed = cfg.seed + s
         split = build_split(cfg, seed)
         for mode in ("taylor", "exact"):
-            history, score, _ = _train_and_eval(cfg, split, seed, loss_mode=mode)
+            history, score, _ = _train_and_eval(cfg, split, seed, mode, engine)
             finals[mode].append(score)
             result.rows.append({
                 "seed": seed, "loss_mode": mode,
@@ -238,7 +260,8 @@ def _run_taylor_vs_exact(cfg: ExperimentConfig, result: RunResult, loss_rows: li
                                    - result.metrics["f1_exact"])
 
 
-def _run_ftl_vs_self(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
+def _run_ftl_vs_self(cfg: ExperimentConfig, engine: Engine, result: RunResult,
+                     loss_rows: list):
     per_model: dict[str, list[float]] = {}
     for s in range(cfg.seeds):
         seed = cfg.seed + s
@@ -248,7 +271,7 @@ def _run_ftl_vs_self(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
         x_eval = split.x_target[split.target_rows(split.eval_ids)]
         scores: dict[str, float] = {}
         for mode, name in (("taylor", "ftl_taylor"), ("exact", "ftl_exact")):
-            history, score, _ = _train_and_eval(cfg, split, seed, loss_mode=mode)
+            history, score, _ = _train_and_eval(cfg, split, seed, mode, engine)
             scores[name] = score
             if s == 0 and mode == cfg.loss_mode:
                 result.loss_history = history
@@ -271,14 +294,15 @@ def _run_ftl_vs_self(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
         result.metrics[f"f1_{name}"] = sum(values) / len(values)
 
 
-def _run_overlap_sweep(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
+def _run_overlap_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
+                       loss_rows: list):
     sweep = cfg.sweep or (25, 100, 250)
     for n_ab in sweep:
         scores = []
         for s in range(cfg.seeds):
             seed = cfg.seed + s
             split = build_split(cfg, seed, n_overlap=int(n_ab))
-            history, score, _ = _train_and_eval(cfg, split, seed)
+            history, score, _ = _train_and_eval(cfg, split, seed, engine=engine)
             scores.append(score)
             result.rows.append({"n_overlap": n_ab, "seed": seed,
                                 "eval_f1": f"{score:.6f}"})
@@ -287,7 +311,8 @@ def _run_overlap_sweep(cfg: ExperimentConfig, result: RunResult, loss_rows: list
         result.metrics[f"f1_overlap_{n_ab}"] = sum(scores) / len(scores)
 
 
-def _run_trcv_vs_cv(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
+def _run_trcv_vs_cv(cfg: ExperimentConfig, engine: Engine, result: RunResult,
+                    loss_rows: list):
     split = build_split(cfg, cfg.seed)
     dims_a, dims_b = cfg.dims()
     x_c = split.x_target[split.target_rows(split.labeled_ids)]
@@ -295,10 +320,8 @@ def _run_trcv_vs_cv(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
     best_trcv_score = 0.0
     for k in (cfg.sweep or (2, 3, 4, 5)):
         k = int(k)
-        report = run_trcv(split, [cfg.training()], k, dims_a, dims_b,
-                          engine=cfg.engine, key_bits=cfg.key_bits,
-                          frac_bits=cfg.frac_bits, seed=cfg.seed,
-                          pretrain_epochs=cfg.pretrain_epochs)
+        report = run_trcv(split, [cfg.training()], k, dims_a, dims_b, engine=engine,
+                          seed=cfg.seed, pretrain_epochs=cfg.pretrain_epochs)
         best_trcv_score = max(best_trcv_score, report.mean)
         result.rows.append({"k": k, "method": "trcv", "score": f"{report.mean:.6f}"})
         result.metrics[f"trcv_k{k}"] = report.mean
@@ -319,26 +342,25 @@ def _run_trcv_vs_cv(cfg: ExperimentConfig, result: RunResult, loss_rows: list):
                         else "no-transfer", "score": f"{decision.baseline_score:.6f}"})
 
 
-def _run_scaling_sweep(cfg: ExperimentConfig, result: RunResult, loss_rows: list,
-                       timing_rows: list):
+def _run_scaling_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
+                       loss_rows: list, timing_rows: list):
     """Encrypted runs across overlap sizes and representation widths."""
     ct_bytes = ciphertext_wire_size(cfg.key_bits)
 
     def one(axis: str, value: int, n_overlap: int, hidden: int):
-        run_cfg = replace(cfg, hidden=hidden, engine="encrypted")
+        run_cfg = replace(cfg, hidden=hidden)
         split = build_split(run_cfg, cfg.seed, n_overlap=n_overlap)
         dims_a, dims_b = run_cfg.dims()
         net_a = init_network(dims_a, seed=cfg.seed)
         net_b = init_network(dims_b, seed=cfg.seed + 1)
         started = time.perf_counter()
-        run = train_encrypted(split, net_a, net_b, run_cfg.training(),
-                              key_bits=cfg.key_bits, frac_bits=cfg.frac_bits,
-                              seed=cfg.seed, channels=open_channels(run_cfg))
+        trained, transcript = engine.train(split, net_a, net_b, run_cfg.training(),
+                                           cfg.seed)
         elapsed = time.perf_counter() - started
-        iterations = len(run.result.loss_history)
+        iterations = len(trained.loss_history)
         per_iter = elapsed / iterations
-        measured = (measure_cost(run.transcript, DIR_SOURCE_TO_TARGET)
-                    + measure_cost(run.transcript, DIR_TARGET_TO_SOURCE))
+        measured = (measure_cost(transcript, DIR_SOURCE_TO_TARGET)
+                    + measure_cost(transcript, DIR_TARGET_TO_SOURCE))
         # Both directions ship n_c quadratic-and-linear components per
         # iteration: n_c (d^2 + d) ciphertexts each way.
         d = hidden
@@ -351,10 +373,6 @@ def _run_scaling_sweep(cfg: ExperimentConfig, result: RunResult, loss_rows: list
         result.iteration_seconds.append(per_iter)
         result.metrics[f"{axis}_{value}_seconds"] = per_iter
         result.metrics[f"{axis}_{value}_bytes"] = float(measured)
-        for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE):
-            result.bytes_by_direction[direction] = (
-                result.bytes_by_direction.get(direction, 0)
-                + run.transcript.payload_bytes(direction))
 
     for n_ab in (cfg.sweep or (4, 8, 16, 32)):
         one("overlap", int(n_ab), int(n_ab), cfg.hidden)
@@ -398,31 +416,25 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     result = RunResult()
     loss_rows: list[dict] = []
     timing_rows: list[dict] = []
-    transcript = None
+    engine = _make_engine(cfg)
 
     if cfg.kind == "taylor-vs-exact":
-        _run_taylor_vs_exact(cfg, result, loss_rows)
+        _run_taylor_vs_exact(cfg, engine, result, loss_rows)
     elif cfg.kind == "ftl-vs-self":
-        _run_ftl_vs_self(cfg, result, loss_rows)
+        _run_ftl_vs_self(cfg, engine, result, loss_rows)
     elif cfg.kind == "overlap-sweep":
-        _run_overlap_sweep(cfg, result, loss_rows)
+        _run_overlap_sweep(cfg, engine, result, loss_rows)
     elif cfg.kind == "trcv-vs-cv":
-        _run_trcv_vs_cv(cfg, result, loss_rows)
+        _run_trcv_vs_cv(cfg, engine, result, loss_rows)
     else:
-        _run_scaling_sweep(cfg, result, loss_rows, timing_rows)
+        _run_scaling_sweep(cfg, engine, result, loss_rows, timing_rows)
 
-    if cfg.engine == "encrypted" and cfg.kind != "scaling-sweep":
-        # One reference encrypted run to publish a transcript summary.
-        split = build_split(cfg, cfg.seed)
-        dims_a, dims_b = cfg.dims()
-        run = train_encrypted(split, init_network(dims_a, seed=cfg.seed),
-                              init_network(dims_b, seed=cfg.seed + 1),
-                              cfg.training(), key_bits=cfg.key_bits,
-                              frac_bits=cfg.frac_bits, seed=cfg.seed,
-                              channels=open_channels(cfg))
-        transcript = run.transcript
+    # Every kind trains before it predicts, so the first channel pair opened
+    # carried the experiment's first encrypted training run.
+    transcript = engine.channels.first_transcript
+    if transcript is not None:
         for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE):
-            result.bytes_by_direction[direction] = run.transcript.payload_bytes(direction)
+            result.bytes_by_direction[direction] = transcript.payload_bytes(direction)
 
     columns = sorted({key for row in result.rows for key in row})
     _write_csv(os.path.join(cfg.out_dir, "results.csv"), result.rows, columns)

@@ -32,14 +32,6 @@ class LayerParams:
         return LayerParams(self.weights.copy(), self.bias.copy())
 
 
-@dataclass(frozen=True)
-class HiddenRep:
-    """A batch of hidden representations tagged with their sample ids."""
-
-    values: np.ndarray
-    sample_ids: np.ndarray
-
-
 class Network:
     """Fully connected sigmoid stack; last layer width is the hidden dim."""
 

@@ -25,7 +25,6 @@ from .encoding import (
     DEFAULT_FRAC_BITS,
     MAX_FRAC_BITS,
     EncodingOverflowError,
-    FixedPoint,
     decode_raw,
     encode,
     from_residue,
@@ -217,38 +216,6 @@ class Ciphertext:
         return Ciphertext(ct.value, self.frac_bits + delta, self.public_key)
 
 
-def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    """Homomorphic addition: decrypts to the sum of plaintexts mod n."""
-    return c1 + c2
-
-
-def scalar_mul(k: int, ct: Ciphertext) -> Ciphertext:
-    """Homomorphic scalar multiply by a plaintext residue k in [0, n)."""
-    if not 0 <= k < ct.public_key.modulus:
-        raise EncodingOverflowError("scalar outside [0, n)")
-    return Ciphertext(pow(ct.value, k, ct.public_key.n_squared), ct.frac_bits, ct.public_key)
-
-
-def enc_dot(plain_vec: list[FixedPoint], enc_vec: list[Ciphertext]) -> Ciphertext:
-    """Dot product of a plaintext vector with an encrypted vector.
-
-    The result's precision is the sum of the two operands' fraction bits
-    (2f when both sides carry f); the decrypting party performs the rescale.
-    """
-    if len(plain_vec) != len(enc_vec):
-        raise ValueError(f"length mismatch: {len(plain_vec)} vs {len(enc_vec)}")
-    if not enc_vec:
-        raise ValueError("empty vectors")
-    plain_frac = plain_vec[0].frac_bits
-    acc = None
-    for p, c in zip(plain_vec, enc_vec):
-        if p.frac_bits != plain_frac:
-            raise EncodingOverflowError("plaintext vector has mixed fraction bits")
-        term = c.mul_int(p.raw)
-        acc = term if acc is None else acc + term
-    return Ciphertext(acc.value, acc.frac_bits + plain_frac, acc.public_key)
-
-
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
     """8-byte key fingerprint, 1-byte frac counter, 4-byte length, value bytes.
 
@@ -288,7 +255,3 @@ def deserialize_ciphertext(buf: bytes, keys: dict[bytes, PublicKey],
         raise CiphertextFormatError("ciphertext value outside [0, n^2)")
     return Ciphertext(value, frac_bits, key), end
 
-
-def fixed_point_vector(values, frac_bits: int = DEFAULT_FRAC_BITS) -> list[FixedPoint]:
-    """Encode an iterable of reals at a common precision, for enc_dot."""
-    return [encode(float(v), frac_bits) for v in values]

@@ -30,6 +30,7 @@ import math
 import random
 import struct
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,13 @@ from .paillier import (
     keygen,
     serialize_ciphertext,
 )
-from .plain import TrainingConfig, TrainingResult, target_batch
+from .plain import (
+    TrainingConfig,
+    TrainingResult,
+    predict_plain,
+    target_batch,
+    train_plain,
+)
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -776,8 +783,12 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
     """Run the full two-party protocol; both nets are updated in place.
 
     channels defaults to an in-process loopback pair; pass the triple from
-    tcp_pair to run over sockets instead.
+    tcp_pair to run over sockets instead. Only the Taylor loss has an
+    encrypted form, so any other loss_mode is rejected.
     """
+    if cfg.loss_mode != "taylor":
+        raise ValueError(f"the encrypted engine trains the Taylor loss only, "
+                         f"not loss_mode {cfg.loss_mode!r}")
     if channels is None:
         channels = loopback_pair()
     source_end, target_end, transcript = channels
@@ -835,6 +846,45 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
         source_end.close()
         target_end.close()
     return PredictionRunResult(labels, transcript, server, requester)
+
+
+ENGINE_KINDS = ("plain", "encrypted")
+
+
+@dataclass(frozen=True)
+class Engine:
+    """The plaintext oracle or the two-party protocol behind one interface.
+
+    channels opens a fresh (source end, target end, transcript) triple for
+    each encrypted run; the plain engine never calls it.
+    """
+
+    kind: str = "plain"
+    key_bits: int = 512
+    frac_bits: int = 40
+    channels: Callable[[], tuple] = loopback_pair
+
+    def __post_init__(self):
+        if self.kind not in ENGINE_KINDS:
+            raise ValueError(f"unknown engine {self.kind!r}")
+
+    def train(self, split: FederationSplit, net_source: Network, net_target: Network,
+              cfg: TrainingConfig, seed: int = 0) -> tuple[TrainingResult, Transcript | None]:
+        """Train both nets in place; the transcript is None for the plain engine."""
+        if self.kind == "plain":
+            return train_plain(split, net_source, net_target, cfg), None
+        run = train_encrypted(split, net_source, net_target, cfg, key_bits=self.key_bits,
+                              frac_bits=self.frac_bits, seed=seed, channels=self.channels())
+        return run.result, run.transcript
+
+    def predict(self, split: FederationSplit, net_source: Network, net_target: Network,
+                query_ids, seed: int = 0) -> np.ndarray:
+        """Labels for the target-side query rows."""
+        if self.kind == "plain":
+            return predict_plain(split, net_source, net_target, query_ids)
+        return predict_encrypted(split, net_source, net_target, query_ids,
+                                 key_bits=self.key_bits, frac_bits=self.frac_bits,
+                                 seed=seed, channels=self.channels()).labels
 
 
 # ---------------------------------------------------------------------------

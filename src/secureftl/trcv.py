@@ -23,8 +23,8 @@ import numpy as np
 from .baselines import train_logistic
 from .datasets import FederationSplit, weighted_f1
 from .nets import Network, autoencoder_pretrain, init_network
-from .plain import TrainingConfig, predict_plain, train_plain
-from .protocol import predict_encrypted, train_encrypted
+from .plain import TrainingConfig
+from .protocol import Engine
 
 
 @dataclass
@@ -122,33 +122,6 @@ def mirror_split(split: FederationSplit, labels_target: np.ndarray,
     )
 
 
-def cross_predict(mirrored: FederationSplit, net_source: Network, net_target: Network,
-                  query_ids, engine: str = "plain", key_bits: int = 512,
-                  frac_bits: int = 40, seed: int = 0) -> np.ndarray:
-    """Label held-out rows of the original source via the swapped roles.
-
-    Identical machinery to forward prediction; only the split is mirrored.
-    """
-    if engine == "plain":
-        return predict_plain(mirrored, net_source, net_target, query_ids)
-    return predict_encrypted(mirrored, net_source, net_target, query_ids,
-                             key_bits=key_bits, frac_bits=frac_bits, seed=seed).labels
-
-
-def _train(split, net_source, net_target, cfg, engine, key_bits, frac_bits, seed):
-    if engine == "plain":
-        return train_plain(split, net_source, net_target, cfg)
-    return train_encrypted(split, net_source, net_target, cfg, key_bits=key_bits,
-                           frac_bits=frac_bits, seed=seed).result
-
-
-def _predict(split, net_source, net_target, query_ids, engine, key_bits, frac_bits, seed):
-    if engine == "plain":
-        return predict_plain(split, net_source, net_target, query_ids)
-    return predict_encrypted(split, net_source, net_target, query_ids,
-                             key_bits=key_bits, frac_bits=frac_bits, seed=seed).labels
-
-
 def _fresh_net(dims: list[int], seed: int, x: np.ndarray, pretrain_epochs: int) -> Network:
     net = init_network(dims, seed=seed)
     if pretrain_epochs:
@@ -157,9 +130,8 @@ def _fresh_net(dims: list[int], seed: int, x: np.ndarray, pretrain_epochs: int) 
 
 
 def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
-             dims_source: list[int], dims_target: list[int], engine: str = "plain",
-             key_bits: int = 512, frac_bits: int = 40, seed: int = 0,
-             pretrain_epochs: int = 0) -> float:
+             dims_source: list[int], dims_target: list[int], engine: Engine = Engine(),
+             seed: int = 0, pretrain_epochs: int = 0) -> float:
     """One fold: train on the complement, pseudo-label, retrain mirrored,
     score the held-out source rows. Returns the weighted F1."""
     if len(fold_ids) == 0:
@@ -167,14 +139,13 @@ def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
     sub = restrict_source(split, fold_ids)
     net_a = _fresh_net(dims_source, seed, sub.x_source, pretrain_epochs)
     net_b = _fresh_net(dims_target, seed + 1, sub.x_target, pretrain_epochs)
-    _train(sub, net_a, net_b, cfg, engine, key_bits, frac_bits, seed)
+    engine.train(sub, net_a, net_b, cfg, seed)
 
     # Pseudo-label every target row whose true label is not safely usable:
     # the never-labeled rows plus any labeled pair the fold holds out.
     labeled_keep = sub.labeled_ids
     needs_pseudo = ~np.isin(split.ids_target, labeled_keep)
-    pseudo = _predict(sub, net_a, net_b, split.ids_target[needs_pseudo],
-                      engine, key_bits, frac_bits, seed)
+    pseudo = engine.predict(sub, net_a, net_b, split.ids_target[needs_pseudo], seed)
     labels_target = np.empty(len(split.ids_target), dtype=int)
     labels_target[~needs_pseudo] = split.labels_for(split.ids_target[~needs_pseudo])
     labels_target[needs_pseudo] = pseudo
@@ -182,16 +153,14 @@ def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
     mirrored = mirror_split(split, labels_target, fold_ids)
     net_b2 = _fresh_net(dims_target, seed + 2, mirrored.x_source, pretrain_epochs)
     net_a2 = _fresh_net(dims_source, seed + 3, mirrored.x_target, pretrain_epochs)
-    _train(mirrored, net_b2, net_a2, cfg, engine, key_bits, frac_bits, seed + 1)
-    predicted = cross_predict(mirrored, net_b2, net_a2, fold_ids, engine,
-                              key_bits, frac_bits, seed + 1)
+    engine.train(mirrored, net_b2, net_a2, cfg, seed + 1)
+    predicted = engine.predict(mirrored, net_b2, net_a2, fold_ids, seed + 1)
     return weighted_f1(predicted, split.labels_for(fold_ids)).weighted_f1
 
 
 def run_trcv(split: FederationSplit, candidates: list[TrainingConfig], k: int,
-             dims_source: list[int], dims_target: list[int], engine: str = "plain",
-             key_bits: int = 512, frac_bits: int = 40, seed: int = 0,
-             pretrain_epochs: int = 0) -> FoldReport:
+             dims_source: list[int], dims_target: list[int], engine: Engine = Engine(),
+             seed: int = 0, pretrain_epochs: int = 0) -> FoldReport:
     """Score every candidate config by K-fold transfer validation and select
     the best mean; ties break toward the first candidate."""
     if not candidates:
@@ -200,7 +169,7 @@ def run_trcv(split: FederationSplit, candidates: list[TrainingConfig], k: int,
     results = []
     for ci, cfg in enumerate(candidates):
         scores = [run_fold(split, fold, cfg, dims_source, dims_target, engine,
-                           key_bits, frac_bits, seed + 100 * ci + fi, pretrain_epochs)
+                           seed + 100 * ci + fi, pretrain_epochs)
                   for fi, fold in enumerate(plan.folds)]
         results.append(CandidateResult(ci, scores))
     means = [r.mean for r in results]

@@ -37,7 +37,8 @@ def test_main_seed_override_changes_results(tmp_path):
 
 
 def test_main_tcp_transport(tmp_path):
-    cfg = _write_cfg(tmp_path, "engine = encrypted\nmax_iterations = 1\n"
+    cfg = _write_cfg(tmp_path, "kind = overlap-sweep\nsweep = 6\n"
+                               "engine = encrypted\nmax_iterations = 1\n"
                                "n = 16\nn_overlap = 6\nn_labeled = 4\nn_eval = 4\n")
     out = tmp_path / "out"
     rc = main(["--config", str(cfg), "--out", str(out),

@@ -1,8 +1,10 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
+from secureftl import experiments
 from secureftl.experiments import (
     ExperimentConfig,
     build_split,
@@ -11,6 +13,9 @@ from secureftl.experiments import (
     run_baselines,
     run_experiment,
 )
+from secureftl.nets import init_network
+from secureftl.protocol import train_encrypted
+from secureftl.transport import DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE
 
 
 def test_parse_config_text_roundtrip():
@@ -46,7 +51,17 @@ def test_config_validate():
         ExperimentConfig(transport="carrier-pigeon").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="/does/not/exist.csv").validate()
+    # the encrypted engine trains the Taylor loss only
+    with pytest.raises(ValueError):
+        ExperimentConfig(kind="overlap-sweep", engine="encrypted",
+                         loss_mode="exact").validate()
+    for kind in ("taylor-vs-exact", "ftl-vs-self"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(kind=kind, engine="encrypted").validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig(kind="scaling-sweep", engine="plain").validate()
     ExperimentConfig().validate()
+    ExperimentConfig(kind="scaling-sweep", engine="encrypted").validate()
 
 
 def test_config_training_and_dims():
@@ -146,7 +161,7 @@ def test_scaling_sweep_counts_bytes(tmp_path):
 
 
 def test_encrypted_run_publishes_transcript(tmp_path):
-    cfg = _fast_base(tmp_path, kind="taylor-vs-exact", engine="encrypted",
+    cfg = _fast_base(tmp_path, kind="overlap-sweep", sweep=(6,), engine="encrypted",
                      n=16, n_overlap=6, n_labeled=4, n_eval=4,
                      max_iterations=2, seeds=1)
     result = run_experiment(cfg)
@@ -156,6 +171,54 @@ def test_encrypted_run_publishes_transcript(tmp_path):
     assert len(all_rows) == 2
     assert all(len(r["sha256"]) == 64 for r in all_rows)
     assert set(result.bytes_by_direction) == {"source->target", "target->source"}
+
+
+def _count_channels(monkeypatch) -> list:
+    """Record the config of every channel pair run_experiment opens."""
+    opened = []
+    real = experiments.open_channels
+
+    def counting(cfg):
+        opened.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "open_channels", counting)
+    return opened
+
+
+def test_encrypted_sweep_trains_once_per_result(tmp_path, monkeypatch):
+    cfg = _fast_base(tmp_path, kind="overlap-sweep", sweep=(4, 6), engine="encrypted",
+                     n=16, n_labeled=4, n_eval=4, max_iterations=2, seeds=1)
+    opened = _count_channels(monkeypatch)
+    run_experiment(cfg)
+    # one training and one prediction per sweep point, no extra run
+    assert len(opened) == 4
+
+    split = build_split(cfg, cfg.seed, n_overlap=4)
+    dims_a, dims_b = cfg.dims()
+    run = train_encrypted(split, init_network(dims_a, seed=cfg.seed),
+                          init_network(dims_b, seed=cfg.seed + 1), cfg.training(),
+                          key_bits=cfg.key_bits, frac_bits=cfg.frac_bits, seed=cfg.seed)
+    expected = {direction: hashlib.sha256(b"".join(
+                    r.payload for r in run.transcript.frames(direction=direction))).hexdigest()
+                for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE)}
+    published = {r["direction"]: r["sha256"]
+                 for r in _read_rows(tmp_path, "transcript_summary.csv")
+                 if r["msg_type"] == "ALL"}
+    assert published == expected
+
+
+def test_trcv_honours_transport(tmp_path, monkeypatch):
+    opened = _count_channels(monkeypatch)
+    for transport in ("tcp", "loopback"):
+        run_experiment(_fast_base(tmp_path / transport, kind="trcv-vs-cv",
+                                  engine="encrypted", transport=transport, sweep=(2,),
+                                  n=16, n_overlap=8, n_labeled=6, n_eval=4,
+                                  max_iterations=1, seeds=1))
+    # per fold: train, pseudo-label, train mirrored, predict held-out rows
+    assert [c.transport for c in opened] == ["tcp"] * 8 + ["loopback"] * 8
+    assert ((tmp_path / "tcp" / "results.csv").read_bytes()
+            == (tmp_path / "loopback" / "results.csv").read_bytes())
 
 
 def test_experiment_deterministic_outputs(tmp_path):

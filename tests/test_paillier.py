@@ -10,8 +10,6 @@ from secureftl.paillier import (
     KeyPair,
     ciphertext_wire_size,
     deserialize_ciphertext,
-    enc_dot,
-    fixed_point_vector,
     keygen,
     serialize_ciphertext,
 )
@@ -87,19 +85,6 @@ def test_lift_rescales():
     lifted = ct.lift(5)
     assert lifted.frac_bits == 15
     assert SK.decrypt(lifted) == 2.0
-
-
-def test_enc_dot():
-    rng = random.Random(8)
-    cts = [PK.encrypt(v, frac_bits=12, rng=rng) for v in (1.0, -2.0, 0.5)]
-    out = enc_dot(fixed_point_vector([2.0, 1.0, 4.0], 12), cts)
-    assert out.frac_bits == 24
-    assert SK.decrypt(out) == pytest.approx(2.0, abs=1e-3)
-
-
-def test_fixed_point_vector():
-    raws = [fp.raw for fp in fixed_point_vector([1.0, -0.5], 4)]
-    assert raws == [16, -8]
 
 
 def test_wire_size():

@@ -8,7 +8,9 @@ from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import keygen
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import (
+    ENGINE_KINDS,
     ComponentBatch,
+    Engine,
     ProtocolError,
     SourceParty,
     audit_training,
@@ -167,6 +169,29 @@ def test_audit_flags_reused_mask(small_split):
         b - m for b, m in zip(blob_first, run.target.mask_log[keys[1]]))
     report = audit_training(run.transcript, run.source, run.target)
     assert any("reused a mask" in issue for issue in report.issues)
+
+
+def test_engine_kinds_agree(small_split):
+    cfg = _tiny_cfg(max_iterations=2)
+    runs = {}
+    for kind in ENGINE_KINDS:
+        engine = Engine(kind)
+        net_a, net_b = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+        result, transcript = engine.train(small_split, net_a, net_b, cfg, seed=0)
+        labels = engine.predict(small_split, net_a, net_b, small_split.eval_ids, seed=0)
+        runs[kind] = (result.loss_history, labels, transcript)
+    assert np.allclose(runs["plain"][0], runs["encrypted"][0], atol=1e-6)
+    assert np.array_equal(runs["plain"][1], runs["encrypted"][1])
+    assert runs["plain"][2] is None
+    assert runs["encrypted"][2].frames(msg_type=MsgType.COMPONENTS_A)
+    with pytest.raises(ValueError):
+        Engine("fhe")
+
+
+def test_encrypted_rejects_exact_loss(small_split):
+    with pytest.raises(ValueError, match="Taylor"):
+        train_encrypted(small_split, init_network([3, 2], seed=4),
+                        init_network([2, 2], seed=5), _tiny_cfg(loss_mode="exact"))
 
 
 def test_recv_rejects_unexpected_message(small_split):

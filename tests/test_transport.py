@@ -60,7 +60,6 @@ def test_loopback_delivery_and_transcript():
     assert source.recv(timeout=1).payload == b"back"
     assert transcript.payload_bytes(DIR_SOURCE_TO_TARGET) == 5
     assert transcript.payload_bytes(DIR_TARGET_TO_SOURCE) == 4
-    assert transcript.frame_bytes(DIR_SOURCE_TO_TARGET) == HEADER.size + 5
 
 
 def test_loopback_preserves_order():

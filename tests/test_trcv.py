@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from secureftl.datasets import synth_two_view
 from secureftl.plain import TrainingConfig
+from secureftl.protocol import Engine
 from secureftl.trcv import (
     FoldPlan,
     make_folds,
@@ -79,7 +80,7 @@ def test_run_fold_scores_heldout_rows():
     split = _toy_split()
     plan = make_folds(split.ids_source, 4, seed=0)
     score = run_fold(split, plan.folds[0], _fast_cfg(), [4, 3], [3, 3],
-                     engine="plain", seed=0, pretrain_epochs=5)
+                     engine=Engine("plain"), seed=0, pretrain_epochs=5)
     assert 0.0 <= score <= 1.0
 
 

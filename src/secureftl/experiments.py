@@ -157,9 +157,7 @@ def load_config(path: str) -> ExperimentConfig:
 class RunResult:
     """What an experiment hands back besides its CSV files."""
 
-    loss_history: list[float] = field(default_factory=list)
     metrics: dict[str, float] = field(default_factory=dict)
-    iteration_seconds: list[float] = field(default_factory=list)
     bytes_by_direction: dict[str, int] = field(default_factory=dict)
     rows: list[dict] = field(default_factory=list)
 
@@ -232,6 +230,13 @@ def _train_and_eval(cfg: ExperimentConfig, split: FederationSplit, seed: int,
     return trained.loss_history, score, transcript
 
 
+def _append_losses(loss_rows: list, seed: int, variant: str, history: list[float]):
+    """One loss_history.csv row per training iteration."""
+    for it, value in enumerate(history, start=1):
+        loss_rows.append({"seed": seed, "variant": variant, "iteration": it,
+                          "loss": f"{value:.6f}"})
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
 
@@ -249,11 +254,7 @@ def _run_taylor_vs_exact(cfg: ExperimentConfig, engine: Engine, result: RunResul
                 "initial_loss": f"{history[0]:.6f}",
                 "final_loss": f"{history[-1]:.6f}",
                 "eval_f1": f"{score:.6f}"})
-            for it, value in enumerate(history, start=1):
-                loss_rows.append({"seed": seed, "variant": mode, "iteration": it,
-                                  "loss": f"{value:.6f}"})
-            if s == 0 and mode == cfg.loss_mode:
-                result.loss_history = history
+            _append_losses(loss_rows, seed, mode, history)
     for mode, scores in finals.items():
         result.metrics[f"f1_{mode}"] = sum(scores) / len(scores)
     result.metrics["f1_gap"] = abs(result.metrics["f1_taylor"]
@@ -274,10 +275,7 @@ def _run_ftl_vs_self(cfg: ExperimentConfig, engine: Engine, result: RunResult,
             history, score, _ = _train_and_eval(cfg, split, seed, mode, engine)
             scores[name] = score
             if s == 0 and mode == cfg.loss_mode:
-                result.loss_history = history
-                for it, value in enumerate(history, start=1):
-                    loss_rows.append({"seed": seed, "variant": name, "iteration": it,
-                                      "loss": f"{value:.6f}"})
+                _append_losses(loss_rows, seed, name, history)
         lr_model = train_logistic(x_c, y_c, seed=seed)
         svm_model = train_linear_svm(x_c, y_c, seed=seed)
         sae_model = train_sae_classifier(x_c, y_c, cfg.dims()[1], seed=seed)
@@ -306,8 +304,7 @@ def _run_overlap_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
             scores.append(score)
             result.rows.append({"n_overlap": n_ab, "seed": seed,
                                 "eval_f1": f"{score:.6f}"})
-            if not result.loss_history:
-                result.loss_history = history
+            _append_losses(loss_rows, seed, f"overlap_{n_ab}", history)
         result.metrics[f"f1_overlap_{n_ab}"] = sum(scores) / len(scores)
 
 
@@ -370,7 +367,7 @@ def _run_scaling_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
             "components_bytes": measured, "formula_bytes": formula})
         timing_rows.append({"axis": axis, "value": value,
                             "seconds_per_iteration": f"{per_iter:.4f}"})
-        result.iteration_seconds.append(per_iter)
+        _append_losses(loss_rows, cfg.seed, f"{axis}_{value}", trained.loss_history)
         result.metrics[f"{axis}_{value}_seconds"] = per_iter
         result.metrics[f"{axis}_{value}_bytes"] = float(measured)
 

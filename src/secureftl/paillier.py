@@ -16,7 +16,6 @@ it to protect real data.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import secrets
 from dataclasses import dataclass, field
@@ -93,7 +92,13 @@ class PublicKey:
         """Serialized width of a ciphertext value: enough bytes for n^2."""
         return (2 * self.modulus.bit_length() + 7) // 8
 
-    def encrypt_residue(self, residue: int, rng: random.Random | None = None) -> int:
+    def encrypt_residue(self, residue: int, rng: random.Random | None = None,
+                        owner: "PrivateKey | None" = None) -> int:
+        """Enc(residue) = (1 + residue*n) * r^n mod n^2.
+
+        The key owner passes its private key and gets the same integer for the
+        same r, with r^n built modulo p^2 and q^2 instead of n^2.
+        """
         if not 0 <= residue < self.modulus:
             raise EncodingOverflowError("plaintext residue outside [0, n)")
         n, nsq = self.modulus, self.n_squared
@@ -101,30 +106,80 @@ class PublicKey:
             r = rng.randrange(1, n)
         else:
             r = secrets.randbelow(n - 1) + 1
-        return (1 + residue * n) % nsq * pow(r, n, nsq) % nsq
+        if owner is None:
+            obfuscator = pow(r, n, nsq)
+        else:
+            if owner.public.modulus != n:
+                raise KeyMismatchError("private key does not belong to this public key")
+            # p divides n, so r^n mod p^2 is 0 or has order dividing p-1, and
+            # such an element is fixed by its residue mod p: it is the lift
+            # (r^n mod p)^p mod p^2, with r^n = r^(q mod p-1) mod p. Two
+            # half-size exponents give the same integer as r^n mod p^2.
+            # Likewise for q; CRT joins the halves.
+            p, q = owner.p, owner.q
+            xp = pow(pow(r % p, owner.exp_p, p), p, owner.p_squared)
+            xq = pow(pow(r % q, owner.exp_q, q), q, owner.q_squared)
+            obfuscator = xq + (xp - xq) * owner.q_squared_inv % owner.p_squared * owner.q_squared
+        return (1 + residue * n) % nsq * obfuscator % nsq
 
-    def encrypt_raw(self, raw: int, frac_bits: int, rng: random.Random | None = None) -> "Ciphertext":
+    def encrypt_raw(self, raw: int, frac_bits: int, rng: random.Random | None = None,
+                    owner: "PrivateKey | None" = None) -> "Ciphertext":
         """Encrypt a signed fixed-point raw integer at the given precision."""
         if not 0 <= frac_bits <= MAX_FRAC_BITS:
             raise EncodingOverflowError(f"frac_bits {frac_bits} outside [0, {MAX_FRAC_BITS}]")
-        value = self.encrypt_residue(to_residue(raw, self.modulus), rng)
+        value = self.encrypt_residue(to_residue(raw, self.modulus), rng, owner)
         return Ciphertext(value, frac_bits, self)
 
     def encrypt(self, value: float, frac_bits: int = DEFAULT_FRAC_BITS,
-                rng: random.Random | None = None) -> "Ciphertext":
-        return self.encrypt_raw(encode(value, frac_bits).raw, frac_bits, rng)
+                rng: random.Random | None = None,
+                owner: "PrivateKey | None" = None) -> "Ciphertext":
+        return self.encrypt_raw(encode(value, frac_bits).raw, frac_bits, rng, owner)
 
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """The factorization n = p*q and the CRT constants built from it.
+
+    The owner's exponentiations run modulo p^2 and q^2 and are recombined by
+    CRT (Paillier, EUROCRYPT 1999, section 6): decryption here, obfuscators
+    r^n in PublicKey.encrypt_residue. The constants are closed-form in p and
+    q, and none of them appears in repr.
+    """
+
     public: PublicKey
-    lam: int
-    mu: int
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    p_squared: int = field(init=False, repr=False)
+    q_squared: int = field(init=False, repr=False)
+    hp: int = field(init=False, repr=False)  # L_p(g^(p-1) mod p^2)^-1 = (-q)^-1 mod p
+    hq: int = field(init=False, repr=False)  # (-p)^-1 mod q
+    q_inv: int = field(init=False, repr=False)  # q^-1 mod p
+    q_squared_inv: int = field(init=False, repr=False)  # q^-2 mod p^2
+    exp_p: int = field(init=False, repr=False)  # q mod (p-1), so r^exp_p = r^n mod p
+    exp_q: int = field(init=False, repr=False)  # p mod (q-1)
+
+    def __post_init__(self):
+        p, q, n = self.p, self.q, self.public.modulus
+        if p * q != n:
+            raise KeyMismatchError("p * q is not this public key's modulus")
+        derived = {
+            "p_squared": p * p,
+            "q_squared": q * q,
+            "hp": pow(-q, -1, p),
+            "hq": pow(-p, -1, q),
+            "q_inv": pow(q, -1, p),
+            "q_squared_inv": pow(q * q, -1, p * p),
+            "exp_p": q % (p - 1),
+            "exp_q": p % (q - 1),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def decrypt_residue(self, value: int) -> int:
-        n, nsq = self.public.modulus, self.public.n_squared
-        u = pow(value, self.lam, nsq)
-        return (u - 1) // n * self.mu % n
+        p, q = self.p, self.q
+        mp = (pow(value % self.p_squared, p - 1, self.p_squared) - 1) // p * self.hp % p
+        mq = (pow(value % self.q_squared, q - 1, self.q_squared) - 1) // q * self.hq % q
+        return mq + (mp - mq) * self.q_inv % p * q
 
     def decrypt_raw(self, ct: "Ciphertext") -> int:
         """Decrypt to the signed fixed-point raw integer."""
@@ -141,6 +196,12 @@ class KeyPair:
     public: PublicKey
     private: PrivateKey
 
+    def encrypt(self, value: float, frac_bits: int = DEFAULT_FRAC_BITS,
+                rng: random.Random | None = None) -> "Ciphertext":
+        """Encrypt under one's own key: public.encrypt's ciphertext, built
+        through the factorization."""
+        return self.public.encrypt(value, frac_bits, rng, self.private)
+
 
 def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:
     """Generate a key pair whose modulus has exactly `bits` bits."""
@@ -155,9 +216,7 @@ def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:
             break
     n = p * q
     public = PublicKey(n, n + 1)
-    lam = (p - 1) * (q - 1)
-    mu = pow(lam % n, -1, n)
-    return KeyPair(public, PrivateKey(public, lam, mu))
+    return KeyPair(public, PrivateKey(public, p, q))
 
 
 @dataclass(frozen=True)

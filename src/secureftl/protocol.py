@@ -22,6 +22,10 @@ The message choreography per iteration:
 From the second iteration on the target waits for COMPONENTS_A (or STOP)
 before computing its own components, so exactly one component batch per
 direction crosses the wire per executed iteration.
+
+Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
+STOP the last iteration run, prediction frames the request's sequence
+number. A frame of an unexpected type or number raises ProtocolError.
 """
 
 from __future__ import annotations
@@ -350,16 +354,22 @@ class _Party:
     def _send(self, msg_type: MsgType, iteration: int, payload: bytes = b""):
         self.channel.send(Frame(msg_type, iteration, payload))
 
-    def _recv(self, expected: tuple[MsgType, ...], timeout: float | None = None) -> Frame:
-        frame = self.channel.recv() if timeout is None else self.channel.recv(timeout)
+    def _recv(self, expected: dict[MsgType, int]) -> Frame:
+        """The next frame; its type must be a key of expected, and its
+        iteration number the value under that key."""
+        frame = self.channel.recv()
         if frame.msg_type not in expected:
             names = "/".join(m.name for m in expected)
             raise ProtocolError(f"expected {names}, got {MsgType(frame.msg_type).name}")
+        number = expected[frame.msg_type]
+        if frame.iteration != number:
+            raise ProtocolError(f"{MsgType(frame.msg_type).name} numbered {frame.iteration}, "
+                                f"expected {number}")
         return frame
 
     def exchange_keys(self):
         self._send(MsgType.PUBKEY, 0, _pack_pubkey(self.keypair.public))
-        frame = self._recv((MsgType.PUBKEY,))
+        frame = self._recv({MsgType.PUBKEY: 0})
         self.peer_key = _unpack_pubkey(frame.payload)
         self.keys[self.peer_key.fingerprint] = self.peer_key
 
@@ -432,11 +442,11 @@ class _Party:
         self.predict_seq += 1
         seq = self.predict_seq
         n, d = u_rows.shape
-        cts = [self.keypair.public.encrypt(u_rows[r, c], self.frac_bits, self.rng)
+        cts = [self.keypair.encrypt(u_rows[r, c], self.frac_bits, self.rng)
                for r in range(n) for c in range(d)]
         payload = n.to_bytes(4, "big") + d.to_bytes(4, "big") + _pack_cts(cts)
         self._send(MsgType.PREDICT_REQUEST, seq, payload)
-        frame = self._recv((MsgType.PREDICT_MASKED,))
+        frame = self._recv({MsgType.PREDICT_MASKED: seq})
         count = int.from_bytes(frame.payload[:4], "big")
         masked = _unpack_cts(frame.payload[4:], count, self.keys)
         for ct in masked:
@@ -445,13 +455,14 @@ class _Party:
         frac = masked[0].frac_bits if masked else 2 * self.frac_bits
         raws = [self.keypair.private.decrypt_raw(ct) for ct in masked]
         self._send(MsgType.DECRYPTED_BLOB, seq, _pack_blob([("predict.scores", frac, raws)]))
-        labels_frame = self._recv((MsgType.PREDICT_LABELS,))
+        labels_frame = self._recv({MsgType.PREDICT_LABELS: seq})
         return _unpack_labels(labels_frame.payload)
 
     def serve_labels(self, prototype: np.ndarray) -> np.ndarray:
         """Score encrypted peer representations against a local prototype."""
-        frame = self._recv((MsgType.PREDICT_REQUEST,))
-        seq = frame.iteration
+        self.predict_seq += 1
+        seq = self.predict_seq
+        frame = self._recv({MsgType.PREDICT_REQUEST: seq})
         n = int.from_bytes(frame.payload[:4], "big")
         d = int.from_bytes(frame.payload[4:8], "big")
         if d != len(prototype):
@@ -467,7 +478,7 @@ class _Party:
         self._record_mask(seq, "predict.scores", masks)
         masked = [ct.add_raw(m) for ct, m in zip(scores, masks)]
         self._send(MsgType.PREDICT_MASKED, seq, len(masked).to_bytes(4, "big") + _pack_cts(masked))
-        blob = self._recv((MsgType.DECRYPTED_BLOB,))
+        blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
         sections = _unpack_blob(blob.payload)
         if len(sections) != 1 or sections[0][0] != "predict.scores":
             raise ProtocolError("expected a single masked-score section")
@@ -502,13 +513,13 @@ class SourceParty(_Party):
         u = trace[-1]
         prototype = label_prototype(u, self.labels)
         quad_base = 0.125 * np.outer(prototype, prototype)
-        f, pk, rng = self.frac_bits, self.keypair.public, self.rng
-        quad = [[[pk.encrypt(y * y * quad_base[r, c], f, rng) for c in range(len(prototype))]
+        f, own, rng = self.frac_bits, self.keypair, self.rng
+        quad = [[[own.encrypt(y * y * quad_base[r, c], f, rng) for c in range(len(prototype))]
                  for r in range(len(prototype))] for y in self.labels_c]
-        lin = [[pk.encrypt(-0.5 * y * prototype[c], f, rng) for c in range(len(prototype))]
+        lin = [[own.encrypt(-0.5 * y * prototype[c], f, rng) for c in range(len(prototype))]
                for y in self.labels_c]
         gk = self.cfg.gamma * self.align.kappa
-        align = [[pk.encrypt(gk * value, f, rng) for value in u[row]] for row in self.ab_rows]
+        align = [[own.encrypt(gk * value, f, rng) for value in u[row]] for row in self.ab_rows]
         return ComponentBatch(quad, lin, align)
 
     def assemble_loss(self, comps: ComponentBatch, trace: list[np.ndarray],
@@ -588,7 +599,7 @@ class SourceParty(_Party):
             prototype = label_prototype(trace[-1], self.labels)
             self._send(MsgType.COMPONENTS_A, iteration,
                        self.compute_components(trace).to_payload())
-            frame = self._recv((MsgType.COMPONENTS_B,))
+            frame = self._recv({MsgType.COMPONENTS_B: iteration})
             comps = ComponentBatch.from_payload(frame.payload, self.keys)
 
             masked_grad = self._mask_and_pack(
@@ -600,10 +611,10 @@ class SourceParty(_Party):
             self._send(MsgType.ENC_LOSS, iteration,
                        serialize_ciphertext(loss_ct.add_raw(loss_mask[0])))
 
-            grad_frame = self._recv((MsgType.MASKED_GRAD_B,))
+            grad_frame = self._recv({MsgType.MASKED_GRAD_B: iteration})
             self._send(MsgType.DECRYPTED_BLOB, iteration,
                        self._decrypt_blob_sections(grad_frame.payload))
-            blob = self._recv((MsgType.DECRYPTED_BLOB,))
+            blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
             extras = self._unmask_and_apply(self.net, iteration, blob.payload,
                                             self.cfg.learning_rate)
             if "loss" not in extras:
@@ -638,17 +649,17 @@ class TargetParty(_Party):
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
-        f, pk, rng = self.frac_bits, self.keypair.public, self.rng
+        f, own, rng = self.frac_bits, self.keypair, self.rng
         u_c, u_ab = u[self.c_pos], u[self.ab_pos]
-        quad = [[[pk.encrypt(row[r] * row[c], f, rng) for c in range(len(row))]
+        quad = [[[own.encrypt(row[r] * row[c], f, rng) for c in range(len(row))]
                  for r in range(len(row))] for row in u_c]
-        lin = [[pk.encrypt(value, f, rng) for value in row] for row in u_c]
-        align = [[pk.encrypt(self.align.kappa * value, f, rng) for value in row] for row in u_ab]
+        lin = [[own.encrypt(value, f, rng) for value in row] for row in u_c]
+        align = [[own.encrypt(self.align.kappa * value, f, rng) for value in row] for row in u_ab]
         # The scalar loss share: this party's weight-decay term, plus its own
         # alignment terms when the alignment kind has any.
         reg_value = (0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                      + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        return ComponentBatch(quad, lin, align, pk.encrypt(reg_value, 2 * f, rng))
+        return ComponentBatch(quad, lin, align, own.encrypt(reg_value, 2 * f, rng))
 
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_GradTensor]:
         """Own-parameter gradient under the source's key, before masking."""
@@ -676,7 +687,9 @@ class TargetParty(_Party):
         result = TrainingResult(None, self.net)
         for iteration in range(1, self.cfg.max_iterations + 1):
             if iteration > 1:
-                frame = self._recv((MsgType.COMPONENTS_A, MsgType.STOP))
+                # STOP carries the last iteration the source ran.
+                frame = self._recv({MsgType.COMPONENTS_A: iteration,
+                                    MsgType.STOP: iteration - 1})
                 if frame.msg_type == MsgType.STOP:
                     result.converged = True
                     return result
@@ -685,14 +698,14 @@ class TargetParty(_Party):
             self._send(MsgType.COMPONENTS_B, iteration,
                        self.compute_components(trace).to_payload())
             if iteration == 1:
-                comps_frame = self._recv((MsgType.COMPONENTS_A,))
+                comps_frame = self._recv({MsgType.COMPONENTS_A: iteration})
             comps = ComponentBatch.from_payload(comps_frame.payload, self.keys)
 
             masked_grad = self._mask_and_pack(iteration, self.assemble_gradient(comps, trace))
             self._send(MsgType.MASKED_GRAD_B, iteration, masked_grad)
 
-            grad_frame = self._recv((MsgType.MASKED_GRAD_A,))
-            loss_frame = self._recv((MsgType.ENC_LOSS,))
+            grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
+            loss_frame = self._recv({MsgType.ENC_LOSS: iteration})
             blob = self._decrypt_blob_sections(grad_frame.payload)
             loss_ct, _ = deserialize_ciphertext(loss_frame.payload, self.keys)
             loss_raw = self.keypair.private.decrypt_raw(loss_ct)
@@ -700,12 +713,10 @@ class TargetParty(_Party):
             blob_sections.append(("loss", loss_ct.frac_bits, [loss_raw]))
             self._send(MsgType.DECRYPTED_BLOB, iteration, _pack_blob(blob_sections))
 
-            own_blob = self._recv((MsgType.DECRYPTED_BLOB,))
+            own_blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
             self._unmask_and_apply(self.net, iteration, own_blob.payload,
                                    self.cfg.learning_rate)
-        frame = self._recv((MsgType.COMPONENTS_A, MsgType.STOP))
-        if frame.msg_type != MsgType.STOP:
-            raise ProtocolError("expected a stop signal after the final iteration")
+        self._recv({MsgType.STOP: self.cfg.max_iterations})
         result.converged = True
         return result
 

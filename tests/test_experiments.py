@@ -134,6 +134,10 @@ def test_overlap_sweep_metric_per_point(tmp_path):
     assert set(result.metrics) == {"f1_overlap_8", "f1_overlap_16"}
     rows = _read_rows(tmp_path, "results.csv")
     assert len(rows) == 2
+    losses = _read_rows(tmp_path, "loss_history.csv")
+    per_iteration = [(r["variant"], r["seed"], int(r["iteration"])) for r in losses]
+    assert per_iteration == [(f"overlap_{n_ab}", "0", it) for n_ab in (8, 16)
+                             for it in range(1, cfg.max_iterations + 1)]
 
 
 def test_trcv_vs_cv_outputs(tmp_path):
@@ -156,6 +160,10 @@ def test_scaling_sweep_counts_bytes(tmp_path):
         assert int(row["components_bytes"]) == int(row["formula_bytes"]) > 0
     timing_rows = _read_rows(tmp_path, "timings.csv")
     assert {r["axis"] for r in timing_rows} == {"overlap", "dim"}
+    losses = _read_rows(tmp_path, "loss_history.csv")
+    assert [(r["variant"], r["seed"], r["iteration"]) for r in losses] == [
+        ("overlap_4", "0", "1"), ("overlap_8", "0", "1"), ("dim_2", "0", "1"), ("dim_3", "0", "1")]
+    assert all(float(r["loss"]) > 0 for r in losses)
     # wall-clock stays in timings.csv, never in results.csv
     assert "seconds_per_iteration" not in rows[0]
 

@@ -8,6 +8,7 @@ from secureftl.paillier import (
     Ciphertext,
     KeyMismatchError,
     KeyPair,
+    PublicKey,
     ciphertext_wire_size,
     deserialize_ciphertext,
     keygen,
@@ -23,6 +24,11 @@ def test_keygen_deterministic():
     assert again.public.modulus == PK.modulus
     other = keygen(bits=512, rng=random.Random(2))
     assert other.public.modulus != PK.modulus
+
+
+def test_keygen_keeps_fingerprint():
+    # Pinned before keys kept their factorization: keygen draws the same primes.
+    assert PK.fingerprint.hex() == "22d973cb450e04f5"
 
 
 def test_modulus_size():
@@ -129,3 +135,75 @@ def test_keypair_shape():
     assert isinstance(KEYS, KeyPair)
     assert isinstance(PK.encrypt(0.0, frac_bits=0, rng=random.Random(0)),
                       Ciphertext)
+
+
+# The peer rebuilds the key from the modulus alone, so it has no factorization.
+PEER_VIEW = PublicKey(PK.modulus, PK.modulus + 1)
+
+
+def _textbook_decrypt(value: int) -> int:
+    n = PK.modulus
+    lam = (SK.p - 1) * (SK.q - 1)
+    mu = pow(lam, -1, n)
+    return (pow(value, lam, n * n) - 1) // n * mu % n
+
+
+def _check_crt(residue: int, seed: int):
+    own = PK.encrypt_residue(residue, random.Random(seed), SK)
+    assert own == PEER_VIEW.encrypt_residue(residue, random.Random(seed))
+    assert SK.decrypt_residue(own) == _textbook_decrypt(own) == residue
+
+
+@pytest.mark.parametrize("residue", [0, 1, PK.modulus // 2, PK.modulus - 1])
+def test_crt_matches_textbook_at_edges(residue):
+    _check_crt(residue, residue & 0xFFFF)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=PK.modulus - 1),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_crt_matches_textbook(residue, seed):
+    _check_crt(residue, seed)
+
+
+class _FixedDraw:
+    """An rng whose every randrange returns r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def randrange(self, _lo, _hi):
+        return self.r
+
+
+@pytest.mark.parametrize("r", [1, SK.p, SK.q, 2 * SK.p, PK.modulus - 1])
+def test_crt_obfuscator_at_edge_randomness(r):
+    # r sharing a factor with n never comes from a fair draw, but the CRT
+    # obfuscator must still equal r^n mod n^2 there.
+    assert (PK.encrypt_residue(5, _FixedDraw(r), SK)
+            == PEER_VIEW.encrypt_residue(5, _FixedDraw(r)))
+
+
+def test_owner_encrypt_equals_peer_encrypt():
+    for value in (0.0, 3.25, -1234.5):
+        own = KEYS.encrypt(value, 16, random.Random(21))
+        peer = PEER_VIEW.encrypt(value, 16, random.Random(21))
+        assert own.value == peer.value and own.frac_bits == peer.frac_bits == 16
+        assert SK.decrypt(own) == value
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=-(2 ** 200), max_value=-1))
+def test_negative_raws_roundtrip(raw):
+    rng = random.Random(raw & 0xFFFF)
+    assert SK.decrypt_raw(PK.encrypt_raw(raw, 8, rng, SK)) == raw
+    assert SK.decrypt_raw(PEER_VIEW.encrypt_raw(raw, 8, rng)) == raw
+
+
+def test_factorization_stays_private():
+    text = repr(KEYS)
+    assert str(SK.p) not in text and str(SK.q) not in text
+    assert not hasattr(PK, "p") and not hasattr(PEER_VIEW, "p")
+    other = keygen(bits=512, rng=random.Random(2)).private
+    with pytest.raises(KeyMismatchError):
+        PK.encrypt_residue(1, random.Random(0), other)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -13,12 +14,19 @@ from secureftl.protocol import (
     Engine,
     ProtocolError,
     SourceParty,
+    _pack_pubkey,
     audit_training,
     encrypted_backward,
     predict_encrypted,
     train_encrypted,
 )
-from secureftl.transport import Frame, MsgType, loopback_pair
+from secureftl.transport import (
+    DIR_SOURCE_TO_TARGET,
+    DIR_TARGET_TO_SOURCE,
+    Frame,
+    MsgType,
+    loopback_pair,
+)
 
 F = 40
 
@@ -201,3 +209,57 @@ def test_recv_rejects_unexpected_message(small_split):
                         source_end, key_bits=512, frac_bits=F, seed=0)
     with pytest.raises(ProtocolError):
         party._recv((MsgType.PUBKEY,))
+
+
+def _digests(transcript) -> dict[str, str]:
+    out = {}
+    for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE):
+        digest = hashlib.sha256()
+        for record in transcript.frames(direction=direction):
+            digest.update(bytes([record.msg_type]) + record.iteration.to_bytes(4, "big"))
+            digest.update(record.payload)
+        out[direction] = digest.hexdigest()
+    return out
+
+
+# Per-direction sha256 over (type, iteration, payload) of every frame, pinned
+# when every encryption still ran modulo n^2: the CRT arithmetic of the key
+# owner must not change one byte on the wire.
+GOLDEN_TRAIN = {
+    DIR_SOURCE_TO_TARGET: "5653bd0bd53d61571ced162db6cdbc6c42f072100f245a9347f9d8acf37d8649",
+    DIR_TARGET_TO_SOURCE: "6088e9a3ab62924254a548b3ee73bd24037da9e636816ccff61b88b8fc6a3893",
+}
+GOLDEN_PREDICT = {
+    DIR_SOURCE_TO_TARGET: "5b92a3d772fd810a07c0ef657b0b58f4c0d63fce2d1cca9c502afa404dbf6b17",
+    DIR_TARGET_TO_SOURCE: "e8c2fbd78cc390258700b47fdd9c024d099d5034d2038e24bbd360343c5a126e",
+}
+
+
+def test_golden_transcripts(small_split):
+    run = train_encrypted(small_split, init_network([3, 2], seed=4),
+                          init_network([2, 2], seed=5), _tiny_cfg(max_iterations=2),
+                          key_bits=512, frac_bits=F, seed=0)
+    assert _digests(run.transcript) == GOLDEN_TRAIN
+    predicted = predict_encrypted(small_split, init_network([3, 2], seed=4),
+                                  init_network([2, 2], seed=5), small_split.eval_ids,
+                                  key_bits=512, frac_bits=F, seed=3)
+    assert _digests(predicted.transcript) == GOLDEN_PREDICT
+
+
+def _pubkey_frame(number: int) -> Frame:
+    return Frame(MsgType.PUBKEY, number, _pack_pubkey(keygen(512, random.Random(9)).public))
+
+
+@pytest.mark.parametrize("frames, numbered", [
+    ([_pubkey_frame(1)], "PUBKEY numbered 1, expected 0"),
+    ([_pubkey_frame(0), Frame(MsgType.COMPONENTS_B, 2, b"")],
+     "COMPONENTS_B numbered 2, expected 1"),
+])
+def test_recv_rejects_misnumbered_frame(small_split, frames, numbered):
+    source_end, target_end, _ = loopback_pair()
+    for frame in frames:
+        target_end.send(frame)
+    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
+                        source_end, key_bits=512, frac_bits=F, seed=0)
+    with pytest.raises(ProtocolError, match=numbered):
+        party.run_training()

@@ -290,19 +290,6 @@ def weighted_f1(predictions, truth) -> MetricReport:
     return MetricReport(score, precision, recall, confusion)
 
 
-def balanced_resample(x, labels, rng=0):
-    """Downsample the majority class to the minority count, seeded."""
-    x = np.asarray(x)
-    labels = np.asarray(labels)
-    gen = _as_generator(rng)
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == -1)
-    keep = min(len(pos), len(neg))
-    chosen = np.concatenate([gen.permutation(pos)[:keep], gen.permutation(neg)[:keep]])
-    chosen = gen.permutation(chosen)
-    return x[chosen], labels[chosen]
-
-
 def fit_standardizer(x) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and std over one party's own rows only."""
     x = np.asarray(x, dtype=float)
@@ -314,32 +301,3 @@ def fit_standardizer(x) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize(x, mean, std) -> np.ndarray:
     return (np.asarray(x, dtype=float) - mean) / std
-
-
-_MANIFEST_SECTIONS = ("source", "target", "overlap", "labeled", "eval")
-
-
-def save_manifest(split: FederationSplit, path: str):
-    """Write the id membership of every set, one line per section."""
-    ids = (split.ids_source, split.ids_target, split.overlap_ids,
-           split.labeled_ids, split.eval_ids)
-    with open(path, "w") as fh:
-        for name, values in zip(_MANIFEST_SECTIONS, ids):
-            fh.write(f"{name}: {' '.join(str(int(v)) for v in values)}\n")
-
-
-def load_manifest(path: str) -> dict[str, np.ndarray]:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, _, rest = line.partition(":")
-            if name not in _MANIFEST_SECTIONS:
-                raise IngestionError(f"{path}: unknown manifest section {name!r}")
-            out[name] = np.array([int(v) for v in rest.split()], dtype=int)
-    missing = set(_MANIFEST_SECTIONS) - set(out)
-    if missing:
-        raise IngestionError(f"{path}: missing manifest sections {sorted(missing)}")
-    return out

@@ -43,9 +43,6 @@ from .transport import (
 from .paillier import ciphertext_wire_size
 from .trcv import make_folds, run_trcv, self_learning_safeguard
 
-EXPERIMENT_KINDS = ("taylor-vs-exact", "ftl-vs-self", "overlap-sweep",
-                    "trcv-vs-cv", "scaling-sweep")
-
 
 @dataclass
 class ExperimentConfig:
@@ -238,10 +235,10 @@ def _append_losses(loss_rows: list, seed: int, variant: str, history: list[float
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: every runner takes (cfg, engine, result, loss_rows, timing_rows)
 
 def _run_taylor_vs_exact(cfg: ExperimentConfig, engine: Engine, result: RunResult,
-                         loss_rows: list):
+                         loss_rows: list, timing_rows: list):
     finals: dict[str, list[float]] = {"taylor": [], "exact": []}
     for s in range(cfg.seeds):
         seed = cfg.seed + s
@@ -262,7 +259,7 @@ def _run_taylor_vs_exact(cfg: ExperimentConfig, engine: Engine, result: RunResul
 
 
 def _run_ftl_vs_self(cfg: ExperimentConfig, engine: Engine, result: RunResult,
-                     loss_rows: list):
+                     loss_rows: list, timing_rows: list):
     per_model: dict[str, list[float]] = {}
     for s in range(cfg.seeds):
         seed = cfg.seed + s
@@ -293,7 +290,7 @@ def _run_ftl_vs_self(cfg: ExperimentConfig, engine: Engine, result: RunResult,
 
 
 def _run_overlap_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
-                       loss_rows: list):
+                       loss_rows: list, timing_rows: list):
     sweep = cfg.sweep or (25, 100, 250)
     for n_ab in sweep:
         scores = []
@@ -309,7 +306,7 @@ def _run_overlap_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
 
 
 def _run_trcv_vs_cv(cfg: ExperimentConfig, engine: Engine, result: RunResult,
-                    loss_rows: list):
+                    loss_rows: list, timing_rows: list):
     split = build_split(cfg, cfg.seed)
     dims_a, dims_b = cfg.dims()
     x_c = split.x_target[split.target_rows(split.labeled_ids)]
@@ -377,6 +374,16 @@ def _run_scaling_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
         one("dim", int(d), cfg.n_overlap or 8, int(d))
 
 
+_RUNNERS = {
+    "taylor-vs-exact": _run_taylor_vs_exact,
+    "ftl-vs-self": _run_ftl_vs_self,
+    "overlap-sweep": _run_overlap_sweep,
+    "trcv-vs-cv": _run_trcv_vs_cv,
+    "scaling-sweep": _run_scaling_sweep,
+}
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -414,17 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     loss_rows: list[dict] = []
     timing_rows: list[dict] = []
     engine = _make_engine(cfg)
-
-    if cfg.kind == "taylor-vs-exact":
-        _run_taylor_vs_exact(cfg, engine, result, loss_rows)
-    elif cfg.kind == "ftl-vs-self":
-        _run_ftl_vs_self(cfg, engine, result, loss_rows)
-    elif cfg.kind == "overlap-sweep":
-        _run_overlap_sweep(cfg, engine, result, loss_rows)
-    elif cfg.kind == "trcv-vs-cv":
-        _run_trcv_vs_cv(cfg, engine, result, loss_rows)
-    else:
-        _run_scaling_sweep(cfg, engine, result, loss_rows, timing_rows)
+    _RUNNERS[cfg.kind](cfg, engine, result, loss_rows, timing_rows)
 
     # Every kind trains before it predicts, so the first channel pair opened
     # carried the experiment's first encrypted training run.
@@ -443,18 +440,3 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     _write_csv(os.path.join(cfg.out_dir, "timings.csv"), timing_rows,
                ["axis", "value", "seconds_per_iteration"])
     return result
-
-
-def run_baselines(cfg: ExperimentConfig) -> dict[str, float]:
-    """Self-learning baselines on the labeled pool, scored on held-out rows."""
-    split = build_split(cfg, cfg.seed)
-    x_c = split.x_target[split.target_rows(split.labeled_ids)]
-    y_c = split.labels_for(split.labeled_ids)
-    x_eval = split.x_target[split.target_rows(split.eval_ids)]
-    models = {
-        "lr": train_logistic(x_c, y_c, seed=cfg.seed),
-        "svm": train_linear_svm(x_c, y_c, seed=cfg.seed),
-        "sae": train_sae_classifier(x_c, y_c, cfg.dims()[1], seed=cfg.seed),
-    }
-    return {name: weighted_f1(model.predict(x_eval), split.labels_eval).weighted_f1
-            for name, model in models.items()}

@@ -3,13 +3,11 @@
 Each party owns a stack of sigmoid layers mapping its raw features to a
 d-dimensional hidden representation. Besides forward evaluation the module
 exposes exact backpropagation from an arbitrary upstream gradient at the
-representation, greedy autoencoder pretraining with a tied linear decoder,
-and a flat binary checkpoint format.
+representation and greedy autoencoder pretraining with a tied linear decoder.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,38 +158,3 @@ def autoencoder_pretrain(net: Network, x: np.ndarray, epochs: int, learning_rate
             dec_bias -= learning_rate * d_recon.sum(axis=0)
         layer_input = sigmoid(layer_input @ layer.weights.T + layer.bias)
     return out
-
-
-_CHECKPOINT_HEADER = struct.Struct("<I")
-_CHECKPOINT_DIMS = struct.Struct("<II")
-
-
-def save_checkpoint(net: Network, path: str):
-    """Layer count, then per layer: out/in dims and row-major float64 data."""
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_HEADER.pack(len(net.layers)))
-        for layer in net.layers:
-            out_dim, in_dim = layer.weights.shape
-            fh.write(_CHECKPOINT_DIMS.pack(out_dim, in_dim))
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.asarray(layer.bias, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str) -> Network:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    (count,) = _CHECKPOINT_HEADER.unpack_from(data, 0)
-    pos = _CHECKPOINT_HEADER.size
-    layers = []
-    for _ in range(count):
-        out_dim, in_dim = _CHECKPOINT_DIMS.unpack_from(data, pos)
-        pos += _CHECKPOINT_DIMS.size
-        w_bytes = out_dim * in_dim * 8
-        weights = np.frombuffer(data[pos:pos + w_bytes], dtype="<f8").reshape(out_dim, in_dim)
-        pos += w_bytes
-        bias = np.frombuffer(data[pos:pos + out_dim * 8], dtype="<f8")
-        pos += out_dim * 8
-        layers.append(LayerParams(weights.copy(), bias.copy()))
-    if pos != len(data):
-        raise ValueError("trailing bytes in checkpoint")
-    return Network(layers)

@@ -16,6 +16,7 @@ it to protect real data.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import secrets
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ from .encoding import (
     from_residue,
     to_residue,
 )
+
+MIN_KEY_BITS = 512
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -205,8 +208,8 @@ class KeyPair:
 
 def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:
     """Generate a key pair whose modulus has exactly `bits` bits."""
-    if bits < 512 or bits % 2:
-        raise ValueError("key size must be an even number of bits, at least 512")
+    if bits < MIN_KEY_BITS or bits % 2:
+        raise ValueError(f"key size must be an even number of bits, at least {MIN_KEY_BITS}")
     prime_rng = rng if rng is not None else random.Random(secrets.randbits(256))
     half = bits // 2
     p = _random_prime(half, prime_rng)
@@ -312,5 +315,9 @@ def deserialize_ciphertext(buf: bytes, keys: dict[bytes, PublicKey],
     value = int.from_bytes(buf[offset + 13:end], "big")
     if value >= key.n_squared:
         raise CiphertextFormatError("ciphertext value outside [0, n^2)")
+    # Every encryption is a unit mod n^2; anything sharing a factor with n
+    # (0, multiples of p or q) would decrypt silently to an arbitrary value.
+    if math.gcd(value, key.modulus) != 1:
+        raise CiphertextFormatError("ciphertext value is not a unit mod n^2")
     return Ciphertext(value, frac_bits, key), end
 

@@ -26,13 +26,35 @@ direction crosses the wire per executed iteration.
 Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
 STOP the last iteration run, prediction frames the request's sequence
 number. A frame of an unexpected type or number raises ProtocolError.
+
+Every payload is a list of sections (transport.pack_sections). A section's
+data is either serialized ciphertexts (ct) or a frac byte and signed
+integers (int), prod(dims) of them:
+
+  frame            section           dims         data
+  PUBKEY           n                 ()           int: the modulus (g = n + 1)
+  COMPONENTS_A/B   quad              (n_c, d, d)  ct
+                   lin               (n_c, d)     ct
+                   align             (n_ab, d)    ct
+                   reg               ()           ct, COMPONENTS_B only
+  MASKED_GRAD_A/B  layer<i>.weights  (out, in)    ct, per layer
+                   layer<i>.bias     (out,)       ct
+  ENC_LOSS         loss              ()           ct
+  DECRYPTED_BLOB   each section of the MASKED_GRAD (and the ENC_LOSS) it
+                   answers, same name and dims   int
+  PREDICT_REQUEST  u                 (n, d)       ct
+  PREDICT_MASKED   predict.scores    (n,)         ct
+  DECRYPTED_BLOB   predict.scores    (n,)         int
+  PREDICT_LABELS   labels            (n,)         int: +1 or -1
+  STOP             empty payload
+
+A malformed payload raises one of WIRE_ERRORS.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import struct
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -44,7 +66,10 @@ from .encoding import encode
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
+    MIN_KEY_BITS,
     Ciphertext,
+    CiphertextFormatError,
+    KeyMismatchError,
     KeyPair,
     PublicKey,
     deserialize_ciphertext,
@@ -61,13 +86,14 @@ from .plain import (
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
-    FamilySection,
     Frame,
+    FramingError,
     MsgType,
+    Section,
     Transcript,
     loopback_pair,
-    pack_families,
-    unpack_families,
+    pack_sections,
+    unpack_sections,
 )
 
 # Masks are uniform integers covering [-2^20, 2^20] at the masked tensor's
@@ -75,136 +101,104 @@ from .transport import (
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
 
-FAMILY_QUAD, FAMILY_LIN, FAMILY_ALIGN, FAMILY_REG = 1, 2, 3, 4
-
 
 class ProtocolError(RuntimeError):
     """The peer sent something the protocol state machine cannot accept."""
 
 
+# Everything a malformed payload may raise.
+WIRE_ERRORS = (FramingError, ProtocolError, CiphertextFormatError, KeyMismatchError)
+
+
 # ---------------------------------------------------------------------------
-# payload packing
+# payload bodies
 
-def _pack_cts(cts) -> bytes:
-    return b"".join(serialize_ciphertext(ct) for ct in cts)
+def _ct_section(name: str, dims: tuple[int, ...], cts) -> Section:
+    return Section(name, dims, b"".join(serialize_ciphertext(ct) for ct in cts))
 
 
-def _unpack_cts(data: bytes, count: int, keys: dict[bytes, PublicKey]) -> list[Ciphertext]:
-    out = []
-    offset = 0
-    for _ in range(count):
-        ct, offset = deserialize_ciphertext(data, keys, offset)
+def _int_section(name: str, dims: tuple[int, ...], frac_bits: int, raws) -> Section:
+    """A frac byte, then per value a sign byte, a 2-byte length and the magnitude."""
+    out = [bytes([frac_bits])]
+    for raw in raws:
+        magnitude = abs(raw)
+        body = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
+        out.append(bytes([raw < 0]) + len(body).to_bytes(2, "big") + body)
+    return Section(name, dims, b"".join(out))
+
+
+def _section_cts(section: Section, keys: dict[bytes, PublicKey]) -> list[Ciphertext]:
+    data, pos, out = section.data, 0, []
+    for _ in range(math.prod(section.dims)):
+        ct, pos = deserialize_ciphertext(data, keys, pos)
         out.append(ct)
-    if offset != len(data):
-        raise ProtocolError("trailing bytes after ciphertext batch")
+    if pos != len(data):
+        raise FramingError(f"section {section.name}: trailing bytes after ciphertexts")
     return out
 
 
-def _pack_pubkey(pk: PublicKey) -> bytes:
-    n_bytes = pk.modulus.to_bytes((pk.modulus.bit_length() + 7) // 8, "big")
-    g_bytes = pk.generator.to_bytes((pk.generator.bit_length() + 7) // 8, "big")
-    return (len(n_bytes).to_bytes(4, "big") + n_bytes
-            + len(g_bytes).to_bytes(4, "big") + g_bytes)
+def _section_ints(section: Section) -> tuple[int, list[int]]:
+    """(frac_bits, signed raws) of an integer section."""
+    data, pos, out = section.data, 1, []
+    for _ in range(math.prod(section.dims)):
+        end = pos + 3 + int.from_bytes(data[pos + 1:pos + 3], "big")
+        if end > len(data) or data[pos] > 1:
+            raise FramingError(f"section {section.name}: malformed integer")
+        value = int.from_bytes(data[pos + 3:end], "big")
+        out.append(-value if data[pos] else value)
+        pos = end
+    if not data or pos != len(data):
+        raise FramingError(f"section {section.name}: integers do not fill the data")
+    return data[0], out
 
 
-def _unpack_pubkey(payload: bytes) -> PublicKey:
-    n_len = int.from_bytes(payload[:4], "big")
-    n = int.from_bytes(payload[4:4 + n_len], "big")
-    pos = 4 + n_len
-    g_len = int.from_bytes(payload[pos:pos + 4], "big")
-    g = int.from_bytes(payload[pos + 4:pos + 4 + g_len], "big")
-    return PublicKey(n, g)
+def _only(payload: bytes, name: str, ndim: int) -> Section:
+    """The payload's single section, which must be called name and have ndim dims."""
+    sections = unpack_sections(payload)
+    if [(s.name, len(s.dims)) for s in sections] != [(name, ndim)]:
+        raise ProtocolError(f"expected one {ndim}-d section {name}, got "
+                            f"{[(s.name, s.dims) for s in sections]}")
+    return sections[0]
 
 
-def _pack_signed(value: int) -> bytes:
-    magnitude = abs(value)
-    body = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
-    return (1 if value < 0 else 0).to_bytes(1, "big") + len(body).to_bytes(2, "big") + body
+def _nest(flat: list, dims: tuple[int, ...]):
+    """Row-major nested lists of shape dims; the single element for dims ()."""
+    if not dims:
+        return flat[0]
+    for k in range(len(dims) - 1, 0, -1):
+        flat = [flat[i * dims[k]:(i + 1) * dims[k]] for i in range(math.prod(dims[:k]))]
+    return flat
 
 
-def _unpack_signed(data: bytes, pos: int) -> tuple[int, int]:
-    sign = data[pos]
-    length = int.from_bytes(data[pos + 1:pos + 3], "big")
-    value = int.from_bytes(data[pos + 3:pos + 3 + length], "big")
-    return (-value if sign else value), pos + 3 + length
+def _pubkey_payload(pk: PublicKey) -> bytes:
+    # encrypt_residue fixes g = n + 1, so the modulus is the whole key.
+    return pack_sections([_int_section("n", (), 0, [pk.modulus])])
 
 
-def _pack_tensor_sections(named: list[tuple[str, tuple[int, ...], list[Ciphertext]]]) -> bytes:
-    out = [len(named).to_bytes(1, "big")]
-    for name, dims, cts in named:
-        encoded = name.encode()
-        out.append(len(encoded).to_bytes(1, "big") + encoded)
-        out.append(len(dims).to_bytes(1, "big"))
-        out.extend(d.to_bytes(4, "big") for d in dims)
-        out.append(_pack_cts(cts))
-    return b"".join(out)
+def _read_pubkey(payload: bytes) -> PublicKey:
+    _, (n,) = _section_ints(_only(payload, "n", 0))
+    if n.bit_length() < MIN_KEY_BITS or n % 2 == 0:
+        raise ProtocolError(f"public modulus of {n.bit_length()} bits is no Paillier modulus")
+    return PublicKey(n, n + 1)
 
 
-def _unpack_tensor_sections(payload: bytes, keys) -> list[tuple[str, tuple[int, ...], list[Ciphertext]]]:
-    count = payload[0]
-    pos = 1
-    out = []
-    for _ in range(count):
-        name_len = payload[pos]
-        name = payload[pos + 1:pos + 1 + name_len].decode()
-        pos += 1 + name_len
-        ndim = payload[pos]
-        pos += 1
-        dims = tuple(int.from_bytes(payload[pos + 4 * i:pos + 4 * i + 4], "big") for i in range(ndim))
-        pos += 4 * ndim
-        cts = []
-        for _ in range(int(np.prod(dims)) if dims else 0):
-            ct, pos = deserialize_ciphertext(payload, keys, pos)
-            cts.append(ct)
-        out.append((name, dims, cts))
-    if pos != len(payload):
-        raise ProtocolError("trailing bytes after tensor sections")
-    return out
+def _read_blob(payload: bytes) -> list[tuple[str, int, list[int]]]:
+    """(name, frac_bits, raws) per section of a DECRYPTED_BLOB."""
+    return [(s.name, *_section_ints(s)) for s in unpack_sections(payload)]
 
 
-def _pack_blob(sections: list[tuple[str, int, list[int]]]) -> bytes:
-    """Sections of (name, frac_bits, signed raw integers)."""
-    out = [len(sections).to_bytes(1, "big")]
-    for name, frac_bits, raws in sections:
-        encoded = name.encode()
-        out.append(len(encoded).to_bytes(1, "big") + encoded)
-        out.append(frac_bits.to_bytes(1, "big") + len(raws).to_bytes(4, "big"))
-        out.extend(_pack_signed(r) for r in raws)
-    return b"".join(out)
-
-
-def _unpack_blob(payload: bytes) -> list[tuple[str, int, list[int]]]:
-    count = payload[0]
-    pos = 1
-    out = []
-    for _ in range(count):
-        name_len = payload[pos]
-        name = payload[pos + 1:pos + 1 + name_len].decode()
-        pos += 1 + name_len
-        frac_bits = payload[pos]
-        n_values = int.from_bytes(payload[pos + 1:pos + 5], "big")
-        pos += 5
-        raws = []
-        for _ in range(n_values):
-            value, pos = _unpack_signed(payload, pos)
-            raws.append(value)
-        out.append((name, frac_bits, raws))
-    if pos != len(payload):
-        raise ProtocolError("trailing bytes after blob sections")
-    return out
-
-
-def _pack_labels(labels) -> bytes:
-    return len(labels).to_bytes(4, "big") + struct.pack(f">{len(labels)}b", *labels)
-
-
-def _unpack_labels(payload: bytes) -> np.ndarray:
-    count = int.from_bytes(payload[:4], "big")
-    return np.array(struct.unpack(f">{count}b", payload[4:4 + count]), dtype=int)
+def _read_labels(payload: bytes) -> np.ndarray:
+    _, labels = _section_ints(_only(payload, "labels", 1))
+    if not set(labels) <= {-1, 1}:
+        raise ProtocolError("predicted labels outside {-1, +1}")
+    return np.array(labels, dtype=int)
 
 
 # ---------------------------------------------------------------------------
 # component batches
+
+_COMPONENT_NDIM = {"quad": 3, "lin": 2, "align": 2, "reg": 0}
+
 
 @dataclass
 class ComponentBatch:
@@ -223,37 +217,27 @@ class ComponentBatch:
     reg: Ciphertext | None = None
 
     def to_payload(self) -> bytes:
-        d = len(self.lin[0]) if self.lin else (len(self.align[0]) if self.align else 0)
+        d = len((self.lin or self.align or self.quad or [[]])[0])
         sections = [
-            FamilySection(FAMILY_QUAD, len(self.quad), d * d,
-                          _pack_cts(ct for item in self.quad for row in item for ct in row)),
-            FamilySection(FAMILY_LIN, len(self.lin), d, _pack_cts(ct for v in self.lin for ct in v)),
-            FamilySection(FAMILY_ALIGN, len(self.align), d,
-                          _pack_cts(ct for v in self.align for ct in v)),
+            _ct_section("quad", (len(self.quad), d, d),
+                        [ct for item in self.quad for row in item for ct in row]),
+            _ct_section("lin", (len(self.lin), d), [ct for v in self.lin for ct in v]),
+            _ct_section("align", (len(self.align), d), [ct for v in self.align for ct in v]),
         ]
         if self.reg is not None:
-            sections.append(FamilySection(FAMILY_REG, 1, 1, _pack_cts([self.reg])))
-        return pack_families(sections)
+            sections.append(_ct_section("reg", (), [self.reg]))
+        return pack_sections(sections)
 
     @classmethod
     def from_payload(cls, payload: bytes, keys) -> "ComponentBatch":
-        quad, lin, align, reg = [], [], [], None
-        for section in unpack_families(payload):
-            cts = _unpack_cts(section.data, section.n_items * section.cts_per_item, keys)
-            items = [cts[i * section.cts_per_item:(i + 1) * section.cts_per_item]
-                     for i in range(section.n_items)]
-            if section.family_id == FAMILY_QUAD:
-                d = int(math.isqrt(section.cts_per_item))
-                quad = [[item[r * d:(r + 1) * d] for r in range(d)] for item in items]
-            elif section.family_id == FAMILY_LIN:
-                lin = items
-            elif section.family_id == FAMILY_ALIGN:
-                align = items
-            elif section.family_id == FAMILY_REG:
-                reg = items[0][0]
-            else:
-                raise ProtocolError(f"unknown component family {section.family_id}")
-        return cls(quad, lin, align, reg)
+        families = {"quad": [], "lin": [], "align": [], "reg": None}
+        for section in unpack_sections(payload):
+            dims = section.dims
+            if (_COMPONENT_NDIM.get(section.name) != len(dims)
+                    or (len(dims) == 3 and dims[1] != dims[2])):
+                raise ProtocolError(f"no component family {section.name} of shape {dims}")
+            families[section.name] = _nest(_section_cts(section, keys), dims)
+        return cls(**families)
 
 
 def _mask_raws(rng: random.Random, count: int, frac_bits: int) -> list[int]:
@@ -368,9 +352,9 @@ class _Party:
         return frame
 
     def exchange_keys(self):
-        self._send(MsgType.PUBKEY, 0, _pack_pubkey(self.keypair.public))
+        self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.keypair.public))
         frame = self._recv({MsgType.PUBKEY: 0})
-        self.peer_key = _unpack_pubkey(frame.payload)
+        self.peer_key = _read_pubkey(frame.payload)
         self.keys[self.peer_key.fingerprint] = self.peer_key
 
     def _record_mask(self, iteration: int, name: str, raws: list[int]):
@@ -394,19 +378,19 @@ class _Party:
                                                             self.rng))
                 else:
                     masked.append(ct.add_raw(mask))
-            sections.append((tensor.name, tensor.dims, masked))
-        return _pack_tensor_sections(sections)
+            sections.append(_ct_section(tensor.name, tensor.dims, masked))
+        return pack_sections(sections)
 
-    def _decrypt_blob_sections(self, payload: bytes) -> bytes:
-        """Decrypt a peer's masked tensor sections into a plaintext blob."""
+    def _decrypt_to_blob(self, sections: list[Section]) -> bytes:
+        """Decrypt a peer's masked ciphertext sections into a DECRYPTED_BLOB;
+        a ciphertext under any other key raises KeyMismatchError."""
         out = []
-        for name, _dims, cts in _unpack_tensor_sections(payload, self.keys):
-            for ct in cts:
-                if ct.public_key.fingerprint != self.keypair.public.fingerprint:
-                    raise ProtocolError(f"tensor {name} not under this party's key")
+        for section in sections:
+            cts = _section_cts(section, self.keys)
             frac = cts[0].frac_bits if cts else 0
-            out.append((name, frac, [self.keypair.private.decrypt_raw(ct) for ct in cts]))
-        return _pack_blob(out)
+            out.append(_int_section(section.name, section.dims, frac,
+                                    [self.keypair.private.decrypt_raw(ct) for ct in cts]))
+        return pack_sections(out)
 
     def _unmask_and_apply(self, net: Network, iteration: int, blob_payload: bytes,
                           learning_rate: float) -> dict[str, float]:
@@ -417,7 +401,7 @@ class _Party:
         """
         extras: dict[str, float] = {}
         grads = {}
-        for name, frac_bits, raws in _unpack_blob(blob_payload):
+        for name, frac_bits, raws in _read_blob(blob_payload):
             key = (iteration, name)
             if key not in self.mask_log:
                 raise ProtocolError(f"no mask on record for blob section {name}")
@@ -431,6 +415,8 @@ class _Party:
             else:
                 extras[name] = unmasked[0] / (1 << frac_bits)
         for idx, layer in enumerate(net.layers):
+            if f"layer{idx}.weights" not in grads or f"layer{idx}.bias" not in grads:
+                raise ProtocolError(f"blob lacks the gradient of layer{idx}")
             layer.weights -= learning_rate * grads[f"layer{idx}.weights"].reshape(layer.weights.shape)
             layer.bias -= learning_rate * grads[f"layer{idx}.bias"]
         return extras
@@ -444,51 +430,42 @@ class _Party:
         n, d = u_rows.shape
         cts = [self.keypair.encrypt(u_rows[r, c], self.frac_bits, self.rng)
                for r in range(n) for c in range(d)]
-        payload = n.to_bytes(4, "big") + d.to_bytes(4, "big") + _pack_cts(cts)
-        self._send(MsgType.PREDICT_REQUEST, seq, payload)
+        self._send(MsgType.PREDICT_REQUEST, seq, pack_sections([_ct_section("u", (n, d), cts)]))
         frame = self._recv({MsgType.PREDICT_MASKED: seq})
-        count = int.from_bytes(frame.payload[:4], "big")
-        masked = _unpack_cts(frame.payload[4:], count, self.keys)
-        for ct in masked:
-            if ct.public_key.fingerprint != self.keypair.public.fingerprint:
-                raise ProtocolError("masked scores not under the requester's key")
-        frac = masked[0].frac_bits if masked else 2 * self.frac_bits
-        raws = [self.keypair.private.decrypt_raw(ct) for ct in masked]
-        self._send(MsgType.DECRYPTED_BLOB, seq, _pack_blob([("predict.scores", frac, raws)]))
-        labels_frame = self._recv({MsgType.PREDICT_LABELS: seq})
-        return _unpack_labels(labels_frame.payload)
+        self._send(MsgType.DECRYPTED_BLOB, seq,
+                   self._decrypt_to_blob([_only(frame.payload, "predict.scores", 1)]))
+        labels = _read_labels(self._recv({MsgType.PREDICT_LABELS: seq}).payload)
+        if len(labels) != n:
+            raise ProtocolError(f"{len(labels)} labels for {n} query rows")
+        return labels
 
     def serve_labels(self, prototype: np.ndarray) -> np.ndarray:
         """Score encrypted peer representations against a local prototype."""
         self.predict_seq += 1
         seq = self.predict_seq
-        frame = self._recv({MsgType.PREDICT_REQUEST: seq})
-        n = int.from_bytes(frame.payload[:4], "big")
-        d = int.from_bytes(frame.payload[4:8], "big")
+        request = _only(self._recv({MsgType.PREDICT_REQUEST: seq}).payload, "u", 2)
+        n, d = request.dims
         if d != len(prototype):
             raise ProtocolError(f"prototype dim {len(prototype)} != request dim {d}")
-        cts = _unpack_cts(frame.payload[8:], n * d, self.keys)
-        scores = []
-        for r in range(n):
-            row = cts[r * d:(r + 1) * d]
-            scores.append(_ct_sum(row[c].mul_encoded(prototype[c], self.frac_bits)
-                                  for c in range(d)))
+        scores = [_ct_sum(row[c].mul_encoded(prototype[c], self.frac_bits) for c in range(d))
+                  for row in _nest(_section_cts(request, self.keys), (n, d))]
         frac = scores[0].frac_bits if scores else 2 * self.frac_bits
         masks = _mask_raws(self.rng, n, frac)
         self._record_mask(seq, "predict.scores", masks)
         masked = [ct.add_raw(m) for ct, m in zip(scores, masks)]
-        self._send(MsgType.PREDICT_MASKED, seq, len(masked).to_bytes(4, "big") + _pack_cts(masked))
+        self._send(MsgType.PREDICT_MASKED, seq,
+                   pack_sections([_ct_section("predict.scores", (n,), masked)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
-        sections = _unpack_blob(blob.payload)
-        if len(sections) != 1 or sections[0][0] != "predict.scores":
-            raise ProtocolError("expected a single masked-score section")
-        _, _, raws = sections[0]
+        _, raws = _section_ints(_only(blob.payload, "predict.scores", 1))
+        if len(raws) != n:
+            raise ProtocolError(f"{len(raws)} unmasked scores for {n} query rows")
         unmasked = [r - m for r, m in zip(raws, masks)]
         self.applied_log[(seq, "predict.scores")] = tuple(unmasked)
         # The tie at exactly zero classifies positive; integer-domain
         # unmasking keeps that decidable.
         labels = np.array([1 if u >= 0 else -1 for u in unmasked], dtype=int)
-        self._send(MsgType.PREDICT_LABELS, seq, _pack_labels(labels))
+        self._send(MsgType.PREDICT_LABELS, seq,
+                   pack_sections([_int_section("labels", (n,), 0, labels.tolist())]))
         return labels
 
 
@@ -609,11 +586,11 @@ class SourceParty(_Party):
             loss_mask = _mask_raws(self.rng, 1, loss_ct.frac_bits)
             self._record_mask(iteration, "loss", loss_mask)
             self._send(MsgType.ENC_LOSS, iteration,
-                       serialize_ciphertext(loss_ct.add_raw(loss_mask[0])))
+                       pack_sections([_ct_section("loss", (), [loss_ct.add_raw(loss_mask[0])])]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_B: iteration})
             self._send(MsgType.DECRYPTED_BLOB, iteration,
-                       self._decrypt_blob_sections(grad_frame.payload))
+                       self._decrypt_to_blob(unpack_sections(grad_frame.payload)))
             blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
             extras = self._unmask_and_apply(self.net, iteration, blob.payload,
                                             self.cfg.learning_rate)
@@ -706,12 +683,9 @@ class TargetParty(_Party):
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
             loss_frame = self._recv({MsgType.ENC_LOSS: iteration})
-            blob = self._decrypt_blob_sections(grad_frame.payload)
-            loss_ct, _ = deserialize_ciphertext(loss_frame.payload, self.keys)
-            loss_raw = self.keypair.private.decrypt_raw(loss_ct)
-            blob_sections = _unpack_blob(blob)
-            blob_sections.append(("loss", loss_ct.frac_bits, [loss_raw]))
-            self._send(MsgType.DECRYPTED_BLOB, iteration, _pack_blob(blob_sections))
+            sections = unpack_sections(grad_frame.payload)
+            sections.append(_only(loss_frame.payload, "loss", 0))
+            self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(sections))
 
             own_blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
             self._unmask_and_apply(self.net, iteration, own_blob.payload,
@@ -927,30 +901,6 @@ _CIPHERTEXT_ONLY = (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B, MsgType.MASKED_G
                     MsgType.PREDICT_MASKED)
 
 
-def _check_ciphertext_frame(frame, keys, report: AuditReport):
-    try:
-        if frame.msg_type in (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B):
-            ComponentBatch.from_payload(frame.payload, keys)
-        elif frame.msg_type in (MsgType.MASKED_GRAD_A, MsgType.MASKED_GRAD_B):
-            _unpack_tensor_sections(frame.payload, keys)
-        elif frame.msg_type == MsgType.ENC_LOSS:
-            ct, end = deserialize_ciphertext(frame.payload, keys)
-            if end != len(frame.payload):
-                raise ProtocolError("trailing bytes after loss ciphertext")
-        elif frame.msg_type == MsgType.PREDICT_REQUEST:
-            n = int.from_bytes(frame.payload[:4], "big")
-            d = int.from_bytes(frame.payload[4:8], "big")
-            _unpack_cts(frame.payload[8:], n * d, keys)
-        elif frame.msg_type == MsgType.PREDICT_MASKED:
-            n = int.from_bytes(frame.payload[:4], "big")
-            _unpack_cts(frame.payload[4:], n, keys)
-    except Exception as exc:  # noqa: BLE001 - collect, do not abort the audit
-        report.issues.append(f"{MsgType(frame.msg_type).name} frame does not parse as "
-                             f"ciphertext-only: {exc}")
-        return
-    report.ciphertext_frames += 1
-
-
 def audit_training(transcript: Transcript, source: _Party, target: _Party) -> AuditReport:
     """Replay a transcript against both parties' mask and update logs."""
     report = AuditReport()
@@ -959,14 +909,21 @@ def audit_training(transcript: Transcript, source: _Party, target: _Party) -> Au
     for direction, receiver in ((DIR_TARGET_TO_SOURCE, source), (DIR_SOURCE_TO_TARGET, target)):
         for record in transcript.frames(direction=direction):
             if record.msg_type in _CIPHERTEXT_ONLY:
-                _check_ciphertext_frame(record, keys, report)
+                try:
+                    for section in unpack_sections(record.payload):
+                        _section_cts(section, keys)
+                except WIRE_ERRORS as exc:
+                    report.issues.append(f"{MsgType(record.msg_type).name} frame does not "
+                                         f"parse as ciphertext-only: {exc}")
+                else:
+                    report.ciphertext_frames += 1
                 continue
             if record.msg_type == MsgType.PREDICT_LABELS:
                 report.label_frames += 1
                 continue
             if record.msg_type != MsgType.DECRYPTED_BLOB:
                 continue
-            for name, _frac, raws in _unpack_blob(record.payload):
+            for name, _frac, raws in _read_blob(record.payload):
                 key = (record.iteration, name)
                 mask = receiver.mask_log.get(key)
                 applied = receiver.applied_log.get(key)

@@ -6,11 +6,19 @@ payload. A loopback channel (queue pair) serves tests; a TCP channel over
 localhost serves realistic runs. Both record every frame into a shared
 transcript so experiments can count exactly what crossed the wire, and so
 the security audit can inspect everything a party ever received.
+
+Every protocol payload is a list of named, shaped sections: a 1-byte
+section count, then per section a 1-byte name length and the UTF-8 name,
+a 1-byte dimension count and 4-byte big-endian dims, an 8-byte big-endian
+data length and the data. The header alone tells how many bytes each
+section holds, so measure_cost needs no keys; what the data encodes
+(ciphertexts or signed integers) is up to the protocol layer.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import queue
 import socket
 import struct
@@ -268,60 +276,65 @@ def tcp_pair(port: int = 0, transcript: Transcript | None = None, host: str = "1
 
 
 @dataclass(frozen=True)
-class FamilySection:
-    """One component family inside a COMPONENTS payload."""
+class Section:
+    """One named, shaped field of a payload; data holds prod(dims) elements."""
 
-    family_id: int
-    n_items: int
-    cts_per_item: int
+    name: str
+    dims: tuple[int, ...]
     data: bytes
 
 
-_FAMILY_HEADER = struct.Struct(">BIIQ")
-
-
-def pack_families(sections: list[FamilySection]) -> bytes:
-    out = [len(sections).to_bytes(1, "big")]
+def pack_sections(sections: list[Section]) -> bytes:
+    """A section count, then per section: name, dims, data length, data."""
+    out = [bytes([len(sections)])]
     for s in sections:
-        out.append(_FAMILY_HEADER.pack(s.family_id, s.n_items, s.cts_per_item, len(s.data)))
-        out.append(s.data)
+        name = s.name.encode()
+        out += [bytes([len(name)]), name, bytes([len(s.dims)]),
+                struct.pack(f">{len(s.dims)}I", *s.dims), len(s.data).to_bytes(8, "big"), s.data]
     return b"".join(out)
 
 
-def unpack_families(payload: bytes) -> list[FamilySection]:
-    if not payload:
-        raise FramingError("empty components payload")
-    count = payload[0]
-    sections = []
-    pos = 1
-    for _ in range(count):
-        if len(payload) - pos < _FAMILY_HEADER.size:
-            raise FramingError("truncated family header")
-        family_id, n_items, cts_per_item, length = _FAMILY_HEADER.unpack_from(payload, pos)
-        pos += _FAMILY_HEADER.size
-        if len(payload) - pos < length:
-            raise FramingError("truncated family data")
-        sections.append(FamilySection(family_id, n_items, cts_per_item, payload[pos:pos + length]))
-        pos += length
+def unpack_sections(payload: bytes) -> list[Section]:
+    """Inverse of pack_sections; a malformed payload raises FramingError."""
+    pos = 0
+
+    def take(count: int) -> bytes:
+        nonlocal pos
+        if len(payload) - pos < count:
+            raise FramingError("truncated section payload")
+        pos += count
+        return payload[pos - count:pos]
+
+    sections: list[Section] = []
+    for _ in range(take(1)[0]):
+        try:
+            name = take(take(1)[0]).decode()
+        except UnicodeDecodeError:
+            raise FramingError("section name is not UTF-8") from None
+        ndim = take(1)[0]
+        dims = struct.unpack(f">{ndim}I", take(4 * ndim))
+        data = take(int.from_bytes(take(8), "big"))
+        # Every element takes at least one byte; this also bounds any loop
+        # a decoder runs over math.prod(dims).
+        if math.prod(dims) > len(data):
+            raise FramingError(f"section {name}: dims {dims} exceed {len(data)} data bytes")
+        if any(s.name == name for s in sections):
+            raise FramingError(f"duplicate section {name}")
+        sections.append(Section(name, dims, data))
     if pos != len(payload):
-        raise FramingError("trailing bytes after families")
+        raise FramingError("trailing bytes after sections")
     return sections
 
 
-# The canonical communication-cost figure counts the two per-labeled-sample
-# families (the d x d quadratic component and the d-vector linear component,
-# family ids 1 and 2): n * (d^2 + d) ciphertexts. Alignment and regularizer
-# families ride in the same frame but are excluded from that figure.
-COST_FAMILIES = (1, 2)
+def measure_cost(transcript: Transcript, direction: str) -> int:
+    """Bytes of the COMPONENTS sections quad and lin sent in a direction.
 
-
-def measure_cost(transcript: Transcript, direction: str,
-                 families: tuple[int, ...] = COST_FAMILIES) -> int:
-    """Ciphertext bytes of the chosen component families sent in a direction."""
-    total = 0
-    for msg_type in (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B):
-        for record in transcript.frames(direction, msg_type):
-            for section in unpack_families(record.payload):
-                if section.family_id in families:
-                    total += len(section.data)
-    return total
+    These carry the per-labeled-pair d x d quadratic and d-vector linear
+    ciphertexts, the paper's n_c (d^2 + d) communication figure; the align
+    and reg sections ride in the same frame but are not counted.
+    """
+    return sum(len(section.data)
+               for msg_type in (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B)
+               for record in transcript.frames(direction, msg_type)
+               for section in unpack_sections(record.payload)
+               if section.name in ("quad", "lin"))

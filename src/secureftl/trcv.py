@@ -15,7 +15,6 @@ prediction queries.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,16 +208,3 @@ def self_learning_safeguard(x_labeled: np.ndarray, labels: np.ndarray,
             scores.append(weighted_f1(model.predict(x_labeled[fold]), labels[fold]).weighted_f1)
         baseline = sum(scores) / len(scores)
     return SafeguardDecision(ftl_score >= baseline, ftl_score, baseline)
-
-
-def fold_report_csv(report: FoldReport, path: str):
-    """fold_index, score rows per config, a mean summary row per config,
-    and a final selected row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config_id", "fold_index", "score"])
-        for cand in report.candidates:
-            for fi, score in enumerate(cand.per_fold):
-                writer.writerow([cand.config_id, fi, f"{score:.6f}"])
-            writer.writerow([cand.config_id, "mean", f"{cand.mean:.6f}"])
-        writer.writerow([report.selected, "selected", f"{report.mean:.6f}"])

@@ -6,11 +6,8 @@ from secureftl.datasets import (
     CsvSchema,
     FederationSplit,
     IngestionError,
-    balanced_resample,
     fit_standardizer,
     load_csv,
-    load_manifest,
-    save_manifest,
     standardize,
     synth_two_view,
     vertical_split,
@@ -170,15 +167,6 @@ def test_load_csv_errors(tmp_path):
         load_csv(str(path), CsvSchema("label"))
 
 
-def test_balanced_resample_counts():
-    x = np.arange(20).reshape(10, 2)
-    labels = np.array([1] * 7 + [-1] * 3)
-    xb, yb = balanced_resample(x, labels, rng=0)
-    assert np.sum(yb == 1) == np.sum(yb == -1) == 3
-    # resampled rows are original rows
-    assert all(any(np.array_equal(row, orig) for orig in x) for row in xb)
-
-
 def test_standardize_roundtrip():
     rng = np.random.default_rng(1)
     x = rng.normal(loc=3.0, scale=2.0, size=(30, 4))
@@ -193,19 +181,3 @@ def test_standardize_constant_column():
     mean, std = fit_standardizer(x)
     assert np.all(std == 1.0)
     assert np.allclose(standardize(x, mean, std), 0.0)
-
-
-def test_manifest_roundtrip(tmp_path, small_split):
-    path = tmp_path / "manifest.txt"
-    save_manifest(small_split, str(path))
-    back = load_manifest(str(path))
-    assert np.array_equal(back["source"], small_split.ids_source)
-    assert np.array_equal(back["overlap"], small_split.overlap_ids)
-    assert np.array_equal(back["eval"], small_split.eval_ids)
-
-
-def test_manifest_rejects_unknown_section(tmp_path):
-    path = tmp_path / "manifest.txt"
-    path.write_text("bogus: 1 2 3\n")
-    with pytest.raises(IngestionError):
-        load_manifest(str(path))

@@ -10,7 +10,6 @@ from secureftl.experiments import (
     build_split,
     load_config,
     parse_config_text,
-    run_baselines,
     run_experiment,
 )
 from secureftl.nets import init_network
@@ -236,10 +235,3 @@ def test_experiment_deterministic_outputs(tmp_path):
                                   max_iterations=3))
     for name in ("results.csv", "loss_history.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-
-def test_run_baselines_keys(tmp_path):
-    cfg = _fast_base(tmp_path, n_labeled=16)
-    scores = run_baselines(cfg)
-    assert set(scores) == {"lr", "svm", "sae"}
-    assert all(0.0 <= v <= 1.0 for v in scores.values())

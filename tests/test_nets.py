@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from secureftl.nets import (
-    Network,
     autoencoder_pretrain,
     init_network,
-    load_checkpoint,
-    save_checkpoint,
     sigmoid,
 )
 
@@ -153,14 +150,3 @@ def test_pretrain_zero_epochs_is_copy():
     out = autoencoder_pretrain(net, np.zeros((4, 5)), epochs=0,
                                learning_rate=0.1)
     assert np.array_equal(out.layers[0].weights, net.layers[0].weights)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    net = init_network([4, 3], seed=13)
-    path = tmp_path / "net.npz"
-    save_checkpoint(net, path)
-    back = load_checkpoint(path)
-    assert isinstance(back, Network)
-    for la, lb in zip(net.layers, back.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)

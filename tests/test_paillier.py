@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from secureftl.encoding import encode
 from secureftl.paillier import (
     Ciphertext,
+    CiphertextFormatError,
     KeyMismatchError,
     KeyPair,
     PublicKey,
@@ -114,6 +115,15 @@ def test_deserialize_unknown_key():
     buf = serialize_ciphertext(PK.encrypt(1.0, frac_bits=8, rng=rng))
     with pytest.raises(KeyMismatchError):
         deserialize_ciphertext(buf, {})
+
+
+@pytest.mark.parametrize("value", [0, SK.p, 2 * SK.q], ids=["zero", "p", "2q"])
+def test_deserialize_rejects_non_units(value):
+    # Values sharing a factor with n are no encryption of anything; they
+    # would decrypt silently to an arbitrary raw value.
+    buf = serialize_ciphertext(Ciphertext(value, 8, PK))
+    with pytest.raises(CiphertextFormatError, match="not a unit"):
+        deserialize_ciphertext(buf, {PK.fingerprint: PK})
 
 
 def test_ciphertext_is_randomised():

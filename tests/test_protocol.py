@@ -1,9 +1,12 @@
 import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from secureftl.datasets import synth_two_view
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import keygen
@@ -14,7 +17,15 @@ from secureftl.protocol import (
     Engine,
     ProtocolError,
     SourceParty,
-    _pack_pubkey,
+    WIRE_ERRORS,
+    _ct_section,
+    _int_section,
+    _only,
+    _pubkey_payload,
+    _read_blob,
+    _read_labels,
+    _read_pubkey,
+    _section_cts,
     audit_training,
     encrypted_backward,
     predict_encrypted,
@@ -26,6 +37,8 @@ from secureftl.transport import (
     Frame,
     MsgType,
     loopback_pair,
+    pack_sections,
+    unpack_sections,
 )
 
 F = 40
@@ -208,7 +221,7 @@ def test_recv_rejects_unexpected_message(small_split):
     party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
                         source_end, key_bits=512, frac_bits=F, seed=0)
     with pytest.raises(ProtocolError):
-        party._recv((MsgType.PUBKEY,))
+        party._recv({MsgType.PUBKEY: 0})
 
 
 def _digests(transcript) -> dict[str, str]:
@@ -222,32 +235,79 @@ def _digests(transcript) -> dict[str, str]:
     return out
 
 
-# Per-direction sha256 over (type, iteration, payload) of every frame, pinned
-# when every encryption still ran modulo n^2: the CRT arithmetic of the key
-# owner must not change one byte on the wire.
+def _frame_values(record, keys) -> list[tuple]:
+    """Every value a frame carries, in order, whatever its byte layout."""
+    if record.msg_type == MsgType.STOP:
+        return []
+    if record.msg_type == MsgType.PUBKEY:
+        return [("n", _read_pubkey(record.payload).modulus)]
+    if record.msg_type == MsgType.PREDICT_LABELS:
+        return [("label", int(v)) for v in _read_labels(record.payload)]
+    if record.msg_type == MsgType.DECRYPTED_BLOB:
+        return [("int", frac, raw) for _name, frac, raws in _read_blob(record.payload)
+                for raw in raws]
+    return [("ct", ct.frac_bits, ct.value) for section in unpack_sections(record.payload)
+            for ct in _section_cts(section, keys)]
+
+
+def _content_digests(transcript, keys) -> dict[str, str]:
+    """Per direction: each frame's type and iteration, then its values."""
+    out = {}
+    for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE):
+        digest = hashlib.sha256()
+        for record in transcript.frames(direction=direction):
+            digest.update(f"{int(record.msg_type)} {record.iteration}\n".encode())
+            for value in _frame_values(record, keys):
+                digest.update(f"{value}\n".encode())
+        out[direction] = digest.hexdigest()
+    return out
+
+
+# The content digests were computed with the same walk over the payload
+# layout that preceded the section codec: every ciphertext, mask, raw value,
+# label and modulus is the same as under it, only the framing bytes differ.
+CONTENT_TRAIN = {
+    DIR_SOURCE_TO_TARGET: "0fad62dd64981ef2c04acca5ac39cd941091b5f2decf0b1989954208d3e07ec0",
+    DIR_TARGET_TO_SOURCE: "10c18f0f1a19a3e2b0b86025a26443af4a2fffcdbe74c8a1e15f15f0dd78e3af",
+}
+CONTENT_PREDICT = {
+    DIR_SOURCE_TO_TARGET: "31ede96207589279146689a828950cb255d664cb1f800eda78218ccba0d1488e",
+    DIR_TARGET_TO_SOURCE: "df3f49a1dd53e03e789d84308c6b8ab34c335a532d1a867d022a1aff1e4327ab",
+}
+
+# Per-direction sha256 over (type, iteration, payload) of every frame: the
+# exact bytes on the wire under the section codec.
 GOLDEN_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "5653bd0bd53d61571ced162db6cdbc6c42f072100f245a9347f9d8acf37d8649",
-    DIR_TARGET_TO_SOURCE: "6088e9a3ab62924254a548b3ee73bd24037da9e636816ccff61b88b8fc6a3893",
+    DIR_SOURCE_TO_TARGET: "1dbd98275082faca31502bec55992dac74fd89fdf6741210f7cb86c13accb2e6",
+    DIR_TARGET_TO_SOURCE: "fe9fe571b5faf31888f4eb66dfd1e265e439463d53e9eeec37e7ae6bf6d10a4e",
 }
 GOLDEN_PREDICT = {
-    DIR_SOURCE_TO_TARGET: "5b92a3d772fd810a07c0ef657b0b58f4c0d63fce2d1cca9c502afa404dbf6b17",
-    DIR_TARGET_TO_SOURCE: "e8c2fbd78cc390258700b47fdd9c024d099d5034d2038e24bbd360343c5a126e",
+    DIR_SOURCE_TO_TARGET: "b43a813fbbef343fa1a5dcf254f48e6a07418f142bca545abb2efe1a4cca699c",
+    DIR_TARGET_TO_SOURCE: "a205d857cc0460342d89b78f646300f481bd2f62e458f50e8a194a7fbb3a9391",
 }
+
+
+def _golden_runs(small_split):
+    train = train_encrypted(small_split, init_network([3, 2], seed=4),
+                            init_network([2, 2], seed=5), _tiny_cfg(max_iterations=2),
+                            key_bits=512, frac_bits=F, seed=0)
+    predict = predict_encrypted(small_split, init_network([3, 2], seed=4),
+                                init_network([2, 2], seed=5), small_split.eval_ids,
+                                key_bits=512, frac_bits=F, seed=3)
+    return ((train.transcript, {**train.source.keys, **train.target.keys}),
+            (predict.transcript, {**predict.server.keys, **predict.requester.keys}))
 
 
 def test_golden_transcripts(small_split):
-    run = train_encrypted(small_split, init_network([3, 2], seed=4),
-                          init_network([2, 2], seed=5), _tiny_cfg(max_iterations=2),
-                          key_bits=512, frac_bits=F, seed=0)
-    assert _digests(run.transcript) == GOLDEN_TRAIN
-    predicted = predict_encrypted(small_split, init_network([3, 2], seed=4),
-                                  init_network([2, 2], seed=5), small_split.eval_ids,
-                                  key_bits=512, frac_bits=F, seed=3)
-    assert _digests(predicted.transcript) == GOLDEN_PREDICT
+    (train, train_keys), (predict, predict_keys) = _golden_runs(small_split)
+    assert _content_digests(train, train_keys) == CONTENT_TRAIN
+    assert _content_digests(predict, predict_keys) == CONTENT_PREDICT
+    assert _digests(train) == GOLDEN_TRAIN
+    assert _digests(predict) == GOLDEN_PREDICT
 
 
 def _pubkey_frame(number: int) -> Frame:
-    return Frame(MsgType.PUBKEY, number, _pack_pubkey(keygen(512, random.Random(9)).public))
+    return Frame(MsgType.PUBKEY, number, _pubkey_payload(keygen(512, random.Random(9)).public))
 
 
 @pytest.mark.parametrize("frames, numbered", [
@@ -263,3 +323,106 @@ def test_recv_rejects_misnumbered_frame(small_split, frames, numbered):
                         source_end, key_bits=512, frac_bits=F, seed=0)
     with pytest.raises(ProtocolError, match=numbered):
         party.run_training()
+
+
+@pytest.fixture(scope="module")
+def wire_samples():
+    """One real payload per message type from a one-iteration training run
+    and a prediction, with every key needed to read them."""
+    split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                           n_overlap=3, n_labeled=2, n_eval=2)
+    train = train_encrypted(split, init_network([3, 2], seed=4), init_network([2, 2], seed=5),
+                            _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
+    predict = predict_encrypted(split, init_network([3, 2], seed=4),
+                                init_network([2, 2], seed=5), split.eval_ids,
+                                key_bits=512, frac_bits=F, seed=0)
+    payloads = {}
+    for run in (train, predict):
+        for record in run.transcript.frames():
+            payloads.setdefault(MsgType(record.msg_type), record.payload)
+    keys = {**train.source.keys, **train.target.keys,
+            **predict.server.keys, **predict.requester.keys}
+    return payloads, keys
+
+
+def _all_cts(payload, keys):
+    return [_section_cts(s, keys) for s in unpack_sections(payload)]
+
+
+# decoder name -> (message type whose payloads it reads, decoder)
+DECODERS = {
+    "sections": (MsgType.COMPONENTS_A, lambda p, keys: unpack_sections(p)),
+    "components": (MsgType.COMPONENTS_B, ComponentBatch.from_payload),
+    "masked_grad": (MsgType.MASKED_GRAD_A, _all_cts),
+    "loss": (MsgType.ENC_LOSS, lambda p, keys: _section_cts(_only(p, "loss", 0), keys)),
+    "blob": (MsgType.DECRYPTED_BLOB, lambda p, keys: _read_blob(p)),
+    "pubkey": (MsgType.PUBKEY, lambda p, keys: _read_pubkey(p)),
+    "labels": (MsgType.PREDICT_LABELS, lambda p, keys: _read_labels(p)),
+    "request": (MsgType.PREDICT_REQUEST, lambda p, keys: _section_cts(_only(p, "u", 2), keys)),
+    "scores": (MsgType.PREDICT_MASKED,
+               lambda p, keys: _section_cts(_only(p, "predict.scores", 1), keys)),
+}
+
+
+def test_decoders_read_real_payloads(wire_samples):
+    payloads, keys = wire_samples
+    for msg_type, decode in DECODERS.values():
+        decode(payloads[msg_type], keys)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(DECODERS)), st.sampled_from(["random", "truncate", "flip"]),
+       st.data())
+def test_decoders_raise_only_wire_errors(wire_samples, decoder, mutation, data):
+    payloads, keys = wire_samples
+    msg_type, decode = DECODERS[decoder]
+    real = payloads[msg_type]
+    if mutation == "random":
+        payload = data.draw(st.binary(max_size=400))
+    elif mutation == "truncate":
+        payload = real[:data.draw(st.integers(0, len(real) - 1))]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(real) - 1))
+        flipped = bytearray(real)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        payload = bytes(flipped)
+    try:
+        decode(payload, keys)
+    except WIRE_ERRORS:
+        pass
+
+
+@pytest.mark.parametrize("name, dims", [
+    ("bias", (1,)), ("quad", (1, 2, 3)), ("lin", (2,)), ("reg", (1,)),
+], ids=["unknown-family", "quad-not-square", "lin-not-a-matrix", "reg-not-a-scalar"])
+def test_component_batch_rejects_misfit_sections(wire_samples, name, dims):
+    payloads, keys = wire_samples
+    batch = ComponentBatch.from_payload(payloads[MsgType.COMPONENTS_B], keys)
+    payload = pack_sections([_ct_section(name, dims, [batch.reg] * math.prod(dims))])
+    with pytest.raises(ProtocolError, match="no component family"):
+        ComponentBatch.from_payload(payload, keys)
+
+
+def test_unmask_rejects_blob_without_every_layer(small_split):
+    source_end, _, _ = loopback_pair()
+    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
+                        source_end, key_bits=512, frac_bits=F, seed=0)
+    with pytest.raises(ProtocolError, match="lacks the gradient of layer0"):
+        party._unmask_and_apply(party.net, 1, pack_sections([]), 0.1)
+
+
+def _ints(name, dims, values):
+    return pack_sections([_int_section(name, dims, 0, values)])
+
+
+@pytest.mark.parametrize("decode, payload, message", [
+    (_read_pubkey, _ints("n", (), [0]), "no Paillier modulus"),
+    (_read_pubkey, _ints("n", (), [1 << 511]), "no Paillier modulus"),
+    (_read_pubkey, _ints("n", (), [(1 << 255) + 1]), "no Paillier modulus"),
+    (_read_pubkey, _ints("g", (), [3]), "expected one 0-d section n"),
+    (_read_labels, _ints("labels", (2,), [1, 2]), "outside"),
+    (_read_labels, _ints("labels", (), [1]), "expected one 1-d section labels"),
+], ids=["zero-modulus", "even-modulus", "short-modulus", "wrong-name", "label-2", "scalar-labels"])
+def test_single_section_decoders_reject_misfits(decode, payload, message):
+    with pytest.raises(ProtocolError, match=message):
+        decode(payload)

@@ -2,23 +2,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secureftl.transport import (
-    COST_FAMILIES,
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
     ChannelClosed,
-    FamilySection,
     Frame,
     FramingError,
     HEADER,
     MsgType,
+    Section,
     Transcript,
     decode_frame,
     encode_frame,
     loopback_pair,
     measure_cost,
-    pack_families,
+    pack_sections,
     tcp_pair,
-    unpack_families,
+    unpack_sections,
 )
 
 
@@ -123,33 +122,40 @@ def test_tcp_close_signals_peer():
 
 
 @settings(max_examples=25)
-@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 1000),
-                          st.integers(0, 1000), st.binary(max_size=64)),
-                min_size=1, max_size=5))
-def test_families_roundtrip(raw):
-    sections = [FamilySection(fid, n, c, data) for fid, n, c, data in raw]
-    assert unpack_families(pack_families(sections)) == sections
+@given(st.lists(st.tuples(st.text(max_size=20), st.lists(st.integers(0, 3), max_size=3),
+                          st.binary(min_size=27, max_size=64)),
+                max_size=5, unique_by=lambda s: s[0]))
+def test_sections_roundtrip(raw):
+    sections = [Section(name, tuple(dims), data) for name, dims, data in raw]
+    assert unpack_sections(pack_sections(sections)) == sections
 
 
-def test_unpack_families_rejects_malformed():
+@pytest.mark.parametrize("payload", [
+    pytest.param(b"", id="empty"),
+    pytest.param(b"\x01\x01", id="name-cut-short"),
+    pytest.param(b"\x01\x01\xff\x00" + bytes(8), id="name-not-utf8"),
+    pytest.param(b"\x01\x01x\x02\x00\x00", id="dims-cut-short"),
+    pytest.param(b"\x01\x01x\x00" + (5).to_bytes(8, "big") + b"ab", id="data-cut-short"),
+    pytest.param(b"\x01\x01x\x01" + (3).to_bytes(4, "big") + (2).to_bytes(8, "big") + b"ab",
+                 id="dims-exceed-data"),
+    pytest.param(b"\x01\x01x\x02" + (1 << 31).to_bytes(4, "big") * 2
+                 + (1).to_bytes(8, "big") + b"a", id="dims-product-past-64-bits"),
+    pytest.param(pack_sections([Section("x", (), b"a")]) + b"!", id="trailing-bytes"),
+    pytest.param(b"\x02" + pack_sections([Section("x", (), b"a")])[1:] * 2, id="duplicate-name"),
+])
+def test_unpack_sections_rejects_malformed(payload):
     with pytest.raises(FramingError):
-        unpack_families(b"")
-    with pytest.raises(FramingError):
-        unpack_families(b"\x01\x01")
-    good = pack_families([FamilySection(1, 1, 1, b"xy")])
-    with pytest.raises(FramingError):
-        unpack_families(good + b"!")
+        unpack_sections(payload)
 
 
-def test_measure_cost_counts_only_cost_families():
+def test_measure_cost_counts_quad_and_lin():
     transcript = Transcript()
-    payload = pack_families([
-        FamilySection(1, 2, 3, b"q" * 10),
-        FamilySection(2, 2, 1, b"l" * 4),
-        FamilySection(3, 1, 1, b"align"),
+    payload = pack_sections([
+        Section("quad", (2, 1, 1), b"q" * 10),
+        Section("lin", (2, 1), b"l" * 4),
+        Section("align", (1, 1), b"align"),
     ])
     transcript.record(DIR_TARGET_TO_SOURCE, Frame(MsgType.COMPONENTS_B, 0, payload))
     transcript.record(DIR_TARGET_TO_SOURCE, Frame(MsgType.STOP, 0, b"ignored"))
-    assert COST_FAMILIES == (1, 2)
     assert measure_cost(transcript, DIR_TARGET_TO_SOURCE) == 14
     assert measure_cost(transcript, DIR_SOURCE_TO_TARGET) == 0

@@ -13,7 +13,6 @@ from secureftl.trcv import (
     run_fold,
     run_trcv,
     self_learning_safeguard,
-    fold_report_csv,
 )
 
 
@@ -129,15 +128,3 @@ def test_safeguard_single_class_pool():
     decision = self_learning_safeguard(x, labels, ftl_score=1.0, seed=0)
     assert decision.baseline_score == 1.0
     assert decision.transfer
-
-
-def test_fold_report_csv(tmp_path):
-    split = _toy_split(seed=2)
-    report = run_trcv(split, [_fast_cfg(max_iterations=3)], k=2,
-                      dims_source=[4, 3], dims_target=[3, 3], seed=0)
-    path = tmp_path / "folds.csv"
-    fold_report_csv(report, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "config_id,fold_index,score"
-    assert lines[-1].startswith("0,selected,")
-    assert any(",mean," in line for line in lines)

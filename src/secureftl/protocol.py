@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import encode
+from .encoding import MAX_FRAC_BITS, EncodingOverflowError, encode
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -239,6 +239,17 @@ class ComponentBatch:
             families[section.name] = _nest(_section_cts(section, keys), dims)
         return cls(**families)
 
+    def check(self, n_c: int, n_ab: int, d: int, reg: bool):
+        """Raise ProtocolError unless the batch holds n_c labeled and n_ab
+        overlap items of dimension d, and a reg scalar exactly when reg."""
+        counts = (len(self.quad), len(self.lin), len(self.align), self.reg is not None)
+        if counts != (n_c, n_c, n_ab, reg):
+            raise ProtocolError(f"component batch holds (quad, lin, align, reg) = {counts}, "
+                                f"expected {(n_c, n_c, n_ab, reg)}")
+        rows = self.quad + self.lin + self.align + [row for item in self.quad for row in item]
+        if any(len(row) != d for row in rows):
+            raise ProtocolError(f"component batch is not of dimension {d}")
+
 
 def _mask_raws(rng: random.Random, count: int, frac_bits: int) -> list[int]:
     bound = 1 << (MASK_MAGNITUDE_BITS + frac_bits)
@@ -254,6 +265,11 @@ def _ct_sum(cts):
     return acc
 
 
+def _accumulate(rows: list, pos: int, cts: list[Ciphertext]):
+    """Add a ciphertext row into rows[pos], which may still be None."""
+    rows[pos] = cts if rows[pos] is None else [a + b for a, b in zip(rows[pos], cts)]
+
+
 @dataclass
 class _GradTensor:
     name: str
@@ -262,43 +278,86 @@ class _GradTensor:
     frac_bits: int
 
 
-def encrypted_backward(net: Network, trace: list[np.ndarray], upstream,
-                       frac_bits: int) -> list[_GradTensor]:
-    """Backpropagate encrypted upstream rows through a plaintext network.
+def _raws(values: np.ndarray, frac_bits: int) -> np.ndarray:
+    """encode(v, frac_bits).raw of every entry, as exact ints in an object array."""
+    return np.array([encode(v, frac_bits).raw for v in values.ravel()],
+                    dtype=object).reshape(values.shape)
 
-    upstream is a list of per-row entries: either None (row carries no
-    gradient) or a list of d ciphertexts. Activations and weights are local
-    plaintext, so every step is ciphertext x encoded-scalar; each layer
-    crossing adds 2*frac_bits to the running fraction counter.
+
+def _check_frac(frac_bits: int):
+    if frac_bits > MAX_FRAC_BITS:
+        raise EncodingOverflowError(f"fraction bits {frac_bits} exceed {MAX_FRAC_BITS}")
+
+
+def _power_product(basis: list[Ciphertext], exponents, frac_bits: int) -> Ciphertext:
+    """prod_k basis[k]^exponents[k]: the plaintext sum_k exponents[k] * basis[k],
+    read at frac_bits."""
+    acc = _ct_sum(ct.mul_int(e) for ct, e in zip(basis, exponents))
+    return Ciphertext(acc.value, frac_bits, acc.public_key)
+
+
+def encrypted_backward(net: Network, trace: list[np.ndarray], upstream, frac_bits: int,
+                       basis: list[Ciphertext] | None = None,
+                       coef: np.ndarray | None = None) -> list[_GradTensor]:
+    """Backpropagate an encrypted upstream through a plaintext network.
+
+    Row r's upstream at output o is the sum of two parts:
+      shared:   sum_k coef[r, o, k] * basis[k], with basis K ciphertexts and
+                coef an (N, d, K) object array of exact ints; basis None
+                means no shared part.
+      residual: upstream[r], either None or a list of d ciphertexts.
+
+    Activations and weights are local plaintext, so each layer is linear in
+    the upstream: every step multiplies by a scalar encoded at frac_bits, and
+    each layer crossing adds 2*frac_bits to the running fraction counter.
+    Residual rows cross ciphertext by ciphertext. The shared part crosses as
+    ints: coef is multiplied by the same encode(x, frac_bits).raw integers
+    that mul_encoded raises ciphertexts to, summed over rows, and each
+    gradient entry then raises basis[k] once to its contracted exponent, so
+    its cost does not grow with N.
+
+    The result is exact, not close: under mul_int (negative exponents
+    included), + and add_raw, ciphertexts form the commutative group
+    Z*_{n^2}, so prod_k basis[k]^E_k times the residual entry is the very
+    integer the row-by-row path reaches from the expanded upstream
+    prod_k basis[k]^coef[r, o, k] + upstream[r][o]. An entry is None (exact
+    zero) only when no row reaches it, never because an exponent sums to 0.
     """
     f = frac_bits
-    delta = upstream
-    delta_frac = None
-    for row in upstream:
-        if row is not None:
-            delta_frac = row[0].frac_bits
-            break
-    if delta_frac is None:
+    shared = basis is not None and len(coef) > 0
+    rows = [row for row in upstream if row is not None]
+    if shared:
+        delta_frac = basis[0].frac_bits
+    elif rows:
+        delta_frac = rows[0][0].frac_bits
+    else:
         delta_frac = 2 * f
+    delta = upstream
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
     for idx in range(len(net.layers) - 1, -1, -1):
         a_out, a_in = trace[idx + 1], trace[idx]
         n_out, n_in = net.layers[idx].weights.shape
-        dz = []
-        for r, row in enumerate(delta):
-            if row is None:
-                dz.append(None)
-                continue
-            slope = a_out[r] * (1.0 - a_out[r])
-            dz.append([row[o].mul_encoded(slope[o], f) for o in range(n_out)])
         dz_frac = delta_frac + f
-        grad_w = [[_ct_sum(dz[r][o].mul_encoded(a_in[r, i], f)
-                           for r in range(len(dz)) if dz[r] is not None)
-                   for i in range(n_in)] for o in range(n_out)]
+        w_frac = dz_frac + f
+        if shared or rows:
+            _check_frac(dz_frac)
+            _check_frac(w_frac)
+        slope = a_out * (1.0 - a_out)
+        dz = [None if row is None else [row[o].mul_encoded(slope[r, o], f) for o in range(n_out)]
+              for r, row in enumerate(delta)]
+        grad_w = [_ct_sum(dz[r][o].mul_encoded(a_in[r, i], f)
+                          for r in range(len(dz)) if dz[r] is not None)
+                  for o in range(n_out) for i in range(n_in)]
         grad_b = [_ct_sum(dz[r][o] for r in range(len(dz)) if dz[r] is not None)
                   for o in range(n_out)]
-        tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", (n_out, n_in),
-                                       [ct for row in grad_w for ct in row], dz_frac + f)
+        if shared:
+            coef_dz = coef * _raws(slope, f)[:, :, None]
+            exp_w = np.einsum("rok,ri->oik", coef_dz, _raws(a_in, f))
+            grad_w = [_ct_sum([_power_product(basis, e, w_frac), ct])
+                      for e, ct in zip(exp_w.reshape(n_out * n_in, -1), grad_w)]
+            grad_b = [_ct_sum([_power_product(basis, e, dz_frac), ct])
+                      for e, ct in zip(coef_dz.sum(axis=0), grad_b)]
+        tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", (n_out, n_in), grad_w, w_frac)
         tensors[2 * idx + 1] = _GradTensor(f"layer{idx}.bias", (n_out,), grad_b, dz_frac)
         if idx:
             weights = net.layers[idx].weights
@@ -306,7 +365,9 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream,
                      [_ct_sum(row[o].mul_encoded(weights[o, i], f) for o in range(n_out))
                       for i in range(n_in)]
                      for row in dz]
-            delta_frac = dz_frac + f
+            if shared:
+                coef = np.einsum("rok,oi->rik", coef_dz, _raws(weights, f))
+            delta_frac = w_frac
     return tensors
 
 
@@ -350,6 +411,13 @@ class _Party:
             raise ProtocolError(f"{MsgType(frame.msg_type).name} numbered {frame.iteration}, "
                                 f"expected {number}")
         return frame
+
+    def _read_components(self, payload: bytes) -> ComponentBatch:
+        """The peer's component batch, checked against this party's own
+        (n_c, n_ab, d, reg) in peer_shape."""
+        comps = ComponentBatch.from_payload(payload, self.keys)
+        comps.check(*self.peer_shape)
+        return comps
 
     def exchange_keys(self):
         self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.keypair.public))
@@ -482,6 +550,7 @@ class SourceParty(_Party):
         self.labels = split.labels_source.astype(int)
         self.labels_c = split.labels_for(split.labeled_ids).astype(int)
         self.ab_rows = split.source_rows(split.overlap_ids)
+        self.peer_shape = (len(self.labels_c), len(self.ab_rows), net.hidden_dim, True)
         self.loss_history: list[float] = []
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
@@ -534,7 +603,10 @@ class SourceParty(_Party):
 
         Every source row j receives (y_j / N) * S through the prototype path,
         where S pools the per-pair loss slopes against the target's encrypted
-        representations; overlap rows add the alignment terms.
+        representations; overlap rows add the alignment terms. So the d
+        ciphertexts pooled = S / N are a basis every row shares with
+        coefficient y_j = +-1, and only the overlap rows carry residual
+        ciphertexts through encrypted_backward.
         """
         f = self.frac_bits
         d = len(prototype)
@@ -549,22 +621,14 @@ class SourceParty(_Party):
                         0.25 * y * y * prototype[b] / n, f))
                 terms.append(comps.lin[i][c].mul_encoded(-0.5 * y / n, f))
             pooled.append(_ct_sum(terms))
-        upstream: list = []
-        for j in range(len(u)):
-            sign = int(self.labels[j])
-            if pooled[0] is None:
-                upstream.append(None)
-            else:
-                upstream.append([ct.mul_int(sign) for ct in pooled])
+        residual: list = [None] * len(u)
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
         for j, row in enumerate(self.ab_rows):
-            extra = [comps.align[j][c].mul_encoded(self.cfg.gamma, f).add_raw(
-                encode(own_align[j, c], 2 * f).raw) for c in range(d)]
-            if upstream[row] is None:
-                upstream[row] = extra
-            else:
-                upstream[row] = [a + b for a, b in zip(upstream[row], extra)]
-        tensors = encrypted_backward(self.net, trace, upstream, f)
+            _accumulate(residual, row, [comps.align[j][c].mul_encoded(self.cfg.gamma, f).add_raw(
+                encode(own_align[j, c], 2 * f).raw) for c in range(d)])
+        coef = self.labels.astype(object)[:, None, None] * np.eye(d, dtype=object)
+        basis = None if pooled[0] is None else pooled
+        tensors = encrypted_backward(self.net, trace, residual, f, basis, coef)
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
     def run_training(self) -> TrainingResult:
@@ -577,7 +641,7 @@ class SourceParty(_Party):
             self._send(MsgType.COMPONENTS_A, iteration,
                        self.compute_components(trace).to_payload())
             frame = self._recv({MsgType.COMPONENTS_B: iteration})
-            comps = ComponentBatch.from_payload(frame.payload, self.keys)
+            comps = self._read_components(frame.payload)
 
             masked_grad = self._mask_and_pack(
                 iteration, self.assemble_gradient(comps, trace, prototype))
@@ -622,6 +686,7 @@ class TargetParty(_Party):
         self.batch_ids = batch_ids
         self.x = split.x_target[split.target_rows(batch_ids)]
         self.x_all = split.x_target
+        self.peer_shape = (len(self.c_pos), len(self.ab_pos), net.hidden_dim, False)
         self._split = split
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
@@ -646,16 +711,14 @@ class TargetParty(_Party):
         upstream: list = [None] * len(u)
         for i, pos in enumerate(self.c_pos):
             quad_i, lin_i = comps.quad[i], comps.lin[i]
-            row = [_ct_sum([quad_i[r][c].mul_encoded(2.0 * u[pos, c], f) for c in range(d)]
-                           + [lin_i[r].lift(f)]) for r in range(d)]
-            upstream[pos] = row if upstream[pos] is None else [a + b for a, b in
-                                                               zip(upstream[pos], row)]
+            _accumulate(upstream, pos, [
+                _ct_sum([quad_i[r][c].mul_encoded(2.0 * u[pos, c], f) for c in range(d)]
+                        + [lin_i[r].lift(f)]) for r in range(d)])
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
         for j, pos in enumerate(self.ab_pos):
-            extra = [comps.align[j][c].lift(f).add_raw(encode(own_align[j, c], 2 * f).raw)
-                     for c in range(d)]
-            upstream[pos] = extra if upstream[pos] is None else [a + b for a, b in
-                                                                 zip(upstream[pos], extra)]
+            _accumulate(upstream, pos, [
+                comps.align[j][c].lift(f).add_raw(encode(own_align[j, c], 2 * f).raw)
+                for c in range(d)])
         tensors = encrypted_backward(self.net, trace, upstream, f)
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
@@ -676,7 +739,7 @@ class TargetParty(_Party):
                        self.compute_components(trace).to_payload())
             if iteration == 1:
                 comps_frame = self._recv({MsgType.COMPONENTS_A: iteration})
-            comps = ComponentBatch.from_payload(comps_frame.payload, self.keys)
+            comps = self._read_components(comps_frame.payload)
 
             masked_grad = self._mask_and_pack(iteration, self.assemble_gradient(comps, trace))
             self._send(MsgType.MASKED_GRAD_B, iteration, masked_grad)
@@ -769,11 +832,19 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
 
     channels defaults to an in-process loopback pair; pass the triple from
     tcp_pair to run over sockets instead. Only the Taylor loss has an
-    encrypted form, so any other loss_mode is rejected.
+    encrypted form, so any other loss_mode is rejected, and so is a net too
+    deep for MAX_FRAC_BITS at frac_bits, before any key or frame.
     """
     if cfg.loss_mode != "taylor":
         raise ValueError(f"the encrypted engine trains the Taylor loss only, "
                          f"not loss_mode {cfg.loss_mode!r}")
+    for role, net in (("source", net_source), ("target", net_target)):
+        # Upstream enters at 2f fraction bits and each layer adds 2f.
+        needed = 2 * frac_bits * (len(net.layers) + 1)
+        if needed > MAX_FRAC_BITS:
+            raise ValueError(f"the {len(net.layers)}-layer {role} net needs {needed} fraction "
+                             f"bits at frac_bits {frac_bits}, over the limit "
+                             f"MAX_FRAC_BITS = {MAX_FRAC_BITS}")
     if channels is None:
         channels = loopback_pair()
     source_end, target_end, transcript = channels

@@ -1,15 +1,16 @@
 import hashlib
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secureftl.datasets import synth_two_view
+from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
-from secureftl.paillier import keygen
+from secureftl.paillier import Ciphertext, keygen
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import (
     ENGINE_KINDS,
@@ -17,8 +18,10 @@ from secureftl.protocol import (
     Engine,
     ProtocolError,
     SourceParty,
+    TargetParty,
     WIRE_ERRORS,
     _ct_section,
+    _ct_sum,
     _int_section,
     _only,
     _pubkey_payload,
@@ -71,6 +74,56 @@ def test_encrypted_backward_matches_plaintext():
             else expected[layer_idx].bias
         got = _decrypt_tensor(tensor, keypair)
         assert np.allclose(got, want, atol=1e-9)
+
+
+def _expanded_upstream(basis, coef, residual):
+    """Row r's upstream as its own ciphertexts, prod_k basis[k]^coef[r, o, k]
+    times residual[r][o]: the per-row form the shared basis replaces."""
+    rows = []
+    for r, extra in enumerate(residual):
+        shared = None if basis is None else [
+            _ct_sum(ct.mul_int(int(e)) for ct, e in zip(basis, coef[r, o]))
+            for o in range(coef.shape[1])]
+        parts = [part for part in (shared, extra) if part is not None]
+        rows.append([_ct_sum(cts) for cts in zip(*parts)] if parts else None)
+    return rows
+
+
+def _ct_fields(tensors):
+    return [(t.name, t.dims, t.frac_bits,
+             [None if ct is None else (ct.value, ct.frac_bits) for ct in t.cts])
+            for t in tensors]
+
+
+@pytest.mark.parametrize("case", ["signs-and-residual-only-rows", "zero-sum", "no-basis"])
+def test_shared_basis_backward_is_exact(case):
+    rng = np.random.default_rng(5)
+    keypair = keygen(512, random.Random(11))
+    net = init_network([3, 4, 2], seed=9)
+
+    def enc_row():
+        return [keypair.public.encrypt(float(v), 2 * F) for v in rng.normal(size=2)]
+
+    basis = enc_row()
+    x = rng.normal(size=(5, 3))
+    signs = np.array([1, -1, 1, -1, -1], dtype=object)
+    residual = [enc_row(), None, None, enc_row(), enc_row()]
+    if case == "zero-sum":
+        # Two equal rows of opposite sign: every contracted exponent is 0.
+        x, signs, residual = x[[0, 0]], signs[:2], [None, None]
+    coef = signs[:, None, None] * np.eye(2, dtype=object)
+    if case == "signs-and-residual-only-rows":
+        coef[4] = 0  # row 4 reaches the gradient through its residual only
+    if case == "no-basis":
+        basis = None  # n_c = 0: no pooled prototype path
+    trace = net.forward_trace(x)
+
+    got = encrypted_backward(net, trace, residual, F, basis, coef)
+    want = encrypted_backward(net, trace, _expanded_upstream(basis, coef, residual), F)
+    assert _ct_fields(got) == _ct_fields(want)
+    assert all(ct is not None for t in got for ct in t.cts)
+    if case == "zero-sum":
+        assert {ct.value for t in got for ct in t.cts} == {1}
 
 
 def test_component_batch_roundtrip():
@@ -215,6 +268,95 @@ def test_encrypted_rejects_exact_loss(small_split):
                         init_network([2, 2], seed=5), _tiny_cfg(loss_mode="exact"))
 
 
+def test_encrypted_rejects_too_deep_net_before_keygen(small_split, monkeypatch):
+    def no_keygen(*args):
+        raise AssertionError("keygen ran")
+
+    monkeypatch.setattr("secureftl.protocol.keygen", no_keygen)
+    channels = loopback_pair()
+    # Three layers at f = 40 reach 2f(3 + 1) = 320 fraction bits.
+    with pytest.raises(ValueError, match="3-layer source net needs 320 fraction bits.*"
+                                         "MAX_FRAC_BITS = 255"):
+        train_encrypted(small_split, init_network([3, 4, 4, 2], seed=4),
+                        init_network([2, 2], seed=5), _tiny_cfg(), frac_bits=F,
+                        channels=channels)
+    assert channels[2].frames() == []
+
+
+def _component_batch(public, n_c, n_ab, d, reg):
+    def enc():
+        return public.encrypt(0.5, F)
+
+    return ComponentBatch([[[enc() for _ in range(d)] for _ in range(d)] for _ in range(n_c)],
+                          [[enc() for _ in range(d)] for _ in range(n_c)],
+                          [[enc() for _ in range(d)] for _ in range(n_ab)],
+                          enc() if reg else None)
+
+
+@pytest.mark.parametrize("role", ["source", "target"])
+@pytest.mark.parametrize("misfit", ["short", "wrong-d"])
+def test_party_rejects_misfit_component_batch(small_split, role, misfit):
+    # small_split: n_c = 2 labeled pairs, n_ab = 3 overlap pairs, d = 2.
+    peer = keygen(512, random.Random(9)).public
+    n_c, d = (1, 2) if misfit == "short" else (2, 3)
+    batch = _component_batch(peer, n_c, 3, d, reg=role == "source")
+    source_end, target_end, _ = loopback_pair()
+    if role == "source":
+        own_end, peer_end, comps_type = source_end, target_end, MsgType.COMPONENTS_B
+        party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
+                            own_end, key_bits=512, frac_bits=F, seed=0)
+    else:
+        own_end, peer_end, comps_type = target_end, source_end, MsgType.COMPONENTS_A
+        party = TargetParty(small_split, init_network([2, 2], seed=5), _tiny_cfg(),
+                            own_end, key_bits=512, frac_bits=F, seed=0)
+    peer_end.send(Frame(MsgType.PUBKEY, 0, _pubkey_payload(peer)))
+    peer_end.send(Frame(comps_type, 1, batch.to_payload()))
+    with pytest.raises(ProtocolError, match="component batch"):
+        party.run_training()
+
+
+def _with_source_rows(split, extra: int) -> FederationSplit:
+    """split plus extra source-only rows: only N_source differs."""
+    rng = np.random.default_rng(8)
+    return FederationSplit(
+        ids_source=np.concatenate([split.ids_source, 100 + np.arange(extra)]),
+        x_source=np.vstack([split.x_source, rng.normal(size=(extra, split.x_source.shape[1]))]),
+        labels_source=np.concatenate([split.labels_source, rng.choice([-1, 1], size=extra)]),
+        ids_target=split.ids_target, x_target=split.x_target,
+        overlap_ids=split.overlap_ids, labeled_ids=split.labeled_ids,
+        eval_ids=split.eval_ids, labels_eval=split.labels_eval)
+
+
+def _source_mul_ints(split, monkeypatch) -> int:
+    """mul_int calls made by the source party in one two-layer iteration."""
+    source_threads, callers = set(), []
+    run_training, mul_int = SourceParty.run_training, Ciphertext.mul_int
+
+    def traced_run(self):
+        source_threads.add(threading.get_ident())
+        return run_training(self)
+
+    def counted(self, k):
+        callers.append(threading.get_ident())
+        return mul_int(self, k)
+
+    monkeypatch.setattr(SourceParty, "run_training", traced_run)
+    monkeypatch.setattr(Ciphertext, "mul_int", counted)
+    train_encrypted(split, init_network([3, 4, 2], seed=4), init_network([2, 4, 2], seed=5),
+                    _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
+    monkeypatch.undo()
+    return sum(ident in source_threads for ident in callers)
+
+
+def test_source_mul_count_ignores_source_rows(small_split, monkeypatch):
+    wide = _with_source_rows(small_split, 12)
+    wide.validate()
+    assert len(wide.ids_source) == 4 * len(small_split.ids_source)
+    count = _source_mul_ints(small_split, monkeypatch)
+    assert count > 0
+    assert _source_mul_ints(wide, monkeypatch) == count
+
+
 def test_recv_rejects_unexpected_message(small_split):
     source_end, target_end, _ = loopback_pair()
     target_end.send(Frame(MsgType.STOP, 0))
@@ -281,28 +423,47 @@ GOLDEN_TRAIN = {
     DIR_SOURCE_TO_TARGET: "1dbd98275082faca31502bec55992dac74fd89fdf6741210f7cb86c13accb2e6",
     DIR_TARGET_TO_SOURCE: "fe9fe571b5faf31888f4eb66dfd1e265e439463d53e9eeec37e7ae6bf6d10a4e",
 }
+# Two iterations with two-layer nets ([3, 4, 2] source, [2, 4, 2] target),
+# pinned from the row-by-row encrypted backprop that preceded the shared
+# gradient basis: contracting the source's upstream changes no byte.
+CONTENT_TRAIN_2LAYER = {
+    DIR_SOURCE_TO_TARGET: "c8d91de9ad23fc2d0b1bb34a61cba996fb4120aca2ce89666e98c6702903646a",
+    DIR_TARGET_TO_SOURCE: "d260b8b89e26a7397f891d780c7b41d65ec99f2bcced9cee79139f1edbc7fd65",
+}
+GOLDEN_TRAIN_2LAYER = {
+    DIR_SOURCE_TO_TARGET: "25aa5fc6bf634330e52f1d8b7e640eab48e406a97cc9a5134d69beb0561b2c7c",
+    DIR_TARGET_TO_SOURCE: "e459bc34a418e83f56c2eb2fc1c1eab5ad8de181e07437e245004a29fc158686",
+}
 GOLDEN_PREDICT = {
     DIR_SOURCE_TO_TARGET: "b43a813fbbef343fa1a5dcf254f48e6a07418f142bca545abb2efe1a4cca699c",
     DIR_TARGET_TO_SOURCE: "a205d857cc0460342d89b78f646300f481bd2f62e458f50e8a194a7fbb3a9391",
 }
 
 
-def _golden_runs(small_split):
-    train = train_encrypted(small_split, init_network([3, 2], seed=4),
-                            init_network([2, 2], seed=5), _tiny_cfg(max_iterations=2),
+def _golden_train(small_split, dims_source, dims_target):
+    train = train_encrypted(small_split, init_network(dims_source, seed=4),
+                            init_network(dims_target, seed=5), _tiny_cfg(max_iterations=2),
                             key_bits=512, frac_bits=F, seed=0)
+    return train.transcript, {**train.source.keys, **train.target.keys}
+
+
+def _golden_runs(small_split):
     predict = predict_encrypted(small_split, init_network([3, 2], seed=4),
                                 init_network([2, 2], seed=5), small_split.eval_ids,
                                 key_bits=512, frac_bits=F, seed=3)
-    return ((train.transcript, {**train.source.keys, **train.target.keys}),
+    return (_golden_train(small_split, [3, 2], [2, 2]),
+            _golden_train(small_split, [3, 4, 2], [2, 4, 2]),
             (predict.transcript, {**predict.server.keys, **predict.requester.keys}))
 
 
 def test_golden_transcripts(small_split):
-    (train, train_keys), (predict, predict_keys) = _golden_runs(small_split)
+    ((train, train_keys), (train_2layer, train_2layer_keys),
+     (predict, predict_keys)) = _golden_runs(small_split)
     assert _content_digests(train, train_keys) == CONTENT_TRAIN
+    assert _content_digests(train_2layer, train_2layer_keys) == CONTENT_TRAIN_2LAYER
     assert _content_digests(predict, predict_keys) == CONTENT_PREDICT
     assert _digests(train) == GOLDEN_TRAIN
+    assert _digests(train_2layer) == GOLDEN_TRAIN_2LAYER
     assert _digests(predict) == GOLDEN_PREDICT
 
 

@@ -467,6 +467,42 @@ def test_golden_transcripts(small_split):
     assert _digests(predict) == GOLDEN_PREDICT
 
 
+# Two iterations with two-layer nets and alignment = distance on splits with
+# no labeled pairs, no overlap pairs, or neither, pinned from the engine
+# that ran the protocol over nested lists with None for exact zeros.
+CONTENT_DEGENERATE = {
+    (0, 3): {
+        DIR_SOURCE_TO_TARGET: "f666c05073938d525dac73cbe865861a03a0a78248de33bac76dc6e945e05932",
+        DIR_TARGET_TO_SOURCE: "3719e0111dadf7b6b49e9244a25254d46247b260a341d3d8b57d764bfb5bc11b",
+    },
+    (2, 0): {
+        DIR_SOURCE_TO_TARGET: "31ca6043ae52b54c52f3f108691e48e8eb41c66a798b9c21f2a52d6ec3b4936f",
+        DIR_TARGET_TO_SOURCE: "6302f5f204255c3b87a1104b6144e8ccd002f3d000c6eb46cc0320c210d9719c",
+    },
+    (0, 0): {
+        DIR_SOURCE_TO_TARGET: "d579987662e70f57422cce9d1109329c921d552b2ecc0a689ce439615723d208",
+        DIR_TARGET_TO_SOURCE: "4ef513f6cc05fd3caa69d679ee61579b86677f29eb3816b9a4d2d95ebd7eebda",
+    },
+}
+
+
+@pytest.mark.parametrize("n_labeled, n_overlap", sorted(CONTENT_DEGENERATE),
+                         ids=["no-labeled", "no-overlap", "neither"])
+def test_degenerate_splits_train(n_labeled, n_overlap):
+    split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                           n_overlap=n_overlap, n_labeled=n_labeled, n_eval=2)
+    cfg = _tiny_cfg(max_iterations=2, alignment="distance")
+    plain = train_plain(split, init_network([3, 4, 2], seed=4), init_network([2, 4, 2], seed=5),
+                        cfg)
+    run = train_encrypted(split, init_network([3, 4, 2], seed=4),
+                          init_network([2, 4, 2], seed=5), cfg, key_bits=512, frac_bits=F,
+                          seed=0)
+    assert np.allclose(run.result.loss_history, plain.loss_history, atol=1e-6)
+    assert audit_training(run.transcript, run.source, run.target).ok
+    keys = {**run.source.keys, **run.target.keys}
+    assert _content_digests(run.transcript, keys) == CONTENT_DEGENERATE[(n_labeled, n_overlap)]
+
+
 def _pubkey_frame(number: int) -> Frame:
     return Frame(MsgType.PUBKEY, number, _pubkey_payload(keygen(512, random.Random(9)).public))
 

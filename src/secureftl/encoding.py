@@ -7,6 +7,11 @@ upper half of the plaintext space, two's-complement style: residues in
 fractional-bit counter; multiplying two f-bit quantities yields a 2f-bit one,
 and the single rescale happens after decryption (rescaling under encryption
 is impossible additively).
+
+FixedPoint and paillier.Ciphertext share one arithmetic, so numpy object
+arrays of either carry the protocol's formulas: + needs equal fraction bits,
+* adds them. The int 0 is the structural zero, a value nothing reached: it
+adds nothing, and any product with it stays 0.
 """
 
 from __future__ import annotations
@@ -24,7 +29,24 @@ class EncodingOverflowError(ValueError):
     """Value does not fit the plaintext space at the requested precision."""
 
 
-@dataclass(frozen=True)
+def is_zero(value) -> bool:
+    """Whether value is the structural zero, the int 0."""
+    return isinstance(value, int) and value == 0
+
+
+def check_frac_sum(a: int, b: int) -> int:
+    """The fraction bits of a product: a + b, at most MAX_FRAC_BITS."""
+    if a + b > MAX_FRAC_BITS:
+        raise EncodingOverflowError(f"fraction bits {a + b} exceed {MAX_FRAC_BITS}")
+    return a + b
+
+
+def check_frac_match(a: int, b: int):
+    if a != b:
+        raise EncodingOverflowError(f"fraction-bit mismatch in addition: {a} vs {b}")
+
+
+@dataclass(frozen=True, slots=True)
 class FixedPoint:
     """A signed real stored as raw = round(value * 2**frac_bits)."""
 
@@ -33,6 +55,21 @@ class FixedPoint:
 
     def decode(self) -> float:
         return decode_raw(self.raw, self.frac_bits)
+
+    def __add__(self, other):
+        if isinstance(other, FixedPoint):
+            check_frac_match(self.frac_bits, other.frac_bits)
+            return FixedPoint(self.raw + other.raw, self.frac_bits)
+        return self if is_zero(other) else NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, FixedPoint):
+            return FixedPoint(self.raw * other.raw,
+                              check_frac_sum(self.frac_bits, other.frac_bits))
+        return 0 if is_zero(other) else NotImplemented
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
 
 def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:

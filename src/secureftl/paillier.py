@@ -1,9 +1,11 @@
 """Paillier additively homomorphic encryption with fraction-bit bookkeeping.
 
-Implements keygen / encrypt / decrypt plus the two homomorphic operations the
-protocol needs: ciphertext addition and plaintext-scalar multiplication.
-Ciphertexts carry the fractional-bit counter of their fixed-point plaintext so
-mismatched additions fail loudly instead of corrupting silently.
+Implements keygen / encrypt / decrypt plus the homomorphic operations the
+protocol needs, as operators: ct + ct and ct + FixedPoint add plaintexts,
+ct * FixedPoint multiplies by a plaintext scalar (through mul_int, the one
+exponentiation). Ciphertexts carry the fractional-bit counter of their
+fixed-point plaintext so mismatched additions fail loudly instead of
+corrupting silently, and the int 0 is the structural zero of encoding.
 
 Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, which avoids a
 full modular exponentiation for the generator term.
@@ -25,9 +27,13 @@ from .encoding import (
     DEFAULT_FRAC_BITS,
     MAX_FRAC_BITS,
     EncodingOverflowError,
+    FixedPoint,
+    check_frac_match,
+    check_frac_sum,
     decode_raw,
     encode,
     from_residue,
+    is_zero,
     to_residue,
 )
 
@@ -230,18 +236,24 @@ class Ciphertext:
     frac_bits: int
     public_key: PublicKey
 
-    def _require_same_key(self, other: "Ciphertext"):
-        if self.public_key.fingerprint != other.public_key.fingerprint:
-            raise KeyMismatchError("cannot combine ciphertexts under different keys")
+    def __add__(self, other: "Ciphertext | FixedPoint | int") -> "Ciphertext":
+        """Add a ciphertext under the same key or a plaintext FixedPoint, at
+        equal fraction bits; the structural zero 0 adds nothing."""
+        n, nsq = self.public_key.modulus, self.public_key.n_squared
+        if isinstance(other, Ciphertext):
+            if self.public_key.fingerprint != other.public_key.fingerprint:
+                raise KeyMismatchError("cannot combine ciphertexts under different keys")
+            factor = other.value
+        elif isinstance(other, FixedPoint):
+            factor = 1 + to_residue(other.raw, n) * n
+        else:
+            return self if is_zero(other) else NotImplemented
+        check_frac_match(self.frac_bits, other.frac_bits)
+        return Ciphertext(self.value * factor % nsq, self.frac_bits, self.public_key)
 
-    def __add__(self, other: "Ciphertext") -> "Ciphertext":
-        self._require_same_key(other)
-        if self.frac_bits != other.frac_bits:
-            raise EncodingOverflowError(
-                f"fraction-bit mismatch in addition: {self.frac_bits} vs {other.frac_bits}"
-            )
-        value = self.value * other.value % self.public_key.n_squared
-        return Ciphertext(value, self.frac_bits, self.public_key)
+    def __radd__(self, other) -> "Ciphertext":
+        # Through +, so every homomorphic addition enters __add__ once.
+        return self if is_zero(other) else self + other
 
     def add_raw(self, raw: int) -> "Ciphertext":
         """Add a plaintext signed raw integer at this ciphertext's precision."""
@@ -260,22 +272,15 @@ class Ciphertext:
             value = pow(pow(self.value, -k, nsq), -1, nsq)
         return Ciphertext(value, self.frac_bits, self.public_key)
 
-    def mul_encoded(self, x: float, frac_bits: int = DEFAULT_FRAC_BITS) -> "Ciphertext":
-        """Multiply by a real scalar encoded at frac_bits; precision adds."""
-        out_frac = self.frac_bits + frac_bits
-        if out_frac > MAX_FRAC_BITS:
-            raise EncodingOverflowError(f"fraction bits {out_frac} exceed {MAX_FRAC_BITS}")
-        ct = self.mul_int(encode(x, frac_bits).raw)
-        return Ciphertext(ct.value, out_frac, self.public_key)
+    def __mul__(self, other: "FixedPoint | int") -> "Ciphertext | int":
+        """Multiply the plaintext by a FixedPoint: the fraction bits add. A
+        product with the structural zero 0 stays 0."""
+        if isinstance(other, FixedPoint):
+            frac_bits = check_frac_sum(self.frac_bits, other.frac_bits)
+            return Ciphertext(self.mul_int(other.raw).value, frac_bits, self.public_key)
+        return 0 if is_zero(other) else NotImplemented
 
-    def lift(self, delta: int) -> "Ciphertext":
-        """Raise the fraction-bit counter by delta (multiply raw by 2**delta)."""
-        if delta < 0:
-            raise EncodingOverflowError("cannot lower precision under encryption")
-        if self.frac_bits + delta > MAX_FRAC_BITS:
-            raise EncodingOverflowError(f"fraction bits {self.frac_bits + delta} exceed {MAX_FRAC_BITS}")
-        ct = self.mul_int(1 << delta)
-        return Ciphertext(ct.value, self.frac_bits + delta, self.public_key)
+    __rmul__ = __mul__
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:

@@ -27,9 +27,19 @@ Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
 STOP the last iteration run, prediction frames the request's sequence
 number. A frame of an unexpected type or number raises ProtocolError.
 
+The encrypted algebra is the plaintext one, in numpy object arrays: entries
+are paillier.Ciphertext, encoding.FixedPoint or the int 0, the structural
+zero that no ciphertext reached (it adds nothing, and any product with it
+stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
+arrays; the loss, the gradients and the prediction scores are sum and @
+expressions over them, and encrypted_backward runs Network.backward over an
+(N, d, K) upstream. A gradient entry that is still plaintext when it is
+masked (no ciphertext reached it, only weight decay) is encrypted then,
+under the peer's key.
+
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct) or a frac byte and signed
-integers (int), prod(dims) of them:
+integers (int), prod(dims) of them, row-major:
 
   frame            section           dims         data
   PUBKEY           n                 ()           int: the modulus (g = n + 1)
@@ -62,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, EncodingOverflowError, encode
+from .encoding import MAX_FRAC_BITS, FixedPoint, encode
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -137,6 +147,11 @@ def _section_cts(section: Section, keys: dict[bytes, PublicKey]) -> list[Ciphert
     return out
 
 
+def _section_array(section: Section, keys: dict[bytes, PublicKey]) -> np.ndarray:
+    """The section's ciphertexts as an object array of shape section.dims."""
+    return np.array(_section_cts(section, keys), dtype=object).reshape(section.dims)
+
+
 def _section_ints(section: Section) -> tuple[int, list[int]]:
     """(frac_bits, signed raws) of an integer section."""
     data, pos, out = section.data, 1, []
@@ -159,15 +174,6 @@ def _only(payload: bytes, name: str, ndim: int) -> Section:
         raise ProtocolError(f"expected one {ndim}-d section {name}, got "
                             f"{[(s.name, s.dims) for s in sections]}")
     return sections[0]
-
-
-def _nest(flat: list, dims: tuple[int, ...]):
-    """Row-major nested lists of shape dims; the single element for dims ()."""
-    if not dims:
-        return flat[0]
-    for k in range(len(dims) - 1, 0, -1):
-        flat = [flat[i * dims[k]:(i + 1) * dims[k]] for i in range(math.prod(dims[:k]))]
-    return flat
 
 
 def _pubkey_payload(pk: PublicKey) -> bytes:
@@ -202,53 +208,48 @@ _COMPONENT_NDIM = {"quad": 3, "lin": 2, "align": 2, "reg": 0}
 
 @dataclass
 class ComponentBatch:
-    """One party's encrypted components for an iteration.
+    """One party's encrypted components for an iteration, as object arrays.
 
-    quad:  per labeled pair, a d x d ciphertext matrix (row-major lists).
-    lin:   per labeled pair, a d ciphertext vector.
-    align: per overlap pair, a d ciphertext vector.
+    quad:  (n_c, d, d), per labeled pair a d x d ciphertext matrix.
+    lin:   (n_c, d), per labeled pair a d ciphertext vector.
+    align: (n_ab, d), per overlap pair a d ciphertext vector.
     reg:   optional scalar ciphertext (target side only): the weight-decay
            share plus any target-side alignment loss terms.
     """
 
-    quad: list
-    lin: list
-    align: list
+    quad: np.ndarray
+    lin: np.ndarray
+    align: np.ndarray
     reg: Ciphertext | None = None
 
     def to_payload(self) -> bytes:
-        d = len((self.lin or self.align or self.quad or [[]])[0])
-        sections = [
-            _ct_section("quad", (len(self.quad), d, d),
-                        [ct for item in self.quad for row in item for ct in row]),
-            _ct_section("lin", (len(self.lin), d), [ct for v in self.lin for ct in v]),
-            _ct_section("align", (len(self.align), d), [ct for v in self.align for ct in v]),
-        ]
+        sections = [_ct_section(name, cts.shape, cts.flat) for name, cts in
+                    (("quad", self.quad), ("lin", self.lin), ("align", self.align))]
         if self.reg is not None:
             sections.append(_ct_section("reg", (), [self.reg]))
         return pack_sections(sections)
 
     @classmethod
     def from_payload(cls, payload: bytes, keys) -> "ComponentBatch":
-        families = {"quad": [], "lin": [], "align": [], "reg": None}
+        empty = np.empty(0, dtype=object)
+        families = {"quad": empty, "lin": empty, "align": empty, "reg": None}
         for section in unpack_sections(payload):
             dims = section.dims
             if (_COMPONENT_NDIM.get(section.name) != len(dims)
                     or (len(dims) == 3 and dims[1] != dims[2])):
                 raise ProtocolError(f"no component family {section.name} of shape {dims}")
-            families[section.name] = _nest(_section_cts(section, keys), dims)
+            cts = _section_array(section, keys)
+            families[section.name] = cts if dims else cts.item()
         return cls(**families)
 
     def check(self, n_c: int, n_ab: int, d: int, reg: bool):
         """Raise ProtocolError unless the batch holds n_c labeled and n_ab
         overlap items of dimension d, and a reg scalar exactly when reg."""
-        counts = (len(self.quad), len(self.lin), len(self.align), self.reg is not None)
-        if counts != (n_c, n_c, n_ab, reg):
-            raise ProtocolError(f"component batch holds (quad, lin, align, reg) = {counts}, "
-                                f"expected {(n_c, n_c, n_ab, reg)}")
-        rows = self.quad + self.lin + self.align + [row for item in self.quad for row in item]
-        if any(len(row) != d for row in rows):
-            raise ProtocolError(f"component batch is not of dimension {d}")
+        shapes = (self.quad.shape, self.lin.shape, self.align.shape, self.reg is not None)
+        expected = ((n_c, d, d), (n_c, d), (n_ab, d), reg)
+        if shapes != expected:
+            raise ProtocolError(f"component batch holds (quad, lin, align, reg) shapes "
+                                f"{shapes}, expected {expected}")
 
 
 def _mask_raws(rng: random.Random, count: int, frac_bits: int) -> list[int]:
@@ -256,118 +257,64 @@ def _mask_raws(rng: random.Random, count: int, frac_bits: int) -> list[int]:
     return [rng.randrange(-bound, bound + 1) for _ in range(count)]
 
 
-def _ct_sum(cts):
-    acc = None
-    for ct in cts:
-        if ct is None:
-            continue
-        acc = ct if acc is None else acc + ct
-    return acc
-
-
-def _accumulate(rows: list, pos: int, cts: list[Ciphertext]):
-    """Add a ciphertext row into rows[pos], which may still be None."""
-    rows[pos] = cts if rows[pos] is None else [a + b for a, b in zip(rows[pos], cts)]
+def _fixed(values, frac_bits: int) -> np.ndarray:
+    """encode(v, frac_bits) of every entry, as a FixedPoint object array."""
+    values = np.asarray(values, dtype=float)
+    return np.array([encode(v, frac_bits) for v in values.ravel()],
+                    dtype=object).reshape(values.shape)
 
 
 @dataclass
 class _GradTensor:
     name: str
-    dims: tuple[int, ...]
-    cts: list  # flat row-major, entries Ciphertext or None (exact zero)
+    values: np.ndarray  # entries Ciphertext, FixedPoint or the structural zero 0
     frac_bits: int
 
 
-def _raws(values: np.ndarray, frac_bits: int) -> np.ndarray:
-    """encode(v, frac_bits).raw of every entry, as exact ints in an object array."""
-    return np.array([encode(v, frac_bits).raw for v in values.ravel()],
-                    dtype=object).reshape(values.shape)
+def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
+                       frac_bits: int, basis: np.ndarray | None = None) -> list[_GradTensor]:
+    """Network.backward over an encrypted (N, d, K) upstream.
 
-
-def _check_frac(frac_bits: int):
-    if frac_bits > MAX_FRAC_BITS:
-        raise EncodingOverflowError(f"fraction bits {frac_bits} exceed {MAX_FRAC_BITS}")
-
-
-def _power_product(basis: list[Ciphertext], exponents, frac_bits: int) -> Ciphertext:
-    """prod_k basis[k]^exponents[k]: the plaintext sum_k exponents[k] * basis[k],
-    read at frac_bits."""
-    acc = _ct_sum(ct.mul_int(e) for ct, e in zip(basis, exponents))
-    return Ciphertext(acc.value, frac_bits, acc.public_key)
-
-
-def encrypted_backward(net: Network, trace: list[np.ndarray], upstream, frac_bits: int,
-                       basis: list[Ciphertext] | None = None,
-                       coef: np.ndarray | None = None) -> list[_GradTensor]:
-    """Backpropagate an encrypted upstream through a plaintext network.
-
-    Row r's upstream at output o is the sum of two parts:
-      shared:   sum_k coef[r, o, k] * basis[k], with basis K ciphertexts and
-                coef an (N, d, K) object array of exact ints; basis None
-                means no shared part.
-      residual: upstream[r], either None or a list of d ciphertexts.
+    With basis None, K is 1 and the entries are ciphertexts at 2*frac_bits
+    fraction bits, or 0 where no ciphertext reached. With basis K ciphertexts
+    at 2*frac_bits, the entries are FixedPoint coefficients: row r's upstream
+    at output o is sum_k upstream[r, o, k] * basis[k]. Either way a gradient
+    is (out, in, K) and (out, K) first, then materialised as [..., 0] or
+    grad @ basis; its frac_bits is that of its ciphertexts.
 
     Activations and weights are local plaintext, so each layer is linear in
     the upstream: every step multiplies by a scalar encoded at frac_bits, and
-    each layer crossing adds 2*frac_bits to the running fraction counter.
-    Residual rows cross ciphertext by ciphertext. The shared part crosses as
-    ints: coef is multiplied by the same encode(x, frac_bits).raw integers
-    that mul_encoded raises ciphertexts to, summed over rows, and each
-    gradient entry then raises basis[k] once to its contracted exponent, so
-    its cost does not grow with N.
+    each layer crossing adds 2*frac_bits to the fraction counter.
+    Coefficients cross as exact FixedPoint integers, summed over rows before
+    any ciphertext is touched, so the cost of a basis does not grow with N.
 
-    The result is exact, not close: under mul_int (negative exponents
-    included), + and add_raw, ciphertexts form the commutative group
-    Z*_{n^2}, so prod_k basis[k]^E_k times the residual entry is the very
-    integer the row-by-row path reaches from the expanded upstream
-    prod_k basis[k]^coef[r, o, k] + upstream[r][o]. An entry is None (exact
-    zero) only when no row reaches it, never because an exponent sums to 0.
+    The result is exact, not close: ciphertexts under * and + form the
+    commutative group Z*_{n^2}, so prod_k basis[k]^E_k is the very integer
+    the row-by-row form reaches from the expanded upstream. An entry is 0
+    only when no row reaches it, never because an exponent sums to 0.
     """
     f = frac_bits
-    shared = basis is not None and len(coef) > 0
-    rows = [row for row in upstream if row is not None]
-    if shared:
-        delta_frac = basis[0].frac_bits
-    elif rows:
-        delta_frac = rows[0][0].frac_bits
-    else:
-        delta_frac = 2 * f
-    delta = upstream
+    delta, frac = upstream.transpose(0, 2, 1), 2 * f  # (N, K, d)
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
     for idx in range(len(net.layers) - 1, -1, -1):
         a_out, a_in = trace[idx + 1], trace[idx]
-        n_out, n_in = net.layers[idx].weights.shape
-        dz_frac = delta_frac + f
-        w_frac = dz_frac + f
-        if shared or rows:
-            _check_frac(dz_frac)
-            _check_frac(w_frac)
-        slope = a_out * (1.0 - a_out)
-        dz = [None if row is None else [row[o].mul_encoded(slope[r, o], f) for o in range(n_out)]
-              for r, row in enumerate(delta)]
-        grad_w = [_ct_sum(dz[r][o].mul_encoded(a_in[r, i], f)
-                          for r in range(len(dz)) if dz[r] is not None)
-                  for o in range(n_out) for i in range(n_in)]
-        grad_b = [_ct_sum(dz[r][o] for r in range(len(dz)) if dz[r] is not None)
-                  for o in range(n_out)]
-        if shared:
-            coef_dz = coef * _raws(slope, f)[:, :, None]
-            exp_w = np.einsum("rok,ri->oik", coef_dz, _raws(a_in, f))
-            grad_w = [_ct_sum([_power_product(basis, e, w_frac), ct])
-                      for e, ct in zip(exp_w.reshape(n_out * n_in, -1), grad_w)]
-            grad_b = [_ct_sum([_power_product(basis, e, dz_frac), ct])
-                      for e, ct in zip(coef_dz.sum(axis=0), grad_b)]
-        tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", (n_out, n_in), grad_w, w_frac)
-        tensors[2 * idx + 1] = _GradTensor(f"layer{idx}.bias", (n_out,), grad_b, dz_frac)
+        dz = delta * _fixed(a_out * (1.0 - a_out), f)[:, None, :]
+        grad_w = np.moveaxis(dz.transpose(1, 2, 0) @ _fixed(a_in, f), 0, -1)
+        grad_b = dz.sum(axis=0).T
+        tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", grad_w, frac + 2 * f)
+        tensors[2 * idx + 1] = _GradTensor(f"layer{idx}.bias", grad_b, frac + f)
         if idx:
-            weights = net.layers[idx].weights
-            delta = [None if row is None else
-                     [_ct_sum(row[o].mul_encoded(weights[o, i], f) for o in range(n_out))
-                      for i in range(n_in)]
-                     for row in dz]
-            if shared:
-                coef = np.einsum("rok,oi->rik", coef_dz, _raws(weights, f))
-            delta_frac = w_frac
+            delta = dz @ _fixed(net.layers[idx].weights, f)
+            frac += 2 * f
+    for tensor in tensors:
+        tensor.values = tensor.values[..., 0] if basis is None else tensor.values @ basis
+    return tensors
+
+
+def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) -> list[_GradTensor]:
+    params = [param for layer in net.layers for param in (layer.weights, layer.bias)]
+    for tensor, param in zip(tensors, params):
+        tensor.values = tensor.values + _fixed(decay * param, tensor.frac_bits)
     return tensors
 
 
@@ -388,9 +335,11 @@ class _Party:
         self.peer_key: PublicKey | None = None
         self.keys: dict[bytes, PublicKey] = {self.keypair.public.fingerprint: self.keypair.public}
         self.align = alignment_spec(cfg.alignment)
-        # Audit trail: every mask this party ever created, every unmasked
-        # gradient it applied, keyed by (iteration, tensor name).
+        # Audit trail: every mask this party ever created with its fraction
+        # bits, and every unmasked value it applied, keyed by (iteration,
+        # tensor name).
         self.mask_log: dict[tuple[int, str], tuple[int, ...]] = {}
+        self.mask_frac: dict[tuple[int, str], int] = {}
         self.applied_log: dict[tuple[int, str], tuple[int, ...]] = {}
         self.predict_seq = 0
 
@@ -425,29 +374,24 @@ class _Party:
         self.peer_key = _read_pubkey(frame.payload)
         self.keys[self.peer_key.fingerprint] = self.peer_key
 
-    def _record_mask(self, iteration: int, name: str, raws: list[int]):
-        key = (iteration, name)
+    def _encrypt(self, values) -> np.ndarray:
+        """Every entry under this party's own key at frac_bits, row-major."""
+        values = np.asarray(values, dtype=float)
+        return np.array([self.keypair.encrypt(v, self.frac_bits, self.rng)
+                         for v in values.ravel()], dtype=object).reshape(values.shape)
+
+    def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
+        """values plus a fresh mask at frac_bits, recorded under (seq, name),
+        as a ciphertext section under the peer's key."""
+        key = (seq, name)
         if key in self.mask_log:
             raise ProtocolError(f"mask for {key} would be reused")
-        self.mask_log[key] = tuple(raws)
-
-    def _mask_and_pack(self, iteration: int, tensors: list[_GradTensor]) -> bytes:
-        sections = []
-        for tensor in tensors:
-            raws = _mask_raws(self.rng, len(tensor.cts), tensor.frac_bits)
-            self._record_mask(iteration, tensor.name, raws)
-            masked = []
-            for ct, mask in zip(tensor.cts, raws):
-                if ct is None:
-                    # Exact-zero gradient entry: the masked value is the mask.
-                    masked.append(self.peer_key.encrypt_raw(mask, tensor.frac_bits, self.rng))
-                elif isinstance(ct, _PendingRaw):
-                    masked.append(self.peer_key.encrypt_raw(ct.raw + mask, tensor.frac_bits,
-                                                            self.rng))
-                else:
-                    masked.append(ct.add_raw(mask))
-            sections.append(_ct_section(tensor.name, tensor.dims, masked))
-        return pack_sections(sections)
+        raws = _mask_raws(self.rng, values.size, frac_bits)
+        self.mask_log[key], self.mask_frac[key] = tuple(raws), frac_bits
+        masked = values.ravel() + np.array([FixedPoint(m, frac_bits) for m in raws], dtype=object)
+        return _ct_section(name, values.shape, [
+            m if isinstance(m, Ciphertext) else self.peer_key.encrypt_raw(m.raw, frac_bits, self.rng)
+            for m in masked])
 
     def _decrypt_to_blob(self, sections: list[Section]) -> bytes:
         """Decrypt a peer's masked ciphertext sections into a DECRYPTED_BLOB;
@@ -460,34 +404,42 @@ class _Party:
                                     [self.keypair.private.decrypt_raw(ct) for ct in cts]))
         return pack_sections(out)
 
+    def _unmask(self, seq: int, name: str, raws: list[int]) -> list[int]:
+        """Blob raws less the mask on record for (seq, name), logged as applied."""
+        key = (seq, name)
+        if key not in self.mask_log:
+            raise ProtocolError(f"no mask on record for blob section {name}")
+        mask = self.mask_log[key]
+        if len(mask) != len(raws):
+            raise ProtocolError(f"blob section {name} has wrong length")
+        unmasked = [r - m for r, m in zip(raws, mask)]
+        self.applied_log[key] = tuple(unmasked)
+        return unmasked
+
     def _unmask_and_apply(self, net: Network, iteration: int, blob_payload: bytes,
                           learning_rate: float) -> dict[str, float]:
         """Exact integer unmasking, then one gradient step.
 
         Sections named layer*.{weights,bias} are this party's own gradient;
-        anything else (the loss at the source) is unmasked and returned.
+        anything else (the loss at the source) is unmasked and returned. Each
+        is read at the fraction bits it was masked at, which the blob must
+        repeat.
         """
-        extras: dict[str, float] = {}
-        grads = {}
+        values = {}
         for name, frac_bits, raws in _read_blob(blob_payload):
-            key = (iteration, name)
-            if key not in self.mask_log:
-                raise ProtocolError(f"no mask on record for blob section {name}")
-            mask = self.mask_log[key]
-            if len(mask) != len(raws):
-                raise ProtocolError(f"blob section {name} has wrong length")
-            unmasked = [r - m for r, m in zip(raws, mask)]
-            self.applied_log[key] = tuple(unmasked)
-            if name.startswith("layer"):
-                grads[name] = np.array([u / (1 << frac_bits) for u in unmasked])
-            else:
-                extras[name] = unmasked[0] / (1 << frac_bits)
+            masked_at = self.mask_frac.get((iteration, name), frac_bits)
+            if frac_bits != masked_at:
+                raise ProtocolError(f"blob section {name} claims {frac_bits} fraction bits, "
+                                    f"masked at {masked_at}")
+            unmasked = self._unmask(iteration, name, raws)
+            values[name] = np.array([u / (1 << frac_bits) for u in unmasked])
         for idx, layer in enumerate(net.layers):
-            if f"layer{idx}.weights" not in grads or f"layer{idx}.bias" not in grads:
+            if f"layer{idx}.weights" not in values or f"layer{idx}.bias" not in values:
                 raise ProtocolError(f"blob lacks the gradient of layer{idx}")
-            layer.weights -= learning_rate * grads[f"layer{idx}.weights"].reshape(layer.weights.shape)
-            layer.bias -= learning_rate * grads[f"layer{idx}.bias"]
-        return extras
+            layer.weights -= learning_rate * values.pop(f"layer{idx}.weights").reshape(
+                layer.weights.shape)
+            layer.bias -= learning_rate * values.pop(f"layer{idx}.bias")
+        return {name: float(v[0]) for name, v in values.items()}
 
     # -- prediction roles (either party can serve or request)
 
@@ -496,9 +448,8 @@ class _Party:
         self.predict_seq += 1
         seq = self.predict_seq
         n, d = u_rows.shape
-        cts = [self.keypair.encrypt(u_rows[r, c], self.frac_bits, self.rng)
-               for r in range(n) for c in range(d)]
-        self._send(MsgType.PREDICT_REQUEST, seq, pack_sections([_ct_section("u", (n, d), cts)]))
+        self._send(MsgType.PREDICT_REQUEST, seq,
+                   pack_sections([_ct_section("u", (n, d), self._encrypt(u_rows).flat)]))
         frame = self._recv({MsgType.PREDICT_MASKED: seq})
         self._send(MsgType.DECRYPTED_BLOB, seq,
                    self._decrypt_to_blob([_only(frame.payload, "predict.scores", 1)]))
@@ -515,23 +466,15 @@ class _Party:
         n, d = request.dims
         if d != len(prototype):
             raise ProtocolError(f"prototype dim {len(prototype)} != request dim {d}")
-        scores = [_ct_sum(row[c].mul_encoded(prototype[c], self.frac_bits) for c in range(d))
-                  for row in _nest(_section_cts(request, self.keys), (n, d))]
-        frac = scores[0].frac_bits if scores else 2 * self.frac_bits
-        masks = _mask_raws(self.rng, n, frac)
-        self._record_mask(seq, "predict.scores", masks)
-        masked = [ct.add_raw(m) for ct, m in zip(scores, masks)]
-        self._send(MsgType.PREDICT_MASKED, seq,
-                   pack_sections([_ct_section("predict.scores", (n,), masked)]))
+        scores = _section_array(request, self.keys) @ _fixed(prototype, self.frac_bits)
+        self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
+            [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
         _, raws = _section_ints(_only(blob.payload, "predict.scores", 1))
-        if len(raws) != n:
-            raise ProtocolError(f"{len(raws)} unmasked scores for {n} query rows")
-        unmasked = [r - m for r, m in zip(raws, masks)]
-        self.applied_log[(seq, "predict.scores")] = tuple(unmasked)
         # The tie at exactly zero classifies positive; integer-domain
         # unmasking keeps that decidable.
-        labels = np.array([1 if u >= 0 else -1 for u in unmasked], dtype=int)
+        labels = np.array([1 if u >= 0 else -1 for u in self._unmask(seq, "predict.scores", raws)],
+                          dtype=int)
         self._send(MsgType.PREDICT_LABELS, seq,
                    pack_sections([_int_section("labels", (n,), 0, labels.tolist())]))
         return labels
@@ -551,54 +494,37 @@ class SourceParty(_Party):
         self.labels_c = split.labels_for(split.labeled_ids).astype(int)
         self.ab_rows = split.source_rows(split.overlap_ids)
         self.peer_shape = (len(self.labels_c), len(self.ab_rows), net.hidden_dim, True)
-        self.loss_history: list[float] = []
+        # Row j's coefficient on the pooled basis: y_j on pooled[o] at output o.
+        self.coef = _fixed(self.labels[:, None, None] * np.eye(net.hidden_dim), 0)
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         """Encrypt the prototype-quadratic, prototype-linear, and alignment
         components under this party's own key."""
         u = trace[-1]
         prototype = label_prototype(u, self.labels)
-        quad_base = 0.125 * np.outer(prototype, prototype)
-        f, own, rng = self.frac_bits, self.keypair, self.rng
-        quad = [[[own.encrypt(y * y * quad_base[r, c], f, rng) for c in range(len(prototype))]
-                 for r in range(len(prototype))] for y in self.labels_c]
-        lin = [[own.encrypt(-0.5 * y * prototype[c], f, rng) for c in range(len(prototype))]
-               for y in self.labels_c]
-        gk = self.cfg.gamma * self.align.kappa
-        align = [[own.encrypt(gk * value, f, rng) for value in u[row]] for row in self.ab_rows]
-        return ComponentBatch(quad, lin, align)
+        y = self.labels_c
+        return ComponentBatch(
+            self._encrypt((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype)),
+            self._encrypt((-0.5 * y)[:, None] * prototype),
+            self._encrypt(self.cfg.gamma * self.align.kappa * u[self.ab_rows]))
 
-    def assemble_loss(self, comps: ComponentBatch, trace: list[np.ndarray],
+    def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
                       prototype: np.ndarray) -> Ciphertext:
-        """Build [[loss]] under the target's key from the target's components."""
+        """Build [[loss]] under the target's key from the target's components;
+        quad is comps.quad summed over labeled pairs."""
         f = self.frac_bits
         u_ab = trace[-1][self.ab_rows]
-        n = len(self.labels)
-        terms = []
-        for i, y in enumerate(self.labels_c):
-            quad_i, lin_i = comps.quad[i], comps.lin[i]
-            for b in range(len(prototype)):
-                for c in range(len(prototype)):
-                    terms.append(quad_i[b][c].mul_encoded(
-                        0.125 * y * y * prototype[b] * prototype[c], f))
-            for c in range(len(prototype)):
-                terms.append(lin_i[c].mul_encoded(-0.5 * y * prototype[c], f))
-        for j, align_j in enumerate(comps.align):
-            for c in range(len(prototype)):
-                terms.append(align_j[c].mul_encoded(self.cfg.gamma * u_ab[j, c], f))
-        if comps.reg is not None:
-            terms.append(comps.reg)
-        constant = (len(self.labels_c) * LOG2
+        y = self.labels_c
+        constant = (len(y) * LOG2
                     + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        acc = _ct_sum(terms)
-        raw = encode(constant, 2 * f).raw
-        if acc is None:
-            return self.peer_key.encrypt_raw(raw, 2 * f, self.rng)
-        return acc.add_raw(raw)
+        return ((quad * _fixed(np.outer(0.125 * prototype, prototype), f)).sum()
+                + (comps.lin * _fixed((-0.5 * y)[:, None] * prototype, f)).sum()
+                + (comps.align * _fixed(self.cfg.gamma * u_ab, f)).sum()
+                + comps.reg + encode(constant, 2 * f))
 
-    def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray],
-                          prototype: np.ndarray) -> list[_GradTensor]:
+    def assemble_gradient(self, comps: ComponentBatch, quad: np.ndarray,
+                          trace: list[np.ndarray], prototype: np.ndarray) -> list[_GradTensor]:
         """Own-parameter gradient under the target's key, before masking.
 
         Every source row j receives (y_j / N) * S through the prototype path,
@@ -608,27 +534,17 @@ class SourceParty(_Party):
         coefficient y_j = +-1, and only the overlap rows carry residual
         ciphertexts through encrypted_backward.
         """
-        f = self.frac_bits
-        d = len(prototype)
-        n = len(self.labels)
-        u = trace[-1]
-        pooled = []
-        for c in range(d):
-            terms = []
-            for i, y in enumerate(self.labels_c):
-                for b in range(d):
-                    terms.append(comps.quad[i][b][c].mul_encoded(
-                        0.25 * y * y * prototype[b] / n, f))
-                terms.append(comps.lin[i][c].mul_encoded(-0.5 * y / n, f))
-            pooled.append(_ct_sum(terms))
-        residual: list = [None] * len(u)
-        own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
-        for j, row in enumerate(self.ab_rows):
-            _accumulate(residual, row, [comps.align[j][c].mul_encoded(self.cfg.gamma, f).add_raw(
-                encode(own_align[j, c], 2 * f).raw) for c in range(d)])
-        coef = self.labels.astype(object)[:, None, None] * np.eye(d, dtype=object)
-        basis = None if pooled[0] is None else pooled
-        tensors = encrypted_backward(self.net, trace, residual, f, basis, coef)
+        f, n, u = self.frac_bits, len(self.labels), trace[-1]
+        pooled = (_fixed(0.25 * prototype / n, f) @ quad
+                  + _fixed(-0.5 * self.labels_c / n, f) @ comps.lin)
+        tensors = encrypted_backward(self.net, trace, self.coef, f, pooled)
+        if len(self.ab_rows):
+            own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
+            residual = comps.align * encode(self.cfg.gamma, f) + _fixed(own_align, 2 * f)
+            rows = [a[self.ab_rows] for a in trace]
+            for tensor, extra in zip(tensors, encrypted_backward(self.net, rows,
+                                                                 residual[:, :, None], f)):
+                tensor.values = tensor.values + extra.values
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
     def run_training(self) -> TrainingResult:
@@ -642,15 +558,17 @@ class SourceParty(_Party):
                        self.compute_components(trace).to_payload())
             frame = self._recv({MsgType.COMPONENTS_B: iteration})
             comps = self._read_components(frame.payload)
+            # Labels are +-1, so y^2 = 1 and every labeled pair's quad
+            # coefficient is the same: contract the pairs once, before any
+            # multiply.
+            quad = comps.quad.sum(axis=0)
 
-            masked_grad = self._mask_and_pack(
-                iteration, self.assemble_gradient(comps, trace, prototype))
-            self._send(MsgType.MASKED_GRAD_A, iteration, masked_grad)
-            loss_ct = self.assemble_loss(comps, trace, prototype)
-            loss_mask = _mask_raws(self.rng, 1, loss_ct.frac_bits)
-            self._record_mask(iteration, "loss", loss_mask)
-            self._send(MsgType.ENC_LOSS, iteration,
-                       pack_sections([_ct_section("loss", (), [loss_ct.add_raw(loss_mask[0])])]))
+            tensors = self.assemble_gradient(comps, quad, trace, prototype)
+            self._send(MsgType.MASKED_GRAD_A, iteration, pack_sections(
+                [self._mask(iteration, t.name, t.values, t.frac_bits) for t in tensors]))
+            loss_ct = self.assemble_loss(comps, quad, trace, prototype)
+            self._send(MsgType.ENC_LOSS, iteration, pack_sections(
+                [self._mask(iteration, "loss", np.array(loss_ct), loss_ct.frac_bits)]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_B: iteration})
             self._send(MsgType.DECRYPTED_BLOB, iteration,
@@ -662,7 +580,6 @@ class SourceParty(_Party):
                 raise ProtocolError("target's blob did not return the loss")
             loss = extras["loss"]
             result.loss_history.append(loss)
-            self.loss_history.append(loss)
             if previous - loss <= self.cfg.tolerance:
                 result.converged = True
                 self._send(MsgType.STOP, iteration)
@@ -683,43 +600,30 @@ class TargetParty(_Party):
         super().__init__(channel, cfg, key_bits, frac_bits, seed)
         self.net = net
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)
-        self.batch_ids = batch_ids
         self.x = split.x_target[split.target_rows(batch_ids)]
-        self.x_all = split.x_target
         self.peer_shape = (len(self.c_pos), len(self.ab_pos), net.hidden_dim, False)
-        self._split = split
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
-        f, own, rng = self.frac_bits, self.keypair, self.rng
         u_c, u_ab = u[self.c_pos], u[self.ab_pos]
-        quad = [[[own.encrypt(row[r] * row[c], f, rng) for c in range(len(row))]
-                 for r in range(len(row))] for row in u_c]
-        lin = [[own.encrypt(value, f, rng) for value in row] for row in u_c]
-        align = [[own.encrypt(self.align.kappa * value, f, rng) for value in row] for row in u_ab]
         # The scalar loss share: this party's weight-decay term, plus its own
         # alignment terms when the alignment kind has any.
         reg_value = (0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                      + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        return ComponentBatch(quad, lin, align, own.encrypt(reg_value, 2 * f, rng))
+        return ComponentBatch(self._encrypt(u_c[:, :, None] * u_c[:, None, :]),
+                              self._encrypt(u_c), self._encrypt(self.align.kappa * u_ab),
+                              self.keypair.encrypt(reg_value, 2 * self.frac_bits, self.rng))
 
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_GradTensor]:
         """Own-parameter gradient under the source's key, before masking."""
-        f = self.frac_bits
-        u = trace[-1]
-        d = u.shape[1]
-        upstream: list = [None] * len(u)
-        for i, pos in enumerate(self.c_pos):
-            quad_i, lin_i = comps.quad[i], comps.lin[i]
-            _accumulate(upstream, pos, [
-                _ct_sum([quad_i[r][c].mul_encoded(2.0 * u[pos, c], f) for c in range(d)]
-                        + [lin_i[r].lift(f)]) for r in range(d)])
+        f, u = self.frac_bits, trace[-1]
+        one = encode(1.0, f)  # lifts a component to the upstream's 2f fraction bits
+        upstream = np.zeros(u.shape, dtype=object)
+        upstream[self.c_pos] = ((comps.quad @ _fixed(2.0 * u[self.c_pos], f)[:, :, None])[..., 0]
+                                + comps.lin * one)
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
-        for j, pos in enumerate(self.ab_pos):
-            _accumulate(upstream, pos, [
-                comps.align[j][c].lift(f).add_raw(encode(own_align[j, c], 2 * f).raw)
-                for c in range(d)])
-        tensors = encrypted_backward(self.net, trace, upstream, f)
+        upstream[self.ab_pos] += comps.align * one + _fixed(own_align, 2 * f)
+        tensors = encrypted_backward(self.net, trace, upstream[:, :, None], f)
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
     def run_training(self) -> TrainingResult:
@@ -741,8 +645,9 @@ class TargetParty(_Party):
                 comps_frame = self._recv({MsgType.COMPONENTS_A: iteration})
             comps = self._read_components(comps_frame.payload)
 
-            masked_grad = self._mask_and_pack(iteration, self.assemble_gradient(comps, trace))
-            self._send(MsgType.MASKED_GRAD_B, iteration, masked_grad)
+            tensors = self.assemble_gradient(comps, trace)
+            self._send(MsgType.MASKED_GRAD_B, iteration, pack_sections(
+                [self._mask(iteration, t.name, t.values, t.frac_bits) for t in tensors]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
             loss_frame = self._recv({MsgType.ENC_LOSS: iteration})
@@ -756,34 +661,6 @@ class TargetParty(_Party):
         self._recv({MsgType.STOP: self.cfg.max_iterations})
         result.converged = True
         return result
-
-
-class _PendingRaw:
-    """A plaintext raw value awaiting encryption at masking time.
-
-    Appears when a gradient entry had no encrypted contributions (all
-    upstream rows were None) but weight decay still adds a plaintext term.
-    """
-
-    def __init__(self, raw: int):
-        self.raw = raw
-
-
-def _decayed(ct, value: float, frac_bits: int):
-    raw = encode(value, frac_bits).raw
-    if ct is None:
-        return _PendingRaw(raw) if raw else None
-    return ct.add_raw(raw)
-
-
-def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) -> list[_GradTensor]:
-    for tensor in tensors:
-        idx = int(tensor.name.split(".")[0].removeprefix("layer"))
-        layer = net.layers[idx]
-        values = (layer.weights if tensor.name.endswith("weights") else layer.bias).ravel()
-        tensor.cts = [_decayed(ct, decay * v, tensor.frac_bits)
-                      for ct, v in zip(tensor.cts, values)]
-    return tensors
 
 
 # ---------------------------------------------------------------------------

@@ -71,3 +71,20 @@ def test_residue_overflow():
         to_residue(51, modulus)  # > modulus // 2
     assert to_residue(50, modulus) == 50
     assert from_residue(51, modulus) == -50
+
+
+def test_fixed_point_arithmetic():
+    assert FixedPoint(3, 4) + FixedPoint(-5, 4) == FixedPoint(-2, 4)
+    assert FixedPoint(3, 4) * FixedPoint(-5, 2) == FixedPoint(-15, 6)
+    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 4 vs 5"):
+        _ = FixedPoint(3, 4) + FixedPoint(3, 5)
+    with pytest.raises(EncodingOverflowError, match=f"fraction bits 256 exceed {MAX_FRAC_BITS}"):
+        _ = FixedPoint(1, 200) * FixedPoint(1, 56)
+
+
+def test_zero_is_structural():
+    x = FixedPoint(7, 3)
+    assert x + 0 is x and 0 + x is x
+    assert x * 0 == 0 and 0 * x == 0
+    assert x * FixedPoint(0, 1) == FixedPoint(0, 4)
+    assert sum([x, x]) == FixedPoint(14, 3)

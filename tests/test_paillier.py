@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secureftl.encoding import encode
+from secureftl.encoding import EncodingOverflowError, FixedPoint, encode
 from secureftl.paillier import (
     Ciphertext,
     CiphertextFormatError,
@@ -78,20 +78,50 @@ def test_add_raw():
     assert SK.decrypt_raw(ct.add_raw(-300)) == -200
 
 
-def test_mul_encoded_accumulates_frac():
+def test_add_fixed_point():
+    rng = random.Random(4)
+    ct = PK.encrypt_raw(100, frac_bits=5, rng=rng)
+    out = ct + FixedPoint(-300, 5)
+    assert out.frac_bits == 5
+    assert SK.decrypt_raw(out) == SK.decrypt_raw(FixedPoint(-300, 5) + ct) == -200
+
+
+def test_mul_fixed_point_accumulates_frac():
     rng = random.Random(5)
     ct = PK.encrypt(2.5, frac_bits=10, rng=rng)
-    out = ct.mul_encoded(1.5, frac_bits=10)
-    assert out.frac_bits == 20
-    assert SK.decrypt(out) == pytest.approx(3.75, abs=2e-3)
+    for out in (ct * encode(1.5, 10), encode(1.5, 10) * ct):
+        assert out.frac_bits == 20
+        assert SK.decrypt(out) == pytest.approx(3.75, abs=2e-3)
 
 
-def test_lift_rescales():
+def test_mul_by_encoded_one_lifts():
     rng = random.Random(6)
     ct = PK.encrypt(2.0, frac_bits=10, rng=rng)
-    lifted = ct.lift(5)
+    lifted = ct * encode(1.0, 5)
     assert lifted.frac_bits == 15
     assert SK.decrypt(lifted) == 2.0
+
+
+def test_operator_fraction_mismatch_raises():
+    ct = PK.encrypt(1.0, frac_bits=8, rng=random.Random(3))
+    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 8 vs 9"):
+        _ = ct + FixedPoint(1, 9)
+    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch"):
+        _ = FixedPoint(1, 9) + ct
+
+
+def test_operator_fraction_overflow_raises():
+    ct = PK.encrypt(1.0, frac_bits=200, rng=random.Random(3))
+    with pytest.raises(EncodingOverflowError, match="fraction bits 260 exceed 255"):
+        _ = ct * FixedPoint(1, 60)
+
+
+def test_zero_is_structural():
+    ct = PK.encrypt(1.5, frac_bits=8, rng=random.Random(3))
+    assert ct + 0 is ct and 0 + ct is ct
+    assert ct * 0 == 0 and 0 * ct == 0
+    assert isinstance(ct * FixedPoint(0, 8), Ciphertext)
+    assert SK.decrypt(ct * FixedPoint(0, 8)) == 0.0
 
 
 def test_wire_size():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secureftl.datasets import FederationSplit, synth_two_view
+from secureftl.encoding import FixedPoint
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import Ciphertext, keygen
@@ -21,7 +22,6 @@ from secureftl.protocol import (
     TargetParty,
     WIRE_ERRORS,
     _ct_section,
-    _ct_sum,
     _int_section,
     _only,
     _pubkey_payload,
@@ -47,10 +47,16 @@ from secureftl.transport import (
 F = 40
 
 
+def _enc_array(public, values, frac_bits=F):
+    values = np.asarray(values, dtype=float)
+    return np.array([public.encrypt(float(v), frac_bits) for v in values.ravel()],
+                    dtype=object).reshape(values.shape)
+
+
 def _decrypt_tensor(tensor, keypair):
-    flat = [0.0 if ct is None else keypair.private.decrypt_raw(ct) / 2.0 ** tensor.frac_bits
-            for ct in tensor.cts]
-    return np.array(flat).reshape(tensor.dims)
+    return np.array([0.0 if isinstance(ct, int) else
+                     keypair.private.decrypt_raw(ct) / 2.0 ** tensor.frac_bits
+                     for ct in tensor.values.flat]).reshape(tensor.values.shape)
 
 
 def test_encrypted_backward_matches_plaintext():
@@ -61,14 +67,15 @@ def test_encrypted_backward_matches_plaintext():
     upstream_plain[[0, 2, 4]] = rng.normal(size=(3, 2))
 
     keypair = keygen(512, random.Random(11))
-    upstream = [None if not np.any(row) else
-                [keypair.public.encrypt(float(v), F) for v in row]
-                for row in upstream_plain]
+    # Rows no ciphertext reaches hold the structural zero 0.
+    upstream = np.zeros((5, 2, 1), dtype=object)
+    upstream[[0, 2, 4], :, 0] = _enc_array(keypair.public, upstream_plain[[0, 2, 4]], 2 * F)
     trace = net.forward_trace(x)
     tensors = encrypted_backward(net, trace, upstream, F)
     expected = net.backward_u(x, upstream_plain)
     assert [t.name for t in tensors] == [
         "layer0.weights", "layer0.bias", "layer1.weights", "layer1.bias"]
+    assert [t.frac_bits for t in tensors] == [6 * F, 5 * F, 4 * F, 3 * F]
     for tensor, layer_idx in zip(tensors, (0, 0, 1, 1)):
         want = expected[layer_idx].weights if tensor.name.endswith("weights") \
             else expected[layer_idx].bias
@@ -76,72 +83,68 @@ def test_encrypted_backward_matches_plaintext():
         assert np.allclose(got, want, atol=1e-9)
 
 
-def _expanded_upstream(basis, coef, residual):
-    """Row r's upstream as its own ciphertexts, prod_k basis[k]^coef[r, o, k]
-    times residual[r][o]: the per-row form the shared basis replaces."""
-    rows = []
-    for r, extra in enumerate(residual):
-        shared = None if basis is None else [
-            _ct_sum(ct.mul_int(int(e)) for ct, e in zip(basis, coef[r, o]))
-            for o in range(coef.shape[1])]
-        parts = [part for part in (shared, extra) if part is not None]
-        rows.append([_ct_sum(cts) for cts in zip(*parts)] if parts else None)
-    return rows
-
-
 def _ct_fields(tensors):
-    return [(t.name, t.dims, t.frac_bits,
-             [None if ct is None else (ct.value, ct.frac_bits) for ct in t.cts])
+    return [(t.name, t.values.shape, t.frac_bits,
+             [(ct.value, ct.frac_bits) if isinstance(ct, Ciphertext) else ct
+              for ct in t.values.flat])
             for t in tensors]
 
 
 @pytest.mark.parametrize("case", ["signs-and-residual-only-rows", "zero-sum", "no-basis"])
 def test_shared_basis_backward_is_exact(case):
+    """Coefficients on a shared basis, contracted over rows before any
+    ciphertext is touched, plus residual ciphertext rows (the source's
+    gradient) reach the very ciphertexts of the expanded per-row upstream."""
     rng = np.random.default_rng(5)
     keypair = keygen(512, random.Random(11))
     net = init_network([3, 4, 2], seed=9)
 
-    def enc_row():
-        return [keypair.public.encrypt(float(v), 2 * F) for v in rng.normal(size=2)]
+    def enc_rows(count):
+        return _enc_array(keypair.public, rng.normal(size=(count, 2)), 2 * F)
 
-    basis = enc_row()
+    basis = enc_rows(1)[0]
     x = rng.normal(size=(5, 3))
-    signs = np.array([1, -1, 1, -1, -1], dtype=object)
-    residual = [enc_row(), None, None, enc_row(), enc_row()]
+    signs = np.array([1, -1, 1, -1, -1])
+    rows = np.array([0, 3, 4])  # the rows with a residual
+    residual = enc_rows(3)
     if case == "zero-sum":
         # Two equal rows of opposite sign: every contracted exponent is 0.
-        x, signs, residual = x[[0, 0]], signs[:2], [None, None]
-    coef = signs[:, None, None] * np.eye(2, dtype=object)
+        x, signs, rows, residual = x[[0, 0]], signs[:2], rows[:0], residual[:0]
+    coef = signs[:, None, None] * np.eye(2)
     if case == "signs-and-residual-only-rows":
         coef[4] = 0  # row 4 reaches the gradient through its residual only
     if case == "no-basis":
-        basis = None  # n_c = 0: no pooled prototype path
+        basis = np.zeros(2, dtype=object)  # n_c = 0: the pooled basis is structural zeros
+    coef = np.array([FixedPoint(int(c), 0) for c in coef.ravel()],
+                    dtype=object).reshape(coef.shape)
     trace = net.forward_trace(x)
 
-    got = encrypted_backward(net, trace, residual, F, basis, coef)
-    want = encrypted_backward(net, trace, _expanded_upstream(basis, coef, residual), F)
+    got = encrypted_backward(net, trace, coef, F, basis)
+    if len(rows):
+        extra = encrypted_backward(net, [a[rows] for a in trace], residual[:, :, None], F)
+        for tensor, more in zip(got, extra):
+            tensor.values = tensor.values + more.values
+    expanded = coef @ basis  # row r, output o: prod_k basis[k]^coef[r, o, k]
+    expanded[rows] += residual
+    want = encrypted_backward(net, trace, expanded[:, :, None], F)
     assert _ct_fields(got) == _ct_fields(want)
-    assert all(ct is not None for t in got for ct in t.cts)
+    assert all(isinstance(ct, Ciphertext) for t in got for ct in t.values.flat)
     if case == "zero-sum":
-        assert {ct.value for t in got for ct in t.cts} == {1}
+        assert {ct.value for t in got for ct in t.values.flat} == {1}
 
 
 def test_component_batch_roundtrip():
     keypair = keygen(512, random.Random(1))
     keys = {keypair.public.fingerprint: keypair.public}
-
-    def enc(v):
-        return keypair.public.encrypt(v, F)
-
     batch = ComponentBatch(
-        quad=[[[enc(1.0), enc(2.0)], [enc(3.0), enc(4.0)]]],
-        lin=[[enc(5.0), enc(6.0)], [enc(7.0), enc(8.0)]],
-        align=[[enc(0.5), enc(-0.5)]],
-        reg=enc(9.0))
+        quad=_enc_array(keypair.public, [[[1.0, 2.0], [3.0, 4.0]]]),
+        lin=_enc_array(keypair.public, [[5.0, 6.0], [7.0, 8.0]]),
+        align=_enc_array(keypair.public, [[0.5, -0.5]]),
+        reg=keypair.public.encrypt(9.0, F))
     back = ComponentBatch.from_payload(batch.to_payload(), keys)
     private = keypair.private
-    assert private.decrypt_raw(back.quad[0][1][0]) == private.decrypt_raw(batch.quad[0][1][0])
-    assert len(back.lin) == 2 and len(back.align) == 1
+    assert private.decrypt_raw(back.quad[0, 1, 0]) == private.decrypt_raw(batch.quad[0, 1, 0])
+    assert (back.quad.shape, back.lin.shape, back.align.shape) == ((1, 2, 2), (2, 2), (1, 2))
     assert private.decrypt_raw(back.reg) == private.decrypt_raw(batch.reg)
 
 
@@ -284,13 +287,10 @@ def test_encrypted_rejects_too_deep_net_before_keygen(small_split, monkeypatch):
 
 
 def _component_batch(public, n_c, n_ab, d, reg):
-    def enc():
-        return public.encrypt(0.5, F)
-
-    return ComponentBatch([[[enc() for _ in range(d)] for _ in range(d)] for _ in range(n_c)],
-                          [[enc() for _ in range(d)] for _ in range(n_c)],
-                          [[enc() for _ in range(d)] for _ in range(n_ab)],
-                          enc() if reg else None)
+    return ComponentBatch(_enc_array(public, np.full((n_c, d, d), 0.5)),
+                          _enc_array(public, np.full((n_c, d), 0.5)),
+                          _enc_array(public, np.full((n_ab, d), 0.5)),
+                          public.encrypt(0.5, F) if reg else None)
 
 
 @pytest.mark.parametrize("role", ["source", "target"])
@@ -327,8 +327,9 @@ def _with_source_rows(split, extra: int) -> FederationSplit:
         eval_ids=split.eval_ids, labels_eval=split.labels_eval)
 
 
-def _source_mul_ints(split, monkeypatch) -> int:
-    """mul_int calls made by the source party in one two-layer iteration."""
+def _source_mul_ints(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
+    """mul_int calls made by the source party in one iteration (two-layer
+    nets unless told otherwise)."""
     source_threads, callers = set(), []
     run_training, mul_int = SourceParty.run_training, Ciphertext.mul_int
 
@@ -342,7 +343,7 @@ def _source_mul_ints(split, monkeypatch) -> int:
 
     monkeypatch.setattr(SourceParty, "run_training", traced_run)
     monkeypatch.setattr(Ciphertext, "mul_int", counted)
-    train_encrypted(split, init_network([3, 4, 2], seed=4), init_network([2, 4, 2], seed=5),
+    train_encrypted(split, init_network(dims_source, seed=4), init_network(dims_target, seed=5),
                     _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
     monkeypatch.undo()
     return sum(ident in source_threads for ident in callers)
@@ -355,6 +356,19 @@ def test_source_mul_count_ignores_source_rows(small_split, monkeypatch):
     count = _source_mul_ints(small_split, monkeypatch)
     assert count > 0
     assert _source_mul_ints(wide, monkeypatch) == count
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
+    # The quad components are summed over labeled pairs before the multiply,
+    # so a pair costs one lin multiply per entry in the loss and one in the
+    # gradient, not d^2 + d of each.
+    def split(n_labeled):
+        return synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                              n_overlap=6, n_labeled=n_labeled, n_eval=2)
+
+    few, many = (_source_mul_ints(split(n), monkeypatch, [3, d], [2, d]) for n in (2, 6))
+    assert (many - few) / 4 == 2 * d
 
 
 def test_recv_rejects_unexpected_message(small_split):
@@ -606,6 +620,35 @@ def test_unmask_rejects_blob_without_every_layer(small_split):
                         source_end, key_bits=512, frac_bits=F, seed=0)
     with pytest.raises(ProtocolError, match="lacks the gradient of layer0"):
         party._unmask_and_apply(party.net, 1, pack_sections([]), 0.1)
+
+
+def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes:
+    """The peer's DECRYPTED_BLOB answering party's masked all-ones gradient at
+    4F fraction bits, written as if it were at claimed_frac bits."""
+    sections = []
+    for idx, layer in enumerate(party.net.layers):
+        for name, param in (("weights", layer.weights), ("bias", layer.bias)):
+            ones = np.full(param.shape, FixedPoint(1 << (4 * F), 4 * F), dtype=object)
+            masked = party._mask(iteration, f"layer{idx}.{name}", ones, 4 * F)
+            raws = [peer.private.decrypt_raw(ct) for ct in _section_cts(masked, party.keys)]
+            sections.append(_int_section(masked.name, masked.dims, claimed_frac, raws))
+    return pack_sections(sections)
+
+
+def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split):
+    source_end, _, _ = loopback_pair()
+    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
+                        source_end, key_bits=512, frac_bits=F, seed=0)
+    peer = keygen(512, random.Random(9))
+    party.peer_key = peer.public
+    party.keys[peer.public.fingerprint] = peer.public
+    before = party.net.layers[0].weights.copy()
+    # Read at 100 bits, the unit gradient masked at 160 would step by 0.1 * 2^60.
+    with pytest.raises(ProtocolError, match="claims 100 fraction bits, masked at 160"):
+        party._unmask_and_apply(party.net, 1, _unit_gradient_blob(party, peer, 1, 100), 0.1)
+    assert np.array_equal(party.net.layers[0].weights, before)
+    party._unmask_and_apply(party.net, 2, _unit_gradient_blob(party, peer, 2, 4 * F), 0.1)
+    assert np.allclose(party.net.layers[0].weights, before - 0.1)
 
 
 def _ints(name, dims, values):

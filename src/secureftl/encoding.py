@@ -34,6 +34,11 @@ def is_zero(value) -> bool:
     return isinstance(value, int) and value == 0
 
 
+def check_frac_bits(frac_bits: int):
+    if not 0 <= frac_bits <= MAX_FRAC_BITS:
+        raise EncodingOverflowError(f"frac_bits {frac_bits} outside [0, {MAX_FRAC_BITS}]")
+
+
 def check_frac_sum(a: int, b: int) -> int:
     """The fraction bits of a product: a + b, at most MAX_FRAC_BITS."""
     if a + b > MAX_FRAC_BITS:
@@ -74,8 +79,7 @@ class FixedPoint:
 
 def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
     """Round value to the nearest multiple of 2**-frac_bits."""
-    if not 0 <= frac_bits <= MAX_FRAC_BITS:
-        raise EncodingOverflowError(f"frac_bits {frac_bits} outside [0, {MAX_FRAC_BITS}]")
+    check_frac_bits(frac_bits)
     value = float(value)
     if not math.isfinite(value):
         raise EncodingOverflowError(f"cannot encode non-finite value {value!r}")

@@ -10,6 +10,13 @@ corrupting silently, and the int 0 is the structural zero of encoding.
 Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, which avoids a
 full modular exponentiation for the generator term.
 
+The key owner's batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws,
+take a map-like callable (the builtin map, or Pool.map over worker
+processes) and hand it one (private key, chunk) job per chunk; the jobs run
+the same kernels, PrivateKey.obfuscator and decrypt_residue, that a single
+own-key encryption or decryption runs, and every random r is drawn in the
+caller beforehand.
+
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
 it to protect real data.
@@ -21,13 +28,14 @@ import hashlib
 import math
 import random
 import secrets
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .encoding import (
     DEFAULT_FRAC_BITS,
-    MAX_FRAC_BITS,
     EncodingOverflowError,
     FixedPoint,
+    check_frac_bits,
     check_frac_match,
     check_frac_sum,
     decode_raw,
@@ -84,6 +92,31 @@ def _random_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
+# A map-like callable: the builtin map, or Pool.map to run on worker processes.
+Mapper = Callable[[Callable, Iterable], Iterable]
+
+
+def _chunked(mapper: Mapper, kernel: Callable, key: "PrivateKey", items: list,
+             chunks: int) -> list:
+    """kernel((key, part)) over items split into at most chunks contiguous
+    parts, joined back in order; an empty list calls nothing."""
+    if not items:
+        return []
+    size = -(-len(items) // chunks)
+    parts = mapper(kernel, [(key, items[i:i + size]) for i in range(0, len(items), size)])
+    return [out for part in parts for out in part]
+
+
+def _encrypt_chunk(job: tuple["PrivateKey", list[tuple[int, int]]]) -> list[int]:
+    key, pairs = job
+    return [key.public.combine(residue, key.obfuscator(r)) for residue, r in pairs]
+
+
+def _decrypt_chunk(job: tuple["PrivateKey", list[int]]) -> list[int]:
+    key, values = job
+    return [key.decrypt_residue(value) for value in values]
+
+
 @dataclass(frozen=True)
 class PublicKey:
     modulus: int
@@ -101,6 +134,18 @@ class PublicKey:
         """Serialized width of a ciphertext value: enough bytes for n^2."""
         return (2 * self.modulus.bit_length() + 7) // 8
 
+    def draw_r(self, rng: random.Random | None = None) -> int:
+        """The obfuscator's base r in [1, n): from rng if given, else from secrets."""
+        if rng is not None:
+            return rng.randrange(1, self.modulus)
+        return secrets.randbelow(self.modulus - 1) + 1
+
+    def combine(self, residue: int, obfuscator: int) -> int:
+        """(1 + residue*n) * obfuscator mod n^2: g^residue with g = n + 1,
+        times the obfuscator r^n."""
+        nsq = self.n_squared
+        return (1 + residue * self.modulus) % nsq * obfuscator % nsq
+
     def encrypt_residue(self, residue: int, rng: random.Random | None = None,
                         owner: "PrivateKey | None" = None) -> int:
         """Enc(residue) = (1 + residue*n) * r^n mod n^2.
@@ -110,32 +155,16 @@ class PublicKey:
         """
         if not 0 <= residue < self.modulus:
             raise EncodingOverflowError("plaintext residue outside [0, n)")
-        n, nsq = self.modulus, self.n_squared
-        if rng is not None:
-            r = rng.randrange(1, n)
-        else:
-            r = secrets.randbelow(n - 1) + 1
-        if owner is None:
-            obfuscator = pow(r, n, nsq)
-        else:
-            if owner.public.modulus != n:
-                raise KeyMismatchError("private key does not belong to this public key")
-            # p divides n, so r^n mod p^2 is 0 or has order dividing p-1, and
-            # such an element is fixed by its residue mod p: it is the lift
-            # (r^n mod p)^p mod p^2, with r^n = r^(q mod p-1) mod p. Two
-            # half-size exponents give the same integer as r^n mod p^2.
-            # Likewise for q; CRT joins the halves.
-            p, q = owner.p, owner.q
-            xp = pow(pow(r % p, owner.exp_p, p), p, owner.p_squared)
-            xq = pow(pow(r % q, owner.exp_q, q), q, owner.q_squared)
-            obfuscator = xq + (xp - xq) * owner.q_squared_inv % owner.p_squared * owner.q_squared
-        return (1 + residue * n) % nsq * obfuscator % nsq
+        if owner is not None and owner.public.modulus != self.modulus:
+            raise KeyMismatchError("private key does not belong to this public key")
+        r = self.draw_r(rng)
+        obfuscator = pow(r, self.modulus, self.n_squared) if owner is None else owner.obfuscator(r)
+        return self.combine(residue, obfuscator)
 
     def encrypt_raw(self, raw: int, frac_bits: int, rng: random.Random | None = None,
                     owner: "PrivateKey | None" = None) -> "Ciphertext":
         """Encrypt a signed fixed-point raw integer at the given precision."""
-        if not 0 <= frac_bits <= MAX_FRAC_BITS:
-            raise EncodingOverflowError(f"frac_bits {frac_bits} outside [0, {MAX_FRAC_BITS}]")
+        check_frac_bits(frac_bits)
         value = self.encrypt_residue(to_residue(raw, self.modulus), rng, owner)
         return Ciphertext(value, frac_bits, self)
 
@@ -150,9 +179,9 @@ class PrivateKey:
     """The factorization n = p*q and the CRT constants built from it.
 
     The owner's exponentiations run modulo p^2 and q^2 and are recombined by
-    CRT (Paillier, EUROCRYPT 1999, section 6): decryption here, obfuscators
-    r^n in PublicKey.encrypt_residue. The constants are closed-form in p and
-    q, and none of them appears in repr.
+    CRT (Paillier, EUROCRYPT 1999, section 6): decryption and the
+    obfuscators r^n of own-key encryption. The constants are closed-form in
+    p and q, and none of them appears in repr.
     """
 
     public: PublicKey
@@ -184,17 +213,41 @@ class PrivateKey:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    def obfuscator(self, r: int) -> int:
+        """r^n mod n^2, from two half-size exponentiations joined by CRT.
+
+        p divides n, so r^n mod p^2 is 0 or has order dividing p-1, and such
+        an element is fixed by its residue mod p: it is the lift
+        (r^n mod p)^p mod p^2, with r^n = r^(q mod p-1) mod p. Two half-size
+        exponents give the same integer as r^n mod p^2. Likewise for q; CRT
+        joins the halves.
+        """
+        p, q = self.p, self.q
+        xp = pow(pow(r % p, self.exp_p, p), p, self.p_squared)
+        xq = pow(pow(r % q, self.exp_q, q), q, self.q_squared)
+        return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
+
     def decrypt_residue(self, value: int) -> int:
         p, q = self.p, self.q
         mp = (pow(value % self.p_squared, p - 1, self.p_squared) - 1) // p * self.hp % p
         mq = (pow(value % self.q_squared, q - 1, self.q_squared) - 1) // q * self.hq % q
         return mq + (mp - mq) * self.q_inv % p * q
 
+    def decrypt_raws(self, cts: list["Ciphertext"], mapper: Mapper = map,
+                     chunks: int = 1) -> list[int]:
+        """The signed fixed-point raw integers of cts, in order.
+
+        Every ciphertext's key is checked before any is decrypted; the
+        decryptions then run through mapper in at most chunks chunks.
+        """
+        if any(ct.public_key.fingerprint != self.public.fingerprint for ct in cts):
+            raise KeyMismatchError("ciphertext was encrypted under a different key")
+        residues = _chunked(mapper, _decrypt_chunk, self, [ct.value for ct in cts], chunks)
+        return [from_residue(residue, self.public.modulus) for residue in residues]
+
     def decrypt_raw(self, ct: "Ciphertext") -> int:
         """Decrypt to the signed fixed-point raw integer."""
-        if ct.public_key.fingerprint != self.public.fingerprint:
-            raise KeyMismatchError("ciphertext was encrypted under a different key")
-        return from_residue(self.decrypt_residue(ct.value), self.public.modulus)
+        return self.decrypt_raws([ct])[0]
 
     def decrypt(self, ct: "Ciphertext") -> float:
         return decode_raw(self.decrypt_raw(ct), ct.frac_bits)
@@ -210,6 +263,22 @@ class KeyPair:
         """Encrypt under one's own key: public.encrypt's ciphertext, built
         through the factorization."""
         return self.public.encrypt(value, frac_bits, rng, self.private)
+
+    def encrypt_raws(self, raws: list[int], frac_bits: int, rng: random.Random | None = None,
+                     mapper: Mapper = map, chunks: int = 1) -> list["Ciphertext"]:
+        """encrypt_raw of every raw under one's own key, in order.
+
+        Every r is drawn from rng, in order, before any exponentiation, so
+        the ciphertexts and rng's final state are those of a loop of
+        encrypt_raw calls; the exponentiations then run through mapper in at
+        most chunks chunks.
+        """
+        check_frac_bits(frac_bits)
+        public = self.public
+        residues = [to_residue(raw, public.modulus) for raw in raws]
+        jobs = [(residue, public.draw_r(rng)) for residue in residues]
+        values = _chunked(mapper, _encrypt_chunk, self.private, jobs, chunks)
+        return [Ciphertext(value, frac_bits, public) for value in values]
 
 
 def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:

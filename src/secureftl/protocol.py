@@ -23,6 +23,20 @@ From the second iteration on the target waits for COMPONENTS_A (or STOP)
 before computing its own components, so exactly one component batch per
 direction crosses the wire per executed iteration.
 
+The two parties are threads of the calling process. train_encrypted and
+predict_encrypted also open a pool of one forked worker per usable CPU
+before the threads start (none on a single CPU). Both keygens run on it
+side by side, each on its party's seeded rng, whose state comes back with
+the keys. Then both parties hand it their own-key work through a per-party
+mapper: every batch of own-key encryptions (components and prediction
+requests) and every decryption of the peer's masked sections. The workers
+run only paillier's CRT kernels on (private key, chunk) jobs; channels,
+transcript, masks, the homomorphic algebra and every encryption's random r
+stay in the parent, so each ciphertext and frame is the one a single core
+would make. The few single encryptions (the target's reg scalar, peer-key
+mask entries) run in the party's thread. The pool is terminated and joined
+when the call returns or fails.
+
 Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
 STOP the last iteration run, prediction frames the request's sequence
 number. A frame of an unexpected type or number raises ProtocolError.
@@ -63,10 +77,14 @@ A malformed payload raises one of WIRE_ERRORS.
 
 from __future__ import annotations
 
+import itertools
 import math
+import multiprocessing
+import os
 import random
 import threading
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,17 +339,39 @@ def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) ->
 # ---------------------------------------------------------------------------
 # parties
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _party_keys(job: tuple[int, str, int]) -> tuple[KeyPair, tuple]:
+    """keygen(key_bits, rng) on a party's seeded rng, and the rng's state
+    after it; job is (key_bits, role, seed)."""
+    key_bits, role, seed = job
+    rng = random.Random(f"{role}:{seed}")
+    return keygen(key_bits, rng), rng.getstate()
+
+
 class _Party:
-    """State shared by both roles: keys, channel, masks, audit trail."""
+    """State shared by both roles: keys, channel, masks, audit trail.
+
+    keys is _party_keys((key_bits, role, seed)) when the caller has run it
+    already, as train_encrypted and predict_encrypted do on their worker
+    pool; None runs it here. Either way the rng continues from the state
+    keygen left it in. mapper is the map own-key encryption and decryption
+    batches go through.
+    """
 
     role: str
 
-    def __init__(self, channel, cfg: TrainingConfig, key_bits: int, frac_bits: int, seed: int):
+    def __init__(self, channel, cfg: TrainingConfig, key_bits: int, frac_bits: int, seed: int,
+                 keys: tuple[KeyPair, tuple] | None = None):
         self.channel = channel
         self.cfg = cfg
         self.frac_bits = frac_bits
-        self.rng = random.Random(f"{self.role}:{seed}")
-        self.keypair: KeyPair = keygen(key_bits, self.rng)
+        self.keypair, rng_state = keys or _party_keys((key_bits, self.role, seed))
+        self.rng = random.Random()
+        self.rng.setstate(rng_state)
+        self.mapper = map
         self.peer_key: PublicKey | None = None
         self.keys: dict[bytes, PublicKey] = {self.keypair.public.fingerprint: self.keypair.public}
         self.align = alignment_spec(cfg.alignment)
@@ -377,8 +417,10 @@ class _Party:
     def _encrypt(self, values) -> np.ndarray:
         """Every entry under this party's own key at frac_bits, row-major."""
         values = np.asarray(values, dtype=float)
-        return np.array([self.keypair.encrypt(v, self.frac_bits, self.rng)
-                         for v in values.ravel()], dtype=object).reshape(values.shape)
+        raws = [encode(v, self.frac_bits).raw for v in values.ravel()]
+        cts = self.keypair.encrypt_raws(raws, self.frac_bits, self.rng, self.mapper,
+                                        _usable_cpus())
+        return np.array(cts, dtype=object).reshape(values.shape)
 
     def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
         """values plus a fresh mask at frac_bits, recorded under (seq, name),
@@ -395,14 +437,15 @@ class _Party:
 
     def _decrypt_to_blob(self, sections: list[Section]) -> bytes:
         """Decrypt a peer's masked ciphertext sections into a DECRYPTED_BLOB;
-        a ciphertext under any other key raises KeyMismatchError."""
-        out = []
-        for section in sections:
-            cts = _section_cts(section, self.keys)
-            frac = cts[0].frac_bits if cts else 0
-            out.append(_int_section(section.name, section.dims, frac,
-                                    [self.keypair.private.decrypt_raw(ct) for ct in cts]))
-        return pack_sections(out)
+        a ciphertext under any other key raises KeyMismatchError before any
+        is decrypted."""
+        parsed = [_section_cts(section, self.keys) for section in sections]
+        raws = iter(self.keypair.private.decrypt_raws([ct for cts in parsed for ct in cts],
+                                                      self.mapper, _usable_cpus()))
+        return pack_sections([
+            _int_section(section.name, section.dims, cts[0].frac_bits if cts else 0,
+                         list(itertools.islice(raws, len(cts))))
+            for section, cts in zip(sections, parsed)])
 
     def _unmask(self, seq: int, name: str, raws: list[int]) -> list[int]:
         """Blob raws less the mask on record for (seq, name), logged as applied."""
@@ -486,8 +529,9 @@ class SourceParty(_Party):
     role = "source"
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
-                 channel, key_bits: int = 1024, frac_bits: int = 40, seed: int = 0):
-        super().__init__(channel, cfg, key_bits, frac_bits, seed)
+                 channel, key_bits: int = 1024, frac_bits: int = 40, seed: int = 0,
+                 keys: tuple[KeyPair, tuple] | None = None):
+        super().__init__(channel, cfg, key_bits, frac_bits, seed, keys)
         self.net = net
         self.x = split.x_source
         self.labels = split.labels_source.astype(int)
@@ -596,8 +640,9 @@ class TargetParty(_Party):
     role = "target"
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
-                 channel, key_bits: int = 1024, frac_bits: int = 40, seed: int = 0):
-        super().__init__(channel, cfg, key_bits, frac_bits, seed)
+                 channel, key_bits: int = 1024, frac_bits: int = 40, seed: int = 0,
+                 keys: tuple[KeyPair, tuple] | None = None):
+        super().__init__(channel, cfg, key_bits, frac_bits, seed, keys)
         self.net = net
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)
         self.x = split.x_target[split.target_rows(batch_ids)]
@@ -702,6 +747,48 @@ def _run_pair(primary, primary_fn, secondary, secondary_fn, join_timeout: float 
     return outcome["primary"], outcome["secondary"]
 
 
+@contextmanager
+def _parties(split: FederationSplit, net_source: Network, net_target: Network,
+             cfg: TrainingConfig, channels, key_bits: int, frac_bits: int, seed: int):
+    """(source, target) over the channel ends, sharing one worker pool.
+
+    With more than one usable CPU, a fork-context Pool of one worker per CPU
+    is opened before any party thread starts. Its map generates both key
+    pairs side by side, then carries each party's own-key encryption and
+    decryption batches. The workers only run paillier's kernels on the
+    (key, chunk) jobs they are sent; they touch no state of the parent's
+    threads. With one CPU no pool is opened and the mapper is map.
+
+    On exit, however the run ends, both channel ends are closed, the pool
+    is terminated and joined, so no worker outlives the call, and both
+    parties' mapper is map again.
+    """
+    source_end, target_end, _ = channels
+    pool, parties = None, ()
+    try:
+        cpus = _usable_cpus()
+        if cpus > 1:
+            pool = multiprocessing.get_context("fork").Pool(cpus)
+        mapper = map if pool is None else pool.map
+        source_keys, target_keys = mapper(_party_keys, [(key_bits, role, seed) for role in
+                                                        (SourceParty.role, TargetParty.role)])
+        parties = (SourceParty(split, net_source, cfg, source_end, key_bits, frac_bits, seed,
+                               source_keys),
+                   TargetParty(split, net_target, cfg, target_end, key_bits, frac_bits, seed,
+                               target_keys))
+        for party in parties:
+            party.mapper = mapper
+        yield parties
+    finally:
+        source_end.close()
+        target_end.close()
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+        for party in parties:
+            party.mapper = map
+
+
 def train_encrypted(split: FederationSplit, net_source: Network, net_target: Network,
                     cfg: TrainingConfig, key_bits: int = 512, frac_bits: int = 40,
                     seed: int = 0, channels=None) -> EncryptedRunResult:
@@ -724,18 +811,13 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
                              f"MAX_FRAC_BITS = {MAX_FRAC_BITS}")
     if channels is None:
         channels = loopback_pair()
-    source_end, target_end, transcript = channels
-    source = SourceParty(split, net_source, cfg, source_end, key_bits, frac_bits, seed)
-    target = TargetParty(split, net_target, cfg, target_end, key_bits, frac_bits, seed)
-    try:
+    with _parties(split, net_source, net_target, cfg, channels, key_bits, frac_bits,
+                  seed) as (source, target):
         res_source, _res_target = _run_pair(source, source.run_training,
                                             target, target.run_training)
-    finally:
-        source_end.close()
-        target_end.close()
     result = TrainingResult(net_source, net_target, res_source.loss_history,
                             res_source.converged)
-    return EncryptedRunResult(result, transcript, source, target)
+    return EncryptedRunResult(result, channels[2], source, target)
 
 
 @dataclass
@@ -759,9 +841,6 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
     cfg = cfg or TrainingConfig()
     if channels is None:
         channels = loopback_pair()
-    source_end, target_end, transcript = channels
-    server = SourceParty(split, net_source, cfg, source_end, key_bits, frac_bits, seed)
-    requester = TargetParty(split, net_target, cfg, target_end, key_bits, frac_bits, seed)
     prototype = label_prototype(net_source.forward(split.x_source), split.labels_source)
     u_query = net_target.forward(split.x_target[split.target_rows(query_ids)])
 
@@ -773,12 +852,10 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
         server.exchange_keys()
         return server.serve_labels(prototype)
 
-    try:
+    with _parties(split, net_source, net_target, cfg, channels, key_bits, frac_bits,
+                  seed) as (server, requester):
         labels, _served = _run_pair(requester, ask, server, serve)
-    finally:
-        source_end.close()
-        target_end.close()
-    return PredictionRunResult(labels, transcript, server, requester)
+    return PredictionRunResult(labels, channels[2], server, requester)
 
 
 ENGINE_KINDS = ("plain", "encrypted")

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,13 @@ def small_split():
     )
     split.validate()
     return split
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_its_test():
+    """Fail any test that leaves a child process running: train_encrypted and
+    predict_encrypted must terminate and join their worker pool however a
+    run ends."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running: {left}"

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import multiprocessing
+import os
 import random
 import threading
 
@@ -24,6 +26,7 @@ from secureftl.protocol import (
     _ct_section,
     _int_section,
     _only,
+    _party_keys,
     _pubkey_payload,
     _read_blob,
     _read_labels,
@@ -666,3 +669,104 @@ def _ints(name, dims, values):
 def test_single_section_decoders_reject_misfits(decode, payload, message):
     with pytest.raises(ProtocolError, match=message):
         decode(payload)
+
+
+# ---------------------------------------------------------------------------
+# the worker pool behind own-key encryption and decryption
+
+def _pool_size() -> int:
+    """Workers an encrypted run opens: one per usable CPU, none on a single CPU."""
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if cpus > 1 else 0
+
+
+class _Watched:
+    """A channel end that counts the live child processes at each recv and
+    can renumber every received frame of one type."""
+
+    def __init__(self, inner, children: list, renumber=None):
+        self._inner, self._children, self._renumber = inner, children, renumber
+
+    def send(self, frame):
+        self._inner.send(frame)
+
+    def recv(self, timeout=60.0):
+        self._children.append(len(multiprocessing.active_children()))
+        frame = self._inner.recv(timeout)
+        if frame.msg_type == self._renumber:
+            frame = Frame(frame.msg_type, frame.iteration + 1, frame.payload)
+        return frame
+
+    def close(self):
+        self._inner.close()
+
+
+def _watched_pair(children, renumber_at_target=None):
+    source_end, target_end, transcript = loopback_pair()
+    return (_Watched(source_end, children), _Watched(target_end, children, renumber_at_target),
+            transcript)
+
+
+@pytest.mark.parametrize("call", ["train", "train-aborted", "predict"])
+def test_no_worker_outlives_the_call(small_split, call):
+    children = []
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    if call == "predict":
+        predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512, seed=3,
+                          channels=_watched_pair(children))
+    elif call == "train":
+        train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512,
+                        channels=_watched_pair(children))
+    else:
+        with pytest.raises(ProtocolError, match="COMPONENTS_A numbered 2, expected 1"):
+            train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512,
+                            channels=_watched_pair(children, MsgType.COMPONENTS_A))
+    assert set(children) == {_pool_size()}
+    assert multiprocessing.active_children() == []
+
+
+def test_parties_keep_no_closed_pool(small_split):
+    train = train_encrypted(small_split, init_network([3, 2], seed=4),
+                            init_network([2, 2], seed=5), _tiny_cfg(max_iterations=1),
+                            key_bits=512)
+    predict = predict_encrypted(small_split, init_network([3, 2], seed=4),
+                                init_network([2, 2], seed=5), small_split.eval_ids,
+                                key_bits=512)
+    for party in (train.source, train.target, predict.server, predict.requester):
+        assert party.mapper is map
+    cts = train.target._encrypt(np.ones(2))
+    assert [train.target.keypair.private.decrypt(ct) for ct in cts] == [1.0, 1.0]
+
+
+def test_empty_component_batch_dispatches_nothing(small_split):
+    _, target_end, _ = loopback_pair()
+    party = TargetParty(small_split, init_network([2, 2], seed=5), _tiny_cfg(),
+                        target_end, key_bits=512, frac_bits=F, seed=0)
+    calls = []
+    party.mapper = lambda fn, jobs: calls.append(jobs) or map(fn, jobs)
+    state = party.rng.getstate()
+    assert party._encrypt(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    assert party._decrypt_to_blob([_ct_section("quad", (0, 2, 2), [])]) == pack_sections(
+        [_int_section("quad", (0, 2, 2), 0, [])])
+    assert calls == [] and party.rng.getstate() == state
+
+
+def test_pooled_key_generation_matches_serial(small_split):
+    def parties(keys=(None, None)):
+        source_end, target_end, _ = loopback_pair()
+        return [SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(), source_end,
+                            key_bits=512, frac_bits=F, seed=7, keys=keys[0]),
+                TargetParty(small_split, init_network([2, 2], seed=5), _tiny_cfg(), target_end,
+                            key_bits=512, frac_bits=F, seed=7, keys=keys[1])]
+
+    pool = multiprocessing.get_context("fork").Pool(2)
+    try:
+        keys = pool.map(_party_keys, [(512, "source", 7), (512, "target", 7)])
+    finally:
+        pool.terminate()
+        pool.join()
+    for a, b in zip(parties(), parties(keys)):
+        assert a.keypair.public.modulus == b.keypair.public.modulus
+        assert (a.keypair.private.p, a.keypair.private.q) == (b.keypair.private.p,
+                                                              b.keypair.private.q)
+        assert a.rng.getstate() == b.rng.getstate()

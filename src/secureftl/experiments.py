@@ -78,7 +78,6 @@ class ExperimentConfig:
     engine: str = "plain"
     transport: str = "loopback"
     port: int = 0
-    trcv_k: int = 4
     pretrain_epochs: int = 0
     sweep: tuple = ()
     dim_sweep: tuple = ()

@@ -11,11 +11,11 @@ Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, which avoids a
 full modular exponentiation for the generator term.
 
 The key owner's batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws,
-take a map-like callable (the builtin map, or Pool.map over worker
-processes) and hand it one (private key, chunk) job per chunk; the jobs run
-the same kernels, PrivateKey.obfuscator and decrypt_residue, that a single
-own-key encryption or decryption runs, and every random r is drawn in the
-caller beforehand.
+take a map-like callable (the builtin map, or an executor's map over worker
+processes) and hand it one job per element, (private key, residue, r) or
+(private key, value); the jobs run the same kernels, PrivateKey.obfuscator
+and decrypt_residue, that a single own-key encryption or decryption runs,
+and every random r is drawn in the caller beforehand.
 
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
@@ -92,29 +92,19 @@ def _random_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
-# A map-like callable: the builtin map, or Pool.map to run on worker processes.
-Mapper = Callable[[Callable, Iterable], Iterable]
+# A map-like callable: the builtin map, or an executor's map to run on
+# worker processes.
+Mapper = Callable[[Callable, list], Iterable]
 
 
-def _chunked(mapper: Mapper, kernel: Callable, key: "PrivateKey", items: list,
-             chunks: int) -> list:
-    """kernel((key, part)) over items split into at most chunks contiguous
-    parts, joined back in order; an empty list calls nothing."""
-    if not items:
-        return []
-    size = -(-len(items) // chunks)
-    parts = mapper(kernel, [(key, items[i:i + size]) for i in range(0, len(items), size)])
-    return [out for part in parts for out in part]
+def _encrypt_job(job: tuple["PrivateKey", int, int]) -> int:
+    key, residue, r = job
+    return key.public.combine(residue, key.obfuscator(r))
 
 
-def _encrypt_chunk(job: tuple["PrivateKey", list[tuple[int, int]]]) -> list[int]:
-    key, pairs = job
-    return [key.public.combine(residue, key.obfuscator(r)) for residue, r in pairs]
-
-
-def _decrypt_chunk(job: tuple["PrivateKey", list[int]]) -> list[int]:
-    key, values = job
-    return [key.decrypt_residue(value) for value in values]
+def _decrypt_job(job: tuple["PrivateKey", int]) -> int:
+    key, value = job
+    return key.decrypt_residue(value)
 
 
 @dataclass(frozen=True)
@@ -233,16 +223,16 @@ class PrivateKey:
         mq = (pow(value % self.q_squared, q - 1, self.q_squared) - 1) // q * self.hq % q
         return mq + (mp - mq) * self.q_inv % p * q
 
-    def decrypt_raws(self, cts: list["Ciphertext"], mapper: Mapper = map,
-                     chunks: int = 1) -> list[int]:
+    def decrypt_raws(self, cts: list["Ciphertext"], mapper: Mapper = map) -> list[int]:
         """The signed fixed-point raw integers of cts, in order.
 
         Every ciphertext's key is checked before any is decrypted; the
-        decryptions then run through mapper in at most chunks chunks.
+        decryptions then run through mapper, one job per ciphertext. An
+        empty list calls nothing.
         """
         if any(ct.public_key.fingerprint != self.public.fingerprint for ct in cts):
             raise KeyMismatchError("ciphertext was encrypted under a different key")
-        residues = _chunked(mapper, _decrypt_chunk, self, [ct.value for ct in cts], chunks)
+        residues = mapper(_decrypt_job, [(self, ct.value) for ct in cts]) if cts else []
         return [from_residue(residue, self.public.modulus) for residue in residues]
 
     def decrypt_raw(self, ct: "Ciphertext") -> int:
@@ -265,19 +255,19 @@ class KeyPair:
         return self.public.encrypt(value, frac_bits, rng, self.private)
 
     def encrypt_raws(self, raws: list[int], frac_bits: int, rng: random.Random | None = None,
-                     mapper: Mapper = map, chunks: int = 1) -> list["Ciphertext"]:
+                     mapper: Mapper = map) -> list["Ciphertext"]:
         """encrypt_raw of every raw under one's own key, in order.
 
         Every r is drawn from rng, in order, before any exponentiation, so
         the ciphertexts and rng's final state are those of a loop of
-        encrypt_raw calls; the exponentiations then run through mapper in at
-        most chunks chunks.
+        encrypt_raw calls; the exponentiations then run through mapper, one
+        job per raw. An empty list calls nothing.
         """
         check_frac_bits(frac_bits)
         public = self.public
         residues = [to_residue(raw, public.modulus) for raw in raws]
-        jobs = [(residue, public.draw_r(rng)) for residue in residues]
-        values = _chunked(mapper, _encrypt_chunk, self.private, jobs, chunks)
+        jobs = [(self.private, residue, public.draw_r(rng)) for residue in residues]
+        values = mapper(_encrypt_job, jobs) if jobs else []
         return [Ciphertext(value, frac_bits, public) for value in values]
 
 

@@ -23,19 +23,26 @@ From the second iteration on the target waits for COMPONENTS_A (or STOP)
 before computing its own components, so exactly one component batch per
 direction crosses the wire per executed iteration.
 
-The two parties are threads of the calling process. train_encrypted and
-predict_encrypted also open a pool of one forked worker per usable CPU
-before the threads start (none on a single CPU). Both keygens run on it
-side by side, each on its party's seeded rng, whose state comes back with
-the keys. Then both parties hand it their own-key work through a per-party
-mapper: every batch of own-key encryptions (components and prediction
-requests) and every decryption of the peer's masked sections. The workers
-run only paillier's CRT kernels on (private key, chunk) jobs; channels,
+The two parties are threads of the calling process, built and run by one
+driver, _run_parties. It opens a fork-context ProcessPoolExecutor of one
+worker per usable CPU before the threads start (none on a single CPU). Both
+keygens run on it side by side, each on its party's seeded rng, whose state
+comes back with the keys. Then both parties hand it their own-key work
+through the executor's map, in one chunk per worker: every batch of own-key
+encryptions (components and prediction requests) and every decryption of
+the peer's masked sections. The workers run only paillier's CRT kernels on
+(private key, residue, r) and (private key, value) jobs; channels,
 transcript, masks, the homomorphic algebra and every encryption's random r
 stay in the parent, so each ciphertext and frame is the one a single core
 would make. The few single encryptions (the target's reg scalar, peer-key
-mask entries) run in the party's thread. The pool is terminated and joined
-when the call returns or fails.
+mask entries) run in the party's thread.
+
+A party that fails closes its channel end, which fails the peer's next recv
+with ChannelClosed; the call raises the first failure in time order, so a
+frame one party rejects surfaces as that party's ProtocolError. A worker
+that dies breaks the executor, and the call raises BrokenProcessPool
+instead of waiting for the lost job. The executor is shut down when the
+call returns or fails.
 
 Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
 STOP the last iteration run, prediction frames the request's sequence
@@ -84,7 +91,7 @@ import os
 import random
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,10 +346,6 @@ def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) ->
 # ---------------------------------------------------------------------------
 # parties
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
 def _party_keys(job: tuple[int, str, int]) -> tuple[KeyPair, tuple]:
     """keygen(key_bits, rng) on a party's seeded rng, and the rng's state
     after it; job is (key_bits, role, seed)."""
@@ -354,21 +357,19 @@ def _party_keys(job: tuple[int, str, int]) -> tuple[KeyPair, tuple]:
 class _Party:
     """State shared by both roles: keys, channel, masks, audit trail.
 
-    keys is _party_keys((key_bits, role, seed)) when the caller has run it
-    already, as train_encrypted and predict_encrypted do on their worker
-    pool; None runs it here. Either way the rng continues from the state
-    keygen left it in. mapper is the map own-key encryption and decryption
-    batches go through.
+    keys is _party_keys((key_bits, role, seed)); the rng continues from the
+    state keygen left it in. mapper is the map own-key encryption and
+    decryption batches go through.
     """
 
     role: str
 
-    def __init__(self, channel, cfg: TrainingConfig, key_bits: int, frac_bits: int, seed: int,
-                 keys: tuple[KeyPair, tuple] | None = None):
+    def __init__(self, channel, cfg: TrainingConfig, keys: tuple[KeyPair, tuple],
+                 frac_bits: int):
         self.channel = channel
         self.cfg = cfg
         self.frac_bits = frac_bits
-        self.keypair, rng_state = keys or _party_keys((key_bits, self.role, seed))
+        self.keypair, rng_state = keys
         self.rng = random.Random()
         self.rng.setstate(rng_state)
         self.mapper = map
@@ -418,8 +419,7 @@ class _Party:
         """Every entry under this party's own key at frac_bits, row-major."""
         values = np.asarray(values, dtype=float)
         raws = [encode(v, self.frac_bits).raw for v in values.ravel()]
-        cts = self.keypair.encrypt_raws(raws, self.frac_bits, self.rng, self.mapper,
-                                        _usable_cpus())
+        cts = self.keypair.encrypt_raws(raws, self.frac_bits, self.rng, self.mapper)
         return np.array(cts, dtype=object).reshape(values.shape)
 
     def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
@@ -441,7 +441,7 @@ class _Party:
         is decrypted."""
         parsed = [_section_cts(section, self.keys) for section in sections]
         raws = iter(self.keypair.private.decrypt_raws([ct for cts in parsed for ct in cts],
-                                                      self.mapper, _usable_cpus()))
+                                                      self.mapper))
         return pack_sections([
             _int_section(section.name, section.dims, cts[0].frac_bits if cts else 0,
                          list(itertools.islice(raws, len(cts))))
@@ -529,9 +529,8 @@ class SourceParty(_Party):
     role = "source"
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
-                 channel, key_bits: int = 1024, frac_bits: int = 40, seed: int = 0,
-                 keys: tuple[KeyPair, tuple] | None = None):
-        super().__init__(channel, cfg, key_bits, frac_bits, seed, keys)
+                 channel, keys: tuple[KeyPair, tuple], frac_bits: int):
+        super().__init__(channel, cfg, keys, frac_bits)
         self.net = net
         self.x = split.x_source
         self.labels = split.labels_source.astype(int)
@@ -640,9 +639,8 @@ class TargetParty(_Party):
     role = "target"
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
-                 channel, key_bits: int = 1024, frac_bits: int = 40, seed: int = 0,
-                 keys: tuple[KeyPair, tuple] | None = None):
-        super().__init__(channel, cfg, key_bits, frac_bits, seed, keys)
+                 channel, keys: tuple[KeyPair, tuple], frac_bits: int):
+        super().__init__(channel, cfg, keys, frac_bits)
         self.net = net
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)
         self.x = split.x_target[split.target_rows(batch_ids)]
@@ -719,72 +717,61 @@ class EncryptedRunResult:
     target: TargetParty
 
 
-def _run_pair(primary, primary_fn, secondary, secondary_fn, join_timeout: float = 600.0):
-    """Run two party routines concurrently; surface the first failure."""
-    outcome: dict[str, object] = {}
-
-    def worker():
-        try:
-            outcome["secondary"] = secondary_fn()
-        except BaseException as exc:  # noqa: BLE001 - must cross the thread
-            outcome["secondary_error"] = exc
-            secondary.channel.close()
-
-    thread = threading.Thread(target=worker, daemon=True)
-    thread.start()
-    try:
-        outcome["primary"] = primary_fn()
-    except BaseException as exc:
-        outcome["primary_error"] = exc
-        primary.channel.close()
-    thread.join(join_timeout)
-    if "secondary_error" in outcome:
-        raise outcome["secondary_error"]
-    if "primary_error" in outcome:
-        raise outcome["primary_error"]
-    if thread.is_alive():
-        raise ProtocolError("peer thread did not finish")
-    return outcome["primary"], outcome["secondary"]
+# How long the caller waits for the target thread once its own routine ended.
+JOIN_TIMEOUT = 600.0
 
 
-@contextmanager
-def _parties(split: FederationSplit, net_source: Network, net_target: Network,
-             cfg: TrainingConfig, channels, key_bits: int, frac_bits: int, seed: int):
-    """(source, target) over the channel ends, sharing one worker pool.
+def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: TrainingConfig,
+                 channels, key_bits: int, frac_bits: int, seed: int,
+                 source_fn: Callable, target_fn: Callable):
+    """Build both parties over the channel ends and run them side by side;
+    returns ((source, target), (source_fn(source), target_fn(target))).
 
-    With more than one usable CPU, a fork-context Pool of one worker per CPU
-    is opened before any party thread starts. Its map generates both key
-    pairs side by side, then carries each party's own-key encryption and
-    decryption batches. The workers only run paillier's kernels on the
-    (key, chunk) jobs they are sent; they touch no state of the parent's
-    threads. With one CPU no pool is opened and the mapper is map.
-
-    On exit, however the run ends, both channel ends are closed, the pool
-    is terminated and joined, so no worker outlives the call, and both
-    parties' mapper is map again.
+    The executor forks its workers at the keygen map, before the target
+    thread starts; its map, one chunk per worker, is the only place that
+    splits a batch. source_fn runs in the caller and target_fn on a thread.
+    The first failure in time order is raised. However the run ends, both
+    channel ends are closed, the executor is shut down, so no worker
+    outlives the call, and both parties' mapper is map again.
     """
-    source_end, target_end, _ = channels
-    pool, parties = None, ()
+    cpus = len(os.sched_getaffinity(0))
+    pool = (ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))
+            if cpus > 1 else None)
+
+    def pooled(fn, jobs):
+        return pool.map(fn, jobs, chunksize=-(-len(jobs) // cpus))
+
+    mapper = map if pool is None else pooled
+    parties, outcomes, errors = (), [None, None], []
+
+    def run(index: int, fn: Callable):
+        try:
+            outcomes[index] = fn(parties[index])
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+            parties[index].channel.close()
+
     try:
-        cpus = _usable_cpus()
-        if cpus > 1:
-            pool = multiprocessing.get_context("fork").Pool(cpus)
-        mapper = map if pool is None else pool.map
-        source_keys, target_keys = mapper(_party_keys, [(key_bits, role, seed) for role in
-                                                        (SourceParty.role, TargetParty.role)])
-        parties = (SourceParty(split, net_source, cfg, source_end, key_bits, frac_bits, seed,
-                               source_keys),
-                   TargetParty(split, net_target, cfg, target_end, key_bits, frac_bits, seed,
-                               target_keys))
+        keys = list(mapper(_party_keys, [(key_bits, role, seed) for role in
+                                         (SourceParty.role, TargetParty.role)]))
+        parties = (SourceParty(split, nets[0], cfg, channels[0], keys[0], frac_bits),
+                   TargetParty(split, nets[1], cfg, channels[1], keys[1], frac_bits))
         for party in parties:
             party.mapper = mapper
-        yield parties
+        thread = threading.Thread(target=run, args=(1, target_fn), daemon=True)
+        thread.start()
+        run(0, source_fn)
+        thread.join(JOIN_TIMEOUT)
+        if errors:
+            raise errors[0]
+        if thread.is_alive():
+            raise ProtocolError("target thread did not finish")
+        return parties, tuple(outcomes)
     finally:
-        source_end.close()
-        target_end.close()
+        channels[0].close()
+        channels[1].close()
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            pool.shutdown(cancel_futures=True)
         for party in parties:
             party.mapper = map
 
@@ -811,10 +798,9 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
                              f"MAX_FRAC_BITS = {MAX_FRAC_BITS}")
     if channels is None:
         channels = loopback_pair()
-    with _parties(split, net_source, net_target, cfg, channels, key_bits, frac_bits,
-                  seed) as (source, target):
-        res_source, _res_target = _run_pair(source, source.run_training,
-                                            target, target.run_training)
+    (source, target), (res_source, _) = _run_parties(
+        split, (net_source, net_target), cfg, channels, key_bits, frac_bits, seed,
+        SourceParty.run_training, TargetParty.run_training)
     result = TrainingResult(net_source, net_target, res_source.loss_history,
                             res_source.converged)
     return EncryptedRunResult(result, channels[2], source, target)
@@ -844,17 +830,16 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
     prototype = label_prototype(net_source.forward(split.x_source), split.labels_source)
     u_query = net_target.forward(split.x_target[split.target_rows(query_ids)])
 
-    def ask():
-        requester.exchange_keys()
-        return requester.request_labels(u_query)
-
-    def serve():
+    def serve(server: SourceParty) -> np.ndarray:
         server.exchange_keys()
         return server.serve_labels(prototype)
 
-    with _parties(split, net_source, net_target, cfg, channels, key_bits, frac_bits,
-                  seed) as (server, requester):
-        labels, _served = _run_pair(requester, ask, server, serve)
+    def ask(requester: TargetParty) -> np.ndarray:
+        requester.exchange_keys()
+        return requester.request_labels(u_query)
+
+    (server, requester), (_, labels) = _run_parties(
+        split, (net_source, net_target), cfg, channels, key_bits, frac_bits, seed, serve, ask)
     return PredictionRunResult(labels, channels[2], server, requester)
 
 

@@ -119,14 +119,6 @@ class Transcript:
     def payload_bytes(self, direction: str | None = None, msg_type: int | None = None) -> int:
         return sum(len(r.payload) for r in self.frames(direction, msg_type))
 
-    def summary_rows(self) -> list[tuple[str, str, int, int]]:
-        """(direction, message type name, frame count, payload bytes) rows."""
-        keys = sorted({(r.direction, r.msg_type) for r in self.frames()})
-        return [(direction, MsgType(msg_type).name,
-                 len(self.frames(direction, msg_type)),
-                 self.payload_bytes(direction, msg_type))
-                for direction, msg_type in keys]
-
 
 class LoopbackChannel:
     """One endpoint of an in-process queue pair."""

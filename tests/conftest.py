@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -35,3 +36,14 @@ def no_process_outlives_its_test():
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes left running: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail any test that leaves a thread it started running: a party thread,
+    an executor's manager thread or a socket writer must end with the call
+    that started it."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"

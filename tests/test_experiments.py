@@ -39,6 +39,8 @@ def test_parse_config_rejects_bad_lines():
         parse_config_text("just words\n")
     with pytest.raises(ValueError):
         parse_config_text("not_a_key = 3\n")
+    with pytest.raises(ValueError):
+        parse_config_text("trcv_k = 3\n")
 
 
 def test_config_validate():

@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import pytest
@@ -252,13 +253,11 @@ def test_factorization_stays_private():
 
 
 @contextmanager
-def _pool_map(workers=2):
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        yield pool.map
-    finally:
-        pool.terminate()
-        pool.join()
+def _pool_map(chunksize):
+    """The map of a two-worker fork-context executor, as the protocol's
+    driver opens one, cutting every batch into chunks of chunksize jobs."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield lambda fn, jobs: pool.map(fn, jobs, chunksize=chunksize)
 
 
 class _Recorder:
@@ -276,33 +275,24 @@ class _Recorder:
 BATCH_RAWS = [0, 1, -1, 3 << 40, -(5 << 60), 2 ** 200, 7, -11]
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 3, 8, 20])
-def test_pooled_encryption_matches_serial(chunks):
+@pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
+def test_pooled_encryption_matches_serial(chunksize):
     serial_rng, pooled_rng = random.Random(4), random.Random(4)
     serial = [PK.encrypt_raw(raw, 16, serial_rng, SK) for raw in BATCH_RAWS]
-    with _pool_map() as mapper:
-        pooled = KEYS.encrypt_raws(BATCH_RAWS, 16, pooled_rng, mapper, chunks)
+    with _pool_map(chunksize) as mapper:
+        pooled = KEYS.encrypt_raws(BATCH_RAWS, 16, pooled_rng, mapper)
     assert [(ct.value, ct.frac_bits) for ct in pooled] == [(ct.value, ct.frac_bits)
                                                           for ct in serial]
     assert pooled_rng.getstate() == serial_rng.getstate()
-    assert KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(4), chunks=chunks) == pooled
+    assert KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(4)) == pooled
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 3, 8, 20])
-def test_pooled_decryption_matches_serial(chunks):
+@pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
+def test_pooled_decryption_matches_serial(chunksize):
     cts = KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(5))
-    with _pool_map() as mapper:
-        pooled = SK.decrypt_raws(cts, mapper, chunks)
+    with _pool_map(chunksize) as mapper:
+        pooled = SK.decrypt_raws(cts, mapper)
     assert pooled == [SK.decrypt_raw(ct) for ct in cts] == BATCH_RAWS
-
-
-def test_batches_split_into_one_job_per_chunk():
-    record = _Recorder()
-    cts = KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(5), record, 3)
-    assert SK.decrypt_raws(cts, record, 3) == BATCH_RAWS
-    for jobs in record.calls:
-        assert [len(part) for _key, part in jobs] == [3, 3, 2]
-        assert all(key is SK for key, _part in jobs)
 
 
 def test_foreign_ciphertext_fails_before_any_job():
@@ -310,5 +300,5 @@ def test_foreign_ciphertext_fails_before_any_job():
     foreign = keygen(bits=512, rng=random.Random(2))
     cts = KEYS.encrypt_raws([1, 2], 16, random.Random(5)) + [foreign.encrypt(3.0, 16)]
     with pytest.raises(KeyMismatchError):
-        SK.decrypt_raws(cts, record, 2)
+        SK.decrypt_raws(cts, record)
     assert record.calls == []

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import random
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import FixedPoint
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
-from secureftl.paillier import Ciphertext, keygen
+from secureftl.paillier import Ciphertext, PrivateKey, keygen
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import (
     ENGINE_KINDS,
@@ -156,6 +158,18 @@ def _tiny_cfg(**kw):
                 gamma=0.1, weight_decay=0.01, loss_mode="taylor")
     base.update(kw)
     return TrainingConfig(**base)
+
+
+def _source_party(split, channel):
+    """A source party with a [3, 2] net and its 512-bit keys at seed 0."""
+    return SourceParty(split, init_network([3, 2], seed=4), _tiny_cfg(), channel,
+                       _party_keys((512, "source", 0)), F)
+
+
+def _target_party(split, channel):
+    """A target party with a [2, 2] net and its 512-bit keys at seed 0."""
+    return TargetParty(split, init_network([2, 2], seed=5), _tiny_cfg(), channel,
+                       _party_keys((512, "target", 0)), F)
 
 
 def test_encrypted_matches_plain_training(small_split):
@@ -306,12 +320,10 @@ def test_party_rejects_misfit_component_batch(small_split, role, misfit):
     source_end, target_end, _ = loopback_pair()
     if role == "source":
         own_end, peer_end, comps_type = source_end, target_end, MsgType.COMPONENTS_B
-        party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
-                            own_end, key_bits=512, frac_bits=F, seed=0)
+        party = _source_party(small_split, own_end)
     else:
         own_end, peer_end, comps_type = target_end, source_end, MsgType.COMPONENTS_A
-        party = TargetParty(small_split, init_network([2, 2], seed=5), _tiny_cfg(),
-                            own_end, key_bits=512, frac_bits=F, seed=0)
+        party = _target_party(small_split, own_end)
     peer_end.send(Frame(MsgType.PUBKEY, 0, _pubkey_payload(peer)))
     peer_end.send(Frame(comps_type, 1, batch.to_payload()))
     with pytest.raises(ProtocolError, match="component batch"):
@@ -377,8 +389,7 @@ def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
 def test_recv_rejects_unexpected_message(small_split):
     source_end, target_end, _ = loopback_pair()
     target_end.send(Frame(MsgType.STOP, 0))
-    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
-                        source_end, key_bits=512, frac_bits=F, seed=0)
+    party = _source_party(small_split, source_end)
     with pytest.raises(ProtocolError):
         party._recv({MsgType.PUBKEY: 0})
 
@@ -533,8 +544,7 @@ def test_recv_rejects_misnumbered_frame(small_split, frames, numbered):
     source_end, target_end, _ = loopback_pair()
     for frame in frames:
         target_end.send(frame)
-    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
-                        source_end, key_bits=512, frac_bits=F, seed=0)
+    party = _source_party(small_split, source_end)
     with pytest.raises(ProtocolError, match=numbered):
         party.run_training()
 
@@ -619,8 +629,7 @@ def test_component_batch_rejects_misfit_sections(wire_samples, name, dims):
 
 def test_unmask_rejects_blob_without_every_layer(small_split):
     source_end, _, _ = loopback_pair()
-    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
-                        source_end, key_bits=512, frac_bits=F, seed=0)
+    party = _source_party(small_split, source_end)
     with pytest.raises(ProtocolError, match="lacks the gradient of layer0"):
         party._unmask_and_apply(party.net, 1, pack_sections([]), 0.1)
 
@@ -640,8 +649,7 @@ def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes
 
 def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split):
     source_end, _, _ = loopback_pair()
-    party = SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(),
-                        source_end, key_bits=512, frac_bits=F, seed=0)
+    party = _source_party(small_split, source_end)
     peer = keygen(512, random.Random(9))
     party.peer_key = peer.public
     party.keys[peer.public.fingerprint] = peer.public
@@ -701,27 +709,70 @@ class _Watched:
         self._inner.close()
 
 
-def _watched_pair(children, renumber_at_target=None):
+def _watched_pair(children, renumber_at=None, msg_type=None):
+    """A loopback pair whose renumber_at end ("source" or "target"), if
+    any, renumbers every received frame of msg_type."""
     source_end, target_end, transcript = loopback_pair()
-    return (_Watched(source_end, children), _Watched(target_end, children, renumber_at_target),
+    return (_Watched(source_end, children, msg_type if renumber_at == "source" else None),
+            _Watched(target_end, children, msg_type if renumber_at == "target" else None),
             transcript)
 
 
-@pytest.mark.parametrize("call", ["train", "train-aborted", "predict"])
-def test_no_worker_outlives_the_call(small_split, call):
+@pytest.mark.parametrize("call, renumber_at, msg_type", [
+    ("train", None, None),
+    ("train", "target", MsgType.COMPONENTS_A),
+    ("train", "source", MsgType.COMPONENTS_B),
+    ("predict", None, None),
+    ("predict", "target", MsgType.PREDICT_MASKED),
+], ids=["train", "train-aborted", "train-aborted-at-source", "predict", "predict-aborted"])
+def test_no_worker_outlives_the_call(small_split, call, renumber_at, msg_type):
+    # The party that reads the renumbered frame fails first; its
+    # ProtocolError, not the peer's ChannelClosed, is what the call raises.
     children = []
     nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
-    if call == "predict":
-        predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512, seed=3,
-                          channels=_watched_pair(children))
-    elif call == "train":
-        train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512,
-                        channels=_watched_pair(children))
+    channels = _watched_pair(children, renumber_at, msg_type)
+
+    def run():
+        if call == "predict":
+            return predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
+                                     seed=3, channels=channels)
+        return train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512,
+                               channels=channels)
+
+    if msg_type is None:
+        run()
     else:
-        with pytest.raises(ProtocolError, match="COMPONENTS_A numbered 2, expected 1"):
-            train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512,
-                            channels=_watched_pair(children, MsgType.COMPONENTS_A))
+        with pytest.raises(ProtocolError, match=f"{msg_type.name} numbered 2, expected 1"):
+            run()
     assert set(children) == {_pool_size()}
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(_pool_size() == 0, reason="no worker processes on a single CPU")
+def test_dead_worker_fails_the_run(small_split, monkeypatch):
+    parent, decrypt_residue = os.getpid(), PrivateKey.decrypt_residue
+
+    def die_in_worker(self, value):
+        if os.getpid() != parent:
+            os._exit(1)
+        return decrypt_residue(self, value)
+
+    monkeypatch.setattr(PrivateKey, "decrypt_residue", die_in_worker)
+    errors = []
+
+    def call():
+        try:
+            train_encrypted(small_split, init_network([3, 2], seed=4),
+                            init_network([2, 2], seed=5), _tiny_cfg(max_iterations=1),
+                            key_bits=512)
+        except BaseException as exc:  # noqa: BLE001 - checked below
+            errors.append(exc)
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "the run still waits for the lost job"
+    assert [type(exc) for exc in errors] == [BrokenProcessPool]
     assert multiprocessing.active_children() == []
 
 
@@ -740,8 +791,7 @@ def test_parties_keep_no_closed_pool(small_split):
 
 def test_empty_component_batch_dispatches_nothing(small_split):
     _, target_end, _ = loopback_pair()
-    party = TargetParty(small_split, init_network([2, 2], seed=5), _tiny_cfg(),
-                        target_end, key_bits=512, frac_bits=F, seed=0)
+    party = _target_party(small_split, target_end)
     calls = []
     party.mapper = lambda fn, jobs: calls.append(jobs) or map(fn, jobs)
     state = party.rng.getstate()
@@ -751,22 +801,11 @@ def test_empty_component_batch_dispatches_nothing(small_split):
     assert calls == [] and party.rng.getstate() == state
 
 
-def test_pooled_key_generation_matches_serial(small_split):
-    def parties(keys=(None, None)):
-        source_end, target_end, _ = loopback_pair()
-        return [SourceParty(small_split, init_network([3, 2], seed=4), _tiny_cfg(), source_end,
-                            key_bits=512, frac_bits=F, seed=7, keys=keys[0]),
-                TargetParty(small_split, init_network([2, 2], seed=5), _tiny_cfg(), target_end,
-                            key_bits=512, frac_bits=F, seed=7, keys=keys[1])]
-
-    pool = multiprocessing.get_context("fork").Pool(2)
-    try:
-        keys = pool.map(_party_keys, [(512, "source", 7), (512, "target", 7)])
-    finally:
-        pool.terminate()
-        pool.join()
-    for a, b in zip(parties(), parties(keys)):
-        assert a.keypair.public.modulus == b.keypair.public.modulus
-        assert (a.keypair.private.p, a.keypair.private.q) == (b.keypair.private.p,
-                                                              b.keypair.private.q)
-        assert a.rng.getstate() == b.rng.getstate()
+def test_pooled_key_generation_matches_serial():
+    jobs = [(512, "source", 7), (512, "target", 7)]
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        pooled = list(pool.map(_party_keys, jobs, chunksize=1))
+    for (serial, serial_state), (keys, state) in zip(map(_party_keys, jobs), pooled):
+        assert keys.public.modulus == serial.public.modulus
+        assert (keys.private.p, keys.private.q) == (serial.private.p, serial.private.q)
+        assert state == serial_state

@@ -91,9 +91,8 @@ def test_transcript_filters_and_summary():
     transcript.record(DIR_TARGET_TO_SOURCE, Frame(MsgType.STOP, 1, b""))
     assert len(transcript.frames(DIR_SOURCE_TO_TARGET)) == 2
     assert len(transcript.frames(msg_type=MsgType.STOP)) == 1
-    rows = transcript.summary_rows()
-    assert (DIR_SOURCE_TO_TARGET, "COMPONENTS_A", 2, 4) in rows
-    assert (DIR_TARGET_TO_SOURCE, "STOP", 1, 0) in rows
+    assert transcript.payload_bytes(DIR_SOURCE_TO_TARGET, MsgType.COMPONENTS_A) == 4
+    assert transcript.payload_bytes(DIR_TARGET_TO_SOURCE, MsgType.STOP) == 0
 
 
 def test_tcp_pair_roundtrip():

@@ -2,20 +2,24 @@
 
 Implements keygen / encrypt / decrypt plus the homomorphic operations the
 protocol needs, as operators: ct + ct and ct + FixedPoint add plaintexts,
-ct * FixedPoint multiplies by a plaintext scalar (through mul_int, the one
-exponentiation). Ciphertexts carry the fractional-bit counter of their
-fixed-point plaintext so mismatched additions fail loudly instead of
-corrupting silently, and the int 0 is the structural zero of encoding.
+ct * FixedPoint multiplies by a plaintext scalar (through mul_int).
+Ciphertexts carry the fractional-bit counter of their fixed-point plaintext
+so mismatched additions fail loudly instead of corrupting silently, and the
+int 0 is the structural zero of encoding.
 
 Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, which avoids a
 full modular exponentiation for the generator term.
 
-The key owner's batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws,
-take a map-like callable (the builtin map, or an executor's map over worker
-processes) and hand it one job per element, (private key, residue, r) or
-(private key, value); the jobs run the same kernels, PrivateKey.obfuscator
-and decrypt_residue, that a single own-key encryption or decryption runs,
-and every random r is drawn in the caller beforehand.
+Every exponentiation runs in a module-level kernel that a map-like callable
+(the builtin map, or an executor's map over worker processes) can take one
+job per element: _encrypt_job on (private key, residue, r), _decrypt_job on
+(private key, value) and _power_job on (value, k, n^2). The key owner's
+batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws, hand their
+mapper the same kernels, PrivateKey.obfuscator and decrypt_residue, that a
+single own-key encryption or decryption runs, with every random r drawn in
+the caller beforehand. _power_job is the one exponentiation of mul_int, so a
+batch of ciphertext-by-plaintext products (protocol._products) sent to a
+mapper reaches the very integers a loop of ct * FixedPoint does.
 
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
@@ -105,6 +109,16 @@ def _encrypt_job(job: tuple["PrivateKey", int, int]) -> int:
 def _decrypt_job(job: tuple["PrivateKey", int]) -> int:
     key, value = job
     return key.decrypt_residue(value)
+
+
+def _power_job(job: tuple[int, int, int]) -> int:
+    """value^k mod n^2 for a signed k, job being (value, k, n^2): the
+    ciphertext of k times value's plaintext."""
+    value, k, n_squared = job
+    if k >= 0:
+        return pow(value, k, n_squared)
+    # c^k = (c^-k)^-1; one modular inverse beats a near-n exponent.
+    return pow(pow(value, -k, n_squared), -1, n_squared)
 
 
 @dataclass(frozen=True)
@@ -323,12 +337,7 @@ class Ciphertext:
 
     def mul_int(self, k: int) -> "Ciphertext":
         """Multiply the plaintext by an exact signed integer; precision unchanged."""
-        nsq = self.public_key.n_squared
-        if k >= 0:
-            value = pow(self.value, k, nsq)
-        else:
-            # c^k = (c^-k)^-1; one modular inverse beats a near-n exponent.
-            value = pow(pow(self.value, -k, nsq), -1, nsq)
+        value = _power_job((self.value, k, self.public_key.n_squared))
         return Ciphertext(value, self.frac_bits, self.public_key)
 
     def __mul__(self, other: "FixedPoint | int") -> "Ciphertext | int":

@@ -27,13 +27,15 @@ The two parties are threads of the calling process, built and run by one
 driver, _run_parties. It opens a fork-context ProcessPoolExecutor of one
 worker per usable CPU before the threads start (none on a single CPU). Both
 keygens run on it side by side, each on its party's seeded rng, whose state
-comes back with the keys. Then both parties hand it their own-key work
+comes back with the keys. Then both parties hand it their exponentiations
 through the executor's map, in one chunk per worker: every batch of own-key
-encryptions (components and prediction requests) and every decryption of
-the peer's masked sections. The workers run only paillier's CRT kernels on
-(private key, residue, r) and (private key, value) jobs; channels,
-transcript, masks, the homomorphic algebra and every encryption's random r
-stay in the parent, so each ciphertext and frame is the one a single core
+encryptions (components and prediction requests), every decryption of the
+peer's masked sections, and every batch of ciphertext-by-plaintext products
+(_products) that the loss, the gradients and the prediction scores are
+built from. The workers run only paillier's kernels on (private key,
+residue, r), (private key, value) and (value, k, n^2) jobs. Channels,
+transcript, masks, the homomorphic additions and every encryption's random
+r stay in the parent, so each ciphertext and frame is the one a single core
 would make. The few single encryptions (the target's reg scalar, peer-key
 mask entries) run in the party's thread.
 
@@ -52,11 +54,11 @@ The encrypted algebra is the plaintext one, in numpy object arrays: entries
 are paillier.Ciphertext, encoding.FixedPoint or the int 0, the structural
 zero that no ciphertext reached (it adds nothing, and any product with it
 stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
-arrays; the loss, the gradients and the prediction scores are sum and @
-expressions over them, and encrypted_backward runs Network.backward over an
-(N, d, K) upstream. A gradient entry that is still plaintext when it is
-masked (no ciphertext reached it, only weight decay) is encrypted then,
-under the peer's key.
+arrays; the loss, the gradients and the prediction scores are batched
+elementwise products (_products) summed over an axis, and
+encrypted_backward runs Network.backward over an (N, d, K) upstream. A
+gradient entry that is still plaintext when it is masked (no ciphertext
+reached it, only weight decay) is encrypted then, under the peer's key.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct) or a frac byte and signed
@@ -97,7 +99,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, FixedPoint, encode
+from .encoding import MAX_FRAC_BITS, FixedPoint, check_frac_sum, encode, is_zero
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -106,7 +108,9 @@ from .paillier import (
     CiphertextFormatError,
     KeyMismatchError,
     KeyPair,
+    Mapper,
     PublicKey,
+    _power_job,
     deserialize_ciphertext,
     keygen,
     serialize_ciphertext,
@@ -289,6 +293,36 @@ def _fixed(values, frac_bits: int) -> np.ndarray:
                     dtype=object).reshape(values.shape)
 
 
+def _products(mapper: Mapper, *pairs) -> list[np.ndarray]:
+    """a * b under numpy broadcasting for every pair (a, b), as object arrays.
+
+    A Ciphertext times a FixedPoint, in either order, is an exponentiation:
+    the fraction bits of every such product are checked first, then all of
+    them go through mapper in one batch of _power_job jobs. Every other
+    product is formed here: two FixedPoints multiply, and a product with the
+    structural zero 0 is 0 and sends no job. The powers are exact in
+    Z*_{n^2}, so the ciphertexts are those of the serial ct * FixedPoint.
+    """
+    shaped, pending, jobs = [], [], []
+    for a, b in pairs:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+        out = np.empty(a.size, dtype=object)
+        for i, (x, y) in enumerate(zip(a.flat, b.flat)):
+            if isinstance(y, Ciphertext):
+                x, y = y, x
+            if isinstance(x, Ciphertext) and isinstance(y, FixedPoint):
+                frac_bits = check_frac_sum(x.frac_bits, y.frac_bits)
+                pending.append((out, i, frac_bits, x.public_key))
+                jobs.append((x.value, y.raw, x.public_key.n_squared))
+            else:
+                out[i] = x * y
+        shaped.append(out.reshape(a.shape))
+    values = mapper(_power_job, jobs) if jobs else ()
+    for (out, i, frac_bits, key), value in zip(pending, values):
+        out[i] = Ciphertext(value, frac_bits, key)
+    return shaped
+
+
 @dataclass
 class _GradTensor:
     name: str
@@ -297,7 +331,8 @@ class _GradTensor:
 
 
 def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
-                       frac_bits: int, basis: np.ndarray | None = None) -> list[_GradTensor]:
+                       frac_bits: int, basis: np.ndarray | None = None,
+                       mapper: Mapper = map) -> list[_GradTensor]:
     """Network.backward over an encrypted (N, d, K) upstream.
 
     With basis None, K is 1 and the entries are ciphertexts at 2*frac_bits
@@ -312,6 +347,8 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     each layer crossing adds 2*frac_bits to the fraction counter.
     Coefficients cross as exact FixedPoint integers, summed over rows before
     any ciphertext is touched, so the cost of a basis does not grow with N.
+    Every step's ciphertext products go through mapper in one batch
+    (_products).
 
     The result is exact, not close: ciphertexts under * and + form the
     commutative group Z*_{n^2}, so prod_k basis[k]^E_k is the very integer
@@ -319,20 +356,34 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     only when no row reaches it, never because an exponent sums to 0.
     """
     f = frac_bits
+
+    def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # Coefficients on a basis are plaintext: numpy contracts them
+        # without holding every product at once.
+        if basis is not None:
+            return a @ b
+        (products,) = _products(mapper, (a[..., None], b))
+        return products.sum(axis=-2)
+
     delta, frac = upstream.transpose(0, 2, 1), 2 * f  # (N, K, d)
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
     for idx in range(len(net.layers) - 1, -1, -1):
         a_out, a_in = trace[idx + 1], trace[idx]
-        dz = delta * _fixed(a_out * (1.0 - a_out), f)[:, None, :]
-        grad_w = np.moveaxis(dz.transpose(1, 2, 0) @ _fixed(a_in, f), 0, -1)
+        (dz,) = _products(mapper, (delta, _fixed(a_out * (1.0 - a_out), f)[:, None, :]))
+        grad_w = np.moveaxis(matmul(dz.transpose(1, 2, 0), _fixed(a_in, f)), 0, -1)
         grad_b = dz.sum(axis=0).T
         tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", grad_w, frac + 2 * f)
         tensors[2 * idx + 1] = _GradTensor(f"layer{idx}.bias", grad_b, frac + f)
         if idx:
-            delta = dz @ _fixed(net.layers[idx].weights, f)
+            delta = matmul(dz, _fixed(net.layers[idx].weights, f))
             frac += 2 * f
-    for tensor in tensors:
-        tensor.values = tensor.values[..., 0] if basis is None else tensor.values @ basis
+    if basis is None:
+        for tensor in tensors:
+            tensor.values = tensor.values[..., 0]
+    else:
+        for tensor, products in zip(tensors, _products(mapper, *[(t.values, basis)
+                                                                 for t in tensors])):
+            tensor.values = products.sum(axis=-1)
     return tensors
 
 
@@ -509,7 +560,9 @@ class _Party:
         n, d = request.dims
         if d != len(prototype):
             raise ProtocolError(f"prototype dim {len(prototype)} != request dim {d}")
-        scores = _section_array(request, self.keys) @ _fixed(prototype, self.frac_bits)
+        (products,) = _products(self.mapper, (_section_array(request, self.keys),
+                                              _fixed(prototype, self.frac_bits)))
+        scores = products.sum(axis=-1)
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
@@ -561,10 +614,14 @@ class SourceParty(_Party):
         constant = (len(y) * LOG2
                     + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        return ((quad * _fixed(np.outer(0.125 * prototype, prototype), f)).sum()
-                + (comps.lin * _fixed((-0.5 * y)[:, None] * prototype, f)).sum()
-                + (comps.align * _fixed(self.cfg.gamma * u_ab, f)).sum()
-                + comps.reg + encode(constant, 2 * f))
+        products = _products(self.mapper,
+                             (quad, _fixed(np.outer(0.125 * prototype, prototype), f)),
+                             (comps.lin, _fixed((-0.5 * y)[:, None] * prototype, f)),
+                             (comps.align, _fixed(self.cfg.gamma * u_ab, f)))
+        terms = [term for p in products for term in p.flat] + [comps.reg, encode(constant, 2 * f)]
+        # Structural zeros (quad's, without labeled pairs) are skipped, so no
+        # addition of 0 reaches a ciphertext.
+        return sum(term for term in terms if not is_zero(term))
 
     def assemble_gradient(self, comps: ComponentBatch, quad: np.ndarray,
                           trace: list[np.ndarray], prototype: np.ndarray) -> list[_GradTensor]:
@@ -578,15 +635,18 @@ class SourceParty(_Party):
         ciphertexts through encrypted_backward.
         """
         f, n, u = self.frac_bits, len(self.labels), trace[-1]
-        pooled = (_fixed(0.25 * prototype / n, f) @ quad
-                  + _fixed(-0.5 * self.labels_c / n, f) @ comps.lin)
-        tensors = encrypted_backward(self.net, trace, self.coef, f, pooled)
+        by_quad, by_lin, by_align = _products(
+            self.mapper, (_fixed(0.25 * prototype / n, f)[:, None], quad),
+            (_fixed(-0.5 * self.labels_c / n, f)[:, None], comps.lin),
+            (comps.align, encode(self.cfg.gamma, f)))
+        pooled = by_quad.sum(axis=0) + by_lin.sum(axis=0)
+        tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         if len(self.ab_rows):
             own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
-            residual = comps.align * encode(self.cfg.gamma, f) + _fixed(own_align, 2 * f)
+            residual = by_align + _fixed(own_align, 2 * f)
             rows = [a[self.ab_rows] for a in trace]
-            for tensor, extra in zip(tensors, encrypted_backward(self.net, rows,
-                                                                 residual[:, :, None], f)):
+            for tensor, extra in zip(tensors, encrypted_backward(
+                    self.net, rows, residual[:, :, None], f, mapper=self.mapper)):
                 tensor.values = tensor.values + extra.values
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
@@ -661,12 +721,15 @@ class TargetParty(_Party):
         """Own-parameter gradient under the source's key, before masking."""
         f, u = self.frac_bits, trace[-1]
         one = encode(1.0, f)  # lifts a component to the upstream's 2f fraction bits
+        by_quad, by_lin, by_align = _products(
+            self.mapper, (comps.quad, _fixed(2.0 * u[self.c_pos], f)[:, None, :]),
+            (comps.lin, one), (comps.align, one))
         upstream = np.zeros(u.shape, dtype=object)
-        upstream[self.c_pos] = ((comps.quad @ _fixed(2.0 * u[self.c_pos], f)[:, :, None])[..., 0]
-                                + comps.lin * one)
+        upstream[self.c_pos] = by_quad.sum(axis=-1) + by_lin
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
-        upstream[self.ab_pos] += comps.align * one + _fixed(own_align, 2 * f)
-        tensors = encrypted_backward(self.net, trace, upstream[:, :, None], f)
+        upstream[self.ab_pos] += by_align + _fixed(own_align, 2 * f)
+        tensors = encrypted_backward(self.net, trace, upstream[:, :, None], f,
+                                     mapper=self.mapper)
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
     def run_training(self) -> TrainingResult:

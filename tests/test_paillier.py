@@ -3,6 +3,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +14,13 @@ from secureftl.paillier import (
     KeyMismatchError,
     KeyPair,
     PublicKey,
+    _power_job,
     ciphertext_wire_size,
     deserialize_ciphertext,
     keygen,
     serialize_ciphertext,
 )
+from secureftl.protocol import _products
 
 KEYS = keygen(bits=512, rng=random.Random(1))
 PK, SK = KEYS.public, KEYS.private
@@ -302,3 +305,47 @@ def test_foreign_ciphertext_fails_before_any_job():
     with pytest.raises(KeyMismatchError):
         SK.decrypt_raws(cts, record)
     assert record.calls == []
+
+
+def _fields(values):
+    return [(v.value, v.frac_bits) if isinstance(v, Ciphertext) else v for v in values.flat]
+
+
+@pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
+def test_pooled_products_match_serial(chunksize):
+    # Every ciphertext times every scalar (negative raws, a 200-bit
+    # exponent), in both orders, with a structural zero on each side, and a
+    # plaintext-only pair: one batch of power jobs, none for a zero.
+    cts = np.array([*KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(6)), 0], dtype=object)
+    scalars = np.array([*(FixedPoint(raw, 8) for raw in BATCH_RAWS[::-1]), 0], dtype=object)
+    pairs = [(cts[:, None], scalars), (scalars[:, None], cts), (scalars, scalars)]
+    serial = [np.array([[x * y for y in b] for x in a.ravel()], dtype=object)
+              for a, b in pairs[:2]] + [scalars * scalars]
+    foreign = keygen(bits=512, rng=random.Random(2))
+    two_keys = np.array([cts[1], foreign.encrypt_raws([7], 16, random.Random(8))[0]],
+                        dtype=object)
+    calls = []
+    with _pool_map(chunksize) as pool_map:
+        def counting(fn, jobs):
+            calls.append((fn, len(jobs)))
+            return pool_map(fn, jobs)
+
+        pooled = _products(counting, *pairs)
+        (empty,) = _products(counting, (np.empty((0, 9), dtype=object), scalars))
+        unpowered = _products(counting, (cts, 0), (scalars, FixedPoint(3, 4)))
+        with pytest.raises(EncodingOverflowError):
+            _products(counting, (cts, scalars),
+                      (KEYS.encrypt(1.5, 200, random.Random(7)), FixedPoint(3, 100)))
+        (keyed,) = _products(counting, (two_keys, FixedPoint(3, 0)))
+    assert [_fields(p) for p in pooled] == [_fields(s) for s in serial]
+    assert [p.shape for p in pooled] == [(9, 9), (9, 9), (9,)]
+    assert all(pooled[0][8, :] == 0) and all(pooled[0][:, 8] == 0)
+    assert [SK.decrypt_raw(ct) for ct in pooled[0][:8, :8].flat] == [
+        x * y for x in BATCH_RAWS for y in BATCH_RAWS[::-1]]
+    assert empty.shape == (0, 9)
+    assert _fields(unpowered[0]) == [0] * 9
+    assert _fields(unpowered[1]) == [FixedPoint(3 * raw, 12) for raw in BATCH_RAWS[::-1]] + [0]
+    assert calls == [(_power_job, 2 * len(BATCH_RAWS) ** 2), (_power_job, 2)]
+    assert SK.decrypt_raw(keyed[0]) == 3 and foreign.private.decrypt_raw(keyed[1]) == 21
+    with pytest.raises(KeyMismatchError):
+        keyed.sum()

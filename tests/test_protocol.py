@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secureftl import protocol
 from secureftl.datasets import FederationSplit, synth_two_view
-from secureftl.encoding import FixedPoint
+from secureftl.encoding import FixedPoint, is_zero
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
-from secureftl.paillier import Ciphertext, PrivateKey, keygen
+from secureftl.paillier import Ciphertext, PrivateKey, _power_job, keygen
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import (
     ENGINE_KINDS,
@@ -25,6 +26,7 @@ from secureftl.protocol import (
     SourceParty,
     TargetParty,
     WIRE_ERRORS,
+    _Party,
     _ct_section,
     _int_section,
     _only,
@@ -342,26 +344,51 @@ def _with_source_rows(split, extra: int) -> FederationSplit:
         eval_ids=split.eval_ids, labels_eval=split.labels_eval)
 
 
+class _PartyWatch:
+    """Per role, the _power_job jobs a party hands its mapper and the
+    Ciphertext.mul_int calls made on its thread, in the runs started while
+    monkeypatch holds. exchange_keys, the first step of every training and
+    prediction routine, records the party's thread and wraps its mapper."""
+
+    def __init__(self, monkeypatch):
+        self.threads = {"source": set(), "target": set()}
+        self.power_jobs = {"source": 0, "target": 0}
+        self.mul_int_threads = []
+        exchange_keys, mul_int = _Party.exchange_keys, Ciphertext.mul_int
+
+        def watched_exchange(party):
+            role, mapper = party.role, party.mapper
+            self.threads[role].add(threading.get_ident())
+
+            def counting(fn, jobs):
+                if fn is _power_job:
+                    self.power_jobs[role] += len(jobs)
+                return mapper(fn, jobs)
+
+            party.mapper = counting
+            return exchange_keys(party)
+
+        def counted(ct, k):
+            self.mul_int_threads.append(threading.get_ident())
+            return mul_int(ct, k)
+
+        monkeypatch.setattr(_Party, "exchange_keys", watched_exchange)
+        monkeypatch.setattr(Ciphertext, "mul_int", counted)
+
+    def multiplies(self, role: str) -> int:
+        """Exponentiations role ran: power jobs plus mul_int on its thread."""
+        return self.power_jobs[role] + sum(ident in self.threads[role]
+                                           for ident in self.mul_int_threads)
+
+
 def _source_mul_ints(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
-    """mul_int calls made by the source party in one iteration (two-layer
-    nets unless told otherwise)."""
-    source_threads, callers = set(), []
-    run_training, mul_int = SourceParty.run_training, Ciphertext.mul_int
-
-    def traced_run(self):
-        source_threads.add(threading.get_ident())
-        return run_training(self)
-
-    def counted(self, k):
-        callers.append(threading.get_ident())
-        return mul_int(self, k)
-
-    monkeypatch.setattr(SourceParty, "run_training", traced_run)
-    monkeypatch.setattr(Ciphertext, "mul_int", counted)
+    """Ciphertext-by-plaintext multiplies made by the source party in one
+    iteration (two-layer nets unless told otherwise), wherever they ran."""
+    watch = _PartyWatch(monkeypatch)
     train_encrypted(split, init_network(dims_source, seed=4), init_network(dims_target, seed=5),
                     _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
     monkeypatch.undo()
-    return sum(ident in source_threads for ident in callers)
+    return watch.multiplies("source")
 
 
 def test_source_mul_count_ignores_source_rows(small_split, monkeypatch):
@@ -529,6 +556,38 @@ def test_degenerate_splits_train(n_labeled, n_overlap):
     assert audit_training(run.transcript, run.source, run.target).ok
     keys = {**run.source.keys, **run.target.keys}
     assert _content_digests(run.transcript, keys) == CONTENT_DEGENERATE[(n_labeled, n_overlap)]
+
+
+@pytest.mark.parametrize("n_labeled, n_overlap", [(2, 0), (0, 3)],
+                         ids=["no-overlap", "no-labeled"])
+def test_loss_adds_no_structural_zero(monkeypatch, n_labeled, n_overlap):
+    # Without overlap pairs the align products are an empty family, whose
+    # sum is the structural zero; without labeled pairs the summed quad is
+    # all zeros. No 0 may reach Ciphertext.__add__.
+    split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                           n_overlap=n_overlap, n_labeled=n_labeled, n_eval=2)
+    assemble_loss, add = SourceParty.assemble_loss, Ciphertext.__add__
+    inside, operands = set(), []
+
+    def watched_loss(party, *args):
+        inside.add(threading.get_ident())
+        try:
+            return assemble_loss(party, *args)
+        finally:
+            inside.discard(threading.get_ident())
+
+    def watched_add(ct, other):
+        if threading.get_ident() in inside:
+            operands.append(other)
+        return add(ct, other)
+
+    monkeypatch.setattr(SourceParty, "assemble_loss", watched_loss)
+    monkeypatch.setattr(Ciphertext, "__add__", watched_add)
+    run = train_encrypted(split, init_network([3, 4, 2], seed=4), init_network([2, 4, 2], seed=5),
+                          _tiny_cfg(max_iterations=2, alignment="distance"), key_bits=512,
+                          frac_bits=F, seed=0)
+    assert len(run.result.loss_history) == 2
+    assert operands and not any(is_zero(other) for other in operands)
 
 
 def _pubkey_frame(number: int) -> Frame:
@@ -748,16 +807,32 @@ def test_no_worker_outlives_the_call(small_split, call, renumber_at, msg_type):
     assert multiprocessing.active_children() == []
 
 
+_TEST_PROCESS = os.getpid()
+
+
+def _power_job_dying_in_worker(job):
+    """paillier._power_job, except that a worker process running it exits."""
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    return _power_job(job)
+
+
 @pytest.mark.skipif(_pool_size() == 0, reason="no worker processes on a single CPU")
-def test_dead_worker_fails_the_run(small_split, monkeypatch):
-    parent, decrypt_residue = os.getpid(), PrivateKey.decrypt_residue
+@pytest.mark.parametrize("kernel", ["decrypt", "power"])
+def test_dead_worker_fails_the_run(small_split, monkeypatch, kernel):
+    # A worker running the power kernel dies in the run's first product
+    # batch, before any decryption.
+    decrypt_residue = PrivateKey.decrypt_residue
 
     def die_in_worker(self, value):
-        if os.getpid() != parent:
+        if os.getpid() != _TEST_PROCESS:
             os._exit(1)
         return decrypt_residue(self, value)
 
-    monkeypatch.setattr(PrivateKey, "decrypt_residue", die_in_worker)
+    if kernel == "decrypt":
+        monkeypatch.setattr(PrivateKey, "decrypt_residue", die_in_worker)
+    else:
+        monkeypatch.setattr(protocol, "_power_job", _power_job_dying_in_worker)
     errors = []
 
     def call():
@@ -774,6 +849,18 @@ def test_dead_worker_fails_the_run(small_split, monkeypatch):
     assert not thread.is_alive(), "the run still waits for the lost job"
     assert [type(exc) for exc in errors] == [BrokenProcessPool]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(_pool_size() == 0, reason="no worker processes on a single CPU")
+def test_no_exponentiation_in_the_party_threads(small_split, monkeypatch):
+    watch = _PartyWatch(monkeypatch)
+    nets = init_network([3, 4, 2], seed=4), init_network([2, 4, 2], seed=5)
+    train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512)
+    trained = dict(watch.power_jobs)
+    predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512)
+    assert watch.mul_int_threads == []
+    assert trained["source"] > 0 and trained["target"] > 0
+    assert watch.power_jobs["source"] > trained["source"]
 
 
 def test_parties_keep_no_closed_pool(small_split):

@@ -2,10 +2,10 @@
 
 Implements keygen / encrypt / decrypt plus the homomorphic operations the
 protocol needs, as operators: ct + ct and ct + FixedPoint add plaintexts,
-ct * FixedPoint multiplies by a plaintext scalar (through mul_int).
-Ciphertexts carry the fractional-bit counter of their fixed-point plaintext
-so mismatched additions fail loudly instead of corrupting silently, and the
-int 0 is the structural zero of encoding.
+ct * FixedPoint multiplies by a plaintext scalar. Ciphertexts carry the
+fractional-bit counter of their fixed-point plaintext so mismatched
+additions fail loudly instead of corrupting silently, and the int 0 is the
+structural zero of encoding.
 
 Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, which avoids a
 full modular exponentiation for the generator term.
@@ -17,9 +17,10 @@ job per element: _encrypt_job on (private key, residue, r), _decrypt_job on
 batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws, hand their
 mapper the same kernels, PrivateKey.obfuscator and decrypt_residue, that a
 single own-key encryption or decryption runs, with every random r drawn in
-the caller beforehand. _power_job is the one exponentiation of mul_int, so a
-batch of ciphertext-by-plaintext products (protocol._products) sent to a
-mapper reaches the very integers a loop of ct * FixedPoint does.
+the caller beforehand. products is the batch form of ct * FixedPoint: it
+checks every product's fraction bits, then hands its mapper one _power_job
+per exponentiation, the kernel of mul_int. A single ct * FixedPoint is its
+one-element batch on the builtin map, so only products knows the rule.
 
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
@@ -34,6 +35,8 @@ import random
 import secrets
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .encoding import (
     DEFAULT_FRAC_BITS,
@@ -341,14 +344,45 @@ class Ciphertext:
         return Ciphertext(value, self.frac_bits, self.public_key)
 
     def __mul__(self, other: "FixedPoint | int") -> "Ciphertext | int":
-        """Multiply the plaintext by a FixedPoint: the fraction bits add. A
-        product with the structural zero 0 stays 0."""
+        """Multiply the plaintext by a FixedPoint: the one-element batch of
+        products, so the fraction bits add. A product with the structural
+        zero 0 stays 0."""
         if isinstance(other, FixedPoint):
-            frac_bits = check_frac_sum(self.frac_bits, other.frac_bits)
-            return Ciphertext(self.mul_int(other.raw).value, frac_bits, self.public_key)
+            (product,) = products(map, (self, other))
+            return product.item()
         return 0 if is_zero(other) else NotImplemented
 
     __rmul__ = __mul__
+
+
+def products(mapper: Mapper, *pairs) -> list[np.ndarray]:
+    """a * b under numpy broadcasting for every pair (a, b), as object arrays.
+
+    A Ciphertext times a FixedPoint, in either order, is an exponentiation:
+    the fraction bits of every such product are checked first, then all of
+    them go through mapper in one batch of _power_job jobs (value, k, n^2).
+    Every other product is formed here: two FixedPoints multiply, and a
+    product with the structural zero 0 is 0 and sends no job. The powers are
+    exact in Z*_{n^2}, so any mapper reaches the same ciphertexts.
+    """
+    shaped, pending, jobs = [], [], []
+    for a, b in pairs:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+        out = np.empty(a.size, dtype=object)
+        for i, (x, y) in enumerate(zip(a.flat, b.flat)):
+            if isinstance(y, Ciphertext):
+                x, y = y, x
+            if isinstance(x, Ciphertext) and isinstance(y, FixedPoint):
+                frac_bits = check_frac_sum(x.frac_bits, y.frac_bits)
+                pending.append((out, i, frac_bits, x.public_key))
+                jobs.append((x.value, y.raw, x.public_key.n_squared))
+            else:
+                out[i] = x * y
+        shaped.append(out.reshape(a.shape))
+    values = mapper(_power_job, jobs) if jobs else ()
+    for (out, i, frac_bits, key), value in zip(pending, values):
+        out[i] = Ciphertext(value, frac_bits, key)
+    return shaped
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:

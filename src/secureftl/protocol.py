@@ -30,14 +30,14 @@ keygens run on it side by side, each on its party's seeded rng, whose state
 comes back with the keys. Then both parties hand it their exponentiations
 through the executor's map, in one chunk per worker: every batch of own-key
 encryptions (components and prediction requests), every decryption of the
-peer's masked sections, and every batch of ciphertext-by-plaintext products
-(_products) that the loss, the gradients and the prediction scores are
-built from. The workers run only paillier's kernels on (private key,
-residue, r), (private key, value) and (value, k, n^2) jobs. Channels,
-transcript, masks, the homomorphic additions and every encryption's random
-r stay in the parent, so each ciphertext and frame is the one a single core
-would make. The few single encryptions (the target's reg scalar, peer-key
-mask entries) run in the party's thread.
+peer's masked sections, and every batch of ciphertext-by-plaintext
+products (paillier.products) that the loss, the gradients and the
+prediction scores are built from. The workers run only paillier's kernels
+on (private key, residue, r), (private key, value) and (value, k, n^2)
+jobs. Channels, transcript, masks, the homomorphic additions and every
+encryption's random r stay in the parent, so each ciphertext and frame is
+the one a single core would make. The few single encryptions (the target's
+reg scalar, peer-key mask entries) run in the party's thread.
 
 A party that fails closes its channel end, which fails the peer's next recv
 with ChannelClosed; the call raises the first failure in time order, so a
@@ -55,7 +55,7 @@ are paillier.Ciphertext, encoding.FixedPoint or the int 0, the structural
 zero that no ciphertext reached (it adds nothing, and any product with it
 stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
 arrays; the loss, the gradients and the prediction scores are batched
-elementwise products (_products) summed over an axis, and
+elementwise products (paillier.products) summed over an axis, and
 encrypted_backward runs Network.backward over an (N, d, K) upstream. A
 gradient entry that is still plaintext when it is masked (no ciphertext
 reached it, only weight decay) is encrypted then, under the peer's key.
@@ -99,7 +99,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, FixedPoint, check_frac_sum, encode, is_zero
+from .encoding import MAX_FRAC_BITS, FixedPoint, encode, is_zero
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -110,9 +110,9 @@ from .paillier import (
     KeyPair,
     Mapper,
     PublicKey,
-    _power_job,
     deserialize_ciphertext,
     keygen,
+    products,
     serialize_ciphertext,
 )
 from .plain import (
@@ -139,6 +139,11 @@ from .transport import (
 # full fixed-point resolution: large against unit-scale gradients, small
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
+
+# A ciphertext contraction forms its products in batches of about this many,
+# whole output rows each, so the products held at once do not grow with
+# rows * inputs * outputs.
+CONTRACTION_BATCH = 4096
 
 
 class ProtocolError(RuntimeError):
@@ -293,36 +298,6 @@ def _fixed(values, frac_bits: int) -> np.ndarray:
                     dtype=object).reshape(values.shape)
 
 
-def _products(mapper: Mapper, *pairs) -> list[np.ndarray]:
-    """a * b under numpy broadcasting for every pair (a, b), as object arrays.
-
-    A Ciphertext times a FixedPoint, in either order, is an exponentiation:
-    the fraction bits of every such product are checked first, then all of
-    them go through mapper in one batch of _power_job jobs. Every other
-    product is formed here: two FixedPoints multiply, and a product with the
-    structural zero 0 is 0 and sends no job. The powers are exact in
-    Z*_{n^2}, so the ciphertexts are those of the serial ct * FixedPoint.
-    """
-    shaped, pending, jobs = [], [], []
-    for a, b in pairs:
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
-        out = np.empty(a.size, dtype=object)
-        for i, (x, y) in enumerate(zip(a.flat, b.flat)):
-            if isinstance(y, Ciphertext):
-                x, y = y, x
-            if isinstance(x, Ciphertext) and isinstance(y, FixedPoint):
-                frac_bits = check_frac_sum(x.frac_bits, y.frac_bits)
-                pending.append((out, i, frac_bits, x.public_key))
-                jobs.append((x.value, y.raw, x.public_key.n_squared))
-            else:
-                out[i] = x * y
-        shaped.append(out.reshape(a.shape))
-    values = mapper(_power_job, jobs) if jobs else ()
-    for (out, i, frac_bits, key), value in zip(pending, values):
-        out[i] = Ciphertext(value, frac_bits, key)
-    return shaped
-
-
 @dataclass
 class _GradTensor:
     name: str
@@ -348,7 +323,8 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     Coefficients cross as exact FixedPoint integers, summed over rows before
     any ciphertext is touched, so the cost of a basis does not grow with N.
     Every step's ciphertext products go through mapper in one batch
-    (_products).
+    (paillier.products); a contraction of ciphertexts goes in batches of
+    whole output rows, about CONTRACTION_BATCH products each.
 
     The result is exact, not close: ciphertexts under * and + form the
     commutative group Z*_{n^2}, so prod_k basis[k]^E_k is the very integer
@@ -362,14 +338,17 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         # without holding every product at once.
         if basis is not None:
             return a @ b
-        (products,) = _products(mapper, (a[..., None], b))
-        return products.sum(axis=-2)
+        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+        step = max(1, CONTRACTION_BATCH // max(1, b.size))
+        blocks = [rows[i:i + step] for i in range(0, len(rows), step)] or [rows]
+        out = [products(mapper, (block[:, :, None], b))[0].sum(axis=1) for block in blocks]
+        return np.concatenate(out).reshape(*a.shape[:-1], b.shape[-1])
 
     delta, frac = upstream.transpose(0, 2, 1), 2 * f  # (N, K, d)
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
     for idx in range(len(net.layers) - 1, -1, -1):
         a_out, a_in = trace[idx + 1], trace[idx]
-        (dz,) = _products(mapper, (delta, _fixed(a_out * (1.0 - a_out), f)[:, None, :]))
+        (dz,) = products(mapper, (delta, _fixed(a_out * (1.0 - a_out), f)[:, None, :]))
         grad_w = np.moveaxis(matmul(dz.transpose(1, 2, 0), _fixed(a_in, f)), 0, -1)
         grad_b = dz.sum(axis=0).T
         tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", grad_w, frac + 2 * f)
@@ -381,9 +360,9 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         for tensor in tensors:
             tensor.values = tensor.values[..., 0]
     else:
-        for tensor, products in zip(tensors, _products(mapper, *[(t.values, basis)
-                                                                 for t in tensors])):
-            tensor.values = products.sum(axis=-1)
+        for tensor, terms in zip(tensors, products(mapper, *[(t.values, basis)
+                                                             for t in tensors])):
+            tensor.values = terms.sum(axis=-1)
     return tensors
 
 
@@ -560,9 +539,9 @@ class _Party:
         n, d = request.dims
         if d != len(prototype):
             raise ProtocolError(f"prototype dim {len(prototype)} != request dim {d}")
-        (products,) = _products(self.mapper, (_section_array(request, self.keys),
-                                              _fixed(prototype, self.frac_bits)))
-        scores = products.sum(axis=-1)
+        (terms,) = products(self.mapper, (_section_array(request, self.keys),
+                                          _fixed(prototype, self.frac_bits)))
+        scores = terms.sum(axis=-1)
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
@@ -614,11 +593,11 @@ class SourceParty(_Party):
         constant = (len(y) * LOG2
                     + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        products = _products(self.mapper,
-                             (quad, _fixed(np.outer(0.125 * prototype, prototype), f)),
-                             (comps.lin, _fixed((-0.5 * y)[:, None] * prototype, f)),
-                             (comps.align, _fixed(self.cfg.gamma * u_ab, f)))
-        terms = [term for p in products for term in p.flat] + [comps.reg, encode(constant, 2 * f)]
+        by_pair = products(self.mapper,
+                           (quad, _fixed(np.outer(0.125 * prototype, prototype), f)),
+                           (comps.lin, _fixed((-0.5 * y)[:, None] * prototype, f)),
+                           (comps.align, _fixed(self.cfg.gamma * u_ab, f)))
+        terms = [term for p in by_pair for term in p.flat] + [comps.reg, encode(constant, 2 * f)]
         # Structural zeros (quad's, without labeled pairs) are skipped, so no
         # addition of 0 reaches a ciphertext.
         return sum(term for term in terms if not is_zero(term))
@@ -635,7 +614,7 @@ class SourceParty(_Party):
         ciphertexts through encrypted_backward.
         """
         f, n, u = self.frac_bits, len(self.labels), trace[-1]
-        by_quad, by_lin, by_align = _products(
+        by_quad, by_lin, by_align = products(
             self.mapper, (_fixed(0.25 * prototype / n, f)[:, None], quad),
             (_fixed(-0.5 * self.labels_c / n, f)[:, None], comps.lin),
             (comps.align, encode(self.cfg.gamma, f)))
@@ -721,7 +700,7 @@ class TargetParty(_Party):
         """Own-parameter gradient under the source's key, before masking."""
         f, u = self.frac_bits, trace[-1]
         one = encode(1.0, f)  # lifts a component to the upstream's 2f fraction bits
-        by_quad, by_lin, by_align = _products(
+        by_quad, by_lin, by_align = products(
             self.mapper, (comps.quad, _fixed(2.0 * u[self.c_pos], f)[:, None, :]),
             (comps.lin, one), (comps.align, one))
         upstream = np.zeros(u.shape, dtype=object)

@@ -18,9 +18,9 @@ from secureftl.paillier import (
     ciphertext_wire_size,
     deserialize_ciphertext,
     keygen,
+    products,
     serialize_ciphertext,
 )
-from secureftl.protocol import _products
 
 KEYS = keygen(bits=512, rng=random.Random(1))
 PK, SK = KEYS.public, KEYS.private
@@ -330,13 +330,13 @@ def test_pooled_products_match_serial(chunksize):
             calls.append((fn, len(jobs)))
             return pool_map(fn, jobs)
 
-        pooled = _products(counting, *pairs)
-        (empty,) = _products(counting, (np.empty((0, 9), dtype=object), scalars))
-        unpowered = _products(counting, (cts, 0), (scalars, FixedPoint(3, 4)))
+        pooled = products(counting, *pairs)
+        (empty,) = products(counting, (np.empty((0, 9), dtype=object), scalars))
+        unpowered = products(counting, (cts, 0), (scalars, FixedPoint(3, 4)))
         with pytest.raises(EncodingOverflowError):
-            _products(counting, (cts, scalars),
+            products(counting, (cts, scalars),
                       (KEYS.encrypt(1.5, 200, random.Random(7)), FixedPoint(3, 100)))
-        (keyed,) = _products(counting, (two_keys, FixedPoint(3, 0)))
+        (keyed,) = products(counting, (two_keys, FixedPoint(3, 0)))
     assert [_fields(p) for p in pooled] == [_fields(s) for s in serial]
     assert [p.shape for p in pooled] == [(9, 9), (9, 9), (9,)]
     assert all(pooled[0][8, :] == 0) and all(pooled[0][:, 8] == 0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secureftl import protocol
+from secureftl import paillier, protocol
 from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import FixedPoint, is_zero
 from secureftl.nets import init_network
@@ -88,6 +88,33 @@ def test_encrypted_backward_matches_plaintext():
             else expected[layer_idx].bias
         got = _decrypt_tensor(tensor, keypair)
         assert np.allclose(got, want, atol=1e-9)
+
+
+def test_contraction_batches_bound_the_products(monkeypatch):
+    # With a batch of 12 products, each contraction goes in blocks of whole
+    # output rows, at least one: a delta row is 2 outputs x 3 inputs, so two
+    # rows a block; a gradient row is 5 samples x 3 or 4 inputs, so one. The
+    # ciphertexts are those of one batch per contraction.
+    rng = np.random.default_rng(4)
+    net = init_network([4, 3, 2], seed=9)
+    keypair = keygen(512, random.Random(11))
+    upstream = _enc_array(keypair.public, rng.normal(size=(5, 2, 1)), 2 * F)
+    trace = net.forward_trace(rng.normal(size=(5, 4)))
+    batches = []
+
+    def record(fn, jobs):
+        batches.append(len(jobs))
+        return map(fn, jobs)
+
+    whole = encrypted_backward(net, trace, upstream, F, mapper=record)
+    whole_batches, batches[:] = list(batches), []
+    monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 12)
+    blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
+    assert _ct_fields(blocked) == _ct_fields(whole)
+    # dz, grad_w, delta, dz, grad_w: one batch each, then per row block.
+    assert whole_batches == [10, 30, 30, 15, 60]
+    assert batches == [10, 15, 15, 12, 12, 6, 15, 20, 20, 20]
+    assert sum(batches) == sum(whole_batches)
 
 
 def _ct_fields(tensors):
@@ -344,41 +371,49 @@ def _with_source_rows(split, extra: int) -> FederationSplit:
         eval_ids=split.eval_ids, labels_eval=split.labels_eval)
 
 
+def _unwatched_power_job(job):
+    """paillier._power_job as a watched party's mapper runs it: its jobs are
+    counted there, not again by the kernel watch."""
+    return _power_job(job)
+
+
 class _PartyWatch:
-    """Per role, the _power_job jobs a party hands its mapper and the
-    Ciphertext.mul_int calls made on its thread, in the runs started while
-    monkeypatch holds. exchange_keys, the first step of every training and
-    prediction routine, records the party's thread and wraps its mapper."""
+    """Per role, the _power_job jobs a party hands its mapper and the power
+    kernel runs on its thread outside any mapper (through ct * FixedPoint or
+    mul_int), in the runs started while monkeypatch holds. exchange_keys,
+    the first step of every training and prediction routine, records the
+    party's thread and wraps its mapper."""
 
     def __init__(self, monkeypatch):
         self.threads = {"source": set(), "target": set()}
         self.power_jobs = {"source": 0, "target": 0}
-        self.mul_int_threads = []
-        exchange_keys, mul_int = _Party.exchange_keys, Ciphertext.mul_int
+        self.kernel_threads = []
+        exchange_keys = _Party.exchange_keys
+
+        def watched_kernel(job):
+            self.kernel_threads.append(threading.get_ident())
+            return _power_job(job)
 
         def watched_exchange(party):
             role, mapper = party.role, party.mapper
             self.threads[role].add(threading.get_ident())
 
             def counting(fn, jobs):
-                if fn is _power_job:
+                if fn is watched_kernel:
                     self.power_jobs[role] += len(jobs)
+                    fn = _unwatched_power_job
                 return mapper(fn, jobs)
 
             party.mapper = counting
             return exchange_keys(party)
 
-        def counted(ct, k):
-            self.mul_int_threads.append(threading.get_ident())
-            return mul_int(ct, k)
-
         monkeypatch.setattr(_Party, "exchange_keys", watched_exchange)
-        monkeypatch.setattr(Ciphertext, "mul_int", counted)
+        monkeypatch.setattr(paillier, "_power_job", watched_kernel)
 
     def multiplies(self, role: str) -> int:
-        """Exponentiations role ran: power jobs plus mul_int on its thread."""
+        """Exponentiations role ran: power jobs plus kernel runs on its thread."""
         return self.power_jobs[role] + sum(ident in self.threads[role]
-                                           for ident in self.mul_int_threads)
+                                           for ident in self.kernel_threads)
 
 
 def _source_mul_ints(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
@@ -832,7 +867,7 @@ def test_dead_worker_fails_the_run(small_split, monkeypatch, kernel):
     if kernel == "decrypt":
         monkeypatch.setattr(PrivateKey, "decrypt_residue", die_in_worker)
     else:
-        monkeypatch.setattr(protocol, "_power_job", _power_job_dying_in_worker)
+        monkeypatch.setattr(paillier, "_power_job", _power_job_dying_in_worker)
     errors = []
 
     def call():
@@ -858,7 +893,7 @@ def test_no_exponentiation_in_the_party_threads(small_split, monkeypatch):
     train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512)
     trained = dict(watch.power_jobs)
     predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512)
-    assert watch.mul_int_threads == []
+    assert watch.kernel_threads == []
     assert trained["source"] > 0 and trained["target"] > 0
     assert watch.power_jobs["source"] > trained["source"]
 

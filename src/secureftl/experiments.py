@@ -41,7 +41,7 @@ from .transport import (
     tcp_pair,
 )
 from .paillier import ciphertext_wire_size
-from .trcv import make_folds, run_trcv, self_learning_safeguard
+from .trcv import local_cv, run_trcv, self_learning_safeguard
 
 
 @dataclass
@@ -318,14 +318,7 @@ def _run_trcv_vs_cv(cfg: ExperimentConfig, engine: Engine, result: RunResult,
         best_trcv_score = max(best_trcv_score, report.mean)
         result.rows.append({"k": k, "method": "trcv", "score": f"{report.mean:.6f}"})
         result.metrics[f"trcv_k{k}"] = report.mean
-        plan = make_folds(np.arange(len(y_c)), min(k, len(y_c)), cfg.seed)
-        local = []
-        for fold in plan.folds:
-            rows = np.setdiff1d(np.arange(len(y_c)), fold)
-            model = train_logistic(x_c[rows], y_c[rows], seed=cfg.seed)
-            local.append(weighted_f1(model.predict(x_c[fold]),
-                                     y_c[fold]).weighted_f1)
-        local_mean = sum(local) / len(local)
+        local_mean = local_cv(x_c, y_c, k, cfg.seed)
         result.rows.append({"k": k, "method": "local-cv", "score": f"{local_mean:.6f}"})
         result.metrics[f"local_cv_k{k}"] = local_mean
     decision = self_learning_safeguard(x_c, y_c, best_trcv_score,

@@ -19,8 +19,10 @@ mapper the same kernels, PrivateKey.obfuscator and decrypt_residue, that a
 single own-key encryption or decryption runs, with every random r drawn in
 the caller beforehand. products is the batch form of ct * FixedPoint: it
 checks every product's fraction bits, then hands its mapper one _power_job
-per exponentiation, the kernel of mul_int. A single ct * FixedPoint is its
-one-element batch on the builtin map, so only products knows the rule.
+per exponentiation. A single ct * FixedPoint is its one-element batch on the
+builtin map, so only products knows the rule; likewise only __add__ knows
+the rule of addition. mul_int and add_raw are ct * FixedPoint(k, 0) and
+ct + FixedPoint(raw, frac_bits).
 
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
@@ -333,15 +335,11 @@ class Ciphertext:
 
     def add_raw(self, raw: int) -> "Ciphertext":
         """Add a plaintext signed raw integer at this ciphertext's precision."""
-        n, nsq = self.public_key.modulus, self.public_key.n_squared
-        residue = to_residue(raw, n)
-        value = self.value * (1 + residue * n) % nsq
-        return Ciphertext(value, self.frac_bits, self.public_key)
+        return self + FixedPoint(raw, self.frac_bits)
 
     def mul_int(self, k: int) -> "Ciphertext":
         """Multiply the plaintext by an exact signed integer; precision unchanged."""
-        value = _power_job((self.value, k, self.public_key.n_squared))
-        return Ciphertext(value, self.frac_bits, self.public_key)
+        return self * FixedPoint(k, 0)
 
     def __mul__(self, other: "FixedPoint | int") -> "Ciphertext | int":
         """Multiply the plaintext by a FixedPoint: the one-element batch of

@@ -81,7 +81,17 @@ integers (int), prod(dims) of them, row-major:
   PREDICT_LABELS   labels            (n,)         int: +1 or -1
   STOP             empty payload
 
-A malformed payload raises one of WIRE_ERRORS.
+One rule reads every payload: its sections must be exactly the (name, dims)
+list its receiver expects, in order, or ProtocolError is raised before any
+value is decrypted, logged or applied. The receiver knows every dim from its
+own state: its n_c, n_ab and d for COMPONENTS, with reg at the source; for
+a DECRYPTED_BLOB, the sections it masked under that number, each of which
+must also repeat the fraction bits it was masked at; and the n rows it asked
+about for PREDICT_MASKED and PREDICT_LABELS. Only a PREDICT_REQUEST's row
+count n is a wildcard. MASKED_GRAD follows the sender's net, which the
+receiver does not know: it decrypts those sections as sent, and the sender
+checks what comes back. A payload that does not parse raises one of
+WIRE_ERRORS.
 """
 
 from __future__ import annotations
@@ -201,13 +211,20 @@ def _section_ints(section: Section) -> tuple[int, list[int]]:
     return data[0], out
 
 
-def _only(payload: bytes, name: str, ndim: int) -> Section:
-    """The payload's single section, which must be called name and have ndim dims."""
+Layout = list[tuple[str, tuple[int | None, ...]]]
+
+
+def _read(payload: bytes, layout: Layout) -> list[Section]:
+    """The payload's sections, which must be exactly layout's (name, dims)
+    in order; a None dim matches any size."""
     sections = unpack_sections(payload)
-    if [(s.name, len(s.dims)) for s in sections] != [(name, ndim)]:
-        raise ProtocolError(f"expected one {ndim}-d section {name}, got "
-                            f"{[(s.name, s.dims) for s in sections]}")
-    return sections[0]
+    got = [(s.name, s.dims) for s in sections]
+    if len(got) != len(layout) or not all(
+            name == want and len(dims) == len(want_dims)
+            and all(w is None or w == g for w, g in zip(want_dims, dims))
+            for (name, dims), (want, want_dims) in zip(got, layout)):
+        raise ProtocolError(f"expected sections {layout}, got {got}")
+    return sections
 
 
 def _pubkey_payload(pk: PublicKey) -> bytes:
@@ -216,19 +233,14 @@ def _pubkey_payload(pk: PublicKey) -> bytes:
 
 
 def _read_pubkey(payload: bytes) -> PublicKey:
-    _, (n,) = _section_ints(_only(payload, "n", 0))
+    _, (n,) = _section_ints(*_read(payload, [("n", ())]))
     if n.bit_length() < MIN_KEY_BITS or n % 2 == 0:
         raise ProtocolError(f"public modulus of {n.bit_length()} bits is no Paillier modulus")
     return PublicKey(n, n + 1)
 
 
-def _read_blob(payload: bytes) -> list[tuple[str, int, list[int]]]:
-    """(name, frac_bits, raws) per section of a DECRYPTED_BLOB."""
-    return [(s.name, *_section_ints(s)) for s in unpack_sections(payload)]
-
-
-def _read_labels(payload: bytes) -> np.ndarray:
-    _, labels = _section_ints(_only(payload, "labels", 1))
+def _read_labels(payload: bytes, n: int) -> np.ndarray:
+    _, labels = _section_ints(*_read(payload, [("labels", (n,))]))
     if not set(labels) <= {-1, 1}:
         raise ProtocolError("predicted labels outside {-1, +1}")
     return np.array(labels, dtype=int)
@@ -236,9 +248,6 @@ def _read_labels(payload: bytes) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # component batches
-
-_COMPONENT_NDIM = {"quad": 3, "lin": 2, "align": 2, "reg": 0}
-
 
 @dataclass
 class ComponentBatch:
@@ -263,27 +272,17 @@ class ComponentBatch:
             sections.append(_ct_section("reg", (), [self.reg]))
         return pack_sections(sections)
 
-    @classmethod
-    def from_payload(cls, payload: bytes, keys) -> "ComponentBatch":
-        empty = np.empty(0, dtype=object)
-        families = {"quad": empty, "lin": empty, "align": empty, "reg": None}
-        for section in unpack_sections(payload):
-            dims = section.dims
-            if (_COMPONENT_NDIM.get(section.name) != len(dims)
-                    or (len(dims) == 3 and dims[1] != dims[2])):
-                raise ProtocolError(f"no component family {section.name} of shape {dims}")
-            cts = _section_array(section, keys)
-            families[section.name] = cts if dims else cts.item()
-        return cls(**families)
+    @staticmethod
+    def layout(n_c: int, n_ab: int, d: int, reg: bool) -> Layout:
+        """The sections of a batch of n_c labeled and n_ab overlap items of
+        dimension d, with a reg scalar when reg."""
+        return ([("quad", (n_c, d, d)), ("lin", (n_c, d)), ("align", (n_ab, d))]
+                + [("reg", ())] * reg)
 
-    def check(self, n_c: int, n_ab: int, d: int, reg: bool):
-        """Raise ProtocolError unless the batch holds n_c labeled and n_ab
-        overlap items of dimension d, and a reg scalar exactly when reg."""
-        shapes = (self.quad.shape, self.lin.shape, self.align.shape, self.reg is not None)
-        expected = ((n_c, d, d), (n_c, d), (n_ab, d), reg)
-        if shapes != expected:
-            raise ProtocolError(f"component batch holds (quad, lin, align, reg) shapes "
-                                f"{shapes}, expected {expected}")
+    @classmethod
+    def from_payload(cls, payload: bytes, keys, layout: Layout) -> "ComponentBatch":
+        quad, lin, align, *reg = (_section_array(s, keys) for s in _read(payload, layout))
+        return cls(quad, lin, align, *(r.item() for r in reg))
 
 
 def _mask_raws(rng: random.Random, count: int, frac_bits: int) -> list[int]:
@@ -406,12 +405,13 @@ class _Party:
         self.peer_key: PublicKey | None = None
         self.keys: dict[bytes, PublicKey] = {self.keypair.public.fingerprint: self.keypair.public}
         self.align = alignment_spec(cfg.alignment)
-        # Audit trail: every mask this party ever created with its fraction
-        # bits, and every unmasked value it applied, keyed by (iteration,
-        # tensor name).
+        # Audit trail: every mask this party ever created, and every
+        # unmasked value it applied, keyed by (frame number, section name).
         self.mask_log: dict[tuple[int, str], tuple[int, ...]] = {}
-        self.mask_frac: dict[tuple[int, str], int] = {}
         self.applied_log: dict[tuple[int, str], tuple[int, ...]] = {}
+        # (name, dims, frac_bits) per section masked under a frame number
+        # whose blob has not come back yet.
+        self.awaiting: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
         self.predict_seq = 0
 
     # -- plumbing
@@ -431,13 +431,6 @@ class _Party:
             raise ProtocolError(f"{MsgType(frame.msg_type).name} numbered {frame.iteration}, "
                                 f"expected {number}")
         return frame
-
-    def _read_components(self, payload: bytes) -> ComponentBatch:
-        """The peer's component batch, checked against this party's own
-        (n_c, n_ab, d, reg) in peer_shape."""
-        comps = ComponentBatch.from_payload(payload, self.keys)
-        comps.check(*self.peer_shape)
-        return comps
 
     def exchange_keys(self):
         self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.keypair.public))
@@ -459,7 +452,8 @@ class _Party:
         if key in self.mask_log:
             raise ProtocolError(f"mask for {key} would be reused")
         raws = _mask_raws(self.rng, values.size, frac_bits)
-        self.mask_log[key], self.mask_frac[key] = tuple(raws), frac_bits
+        self.mask_log[key] = tuple(raws)
+        self.awaiting.setdefault(seq, []).append((name, values.shape, frac_bits))
         masked = values.ravel() + np.array([FixedPoint(m, frac_bits) for m in raws], dtype=object)
         return _ct_section(name, values.shape, [
             m if isinstance(m, Ciphertext) else self.peer_key.encrypt_raw(m.raw, frac_bits, self.rng)
@@ -477,42 +471,41 @@ class _Party:
                          list(itertools.islice(raws, len(cts))))
             for section, cts in zip(sections, parsed)])
 
-    def _unmask(self, seq: int, name: str, raws: list[int]) -> list[int]:
-        """Blob raws less the mask on record for (seq, name), logged as applied."""
-        key = (seq, name)
-        if key not in self.mask_log:
-            raise ProtocolError(f"no mask on record for blob section {name}")
-        mask = self.mask_log[key]
-        if len(mask) != len(raws):
-            raise ProtocolError(f"blob section {name} has wrong length")
-        unmasked = [r - m for r, m in zip(raws, mask)]
-        self.applied_log[key] = tuple(unmasked)
-        return unmasked
+    def _read_own_blob(self, seq: int, payload: bytes) -> list[tuple]:
+        """Unmask what this party masked under seq.
+
+        The blob must hold exactly those sections, in order, each at the
+        fraction bits it was masked at. Returns (name, dims, frac_bits,
+        unmasked raws) per section, each logged as applied once all check.
+        """
+        masked = self.awaiting.pop(seq, [])
+        sections = _read(payload, [(name, dims) for name, dims, _ in masked])
+        out = []
+        for section, (name, dims, frac_bits) in zip(sections, masked):
+            claimed, raws = _section_ints(section)
+            # An empty section has no ciphertext whose fraction bits it could repeat.
+            if raws and claimed != frac_bits:
+                raise ProtocolError(f"blob section {name} claims {claimed} fraction bits, "
+                                    f"masked at {frac_bits}")
+            out.append((name, dims, frac_bits,
+                        [r - m for r, m in zip(raws, self.mask_log[(seq, name)])]))
+        self.applied_log.update(((seq, name), tuple(unmasked)) for name, _, _, unmasked in out)
+        return out
 
     def _unmask_and_apply(self, net: Network, iteration: int, blob_payload: bytes,
                           learning_rate: float) -> dict[str, float]:
         """Exact integer unmasking, then one gradient step.
 
         Sections named layer*.{weights,bias} are this party's own gradient;
-        anything else (the loss at the source) is unmasked and returned. Each
-        is read at the fraction bits it was masked at, which the blob must
-        repeat.
+        the rest (the loss at the source) are unmasked and returned.
         """
-        values = {}
-        for name, frac_bits, raws in _read_blob(blob_payload):
-            masked_at = self.mask_frac.get((iteration, name), frac_bits)
-            if frac_bits != masked_at:
-                raise ProtocolError(f"blob section {name} claims {frac_bits} fraction bits, "
-                                    f"masked at {masked_at}")
-            unmasked = self._unmask(iteration, name, raws)
-            values[name] = np.array([u / (1 << frac_bits) for u in unmasked])
+        values = {name: np.array([u / (1 << frac_bits) for u in unmasked]).reshape(dims)
+                  for name, dims, frac_bits, unmasked
+                  in self._read_own_blob(iteration, blob_payload)}
         for idx, layer in enumerate(net.layers):
-            if f"layer{idx}.weights" not in values or f"layer{idx}.bias" not in values:
-                raise ProtocolError(f"blob lacks the gradient of layer{idx}")
-            layer.weights -= learning_rate * values.pop(f"layer{idx}.weights").reshape(
-                layer.weights.shape)
+            layer.weights -= learning_rate * values.pop(f"layer{idx}.weights")
             layer.bias -= learning_rate * values.pop(f"layer{idx}.bias")
-        return {name: float(v[0]) for name, v in values.items()}
+        return {name: float(v) for name, v in values.items()}
 
     # -- prediction roles (either party can serve or request)
 
@@ -524,32 +517,27 @@ class _Party:
         self._send(MsgType.PREDICT_REQUEST, seq,
                    pack_sections([_ct_section("u", (n, d), self._encrypt(u_rows).flat)]))
         frame = self._recv({MsgType.PREDICT_MASKED: seq})
-        self._send(MsgType.DECRYPTED_BLOB, seq,
-                   self._decrypt_to_blob([_only(frame.payload, "predict.scores", 1)]))
-        labels = _read_labels(self._recv({MsgType.PREDICT_LABELS: seq}).payload)
-        if len(labels) != n:
-            raise ProtocolError(f"{len(labels)} labels for {n} query rows")
-        return labels
+        self._send(MsgType.DECRYPTED_BLOB, seq, self._decrypt_to_blob(
+            _read(frame.payload, [("predict.scores", (n,))])))
+        return _read_labels(self._recv({MsgType.PREDICT_LABELS: seq}).payload, n)
 
     def serve_labels(self, prototype: np.ndarray) -> np.ndarray:
         """Score encrypted peer representations against a local prototype."""
         self.predict_seq += 1
         seq = self.predict_seq
-        request = _only(self._recv({MsgType.PREDICT_REQUEST: seq}).payload, "u", 2)
-        n, d = request.dims
-        if d != len(prototype):
-            raise ProtocolError(f"prototype dim {len(prototype)} != request dim {d}")
+        (request,) = _read(self._recv({MsgType.PREDICT_REQUEST: seq}).payload,
+                           [("u", (None, len(prototype)))])
+        n = request.dims[0]
         (terms,) = products(self.mapper, (_section_array(request, self.keys),
                                           _fixed(prototype, self.frac_bits)))
         scores = terms.sum(axis=-1)
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
-        _, raws = _section_ints(_only(blob.payload, "predict.scores", 1))
+        [(_, _, _, unmasked)] = self._read_own_blob(seq, blob.payload)
         # The tie at exactly zero classifies positive; integer-domain
         # unmasking keeps that decidable.
-        labels = np.array([1 if u >= 0 else -1 for u in self._unmask(seq, "predict.scores", raws)],
-                          dtype=int)
+        labels = np.array([1 if u >= 0 else -1 for u in unmasked], dtype=int)
         self._send(MsgType.PREDICT_LABELS, seq,
                    pack_sections([_int_section("labels", (n,), 0, labels.tolist())]))
         return labels
@@ -568,7 +556,8 @@ class SourceParty(_Party):
         self.labels = split.labels_source.astype(int)
         self.labels_c = split.labels_for(split.labeled_ids).astype(int)
         self.ab_rows = split.source_rows(split.overlap_ids)
-        self.peer_shape = (len(self.labels_c), len(self.ab_rows), net.hidden_dim, True)
+        self.peer_layout = ComponentBatch.layout(len(self.labels_c), len(self.ab_rows),
+                                                 net.hidden_dim, True)
         # Row j's coefficient on the pooled basis: y_j on pooled[o] at output o.
         self.coef = _fixed(self.labels[:, None, None] * np.eye(net.hidden_dim), 0)
 
@@ -639,7 +628,7 @@ class SourceParty(_Party):
             self._send(MsgType.COMPONENTS_A, iteration,
                        self.compute_components(trace).to_payload())
             frame = self._recv({MsgType.COMPONENTS_B: iteration})
-            comps = self._read_components(frame.payload)
+            comps = ComponentBatch.from_payload(frame.payload, self.keys, self.peer_layout)
             # Labels are +-1, so y^2 = 1 and every labeled pair's quad
             # coefficient is the same: contract the pairs once, before any
             # multiply.
@@ -656,11 +645,8 @@ class SourceParty(_Party):
             self._send(MsgType.DECRYPTED_BLOB, iteration,
                        self._decrypt_to_blob(unpack_sections(grad_frame.payload)))
             blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
-            extras = self._unmask_and_apply(self.net, iteration, blob.payload,
-                                            self.cfg.learning_rate)
-            if "loss" not in extras:
-                raise ProtocolError("target's blob did not return the loss")
-            loss = extras["loss"]
+            loss = self._unmask_and_apply(self.net, iteration, blob.payload,
+                                          self.cfg.learning_rate)["loss"]
             result.loss_history.append(loss)
             if previous - loss <= self.cfg.tolerance:
                 result.converged = True
@@ -683,7 +669,8 @@ class TargetParty(_Party):
         self.net = net
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)
         self.x = split.x_target[split.target_rows(batch_ids)]
-        self.peer_shape = (len(self.c_pos), len(self.ab_pos), net.hidden_dim, False)
+        self.peer_layout = ComponentBatch.layout(len(self.c_pos), len(self.ab_pos),
+                                                 net.hidden_dim, False)
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
@@ -728,7 +715,7 @@ class TargetParty(_Party):
                        self.compute_components(trace).to_payload())
             if iteration == 1:
                 comps_frame = self._recv({MsgType.COMPONENTS_A: iteration})
-            comps = self._read_components(comps_frame.payload)
+            comps = ComponentBatch.from_payload(comps_frame.payload, self.keys, self.peer_layout)
 
             tensors = self.assemble_gradient(comps, trace)
             self._send(MsgType.MASKED_GRAD_B, iteration, pack_sections(
@@ -736,8 +723,8 @@ class TargetParty(_Party):
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
             loss_frame = self._recv({MsgType.ENC_LOSS: iteration})
-            sections = unpack_sections(grad_frame.payload)
-            sections.append(_only(loss_frame.payload, "loss", 0))
+            sections = (unpack_sections(grad_frame.payload)
+                        + _read(loss_frame.payload, [("loss", ())]))
             self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(sections))
 
             own_blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
@@ -975,8 +962,9 @@ def audit_training(transcript: Transcript, source: _Party, target: _Party) -> Au
                 continue
             if record.msg_type != MsgType.DECRYPTED_BLOB:
                 continue
-            for name, _frac, raws in _read_blob(record.payload):
-                key = (record.iteration, name)
+            for section in unpack_sections(record.payload):
+                _, raws = _section_ints(section)
+                key = (record.iteration, section.name)
                 mask = receiver.mask_log.get(key)
                 applied = receiver.applied_log.get(key)
                 if mask is None or applied is None:

@@ -77,14 +77,20 @@ def encode_frame(frame: Frame) -> bytes:
     return HEADER.pack(MAGIC, frame.msg_type, frame.iteration, len(frame.payload)) + frame.payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    if len(data) < HEADER.size:
-        raise FramingError("frame shorter than header")
+def _read_header(data: bytes) -> tuple[int, int, int]:
+    """(msg_type, iteration, payload length) of the header data starts with."""
     magic, msg_type, iteration, length = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FramingError(f"bad magic {magic!r}")
     if length > _MAX_PAYLOAD:
         raise FramingError("payload length exceeds sanity cap")
+    return msg_type, iteration, length
+
+
+def decode_frame(data: bytes) -> Frame:
+    if len(data) < HEADER.size:
+        raise FramingError("frame shorter than header")
+    msg_type, iteration, length = _read_header(data)
     if len(data) != HEADER.size + length:
         raise FramingError("payload length does not match header")
     return Frame(msg_type, iteration, data[HEADER.size:])
@@ -217,12 +223,7 @@ class SocketChannel:
         return b"".join(chunks)
 
     def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Frame:
-        header = self._recv_exact(HEADER.size, timeout)
-        magic, msg_type, iteration, length = HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FramingError(f"bad magic {magic!r}")
-        if length > _MAX_PAYLOAD:
-            raise FramingError("payload length exceeds sanity cap")
+        msg_type, iteration, length = _read_header(self._recv_exact(HEADER.size, timeout))
         payload = self._recv_exact(length, timeout) if length else b""
         return Frame(msg_type, iteration, payload)
 

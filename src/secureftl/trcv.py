@@ -175,6 +175,18 @@ def run_trcv(split: FederationSplit, candidates: list[TrainingConfig], k: int,
     return FoldReport(results, int(np.argmax(means)))
 
 
+def local_cv(x: np.ndarray, labels: np.ndarray, k: int, seed: int = 0) -> float:
+    """Mean weighted F1 of logistic regression over min(k, rows) seeded
+    folds of the rows, each fold scored by a model trained on the others."""
+    rows = np.arange(len(labels))
+    scores = []
+    for fold in make_folds(rows, min(k, len(labels)), seed).folds:
+        train_rows = np.setdiff1d(rows, fold)
+        model = train_logistic(x[train_rows], labels[train_rows], seed=seed)
+        scores.append(weighted_f1(model.predict(x[fold]), labels[fold]).weighted_f1)
+    return sum(scores) / len(scores)
+
+
 @dataclass
 class SafeguardDecision:
     """Whether transferred knowledge beats learning from the labeled pool alone."""
@@ -200,11 +212,5 @@ def self_learning_safeguard(x_labeled: np.ndarray, labels: np.ndarray,
         model = train_logistic(x_labeled, labels, seed=seed)
         baseline = weighted_f1(model.predict(x_labeled), labels).weighted_f1
     else:
-        plan = make_folds(np.arange(len(labels)), min(k, len(labels)), seed)
-        scores = []
-        for fold in plan.folds:
-            train_rows = np.setdiff1d(np.arange(len(labels)), fold)
-            model = train_logistic(x_labeled[train_rows], labels[train_rows], seed=seed)
-            scores.append(weighted_f1(model.predict(x_labeled[fold]), labels[fold]).weighted_f1)
-        baseline = sum(scores) / len(scores)
+        baseline = local_cv(x_labeled, labels, k, seed)
     return SafeguardDecision(ftl_score >= baseline, ftl_score, baseline)

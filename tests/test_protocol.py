@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -29,13 +30,13 @@ from secureftl.protocol import (
     _Party,
     _ct_section,
     _int_section,
-    _only,
     _party_keys,
     _pubkey_payload,
-    _read_blob,
+    _read,
     _read_labels,
     _read_pubkey,
     _section_cts,
+    _section_ints,
     audit_training,
     encrypted_backward,
     predict_encrypted,
@@ -46,6 +47,7 @@ from secureftl.transport import (
     DIR_TARGET_TO_SOURCE,
     Frame,
     MsgType,
+    Section,
     loopback_pair,
     pack_sections,
     unpack_sections,
@@ -175,7 +177,8 @@ def test_component_batch_roundtrip():
         lin=_enc_array(keypair.public, [[5.0, 6.0], [7.0, 8.0]]),
         align=_enc_array(keypair.public, [[0.5, -0.5]]),
         reg=keypair.public.encrypt(9.0, F))
-    back = ComponentBatch.from_payload(batch.to_payload(), keys)
+    layout = [("quad", (1, 2, 2)), ("lin", (2, 2)), ("align", (1, 2)), ("reg", ())]
+    back = ComponentBatch.from_payload(batch.to_payload(), keys, layout)
     private = keypair.private
     assert private.decrypt_raw(back.quad[0, 1, 0]) == private.decrypt_raw(batch.quad[0, 1, 0])
     assert (back.quad.shape, back.lin.shape, back.align.shape) == ((1, 2, 2), (2, 2), (1, 2))
@@ -355,7 +358,7 @@ def test_party_rejects_misfit_component_batch(small_split, role, misfit):
         party = _target_party(small_split, own_end)
     peer_end.send(Frame(MsgType.PUBKEY, 0, _pubkey_payload(peer)))
     peer_end.send(Frame(comps_type, 1, batch.to_payload()))
-    with pytest.raises(ProtocolError, match="component batch"):
+    with pytest.raises(ProtocolError, match="expected sections"):
         party.run_training()
 
 
@@ -474,9 +477,11 @@ def _frame_values(record, keys) -> list[tuple]:
     if record.msg_type == MsgType.PUBKEY:
         return [("n", _read_pubkey(record.payload).modulus)]
     if record.msg_type == MsgType.PREDICT_LABELS:
-        return [("label", int(v)) for v in _read_labels(record.payload)]
+        (n,) = unpack_sections(record.payload)[0].dims
+        return [("label", int(v)) for v in _read_labels(record.payload, n)]
     if record.msg_type == MsgType.DECRYPTED_BLOB:
-        return [("int", frac, raw) for _name, frac, raws in _read_blob(record.payload)
+        return [("int", frac, raw) for frac, raws in map(_section_ints,
+                                                          unpack_sections(record.payload))
                 for raw in raws]
     return [("ct", ct.frac_bits, ct.value) for section in unpack_sections(record.payload)
             for ct in _section_cts(section, keys)]
@@ -576,7 +581,7 @@ CONTENT_DEGENERATE = {
 }
 
 
-@pytest.mark.parametrize("n_labeled, n_overlap", sorted(CONTENT_DEGENERATE),
+@pytest.mark.parametrize("n_labeled, n_overlap", list(CONTENT_DEGENERATE),
                          ids=["no-labeled", "no-overlap", "neither"])
 def test_degenerate_splits_train(n_labeled, n_overlap):
     split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
@@ -667,18 +672,26 @@ def _all_cts(payload, keys):
     return [_section_cts(s, keys) for s in unpack_sections(payload)]
 
 
+# The wire samples' shapes: the source reads a target batch of n_c = 2
+# labeled and n_ab = 3 overlap items of d = 2 with a reg scalar, and a
+# prediction asks about n = 2 rows of d = 2.
+SAMPLE_COMPONENTS = ComponentBatch.layout(2, 3, 2, True)
+
 # decoder name -> (message type whose payloads it reads, decoder)
 DECODERS = {
     "sections": (MsgType.COMPONENTS_A, lambda p, keys: unpack_sections(p)),
-    "components": (MsgType.COMPONENTS_B, ComponentBatch.from_payload),
+    "components": (MsgType.COMPONENTS_B,
+                   lambda p, keys: ComponentBatch.from_payload(p, keys, SAMPLE_COMPONENTS)),
     "masked_grad": (MsgType.MASKED_GRAD_A, _all_cts),
-    "loss": (MsgType.ENC_LOSS, lambda p, keys: _section_cts(_only(p, "loss", 0), keys)),
-    "blob": (MsgType.DECRYPTED_BLOB, lambda p, keys: _read_blob(p)),
+    "loss": (MsgType.ENC_LOSS, lambda p, keys: _section_cts(*_read(p, [("loss", ())]), keys)),
+    "blob": (MsgType.DECRYPTED_BLOB,
+             lambda p, keys: [_section_ints(s) for s in unpack_sections(p)]),
     "pubkey": (MsgType.PUBKEY, lambda p, keys: _read_pubkey(p)),
-    "labels": (MsgType.PREDICT_LABELS, lambda p, keys: _read_labels(p)),
-    "request": (MsgType.PREDICT_REQUEST, lambda p, keys: _section_cts(_only(p, "u", 2), keys)),
+    "labels": (MsgType.PREDICT_LABELS, lambda p, keys: _read_labels(p, 2)),
+    "request": (MsgType.PREDICT_REQUEST,
+                lambda p, keys: _section_cts(*_read(p, [("u", (None, 2))]), keys)),
     "scores": (MsgType.PREDICT_MASKED,
-               lambda p, keys: _section_cts(_only(p, "predict.scores", 1), keys)),
+               lambda p, keys: _section_cts(*_read(p, [("predict.scores", (2,))]), keys)),
 }
 
 
@@ -715,17 +728,30 @@ def test_decoders_raise_only_wire_errors(wire_samples, decoder, mutation, data):
 ], ids=["unknown-family", "quad-not-square", "lin-not-a-matrix", "reg-not-a-scalar"])
 def test_component_batch_rejects_misfit_sections(wire_samples, name, dims):
     payloads, keys = wire_samples
-    batch = ComponentBatch.from_payload(payloads[MsgType.COMPONENTS_B], keys)
+    batch = ComponentBatch.from_payload(payloads[MsgType.COMPONENTS_B], keys, SAMPLE_COMPONENTS)
     payload = pack_sections([_ct_section(name, dims, [batch.reg] * math.prod(dims))])
-    with pytest.raises(ProtocolError, match="no component family"):
-        ComponentBatch.from_payload(payload, keys)
+    with pytest.raises(ProtocolError, match="expected sections"):
+        ComponentBatch.from_payload(payload, keys, SAMPLE_COMPONENTS)
+
+
+def _party_with_peer(split):
+    """A source party that knows the 512-bit peer key it returns."""
+    source_end, _, _ = loopback_pair()
+    party = _source_party(split, source_end)
+    peer = keygen(512, random.Random(9))
+    party.peer_key = peer.public
+    party.keys[peer.public.fingerprint] = peer.public
+    return party, peer
 
 
 def test_unmask_rejects_blob_without_every_layer(small_split):
-    source_end, _, _ = loopback_pair()
-    party = _source_party(small_split, source_end)
-    with pytest.raises(ProtocolError, match="lacks the gradient of layer0"):
+    party, peer = _party_with_peer(small_split)
+    _unit_gradient_blob(party, peer, 1, 4 * F)
+    before = party.net.layers[0].weights.copy()
+    with pytest.raises(ProtocolError,
+                       match=re.escape("expected sections [('layer0.weights', (2, 3))")):
         party._unmask_and_apply(party.net, 1, pack_sections([]), 0.1)
+    assert np.array_equal(party.net.layers[0].weights, before)
 
 
 def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes:
@@ -742,11 +768,7 @@ def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes
 
 
 def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split):
-    source_end, _, _ = loopback_pair()
-    party = _source_party(small_split, source_end)
-    peer = keygen(512, random.Random(9))
-    party.peer_key = peer.public
-    party.keys[peer.public.fingerprint] = peer.public
+    party, peer = _party_with_peer(small_split)
     before = party.net.layers[0].weights.copy()
     # Read at 100 bits, the unit gradient masked at 160 would step by 0.1 * 2^60.
     with pytest.raises(ProtocolError, match="claims 100 fraction bits, masked at 160"):
@@ -756,17 +778,128 @@ def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split):
     assert np.allclose(party.net.layers[0].weights, before - 0.1)
 
 
+def _resections(payload: bytes, edit) -> bytes:
+    """payload with its section list replaced by edit(sections)."""
+    return pack_sections(edit(unpack_sections(payload)))
+
+
+def test_unmask_rejects_blob_section_of_other_dims(small_split):
+    # layer0.weights is (2, 3); the blob sends its six values as (3, 2).
+    party, peer = _party_with_peer(small_split)
+    before = party.net.layers[0].weights.copy()
+    blob = _resections(_unit_gradient_blob(party, peer, 1, 4 * F), lambda sections: [
+        Section(s.name, s.dims[::-1], s.data) for s in sections])
+    with pytest.raises(ProtocolError, match="expected sections"):
+        party._unmask_and_apply(party.net, 1, blob, 0.1)
+    assert np.array_equal(party.net.layers[0].weights, before)
+    assert party.applied_log == {}
+
+
+class _Watched:
+    """A channel end that counts the live child processes at each recv and
+    passes every frame it receives through edit, if any."""
+
+    def __init__(self, inner, children: list, edit=None):
+        self._inner, self._children, self._edit = inner, children, edit
+
+    def send(self, frame):
+        self._inner.send(frame)
+
+    def recv(self, timeout=60.0):
+        self._children.append(len(multiprocessing.active_children()))
+        frame = self._inner.recv(timeout)
+        return frame if self._edit is None else self._edit(frame)
+
+    def close(self):
+        self._inner.close()
+
+
+def _watched_pair(children, edit_at=None, edit=None):
+    """A loopback pair whose edit_at end ("source" or "target"), if any,
+    passes every frame it receives through edit."""
+    source_end, target_end, transcript = loopback_pair()
+    return (_Watched(source_end, children, edit if edit_at == "source" else None),
+            _Watched(target_end, children, edit if edit_at == "target" else None),
+            transcript)
+
+
+def _renumbered(msg_type):
+    """A frame edit that adds one to the number of every msg_type frame."""
+    return lambda frame: (Frame(frame.msg_type, frame.iteration + 1, frame.payload)
+                          if frame.msg_type == msg_type else frame)
+
+
+def _resectioned(msg_type, edit):
+    """A frame edit that replaces the sections of every msg_type frame by
+    edit(sections)."""
+    return lambda frame: (Frame(frame.msg_type, frame.iteration,
+                                _resections(frame.payload, edit))
+                          if frame.msg_type == msg_type else frame)
+
+
+def _params(*nets):
+    return [p.copy() for net in nets for layer in net.layers for p in (layer.weights, layer.bias)]
+
+
+def test_training_rejects_reordered_component_batch(small_split):
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    before = _params(*nets)
+    channels = _watched_pair([], "target", _resectioned(
+        MsgType.COMPONENTS_A, lambda sections: sections[1::-1] + sections[2:]))
+    with pytest.raises(ProtocolError, match=re.escape("got [('lin', (2, 2)), ('quad'")):
+        train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=1), key_bits=512,
+                        channels=channels)
+    assert all(np.array_equal(a, b) for a, b in zip(_params(*nets), before))
+
+
+def test_server_rejects_blob_claiming_other_fraction_bits(small_split):
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    before = _params(*nets)
+    channels = _watched_pair([], "source", _resectioned(MsgType.DECRYPTED_BLOB, lambda sections: [
+        Section(s.name, s.dims, bytes([F]) + s.data[1:]) for s in sections]))
+    with pytest.raises(ProtocolError, match="claims 40 fraction bits, masked at 80"):
+        predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
+                          channels=channels)
+    assert channels[2].frames(msg_type=MsgType.PREDICT_LABELS) == []
+    assert all(np.array_equal(a, b) for a, b in zip(_params(*nets), before))
+
+
+def test_requester_rejects_extra_scores_before_decrypting(small_split, monkeypatch):
+    # small_split asks about one eval row; the server sends two scores.
+    decrypt_raws, calls = PrivateKey.decrypt_raws, []
+
+    def watched(self, cts, mapper=map):
+        calls.append(len(cts))
+        return decrypt_raws(self, cts, mapper)
+
+    monkeypatch.setattr(PrivateKey, "decrypt_raws", watched)
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    before = _params(*nets)
+    channels = _watched_pair([], "target", _resectioned(MsgType.PREDICT_MASKED, lambda sections: [
+        Section(s.name, (s.dims[0] + 1,), s.data + s.data) for s in sections]))
+    with pytest.raises(ProtocolError,
+                       match=re.escape("expected sections [('predict.scores', (1,))]")):
+        predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
+                          channels=channels)
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(_params(*nets), before))
+
+
 def _ints(name, dims, values):
     return pack_sections([_int_section(name, dims, 0, values)])
+
+
+def _read_two_labels(payload):
+    return _read_labels(payload, 2)
 
 
 @pytest.mark.parametrize("decode, payload, message", [
     (_read_pubkey, _ints("n", (), [0]), "no Paillier modulus"),
     (_read_pubkey, _ints("n", (), [1 << 511]), "no Paillier modulus"),
     (_read_pubkey, _ints("n", (), [(1 << 255) + 1]), "no Paillier modulus"),
-    (_read_pubkey, _ints("g", (), [3]), "expected one 0-d section n"),
-    (_read_labels, _ints("labels", (2,), [1, 2]), "outside"),
-    (_read_labels, _ints("labels", (), [1]), "expected one 1-d section labels"),
+    (_read_pubkey, _ints("g", (), [3]), re.escape("expected sections [('n', ())]")),
+    (_read_two_labels, _ints("labels", (2,), [1, 2]), "outside"),
+    (_read_two_labels, _ints("labels", (), [1]), re.escape("expected sections [('labels', (2,))]")),
 ], ids=["zero-modulus", "even-modulus", "short-modulus", "wrong-name", "label-2", "scalar-labels"])
 def test_single_section_decoders_reject_misfits(decode, payload, message):
     with pytest.raises(ProtocolError, match=message):
@@ -782,36 +915,6 @@ def _pool_size() -> int:
     return cpus if cpus > 1 else 0
 
 
-class _Watched:
-    """A channel end that counts the live child processes at each recv and
-    can renumber every received frame of one type."""
-
-    def __init__(self, inner, children: list, renumber=None):
-        self._inner, self._children, self._renumber = inner, children, renumber
-
-    def send(self, frame):
-        self._inner.send(frame)
-
-    def recv(self, timeout=60.0):
-        self._children.append(len(multiprocessing.active_children()))
-        frame = self._inner.recv(timeout)
-        if frame.msg_type == self._renumber:
-            frame = Frame(frame.msg_type, frame.iteration + 1, frame.payload)
-        return frame
-
-    def close(self):
-        self._inner.close()
-
-
-def _watched_pair(children, renumber_at=None, msg_type=None):
-    """A loopback pair whose renumber_at end ("source" or "target"), if
-    any, renumbers every received frame of msg_type."""
-    source_end, target_end, transcript = loopback_pair()
-    return (_Watched(source_end, children, msg_type if renumber_at == "source" else None),
-            _Watched(target_end, children, msg_type if renumber_at == "target" else None),
-            transcript)
-
-
 @pytest.mark.parametrize("call, renumber_at, msg_type", [
     ("train", None, None),
     ("train", "target", MsgType.COMPONENTS_A),
@@ -824,7 +927,7 @@ def test_no_worker_outlives_the_call(small_split, call, renumber_at, msg_type):
     # ProtocolError, not the peer's ChannelClosed, is what the call raises.
     children = []
     nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
-    channels = _watched_pair(children, renumber_at, msg_type)
+    channels = _watched_pair(children, renumber_at, _renumbered(msg_type))
 
     def run():
         if call == "predict":

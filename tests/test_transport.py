@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,9 @@ from secureftl.transport import (
     Frame,
     FramingError,
     HEADER,
+    MAGIC,
     MsgType,
+    SocketChannel,
     Section,
     Transcript,
     decode_frame,
@@ -18,6 +22,7 @@ from secureftl.transport import (
     pack_sections,
     tcp_pair,
     unpack_sections,
+    _MAX_PAYLOAD,
 )
 
 
@@ -110,6 +115,23 @@ def test_tcp_pair_roundtrip():
         source.close()
         target.close()
     assert transcript.payload_bytes(DIR_SOURCE_TO_TARGET) == len(payload)
+
+
+@pytest.mark.parametrize("header", [
+    HEADER.pack(b"FTL0", MsgType.STOP, 0, 0),
+    HEADER.pack(MAGIC, MsgType.STOP, 0, _MAX_PAYLOAD + 1),
+], ids=["bad-magic", "length-over-cap"])
+def test_socket_recv_rejects_bad_header(header):
+    # A raw peer writes only the header; recv must reject it before reading on.
+    own, peer = socket.socketpair()
+    channel = SocketChannel(own, DIR_TARGET_TO_SOURCE, Transcript())
+    try:
+        peer.sendall(header)
+        with pytest.raises(FramingError):
+            channel.recv(timeout=10)
+    finally:
+        channel.close()
+        peer.close()
 
 
 def test_tcp_close_signals_peer():

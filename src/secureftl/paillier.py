@@ -17,11 +17,12 @@ job per element: _encrypt_job on (private key, residue, r), _decrypt_job on
 batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws, hand their
 mapper the same kernels, PrivateKey.obfuscator and decrypt_residue, that a
 single own-key encryption or decryption runs, with every random r drawn in
-the caller beforehand. products is the batch form of ct * FixedPoint: it
-checks every product's fraction bits, then hands its mapper one _power_job
-per exponentiation. A single ct * FixedPoint is its one-element batch on the
-builtin map, so only products knows the rule; likewise only __add__ knows
-the rule of addition. mul_int and add_raw are ct * FixedPoint(k, 0) and
+the caller beforehand; KeyPair.encrypt is the one-element batch of
+encrypt_raws on the builtin map. products is the batch form of
+ct * FixedPoint: it checks every product's fraction bits, then hands its
+mapper one _power_job per exponentiation. A single ct * FixedPoint is its
+one-element batch on the builtin map, so only products knows the rule;
+likewise only __add__ knows the rule of addition. mul_int and add_raw are ct * FixedPoint(k, 0) and
 ct + FixedPoint(raw, frac_bits).
 
 This is a research implementation: keys default to 1024 bits and randomness
@@ -155,32 +156,23 @@ class PublicKey:
         nsq = self.n_squared
         return (1 + residue * self.modulus) % nsq * obfuscator % nsq
 
-    def encrypt_residue(self, residue: int, rng: random.Random | None = None,
-                        owner: "PrivateKey | None" = None) -> int:
-        """Enc(residue) = (1 + residue*n) * r^n mod n^2.
-
-        The key owner passes its private key and gets the same integer for the
-        same r, with r^n built modulo p^2 and q^2 instead of n^2.
-        """
+    def encrypt_residue(self, residue: int, rng: random.Random | None = None) -> int:
+        """Enc(residue) = (1 + residue*n) * r^n mod n^2."""
         if not 0 <= residue < self.modulus:
             raise EncodingOverflowError("plaintext residue outside [0, n)")
-        if owner is not None and owner.public.modulus != self.modulus:
-            raise KeyMismatchError("private key does not belong to this public key")
         r = self.draw_r(rng)
-        obfuscator = pow(r, self.modulus, self.n_squared) if owner is None else owner.obfuscator(r)
-        return self.combine(residue, obfuscator)
+        return self.combine(residue, pow(r, self.modulus, self.n_squared))
 
-    def encrypt_raw(self, raw: int, frac_bits: int, rng: random.Random | None = None,
-                    owner: "PrivateKey | None" = None) -> "Ciphertext":
+    def encrypt_raw(self, raw: int, frac_bits: int,
+                    rng: random.Random | None = None) -> "Ciphertext":
         """Encrypt a signed fixed-point raw integer at the given precision."""
         check_frac_bits(frac_bits)
-        value = self.encrypt_residue(to_residue(raw, self.modulus), rng, owner)
+        value = self.encrypt_residue(to_residue(raw, self.modulus), rng)
         return Ciphertext(value, frac_bits, self)
 
     def encrypt(self, value: float, frac_bits: int = DEFAULT_FRAC_BITS,
-                rng: random.Random | None = None,
-                owner: "PrivateKey | None" = None) -> "Ciphertext":
-        return self.encrypt_raw(encode(value, frac_bits).raw, frac_bits, rng, owner)
+                rng: random.Random | None = None) -> "Ciphertext":
+        return self.encrypt_raw(encode(value, frac_bits).raw, frac_bits, rng)
 
 
 @dataclass(frozen=True)
@@ -269,9 +261,10 @@ class KeyPair:
 
     def encrypt(self, value: float, frac_bits: int = DEFAULT_FRAC_BITS,
                 rng: random.Random | None = None) -> "Ciphertext":
-        """Encrypt under one's own key: public.encrypt's ciphertext, built
-        through the factorization."""
-        return self.public.encrypt(value, frac_bits, rng, self.private)
+        """Encrypt under one's own key: the one-element batch of encrypt_raws
+        on the builtin map, so public.encrypt's ciphertext for the same r."""
+        (ct,) = self.encrypt_raws([encode(value, frac_bits).raw], frac_bits, rng)
+        return ct
 
     def encrypt_raws(self, raws: list[int], frac_bits: int, rng: random.Random | None = None,
                      mapper: Mapper = map) -> list["Ciphertext"]:

@@ -129,6 +129,7 @@ from .plain import (
     TrainingConfig,
     TrainingResult,
     predict_plain,
+    source_prototype,
     target_batch,
     train_plain,
 )
@@ -750,6 +751,11 @@ class EncryptedRunResult:
 JOIN_TIMEOUT = 600.0
 
 
+def _close(channels):
+    channels[0].close()
+    channels[1].close()
+
+
 def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: TrainingConfig,
                  channels, key_bits: int, frac_bits: int, seed: int,
                  source_fn: Callable, target_fn: Callable):
@@ -797,8 +803,7 @@ def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: Tra
             raise ProtocolError("target thread did not finish")
         return parties, tuple(outcomes)
     finally:
-        channels[0].close()
-        channels[1].close()
+        _close(channels)
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         for party in parties:
@@ -810,23 +815,28 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
                     seed: int = 0, channels=None) -> EncryptedRunResult:
     """Run the full two-party protocol; both nets are updated in place.
 
-    channels defaults to an in-process loopback pair; pass the triple from
-    tcp_pair to run over sockets instead. Only the Taylor loss has an
-    encrypted form, so any other loss_mode is rejected, and so is a net too
-    deep for MAX_FRAC_BITS at frac_bits, before any key or frame.
+    channels defaults to loopback_pair(); pass the triple from tcp_pair to
+    run over localhost TCP instead. Only the Taylor loss has an encrypted
+    form, so any other loss_mode is rejected, and so is a net too deep for
+    MAX_FRAC_BITS at frac_bits, before any key or frame. channels are
+    closed however the call ends, a refusal included.
     """
-    if cfg.loss_mode != "taylor":
-        raise ValueError(f"the encrypted engine trains the Taylor loss only, "
-                         f"not loss_mode {cfg.loss_mode!r}")
-    for role, net in (("source", net_source), ("target", net_target)):
-        # Upstream enters at 2f fraction bits and each layer adds 2f.
-        needed = 2 * frac_bits * (len(net.layers) + 1)
-        if needed > MAX_FRAC_BITS:
-            raise ValueError(f"the {len(net.layers)}-layer {role} net needs {needed} fraction "
-                             f"bits at frac_bits {frac_bits}, over the limit "
-                             f"MAX_FRAC_BITS = {MAX_FRAC_BITS}")
     if channels is None:
         channels = loopback_pair()
+    try:
+        if cfg.loss_mode != "taylor":
+            raise ValueError(f"the encrypted engine trains the Taylor loss only, "
+                             f"not loss_mode {cfg.loss_mode!r}")
+        for role, net in (("source", net_source), ("target", net_target)):
+            # Upstream enters at 2f fraction bits and each layer adds 2f.
+            needed = 2 * frac_bits * (len(net.layers) + 1)
+            if needed > MAX_FRAC_BITS:
+                raise ValueError(f"the {len(net.layers)}-layer {role} net needs {needed} "
+                                 f"fraction bits at frac_bits {frac_bits}, over the limit "
+                                 f"MAX_FRAC_BITS = {MAX_FRAC_BITS}")
+    except ValueError:
+        _close(channels)
+        raise
     (source, target), (res_source, _) = _run_parties(
         split, (net_source, net_target), cfg, channels, key_bits, frac_bits, seed,
         SourceParty.run_training, TargetParty.run_training)
@@ -844,20 +854,22 @@ class PredictionRunResult:
 
 
 def predict_encrypted(split: FederationSplit, net_source: Network, net_target: Network,
-                      query_ids, cfg: TrainingConfig | None = None, key_bits: int = 512,
-                      frac_bits: int = 40, seed: int = 0,
+                      query_ids, key_bits: int = 512, frac_bits: int = 40, seed: int = 0,
                       channels=None) -> PredictionRunResult:
     """Label target-side query rows without revealing either party's data.
 
     The target encrypts its representations under its own key; the source
     scores them against the label prototype, masks, and returns only the
-    thresholded labels.
+    thresholded labels. channels are closed however the call ends.
     """
-    cfg = cfg or TrainingConfig()
     if channels is None:
         channels = loopback_pair()
-    prototype = label_prototype(net_source.forward(split.x_source), split.labels_source)
-    u_query = net_target.forward(split.x_target[split.target_rows(query_ids)])
+    try:
+        prototype = source_prototype(split, net_source)
+        u_query = net_target.forward(split.x_target[split.target_rows(query_ids)])
+    except BaseException:
+        _close(channels)
+        raise
 
     def serve(server: SourceParty) -> np.ndarray:
         server.exchange_keys()
@@ -868,7 +880,8 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
         return requester.request_labels(u_query)
 
     (server, requester), (_, labels) = _run_parties(
-        split, (net_source, net_target), cfg, channels, key_bits, frac_bits, seed, serve, ask)
+        split, (net_source, net_target), TrainingConfig(), channels, key_bits, frac_bits, seed,
+        serve, ask)
     return PredictionRunResult(labels, channels[2], server, requester)
 
 

@@ -2,10 +2,12 @@
 
 Every message is one frame: a 4-byte magic, 1-byte message type, 4-byte
 big-endian iteration counter, 8-byte big-endian payload length, then the
-payload. A loopback channel (queue pair) serves tests; a TCP channel over
-localhost serves realistic runs. Both record every frame into a shared
-transcript so experiments can count exactly what crossed the wire, and so
-the security audit can inspect everything a party ever received.
+payload. Every channel is a SocketChannel over a connected stream socket:
+an in-process socketpair (loopback_pair) or a localhost TCP connection
+(tcp_pair), so every run sends, receives, closes and sees end of stream
+the same way. Both ends record every frame into a shared transcript so
+experiments can count exactly what crossed the wire, and so the security
+audit can inspect everything a party ever received.
 
 Every protocol payload is a list of named, shaped sections: a 1-byte
 section count, then per section a 1-byte name length and the UTF-8 name,
@@ -77,25 +79,6 @@ def encode_frame(frame: Frame) -> bytes:
     return HEADER.pack(MAGIC, frame.msg_type, frame.iteration, len(frame.payload)) + frame.payload
 
 
-def _read_header(data: bytes) -> tuple[int, int, int]:
-    """(msg_type, iteration, payload length) of the header data starts with."""
-    magic, msg_type, iteration, length = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FramingError(f"bad magic {magic!r}")
-    if length > _MAX_PAYLOAD:
-        raise FramingError("payload length exceeds sanity cap")
-    return msg_type, iteration, length
-
-
-def decode_frame(data: bytes) -> Frame:
-    if len(data) < HEADER.size:
-        raise FramingError("frame shorter than header")
-    msg_type, iteration, length = _read_header(data)
-    if len(data) != HEADER.size + length:
-        raise FramingError("payload length does not match header")
-    return Frame(msg_type, iteration, data[HEADER.size:])
-
-
 @dataclass(frozen=True)
 class FrameRecord:
     direction: str
@@ -126,56 +109,14 @@ class Transcript:
         return sum(len(r.payload) for r in self.frames(direction, msg_type))
 
 
-class LoopbackChannel:
-    """One endpoint of an in-process queue pair."""
-
-    def __init__(self, outbox: queue.Queue, inbox: queue.Queue,
-                 direction_out: str, transcript: Transcript):
-        self._outbox = outbox
-        self._inbox = inbox
-        self.direction_out = direction_out
-        self.transcript = transcript
-        self._closed = False
-
-    def send(self, frame: Frame):
-        if self._closed:
-            raise ChannelClosed("channel is closed")
-        # Encode/decode so loopback exercises the same wire format as TCP.
-        data = encode_frame(frame)
-        self.transcript.record(self.direction_out, frame)
-        self._outbox.put(data)
-
-    def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Frame:
-        try:
-            data = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(f"no frame within {timeout}s") from None
-        if data is None:
-            raise ChannelClosed("peer closed the channel")
-        return decode_frame(data)
-
-    def close(self):
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(None)
-
-
-def loopback_pair(transcript: Transcript | None = None):
-    """Connected (source endpoint, target endpoint, transcript)."""
-    transcript = transcript if transcript is not None else Transcript()
-    to_target: queue.Queue = queue.Queue()
-    to_source: queue.Queue = queue.Queue()
-    source_end = LoopbackChannel(to_target, to_source, DIR_SOURCE_TO_TARGET, transcript)
-    target_end = LoopbackChannel(to_source, to_target, DIR_TARGET_TO_SOURCE, transcript)
-    return source_end, target_end, transcript
-
-
 class SocketChannel:
-    """One endpoint of a persistent TCP connection carrying frames.
+    """One endpoint of a connected stream socket carrying frames.
 
     Sends go through a writer thread so that both parties can emit large
     component batches simultaneously without deadlocking on full kernel
-    buffers; per-direction frame order is preserved.
+    buffers; per-direction frame order is preserved. A send after close()
+    or after a failed write raises ChannelClosed and records nothing; a recv
+    after close() raises ChannelClosed too.
     """
 
     def __init__(self, sock: socket.socket, direction_out: str, transcript: Transcript):
@@ -183,6 +124,7 @@ class SocketChannel:
         self.direction_out = direction_out
         self.transcript = transcript
         self._outbox: queue.Queue = queue.Queue()
+        self._closed = False
         self._send_error: OSError | None = None
         self._writer = threading.Thread(target=self._drain, daemon=True)
         self._writer.start()
@@ -199,6 +141,8 @@ class SocketChannel:
                 return
 
     def send(self, frame: Frame):
+        if self._closed:
+            raise ChannelClosed("channel is closed")
         if self._send_error is not None:
             raise ChannelClosed(f"send failed: {self._send_error}")
         data = encode_frame(frame)
@@ -223,13 +167,22 @@ class SocketChannel:
         return b"".join(chunks)
 
     def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Frame:
-        msg_type, iteration, length = _read_header(self._recv_exact(HEADER.size, timeout))
+        if self._closed:
+            raise ChannelClosed("channel is closed")
+        magic, msg_type, iteration, length = HEADER.unpack(self._recv_exact(HEADER.size, timeout))
+        if magic != MAGIC:
+            raise FramingError(f"bad magic {magic!r}")
+        if length > _MAX_PAYLOAD:
+            raise FramingError("payload length exceeds sanity cap")
         payload = self._recv_exact(length, timeout) if length else b""
         return Frame(msg_type, iteration, payload)
 
     def close(self):
+        self._closed = True
         self._outbox.put(None)
         self._writer.join(timeout=10)
+        # Shut down before closing: forked workers hold copies of the fd, and
+        # only shutdown ends the connection while any copy is open.
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -237,35 +190,38 @@ class SocketChannel:
         self._sock.close()
 
 
+def _channel_pair(source_sock: socket.socket, target_sock: socket.socket,
+                  transcript: Transcript | None):
+    transcript = transcript if transcript is not None else Transcript()
+    return (SocketChannel(source_sock, DIR_SOURCE_TO_TARGET, transcript),
+            SocketChannel(target_sock, DIR_TARGET_TO_SOURCE, transcript), transcript)
+
+
+def loopback_pair(transcript: Transcript | None = None):
+    """Connected (source endpoint, target endpoint, transcript) over an
+    in-process socketpair."""
+    return _channel_pair(*socket.socketpair(), transcript)
+
+
 def tcp_pair(port: int = 0, transcript: Transcript | None = None, host: str = "127.0.0.1"):
     """Listen, connect, and return (source endpoint, target endpoint, transcript).
 
     The source endpoint is the accepting side; port 0 picks a free port.
     Both endpoints live in this process; the bytes still cross a real
-    localhost socket.
+    localhost socket. The connection completes in the listener's backlog,
+    so accept runs after connect on the same thread.
     """
-    transcript = transcript if transcript is not None else Transcript()
-    listener = socket.create_server((host, port))
-    try:
-        accepted: dict[str, socket.socket] = {}
-
-        def _accept():
-            conn, _ = listener.accept()
-            accepted["conn"] = conn
-
-        acceptor = threading.Thread(target=_accept)
-        acceptor.start()
+    with socket.create_server((host, port)) as listener:
+        listener.settimeout(10)
         client = socket.create_connection((host, listener.getsockname()[1]), timeout=10)
-        acceptor.join(timeout=10)
-        if "conn" not in accepted:
-            raise ChannelClosed("accept did not complete")
-    finally:
-        listener.close()
-    for sock in (accepted["conn"], client):
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            client.close()
+            raise
+    for sock in (conn, client):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    source_end = SocketChannel(accepted["conn"], DIR_SOURCE_TO_TARGET, transcript)
-    target_end = SocketChannel(client, DIR_TARGET_TO_SOURCE, transcript)
-    return source_end, target_end, transcript
+    return _channel_pair(conn, client, transcript)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from secureftl.datasets import FederationSplit
+from secureftl.transport import loopback_pair
 
 
 @pytest.fixture
@@ -26,6 +27,16 @@ def small_split():
     )
     split.validate()
     return split
+
+
+@pytest.fixture
+def loopback():
+    """A (source end, target end, transcript) loopback pair whose ends are
+    closed after the test, so their writer threads end with it."""
+    source_end, target_end, transcript = loopback_pair()
+    yield source_end, target_end, transcript
+    source_end.close()
+    target_end.close()
 
 
 @pytest.fixture(autouse=True)

@@ -330,7 +330,7 @@ def test_10_transcript_audit(small_split):
 
     predict = predict_encrypted(small_split, init_network([3, 2], seed=4),
                                 init_network([2, 2], seed=5),
-                                small_split.eval_ids, cfg, seed=1)
+                                small_split.eval_ids, seed=1)
     predict_report = audit_training(predict.transcript, predict.server,
                                     predict.requester)
     ok = (train_report.ok and predict_report.ok

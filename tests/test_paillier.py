@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secureftl.encoding import EncodingOverflowError, FixedPoint, encode
+from secureftl.encoding import EncodingOverflowError, FixedPoint, encode, from_residue
 from secureftl.paillier import (
     Ciphertext,
     CiphertextFormatError,
     KeyMismatchError,
     KeyPair,
+    PrivateKey,
     PublicKey,
     _power_job,
     ciphertext_wire_size,
@@ -195,9 +196,9 @@ def _textbook_decrypt(value: int) -> int:
 
 
 def _check_crt(residue: int, seed: int):
-    own = PK.encrypt_residue(residue, random.Random(seed), SK)
-    assert own == PEER_VIEW.encrypt_residue(residue, random.Random(seed))
-    assert SK.decrypt_residue(own) == _textbook_decrypt(own) == residue
+    (own,) = KEYS.encrypt_raws([from_residue(residue, PK.modulus)], 0, random.Random(seed))
+    assert own.value == PEER_VIEW.encrypt_residue(residue, random.Random(seed))
+    assert SK.decrypt_residue(own.value) == _textbook_decrypt(own.value) == residue
 
 
 @pytest.mark.parametrize("residue", [0, 1, PK.modulus // 2, PK.modulus - 1])
@@ -226,7 +227,7 @@ class _FixedDraw:
 def test_crt_obfuscator_at_edge_randomness(r):
     # r sharing a factor with n never comes from a fair draw, but the CRT
     # obfuscator must still equal r^n mod n^2 there.
-    assert (PK.encrypt_residue(5, _FixedDraw(r), SK)
+    assert (KEYS.encrypt_raws([5], 0, _FixedDraw(r))[0].value
             == PEER_VIEW.encrypt_residue(5, _FixedDraw(r)))
 
 
@@ -242,7 +243,7 @@ def test_owner_encrypt_equals_peer_encrypt():
 @given(st.integers(min_value=-(2 ** 200), max_value=-1))
 def test_negative_raws_roundtrip(raw):
     rng = random.Random(raw & 0xFFFF)
-    assert SK.decrypt_raw(PK.encrypt_raw(raw, 8, rng, SK)) == raw
+    assert SK.decrypt_raw(KEYS.encrypt_raws([raw], 8, rng)[0]) == raw
     assert SK.decrypt_raw(PEER_VIEW.encrypt_raw(raw, 8, rng)) == raw
 
 
@@ -252,7 +253,7 @@ def test_factorization_stays_private():
     assert not hasattr(PK, "p") and not hasattr(PEER_VIEW, "p")
     other = keygen(bits=512, rng=random.Random(2)).private
     with pytest.raises(KeyMismatchError):
-        PK.encrypt_residue(1, random.Random(0), other)
+        PrivateKey(PK, other.p, other.q)
 
 
 @contextmanager
@@ -281,7 +282,7 @@ BATCH_RAWS = [0, 1, -1, 3 << 40, -(5 << 60), 2 ** 200, 7, -11]
 @pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
 def test_pooled_encryption_matches_serial(chunksize):
     serial_rng, pooled_rng = random.Random(4), random.Random(4)
-    serial = [PK.encrypt_raw(raw, 16, serial_rng, SK) for raw in BATCH_RAWS]
+    serial = [PEER_VIEW.encrypt_raw(raw, 16, serial_rng) for raw in BATCH_RAWS]
     with _pool_map(chunksize) as mapper:
         pooled = KEYS.encrypt_raws(BATCH_RAWS, 16, pooled_rng, mapper)
     assert [(ct.value, ct.frac_bits) for ct in pooled] == [(ct.value, ct.frac_bits)

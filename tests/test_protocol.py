@@ -344,12 +344,12 @@ def _component_batch(public, n_c, n_ab, d, reg):
 
 @pytest.mark.parametrize("role", ["source", "target"])
 @pytest.mark.parametrize("misfit", ["short", "wrong-d"])
-def test_party_rejects_misfit_component_batch(small_split, role, misfit):
+def test_party_rejects_misfit_component_batch(small_split, loopback, role, misfit):
     # small_split: n_c = 2 labeled pairs, n_ab = 3 overlap pairs, d = 2.
     peer = keygen(512, random.Random(9)).public
     n_c, d = (1, 2) if misfit == "short" else (2, 3)
     batch = _component_batch(peer, n_c, 3, d, reg=role == "source")
-    source_end, target_end, _ = loopback_pair()
+    source_end, target_end, _ = loopback
     if role == "source":
         own_end, peer_end, comps_type = source_end, target_end, MsgType.COMPONENTS_B
         party = _source_party(small_split, own_end)
@@ -451,8 +451,8 @@ def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
     assert (many - few) / 4 == 2 * d
 
 
-def test_recv_rejects_unexpected_message(small_split):
-    source_end, target_end, _ = loopback_pair()
+def test_recv_rejects_unexpected_message(small_split, loopback):
+    source_end, target_end, _ = loopback
     target_end.send(Frame(MsgType.STOP, 0))
     party = _source_party(small_split, source_end)
     with pytest.raises(ProtocolError):
@@ -639,8 +639,8 @@ def _pubkey_frame(number: int) -> Frame:
     ([_pubkey_frame(0), Frame(MsgType.COMPONENTS_B, 2, b"")],
      "COMPONENTS_B numbered 2, expected 1"),
 ])
-def test_recv_rejects_misnumbered_frame(small_split, frames, numbered):
-    source_end, target_end, _ = loopback_pair()
+def test_recv_rejects_misnumbered_frame(small_split, loopback, frames, numbered):
+    source_end, target_end, _ = loopback
     for frame in frames:
         target_end.send(frame)
     party = _source_party(small_split, source_end)
@@ -734,18 +734,18 @@ def test_component_batch_rejects_misfit_sections(wire_samples, name, dims):
         ComponentBatch.from_payload(payload, keys, SAMPLE_COMPONENTS)
 
 
-def _party_with_peer(split):
-    """A source party that knows the 512-bit peer key it returns."""
-    source_end, _, _ = loopback_pair()
-    party = _source_party(split, source_end)
+def _party_with_peer(split, loopback):
+    """A source party on loopback's source end that knows the 512-bit peer
+    key it returns."""
+    party = _source_party(split, loopback[0])
     peer = keygen(512, random.Random(9))
     party.peer_key = peer.public
     party.keys[peer.public.fingerprint] = peer.public
     return party, peer
 
 
-def test_unmask_rejects_blob_without_every_layer(small_split):
-    party, peer = _party_with_peer(small_split)
+def test_unmask_rejects_blob_without_every_layer(small_split, loopback):
+    party, peer = _party_with_peer(small_split, loopback)
     _unit_gradient_blob(party, peer, 1, 4 * F)
     before = party.net.layers[0].weights.copy()
     with pytest.raises(ProtocolError,
@@ -767,8 +767,8 @@ def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes
     return pack_sections(sections)
 
 
-def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split):
-    party, peer = _party_with_peer(small_split)
+def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split, loopback):
+    party, peer = _party_with_peer(small_split, loopback)
     before = party.net.layers[0].weights.copy()
     # Read at 100 bits, the unit gradient masked at 160 would step by 0.1 * 2^60.
     with pytest.raises(ProtocolError, match="claims 100 fraction bits, masked at 160"):
@@ -783,9 +783,9 @@ def _resections(payload: bytes, edit) -> bytes:
     return pack_sections(edit(unpack_sections(payload)))
 
 
-def test_unmask_rejects_blob_section_of_other_dims(small_split):
+def test_unmask_rejects_blob_section_of_other_dims(small_split, loopback):
     # layer0.weights is (2, 3); the blob sends its six values as (3, 2).
-    party, peer = _party_with_peer(small_split)
+    party, peer = _party_with_peer(small_split, loopback)
     before = party.net.layers[0].weights.copy()
     blob = _resections(_unit_gradient_blob(party, peer, 1, 4 * F), lambda sections: [
         Section(s.name, s.dims[::-1], s.data) for s in sections])
@@ -1014,8 +1014,8 @@ def test_parties_keep_no_closed_pool(small_split):
     assert [train.target.keypair.private.decrypt(ct) for ct in cts] == [1.0, 1.0]
 
 
-def test_empty_component_batch_dispatches_nothing(small_split):
-    _, target_end, _ = loopback_pair()
+def test_empty_component_batch_dispatches_nothing(small_split, loopback):
+    _, target_end, _ = loopback
     party = _target_party(small_split, target_end)
     calls = []
     party.mapper = lambda fn, jobs: calls.append(jobs) or map(fn, jobs)

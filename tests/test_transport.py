@@ -1,4 +1,5 @@
 import socket
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from secureftl.transport import (
     SocketChannel,
     Section,
     Transcript,
-    decode_frame,
     encode_frame,
     loopback_pair,
     measure_cost,
@@ -31,7 +31,16 @@ from secureftl.transport import (
        st.binary(max_size=200))
 def test_frame_roundtrip(msg_type, iteration, payload):
     frame = Frame(msg_type, iteration, payload)
-    assert decode_frame(encode_frame(frame)) == frame
+    source, target, transcript = loopback_pair()
+    try:
+        source.send(frame)
+        assert target.recv(timeout=10) == frame
+        target.send(frame)
+        assert source.recv(timeout=10) == frame
+    finally:
+        source.close()
+        target.close()
+    assert transcript.payload_bytes() == 2 * len(payload)
 
 
 def test_frame_rejects_unknown_type():
@@ -46,18 +55,8 @@ def test_frame_rejects_bad_iteration():
         Frame(MsgType.STOP, 1 << 32)
 
 
-def test_decode_rejects_garbage():
-    with pytest.raises(FramingError):
-        decode_frame(b"xx")
-    with pytest.raises(FramingError):
-        decode_frame(b"NOPE" + bytes(HEADER.size - 4))
-    good = encode_frame(Frame(MsgType.STOP, 0, b"abc"))
-    with pytest.raises(FramingError):
-        decode_frame(good + b"extra")
-
-
-def test_loopback_delivery_and_transcript():
-    source, target, transcript = loopback_pair()
+def test_loopback_delivery_and_transcript(loopback):
+    source, target, transcript = loopback
     source.send(Frame(MsgType.COMPONENTS_A, 1, b"hello"))
     target.send(Frame(MsgType.COMPONENTS_B, 1, b"back"))
     assert target.recv(timeout=1).payload == b"hello"
@@ -66,25 +65,28 @@ def test_loopback_delivery_and_transcript():
     assert transcript.payload_bytes(DIR_TARGET_TO_SOURCE) == 4
 
 
-def test_loopback_preserves_order():
-    source, target, _ = loopback_pair()
+def test_loopback_preserves_order(loopback):
+    source, target, _ = loopback
     for k in range(5):
         source.send(Frame(MsgType.COMPONENTS_A, k, bytes([k])))
     got = [target.recv(timeout=1).iteration for _ in range(5)]
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_loopback_close_signals_peer():
-    source, target, _ = loopback_pair()
+def test_loopback_close_signals_peer(loopback):
+    source, target, transcript = loopback
     source.close()
     with pytest.raises(ChannelClosed):
         target.recv(timeout=1)
     with pytest.raises(ChannelClosed):
         source.send(Frame(MsgType.STOP, 0))
+    with pytest.raises(ChannelClosed):
+        source.recv(timeout=1)
+    assert transcript.frames() == []
 
 
-def test_loopback_recv_timeout():
-    source, _, _ = loopback_pair()
+def test_loopback_recv_timeout(loopback):
+    source, _, _ = loopback
     with pytest.raises(TimeoutError):
         source.recv(timeout=0.05)
 
@@ -117,16 +119,20 @@ def test_tcp_pair_roundtrip():
     assert transcript.payload_bytes(DIR_SOURCE_TO_TARGET) == len(payload)
 
 
-@pytest.mark.parametrize("header", [
-    HEADER.pack(b"FTL0", MsgType.STOP, 0, 0),
-    HEADER.pack(MAGIC, MsgType.STOP, 0, _MAX_PAYLOAD + 1),
-], ids=["bad-magic", "length-over-cap"])
-def test_socket_recv_rejects_bad_header(header):
-    # A raw peer writes only the header; recv must reject it before reading on.
+@pytest.mark.parametrize("data, then_close", [
+    (HEADER.pack(b"FTL0", MsgType.STOP, 0, 0), False),
+    (HEADER.pack(MAGIC, MsgType.STOP, 0, _MAX_PAYLOAD + 1), False),
+    (HEADER.pack(MAGIC, MsgType.STOP, 0, 0)[:HEADER.size // 2], True),
+], ids=["bad-magic", "length-over-cap", "mid-header"])
+def test_socket_recv_rejects_bad_header(data, then_close):
+    # A raw peer writes only a header, which recv must reject before reading
+    # on, or half of one before it closes.
     own, peer = socket.socketpair()
     channel = SocketChannel(own, DIR_TARGET_TO_SOURCE, Transcript())
     try:
-        peer.sendall(header)
+        peer.sendall(data)
+        if then_close:
+            peer.close()
         with pytest.raises(FramingError):
             channel.recv(timeout=10)
     finally:
@@ -135,11 +141,31 @@ def test_socket_recv_rejects_bad_header(header):
 
 
 def test_tcp_close_signals_peer():
-    source, target, _ = tcp_pair()
+    source, target, transcript = tcp_pair()
     source.close()
     with pytest.raises(ChannelClosed):
         target.recv(timeout=10)
+    with pytest.raises(ChannelClosed):
+        source.send(Frame(MsgType.STOP, 0))
+    assert transcript.frames() == []
     target.close()
+
+
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair], ids=["loopback", "tcp"])
+def test_send_after_failed_write_raises(pair):
+    # Once the peer is gone a write fails in the writer thread; the send
+    # after it raises and records nothing.
+    source, target, transcript = pair()
+    target.close()
+    try:
+        with pytest.raises(ChannelClosed):
+            for _ in range(200):
+                recorded = len(transcript.frames())
+                source.send(Frame(MsgType.STOP, 0))
+                time.sleep(0.01)
+        assert len(transcript.frames()) == recorded
+    finally:
+        source.close()
 
 
 @settings(max_examples=25)

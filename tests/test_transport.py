@@ -16,7 +16,6 @@ from secureftl.transport import (
     SocketChannel,
     Section,
     Transcript,
-    encode_frame,
     loopback_pair,
     measure_cost,
     pack_sections,

@@ -13,16 +13,20 @@ full modular exponentiation for the generator term.
 Every exponentiation runs in a module-level kernel that a map-like callable
 (the builtin map, or an executor's map over worker processes) can take one
 job per element: _encrypt_job on (private key, residue, r), _decrypt_job on
-(private key, value) and _power_job on (value, k, n^2). The key owner's
-batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws, hand their
-mapper the same kernels, PrivateKey.obfuscator and decrypt_residue, that a
-single own-key encryption or decryption runs, with every random r drawn in
-the caller beforehand; KeyPair.encrypt is the one-element batch of
-encrypt_raws on the builtin map. products is the batch form of
-ct * FixedPoint: it checks every product's fraction bits, then hands its
-mapper one _power_job per exponentiation. A single ct * FixedPoint is its
-one-element batch on the builtin map, so only products knows the rule;
-likewise only __add__ knows the rule of addition. mul_int and add_raw are ct * FixedPoint(k, 0) and
+(private key, value) and _multiexp_job on (bases, exponent columns, n^2),
+which returns prod_j bases[j]^column[j] mod n^2 for every column. The key
+owner's batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws, hand
+their mapper the same kernels, PrivateKey.obfuscator and decrypt_residue,
+that a single own-key encryption or decryption runs, with every random r
+drawn in the caller beforehand; KeyPair.encrypt is the one-element batch of
+encrypt_raws on the builtin map. Every ciphertext-by-plaintext product goes
+through _multiexp_job, from one of two batch forms that check every term's
+fraction bits (and keys) before any job: products, elementwise a * b, one
+one-term job per product; and contractions, a @ b, one job per row of the
+ciphertext operand, whose bases serve all of that row's columns. A single
+ct * FixedPoint is the one-element batch of products on the builtin map, so
+only those two know the rule of multiplication; likewise only __add__ knows
+the rule of addition. mul_int and add_raw are ct * FixedPoint(k, 0) and
 ct + FixedPoint(raw, frac_bits).
 
 This is a research implementation: keys default to 1024 bits and randomness
@@ -117,14 +121,78 @@ def _decrypt_job(job: tuple["PrivateKey", int]) -> int:
     return key.decrypt_residue(value)
 
 
-def _power_job(job: tuple[int, int, int]) -> int:
-    """value^k mod n^2 for a signed k, job being (value, k, n^2): the
-    ciphertext of k times value's plaintext."""
-    value, k, n_squared = job
-    if k >= 0:
-        return pow(value, k, n_squared)
-    # c^k = (c^-k)^-1; one modular inverse beats a near-n exponent.
-    return pow(pow(value, -k, n_squared), -1, n_squared)
+def _inverses(values: list[int], modulus: int) -> list[int]:
+    """The inverse of every value mod modulus, from one modular inverse
+    (Montgomery's batch inversion: prefix products, then back-multiplies)."""
+    prefix, acc = [], 1
+    for value in values:
+        acc = acc * value % modulus
+        prefix.append(acc)
+    inverse, out = pow(acc, -1, modulus), [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = inverse * prefix[i - 1] % modulus
+        inverse = inverse * values[i] % modulus
+    if values:
+        out[0] = inverse
+    return out
+
+
+def _window(tables: int, terms: int, bits: int) -> int:
+    """The window width w that minimises the modular multiplications of an
+    interleaved exponentiation: 2^w - 2 per table, and per term one per
+    nonzero w-bit digit of a bits-bit exponent (squarings do not depend on w)."""
+    return min(range(1, 9), key=lambda w: (tables * ((1 << w) - 2)
+                                           + terms * -(-bits // w) * (1 - 2.0 ** -w)))
+
+
+def _multiexp_job(job: tuple[list[int], list[list[int]], int]) -> list[int]:
+    """prod_j bases[j]^column[j] mod n^2 for every column, job being (bases,
+    exponent columns, n^2) with signed exponents: the ciphertext of every
+    column's combination of the bases' plaintexts.
+
+    Straus's interleaved windowed exponentiation (Straus, AMM 1964; Moeller,
+    SAC 2001): a column's squarings serve all of its terms, and each
+    (base, sign) has one table of its powers 1 .. 2^w - 1, shared by every
+    column. A negative exponent raises the base's inverse; one batch
+    inversion serves every base that needs one. A column with one nonzero
+    term is a single pow, and a column of zeros is 1, the ciphertext of 0.
+    """
+    bases, columns, nsq = job
+    negative = sorted({j for column in columns for j, e in enumerate(column) if e < 0})
+    inverse = dict(zip(negative, _inverses([bases[j] for j in negative], nsq)))
+    terms = [[(j, e) for j, e in enumerate(column) if e] for column in columns]
+    shared = [t for t in terms if len(t) > 1]
+    width = _window(len({(j, e < 0) for t in shared for j, e in t}), sum(map(len, shared)),
+                    max((abs(e).bit_length() for t in shared for _, e in t), default=0))
+    size, tables, out = 1 << width, {}, []
+
+    def table(j: int, negate: bool) -> list[int]:
+        if (j, negate) not in tables:
+            x = inverse[j] if negate else bases[j]
+            powers = [1, x]
+            for _ in range(size - 2):
+                powers.append(powers[-1] * x % nsq)
+            tables[j, negate] = powers
+        return tables[j, negate]
+
+    for column in terms:
+        if not column:
+            out.append(1)
+            continue
+        if len(column) == 1:
+            ((j, e),) = column
+            out.append(pow(inverse[j] if e < 0 else bases[j], abs(e), nsq))
+            continue
+        digits = [(table(j, e < 0), abs(e)) for j, e in column]
+        acc, top = 1, max(e for _, e in digits).bit_length()
+        for shift in range((top - 1) // width * width, -1, -width):
+            acc = pow(acc, size, nsq)
+            for powers, e in digits:
+                digit = (e >> shift) & (size - 1)
+                if digit:
+                    acc = acc * powers[digit] % nsq
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -266,21 +334,27 @@ class KeyPair:
         (ct,) = self.encrypt_raws([encode(value, frac_bits).raw], frac_bits, rng)
         return ct
 
-    def encrypt_raws(self, raws: list[int], frac_bits: int, rng: random.Random | None = None,
+    def encrypt_raws(self, raws: list[int], frac_bits: int | list[int],
+                     rng: random.Random | None = None,
                      mapper: Mapper = map) -> list["Ciphertext"]:
-        """encrypt_raw of every raw under one's own key, in order.
+        """encrypt_raw of every raw under one's own key, in order; frac_bits
+        is every raw's precision, or a list of one per raw.
 
         Every r is drawn from rng, in order, before any exponentiation, so
         the ciphertexts and rng's final state are those of a loop of
         encrypt_raw calls; the exponentiations then run through mapper, one
         job per raw. An empty list calls nothing.
         """
-        check_frac_bits(frac_bits)
+        fracs = [frac_bits] * len(raws) if isinstance(frac_bits, int) else list(frac_bits)
+        if len(fracs) != len(raws):
+            raise ValueError(f"{len(fracs)} fraction-bit counts for {len(raws)} raws")
+        for frac in set(fracs):
+            check_frac_bits(frac)
         public = self.public
         residues = [to_residue(raw, public.modulus) for raw in raws]
         jobs = [(self.private, residue, public.draw_r(rng)) for residue in residues]
         values = mapper(_encrypt_job, jobs) if jobs else []
-        return [Ciphertext(value, frac_bits, public) for value in values]
+        return [Ciphertext(value, frac, public) for value, frac in zip(values, fracs)]
 
 
 def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:
@@ -351,10 +425,11 @@ def products(mapper: Mapper, *pairs) -> list[np.ndarray]:
 
     A Ciphertext times a FixedPoint, in either order, is an exponentiation:
     the fraction bits of every such product are checked first, then all of
-    them go through mapper in one batch of _power_job jobs (value, k, n^2).
-    Every other product is formed here: two FixedPoints multiply, and a
-    product with the structural zero 0 is 0 and sends no job. The powers are
-    exact in Z*_{n^2}, so any mapper reaches the same ciphertexts.
+    them go through mapper in one batch, each a one-term job of
+    _multiexp_job. Every other product is formed here: two FixedPoints
+    multiply, and a product with the structural zero 0 is 0 and sends no
+    job. The powers are exact in Z*_{n^2}, so any mapper reaches the same
+    ciphertexts.
     """
     shaped, pending, jobs = [], [], []
     for a, b in pairs:
@@ -366,13 +441,100 @@ def products(mapper: Mapper, *pairs) -> list[np.ndarray]:
             if isinstance(x, Ciphertext) and isinstance(y, FixedPoint):
                 frac_bits = check_frac_sum(x.frac_bits, y.frac_bits)
                 pending.append((out, i, frac_bits, x.public_key))
-                jobs.append((x.value, y.raw, x.public_key.n_squared))
+                jobs.append(([x.value], [[y.raw]], x.public_key.n_squared))
             else:
                 out[i] = x * y
         shaped.append(out.reshape(a.shape))
-    values = mapper(_power_job, jobs) if jobs else ()
-    for (out, i, frac_bits, key), value in zip(pending, values):
+    values = mapper(_multiexp_job, jobs) if jobs else ()
+    for (out, i, frac_bits, key), (value,) in zip(pending, values):
         out[i] = Ciphertext(value, frac_bits, key)
+    return shaped
+
+
+def _row_job(row: np.ndarray, exponents: np.ndarray, out: np.ndarray, pending: list,
+             jobs: list):
+    """Queue out[c] = sum_k row[k] * exponents[k, c], for every column c a
+    term reaches, as one job whose bases are the row's ciphertexts those
+    terms use; every term is checked first. An entry no term reaches stays
+    the structural zero 0."""
+    cts = [(k, ct) for k, ct in enumerate(row) if not is_zero(ct)]
+    used, columns = set(), []
+    for c in range(exponents.shape[1]):
+        fracs = set()
+        for k, ct in cts:
+            e = exponents[k, c]
+            if not is_zero(e):
+                fracs.add(check_frac_sum(ct.frac_bits, e.frac_bits))
+                used.add(k)
+        if fracs:
+            frac_bits = fracs.pop()
+            for other in fracs:
+                check_frac_match(frac_bits, other)
+            columns.append((c, frac_bits))
+    if not columns:
+        return
+    used = sorted(used)
+    keys = {row[k].public_key.fingerprint: row[k].public_key for k in used}
+    if len(keys) > 1:
+        raise KeyMismatchError("cannot combine ciphertexts under different keys")
+    (key,) = keys.values()
+    pending.append((out, columns, key))
+    jobs.append(([row[k].value for k in used],
+                 [[0 if is_zero(exponents[k, c]) else exponents[k, c].raw for k in used]
+                  for c, _ in columns],
+                 key.n_squared))
+
+
+def _holds_only(values: np.ndarray, kind: type) -> bool:
+    return all(isinstance(x, kind) or is_zero(x) for x in values.flat)
+
+
+def contractions(mapper: Mapper, *pairs) -> list[np.ndarray]:
+    """a @ b under numpy matmul broadcasting for every pair (a, b), as
+    object arrays: the batch form of ciphertext @ FixedPoint.
+
+    One operand holds Ciphertexts, the other FixedPoint exponents, either
+    order, and either may hold structural zeros. An entry is the product of
+    its terms' powers, or 0 when no term pairs a Ciphertext with a
+    FixedPoint; so a sum whose exponents are all zero is the ciphertext 1,
+    never 0. Every term's fraction bits and keys are checked as products
+    and + check them before any job. Then all of the pairs go through
+    mapper in one batch of _multiexp_job jobs, one per row of the
+    ciphertext operand, whose bases serve every column of that row. An
+    empty batch calls nothing.
+    """
+    shaped, pending, jobs = [], [], []
+    for a, b in pairs:
+        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+        vector_a, vector_b = a.ndim == 1, b.ndim == 1
+        a, b = (a[None, :] if vector_a else a), (b[:, None] if vector_b else b)
+        # With the exponents on the left, contract the transposes: (b^T a^T)^T.
+        flip = (any(isinstance(x, FixedPoint) for x in a.flat)
+                or any(isinstance(x, Ciphertext) for x in b.flat))
+        if flip:
+            a, b = np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2)
+        if not (_holds_only(a, Ciphertext) and _holds_only(b, FixedPoint)):
+            raise TypeError("a contraction takes Ciphertext entries on one side and "
+                            "FixedPoint entries on the other, besides structural zeros")
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"contraction over mismatched dims {a.shape} @ {b.shape}")
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        a = np.broadcast_to(a, batch + a.shape[-2:])
+        b = np.broadcast_to(b, batch + b.shape[-2:])
+        out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=object)
+        for index in np.ndindex(*batch, a.shape[-2]):
+            _row_job(a[index], b[index[:-1]], out[index], pending, jobs)
+        if flip:
+            out = np.swapaxes(out, -1, -2)
+        if vector_b:
+            out = out[..., 0]
+        if vector_a:
+            out = out[..., 0] if vector_b else out[..., 0, :]
+        shaped.append(out)
+    values = mapper(_multiexp_job, jobs) if jobs else ()
+    for (out, columns, key), column_values in zip(pending, values):
+        for (c, frac_bits), value in zip(columns, column_values):
+            out[c] = Ciphertext(value, frac_bits, key)
     return shaped
 
 

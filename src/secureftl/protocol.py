@@ -29,15 +29,17 @@ worker per usable CPU before the threads start (none on a single CPU). Both
 keygens run on it side by side, each on its party's seeded rng, whose state
 comes back with the keys. Then both parties hand it their exponentiations
 through the executor's map, in one chunk per worker: every batch of own-key
-encryptions (components and prediction requests), every decryption of the
-peer's masked sections, and every batch of ciphertext-by-plaintext
-products (paillier.products) that the loss, the gradients and the
+encryptions (a party's whole component batch, reg scalar included, and
+prediction requests), every decryption of the peer's masked sections, and
+every batch of ciphertext-by-plaintext products (paillier.products) and
+contractions (paillier.contractions) that the loss, the gradients and the
 prediction scores are built from. The workers run only paillier's kernels
-on (private key, residue, r), (private key, value) and (value, k, n^2)
-jobs. Channels, transcript, masks, the homomorphic additions and every
-encryption's random r stay in the parent, so each ciphertext and frame is
-the one a single core would make. The few single encryptions (the target's
-reg scalar, peer-key mask entries) run in the party's thread.
+on (private key, residue, r), (private key, value) and (bases, exponent
+columns, n^2) jobs. Channels, transcript, masks, the homomorphic additions
+and every encryption's random r stay in the parent, so each ciphertext and
+frame is the one a single core would make. The only single encryptions,
+the peer-key mask entries of a gradient entry no ciphertext reached, run in
+the party's thread.
 
 A party that fails closes its channel end, which fails the peer's next recv
 with ChannelClosed; the call raises the first failure in time order, so a
@@ -54,9 +56,11 @@ The encrypted algebra is the plaintext one, in numpy object arrays: entries
 are paillier.Ciphertext, encoding.FixedPoint or the int 0, the structural
 zero that no ciphertext reached (it adds nothing, and any product with it
 stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
-arrays; the loss, the gradients and the prediction scores are batched
-elementwise products (paillier.products) summed over an axis, and
-encrypted_backward runs Network.backward over an (N, d, K) upstream. A
+arrays; the loss, the gradients and the prediction scores are
+contractions of ciphertexts against plaintext coefficients
+(paillier.contractions, a @ b) and elementwise products
+(paillier.products), and encrypted_backward runs Network.backward over an
+(N, d, K) upstream. A
 gradient entry that is still plaintext when it is masked (no ciphertext
 reached it, only weight decay) is encrypted then, under the peer's key.
 
@@ -120,6 +124,7 @@ from .paillier import (
     KeyPair,
     Mapper,
     PublicKey,
+    contractions,
     deserialize_ciphertext,
     keygen,
     products,
@@ -151,9 +156,9 @@ from .transport import (
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
 
-# A ciphertext contraction forms its products in batches of about this many,
-# whole output rows each, so the products held at once do not grow with
-# rows * inputs * outputs.
+# A ciphertext contraction hands the kernel at most this many exponent terms
+# per map call, in whole output rows or column blocks of a longer row, so the
+# jobs in flight do not grow with rows * inputs * outputs.
 CONTRACTION_BATCH = 4096
 
 
@@ -321,10 +326,14 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     the upstream: every step multiplies by a scalar encoded at frac_bits, and
     each layer crossing adds 2*frac_bits to the fraction counter.
     Coefficients cross as exact FixedPoint integers, summed over rows before
-    any ciphertext is touched, so the cost of a basis does not grow with N.
-    Every step's ciphertext products go through mapper in one batch
-    (paillier.products); a contraction of ciphertexts goes in batches of
-    whole output rows, about CONTRACTION_BATCH products each.
+    any ciphertext is touched, so the cost of a basis does not grow with N;
+    the K basis ciphertexts then serve every entry, in one contraction job
+    per block of entries, a block per worker. Every elementwise step goes
+    through mapper in one batch (paillier.products). A contraction of
+    ciphertexts (paillier.contractions) is one job per output row, whose
+    bases serve all of the row's columns; it goes in map calls of whole rows,
+    or of column blocks of a longer row, of at most CONTRACTION_BATCH
+    exponent terms each (a single column of more terms goes alone).
 
     The result is exact, not close: ciphertexts under * and + form the
     commutative group Z*_{n^2}, so prod_k basis[k]^E_k is the very integer
@@ -338,11 +347,15 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         # without holding every product at once.
         if basis is not None:
             return a @ b
-        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
-        step = max(1, CONTRACTION_BATCH // max(1, b.size))
-        blocks = [rows[i:i + step] for i in range(0, len(rows), step)] or [rows]
-        out = [products(mapper, (block[:, :, None], b))[0].sum(axis=1) for block in blocks]
-        return np.concatenate(out).reshape(*a.shape[:-1], b.shape[-1])
+        rows, (k, c) = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), b.shape
+        width = max(1, min(c, CONTRACTION_BATCH // max(1, k)))
+        step = max(1, CONTRACTION_BATCH // max(1, k * width))
+        out = np.zeros((len(rows), c), dtype=object)
+        for i in range(0, len(rows), step):
+            for j in range(0, c, width):
+                (out[i:i + step, j:j + width],) = contractions(
+                    mapper, (rows[i:i + step], b[:, j:j + width]))
+        return out.reshape(*a.shape[:-1], c)
 
     delta, frac = upstream.transpose(0, 2, 1), 2 * f  # (N, K, d)
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
@@ -360,9 +373,12 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         for tensor in tensors:
             tensor.values = tensor.values[..., 0]
     else:
-        for tensor, terms in zip(tensors, products(mapper, *[(t.values, basis)
-                                                             for t in tensors])):
-            tensor.values = terms.sum(axis=-1)
+        coef = np.concatenate([t.values.reshape(-1, len(basis)) for t in tensors])
+        blocks = np.array_split(coef, max(1, min(len(coef), _workers())))
+        terms = np.concatenate(contractions(mapper, *[(block, basis) for block in blocks]))
+        ends = np.cumsum([t.values[..., 0].size for t in tensors])
+        for tensor, part in zip(tensors, np.split(terms, ends[:-1])):
+            tensor.values = part.reshape(tensor.values.shape[:-1])
     return tensors
 
 
@@ -439,12 +455,16 @@ class _Party:
         self.peer_key = _read_pubkey(frame.payload)
         self.keys[self.peer_key.fingerprint] = self.peer_key
 
-    def _encrypt(self, values) -> np.ndarray:
-        """Every entry under this party's own key at frac_bits, row-major."""
-        values = np.asarray(values, dtype=float)
-        raws = [encode(v, self.frac_bits).raw for v in values.ravel()]
-        cts = self.keypair.encrypt_raws(raws, self.frac_bits, self.rng, self.mapper)
-        return np.array(cts, dtype=object).reshape(values.shape)
+    def _encrypt(self, *parts: tuple[np.ndarray, int]) -> list[np.ndarray]:
+        """Every entry of every (values, frac_bits) part under this party's
+        own key at its part's frac_bits, as one batch whose r are drawn part
+        after part, row-major."""
+        fixed = [_fixed(values, frac_bits) for values, frac_bits in parts]
+        flat = [x for part in fixed for x in part.flat]
+        cts = iter(self.keypair.encrypt_raws([x.raw for x in flat], [x.frac_bits for x in flat],
+                                             self.rng, self.mapper))
+        return [np.array([next(cts) for _ in range(part.size)], dtype=object).reshape(part.shape)
+                for part in fixed]
 
     def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
         """values plus a fresh mask at frac_bits, recorded under (seq, name),
@@ -515,8 +535,8 @@ class _Party:
         self.predict_seq += 1
         seq = self.predict_seq
         n, d = u_rows.shape
-        self._send(MsgType.PREDICT_REQUEST, seq,
-                   pack_sections([_ct_section("u", (n, d), self._encrypt(u_rows).flat)]))
+        (u,) = self._encrypt((u_rows, self.frac_bits))
+        self._send(MsgType.PREDICT_REQUEST, seq, pack_sections([_ct_section("u", (n, d), u.flat)]))
         frame = self._recv({MsgType.PREDICT_MASKED: seq})
         self._send(MsgType.DECRYPTED_BLOB, seq, self._decrypt_to_blob(
             _read(frame.payload, [("predict.scores", (n,))])))
@@ -529,9 +549,8 @@ class _Party:
         (request,) = _read(self._recv({MsgType.PREDICT_REQUEST: seq}).payload,
                            [("u", (None, len(prototype)))])
         n = request.dims[0]
-        (terms,) = products(self.mapper, (_section_array(request, self.keys),
-                                          _fixed(prototype, self.frac_bits)))
-        scores = terms.sum(axis=-1)
+        (scores,) = contractions(self.mapper, (_section_array(request, self.keys),
+                                               _fixed(prototype, self.frac_bits)))
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
@@ -567,11 +586,11 @@ class SourceParty(_Party):
         components under this party's own key."""
         u = trace[-1]
         prototype = label_prototype(u, self.labels)
-        y = self.labels_c
-        return ComponentBatch(
-            self._encrypt((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype)),
-            self._encrypt((-0.5 * y)[:, None] * prototype),
-            self._encrypt(self.cfg.gamma * self.align.kappa * u[self.ab_rows]))
+        y, f = self.labels_c, self.frac_bits
+        return ComponentBatch(*self._encrypt(
+            ((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype), f),
+            ((-0.5 * y)[:, None] * prototype, f),
+            (self.cfg.gamma * self.align.kappa * u[self.ab_rows], f)))
 
     def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
                       prototype: np.ndarray) -> Ciphertext:
@@ -583,12 +602,15 @@ class SourceParty(_Party):
         constant = (len(y) * LOG2
                     + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        by_pair = products(self.mapper,
-                           (quad, _fixed(np.outer(0.125 * prototype, prototype), f)),
-                           (comps.lin, _fixed((-0.5 * y)[:, None] * prototype, f)),
-                           (comps.align, _fixed(self.cfg.gamma * u_ab, f)))
-        terms = [term for p in by_pair for term in p.flat] + [comps.reg, encode(constant, 2 * f)]
-        # Structural zeros (quad's, without labeled pairs) are skipped, so no
+        # Every pair term is one contraction of the components against
+        # their plaintext coefficients.
+        (pairs,) = contractions(self.mapper, (
+            np.concatenate([quad.ravel(), comps.lin.ravel(), comps.align.ravel()]),
+            np.concatenate([_fixed(np.outer(0.125 * prototype, prototype), f).ravel(),
+                            _fixed((-0.5 * y)[:, None] * prototype, f).ravel(),
+                            _fixed(self.cfg.gamma * u_ab, f).ravel()])))
+        terms = [pairs.item(), comps.reg, encode(constant, 2 * f)]
+        # The structural zero (no labeled or overlap pairs) is skipped, so no
         # addition of 0 reaches a ciphertext.
         return sum(term for term in terms if not is_zero(term))
 
@@ -604,11 +626,10 @@ class SourceParty(_Party):
         ciphertexts through encrypted_backward.
         """
         f, n, u = self.frac_bits, len(self.labels), trace[-1]
-        by_quad, by_lin, by_align = products(
-            self.mapper, (_fixed(0.25 * prototype / n, f)[:, None], quad),
-            (_fixed(-0.5 * self.labels_c / n, f)[:, None], comps.lin),
-            (comps.align, encode(self.cfg.gamma, f)))
-        pooled = by_quad.sum(axis=0) + by_lin.sum(axis=0)
+        (pooled,) = contractions(self.mapper, (
+            np.concatenate([_fixed(0.25 * prototype / n, f), _fixed(-0.5 * self.labels_c / n, f)]),
+            np.concatenate([quad, comps.lin])))
+        (by_align,) = products(self.mapper, (comps.align, encode(self.cfg.gamma, f)))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         if len(self.ab_rows):
             own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
@@ -680,19 +701,25 @@ class TargetParty(_Party):
         # alignment terms when the alignment kind has any.
         reg_value = (0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                      + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        return ComponentBatch(self._encrypt(u_c[:, :, None] * u_c[:, None, :]),
-                              self._encrypt(u_c), self._encrypt(self.align.kappa * u_ab),
-                              self.keypair.encrypt(reg_value, 2 * self.frac_bits, self.rng))
+        f = self.frac_bits
+        quad, lin, align, reg = self._encrypt((u_c[:, :, None] * u_c[:, None, :], f), (u_c, f),
+                                              (self.align.kappa * u_ab, f), (reg_value, 2 * f))
+        return ComponentBatch(quad, lin, align, reg.item())
 
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_GradTensor]:
         """Own-parameter gradient under the source's key, before masking."""
         f, u = self.frac_bits, trace[-1]
         one = encode(1.0, f)  # lifts a component to the upstream's 2f fraction bits
-        by_quad, by_lin, by_align = products(
-            self.mapper, (comps.quad, _fixed(2.0 * u[self.c_pos], f)[:, None, :]),
-            (comps.lin, one), (comps.align, one))
+        # Pair c's upstream at output o contracts quad[c, o, :] and lin[c, o]
+        # against 2 u_c and one.
+        n_c = len(self.c_pos)
+        (by_pair,) = contractions(self.mapper, (
+            np.concatenate([comps.quad, comps.lin[:, :, None]], axis=-1),
+            np.concatenate([_fixed(2.0 * u[self.c_pos], f),
+                            np.full((n_c, 1), one, dtype=object)], axis=-1)[:, :, None]))
+        (by_align,) = products(self.mapper, (comps.align, one))
         upstream = np.zeros(u.shape, dtype=object)
-        upstream[self.c_pos] = by_quad.sum(axis=-1) + by_lin
+        upstream[self.c_pos] = by_pair[..., 0]
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
         upstream[self.ab_pos] += by_align + _fixed(own_align, 2 * f)
         tensors = encrypted_backward(self.net, trace, upstream[:, :, None], f,
@@ -751,6 +778,12 @@ class EncryptedRunResult:
 JOIN_TIMEOUT = 600.0
 
 
+def _workers() -> int:
+    """The usable CPUs: a run's worker processes, and the blocks a shared
+    basis contraction is split into."""
+    return len(os.sched_getaffinity(0))
+
+
 def _close(channels):
     channels[0].close()
     channels[1].close()
@@ -769,7 +802,7 @@ def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: Tra
     channel ends are closed, the executor is shut down, so no worker
     outlives the call, and both parties' mapper is map again.
     """
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _workers()
     pool = (ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))
             if cpus > 1 else None)
 

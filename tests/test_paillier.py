@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -15,8 +16,9 @@ from secureftl.paillier import (
     KeyPair,
     PrivateKey,
     PublicKey,
-    _power_job,
+    _multiexp_job,
     ciphertext_wire_size,
+    contractions,
     deserialize_ciphertext,
     keygen,
     products,
@@ -346,7 +348,93 @@ def test_pooled_products_match_serial(chunksize):
     assert empty.shape == (0, 9)
     assert _fields(unpowered[0]) == [0] * 9
     assert _fields(unpowered[1]) == [FixedPoint(3 * raw, 12) for raw in BATCH_RAWS[::-1]] + [0]
-    assert calls == [(_power_job, 2 * len(BATCH_RAWS) ** 2), (_power_job, 2)]
+    assert calls == [(_multiexp_job, 2 * len(BATCH_RAWS) ** 2), (_multiexp_job, 2)]
     assert SK.decrypt_raw(keyed[0]) == 3 and foreign.private.decrypt_raw(keyed[1]) == 21
     with pytest.raises(KeyMismatchError):
         keyed.sum()
+
+
+# Exponents of every width from 0 to 200 bits, either sign.
+_EXPONENTS = st.integers(0, 200).flatmap(
+    lambda bits: st.integers(-(1 << bits) + 1, (1 << bits) - 1))
+_CTS = KEYS.encrypt_raws([3, -5, 7 << 30, -11], 16, random.Random(9))
+NSQ = PK.n_squared
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multiexp_job_equals_separate_pows(data):
+    # Repeated bases, several columns, and always a column of zeros, whose
+    # product is 1.
+    picks = data.draw(st.lists(st.sampled_from(_CTS), min_size=1, max_size=5))
+    bases = [ct.value for ct in picks]
+    row = st.lists(_EXPONENTS, min_size=len(bases), max_size=len(bases))
+    columns = data.draw(st.lists(row, min_size=1, max_size=4)) + [[0] * len(bases)]
+    expected = [math.prod(pow(b, e, NSQ) for b, e in zip(bases, column)) % NSQ
+                for column in columns]
+    assert _multiexp_job((bases, columns, NSQ)) == expected
+    assert expected[-1] == 1
+
+
+def _summed_pows(a, b):
+    """a @ b for a 2-d Ciphertext-or-0 a and FixedPoint-or-0 b, from
+    separate signed pows: 0 where no term pairs a ciphertext with a
+    FixedPoint."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    for r in range(a.shape[0]):
+        for c in range(b.shape[1]):
+            terms = [(x, y) for x, y in zip(a[r], b[:, c]) if x is not 0 and y is not 0]
+            if terms:
+                value = math.prod(pow(x.value, y.raw, NSQ) for x, y in terms) % NSQ
+                out[r, c] = Ciphertext(value, terms[0][0].frac_bits + terms[0][1].frac_bits, PK)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_contractions_equal_summed_pows(data):
+    # Either operand order, structural zeros on both sides (an all-zero
+    # row gives 0, an all-zero-exponent column the ciphertext 1), and the
+    # numpy broadcasting of a batch dim and of 1-d operands.
+    rows, inner, cols = (data.draw(st.integers(lo, 3)) for lo in (0, 1, 1))
+    ct = st.sampled_from([*_CTS, 0])
+    fp = st.one_of(st.just(0), _EXPONENTS.map(lambda e: FixedPoint(e, 8)))
+    a = np.array(data.draw(st.lists(st.lists(ct, min_size=inner, max_size=inner),
+                                    min_size=rows, max_size=rows)), dtype=object)
+    a = a.reshape(rows, inner)
+    b = np.array(data.draw(st.lists(st.lists(fp, min_size=cols, max_size=cols),
+                                    min_size=inner, max_size=inner)), dtype=object)
+    expected = _summed_pows(a, b)
+    record = _Recorder()
+    left, right, batched, vector = contractions(
+        record, (a, b), (b.T, a.T), (np.stack([a, a]), b), (a, b[:, 0]))
+    assert len(record.calls) <= 1
+    assert _fields(left) == _fields(expected) == _fields(right.T)
+    assert _fields(batched) == _fields(np.stack([expected, expected]))
+    assert _fields(vector) == _fields(expected[:, 0])
+
+
+def test_contractions_apply_the_product_rules_before_any_job():
+    record = _Recorder()
+    x, y = _CTS[:2]
+    a = np.array([[x, y], [0, 0]], dtype=object)
+    b = np.array([[FixedPoint(0, 8), FixedPoint(2, 8)], [FixedPoint(0, 8), 0]], dtype=object)
+    ((out,), calls) = contractions(record, (a, b)), record.calls
+    # Row 0 is one job of its two bases and both columns; row 1 has no
+    # ciphertext, so it stays 0.
+    assert calls == [[([x.value, y.value], [[0, 0], [2, 0]], NSQ)]]
+    assert _fields(out) == [(1, 24), (pow(x.value, 2, NSQ), 24), 0, 0]
+    assert SK.decrypt_raw(out[0, 0]) == 0
+    foreign = keygen(bits=512, rng=random.Random(2)).encrypt_raws([1], 16, random.Random(3))[0]
+    record = _Recorder()
+    with pytest.raises(EncodingOverflowError, match="mismatch"):
+        contractions(record, (a, b), (a, np.array([[FixedPoint(1, 8)], [FixedPoint(1, 9)]])))
+    with pytest.raises(EncodingOverflowError, match="exceed"):
+        contractions(record, (a, b), (a[0], np.array([FixedPoint(1, 240)] * 2)))
+    with pytest.raises(KeyMismatchError):
+        contractions(record, (a, b), (np.array([x, foreign]), np.array([FixedPoint(1, 8)] * 2)))
+    with pytest.raises(TypeError):
+        contractions(record, (a, a))
+    (empty,) = contractions(record, (np.empty((0, 2), dtype=object), b))
+    assert contractions(record) == [] and empty.shape == (0, 2)
+    assert record.calls == []

@@ -17,7 +17,7 @@ from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import FixedPoint, is_zero
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
-from secureftl.paillier import Ciphertext, PrivateKey, _power_job, keygen
+from secureftl.paillier import Ciphertext, PrivateKey, _multiexp_job, keygen
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import (
     ENGINE_KINDS,
@@ -93,9 +93,10 @@ def test_encrypted_backward_matches_plaintext():
 
 
 def test_contraction_batches_bound_the_products(monkeypatch):
-    # With a batch of 12 products, each contraction goes in blocks of whole
-    # output rows, at least one: a delta row is 2 outputs x 3 inputs, so two
-    # rows a block; a gradient row is 5 samples x 3 or 4 inputs, so one. The
+    # With a batch of 15 exponent terms, each contraction goes in blocks of
+    # whole output rows, and a row of more terms in blocks of its columns: a
+    # delta row is 2 bases x 3 columns, so two rows a block; a gradient row
+    # is 5 bases x 3 or 4 columns, so three columns a block. The
     # ciphertexts are those of one batch per contraction.
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
@@ -105,18 +106,18 @@ def test_contraction_batches_bound_the_products(monkeypatch):
     batches = []
 
     def record(fn, jobs):
-        batches.append(len(jobs))
+        batches.append(_terms(jobs))
         return map(fn, jobs)
 
     whole = encrypted_backward(net, trace, upstream, F, mapper=record)
     whole_batches, batches[:] = list(batches), []
-    monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 12)
+    monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 15)
     blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
     assert _ct_fields(blocked) == _ct_fields(whole)
-    # dz, grad_w, delta, dz, grad_w: one batch each, then per row block.
+    # dz, grad_w, delta, dz, grad_w: one batch each, then per block.
     assert whole_batches == [10, 30, 30, 15, 60]
-    assert batches == [10, 15, 15, 12, 12, 6, 15, 20, 20, 20]
-    assert sum(batches) == sum(whole_batches)
+    assert batches == [10, 15, 15, 12, 12, 6, 15, 15, 5, 15, 5, 15, 5]
+    assert max(batches) <= 15 and sum(batches) == sum(whole_batches)
 
 
 def _ct_fields(tensors):
@@ -374,28 +375,34 @@ def _with_source_rows(split, extra: int) -> FederationSplit:
         eval_ids=split.eval_ids, labels_eval=split.labels_eval)
 
 
-def _unwatched_power_job(job):
-    """paillier._power_job as a watched party's mapper runs it: its jobs are
-    counted there, not again by the kernel watch."""
-    return _power_job(job)
+def _unwatched_multiexp_job(job):
+    """paillier._multiexp_job as a watched party's mapper runs it: its terms
+    are counted there, not again by the kernel watch."""
+    return _multiexp_job(job)
+
+
+def _terms(jobs) -> int:
+    """The exponent terms of kernel jobs: every (base, exponent) pair handed
+    to the kernel, zero exponents included."""
+    return sum(len(bases) * len(columns) for bases, columns, _ in jobs)
 
 
 class _PartyWatch:
-    """Per role, the _power_job jobs a party hands its mapper and the power
-    kernel runs on its thread outside any mapper (through ct * FixedPoint or
-    mul_int), in the runs started while monkeypatch holds. exchange_keys,
-    the first step of every training and prediction routine, records the
-    party's thread and wraps its mapper."""
+    """Per role, the exponent terms of the _multiexp_job jobs a party hands
+    its mapper, and the kernel runs on its thread outside any mapper
+    (through ct * FixedPoint or mul_int), in the runs started while
+    monkeypatch holds. exchange_keys, the first step of every training and
+    prediction routine, records the party's thread and wraps its mapper."""
 
     def __init__(self, monkeypatch):
         self.threads = {"source": set(), "target": set()}
-        self.power_jobs = {"source": 0, "target": 0}
-        self.kernel_threads = []
+        self.terms = {"source": 0, "target": 0}
+        self.kernel_threads = []  # (thread, terms) per kernel run outside a mapper
         exchange_keys = _Party.exchange_keys
 
         def watched_kernel(job):
-            self.kernel_threads.append(threading.get_ident())
-            return _power_job(job)
+            self.kernel_threads.append((threading.get_ident(), _terms([job])))
+            return _multiexp_job(job)
 
         def watched_exchange(party):
             role, mapper = party.role, party.mapper
@@ -403,20 +410,21 @@ class _PartyWatch:
 
             def counting(fn, jobs):
                 if fn is watched_kernel:
-                    self.power_jobs[role] += len(jobs)
-                    fn = _unwatched_power_job
+                    self.terms[role] += _terms(jobs)
+                    fn = _unwatched_multiexp_job
                 return mapper(fn, jobs)
 
             party.mapper = counting
             return exchange_keys(party)
 
         monkeypatch.setattr(_Party, "exchange_keys", watched_exchange)
-        monkeypatch.setattr(paillier, "_power_job", watched_kernel)
+        monkeypatch.setattr(paillier, "_multiexp_job", watched_kernel)
 
     def multiplies(self, role: str) -> int:
-        """Exponentiations role ran: power jobs plus kernel runs on its thread."""
-        return self.power_jobs[role] + sum(ident in self.threads[role]
-                                           for ident in self.kernel_threads)
+        """Exponent terms role ran: those of its mapped jobs plus those of
+        kernel runs on its thread."""
+        return self.terms[role] + sum(terms for ident, terms in self.kernel_threads
+                                      if ident in self.threads[role])
 
 
 def _source_mul_ints(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
@@ -948,11 +956,11 @@ def test_no_worker_outlives_the_call(small_split, call, renumber_at, msg_type):
 _TEST_PROCESS = os.getpid()
 
 
-def _power_job_dying_in_worker(job):
-    """paillier._power_job, except that a worker process running it exits."""
+def _multiexp_job_dying_in_worker(job):
+    """paillier._multiexp_job, except that a worker process running it exits."""
     if os.getpid() != _TEST_PROCESS:
         os._exit(1)
-    return _power_job(job)
+    return _multiexp_job(job)
 
 
 @pytest.mark.skipif(_pool_size() == 0, reason="no worker processes on a single CPU")
@@ -970,7 +978,7 @@ def test_dead_worker_fails_the_run(small_split, monkeypatch, kernel):
     if kernel == "decrypt":
         monkeypatch.setattr(PrivateKey, "decrypt_residue", die_in_worker)
     else:
-        monkeypatch.setattr(paillier, "_power_job", _power_job_dying_in_worker)
+        monkeypatch.setattr(paillier, "_multiexp_job", _multiexp_job_dying_in_worker)
     errors = []
 
     def call():
@@ -994,11 +1002,11 @@ def test_no_exponentiation_in_the_party_threads(small_split, monkeypatch):
     watch = _PartyWatch(monkeypatch)
     nets = init_network([3, 4, 2], seed=4), init_network([2, 4, 2], seed=5)
     train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=2), key_bits=512)
-    trained = dict(watch.power_jobs)
+    trained = dict(watch.terms)
     predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512)
     assert watch.kernel_threads == []
     assert trained["source"] > 0 and trained["target"] > 0
-    assert watch.power_jobs["source"] > trained["source"]
+    assert watch.terms["source"] > trained["source"]
 
 
 def test_parties_keep_no_closed_pool(small_split):
@@ -1010,7 +1018,7 @@ def test_parties_keep_no_closed_pool(small_split):
                                 key_bits=512)
     for party in (train.source, train.target, predict.server, predict.requester):
         assert party.mapper is map
-    cts = train.target._encrypt(np.ones(2))
+    (cts,) = train.target._encrypt((np.ones(2), F))
     assert [train.target.keypair.private.decrypt(ct) for ct in cts] == [1.0, 1.0]
 
 
@@ -1020,7 +1028,7 @@ def test_empty_component_batch_dispatches_nothing(small_split, loopback):
     calls = []
     party.mapper = lambda fn, jobs: calls.append(jobs) or map(fn, jobs)
     state = party.rng.getstate()
-    assert party._encrypt(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    assert [a.shape for a in party._encrypt((np.zeros((0, 2, 2)), F))] == [(0, 2, 2)]
     assert party._decrypt_to_blob([_ct_section("quad", (0, 2, 2), [])]) == pack_sections(
         [_int_section("quad", (0, 2, 2), 0, [])])
     assert calls == [] and party.rng.getstate() == state

@@ -493,29 +493,23 @@ def contractions(mapper: Mapper, *pairs) -> list[np.ndarray]:
     """a @ b under numpy matmul broadcasting for every pair (a, b), as
     object arrays: the batch form of ciphertext @ FixedPoint.
 
-    One operand holds Ciphertexts, the other FixedPoint exponents, either
-    order, and either may hold structural zeros. An entry is the product of
-    its terms' powers, or 0 when no term pairs a Ciphertext with a
-    FixedPoint; so a sum whose exponents are all zero is the ciphertext 1,
-    never 0. Every term's fraction bits and keys are checked as products
-    and + check them before any job. Then all of the pairs go through
-    mapper in one batch of _multiexp_job jobs, one per row of the
-    ciphertext operand, whose bases serve every column of that row. An
-    empty batch calls nothing.
+    a holds Ciphertexts and b FixedPoint exponents; either may hold
+    structural zeros. An entry is the product of its terms' powers, or 0
+    when no term pairs a Ciphertext with a FixedPoint; so a sum whose
+    exponents are all zero is the ciphertext 1, never 0. Every term's
+    fraction bits and keys are checked as products and + check them before
+    any job. Then all of the pairs go through mapper in one batch of
+    _multiexp_job jobs, one per row of a, whose bases serve every column of
+    that row. An empty batch calls nothing.
     """
     shaped, pending, jobs = [], [], []
     for a, b in pairs:
         a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
         vector_a, vector_b = a.ndim == 1, b.ndim == 1
         a, b = (a[None, :] if vector_a else a), (b[:, None] if vector_b else b)
-        # With the exponents on the left, contract the transposes: (b^T a^T)^T.
-        flip = (any(isinstance(x, FixedPoint) for x in a.flat)
-                or any(isinstance(x, Ciphertext) for x in b.flat))
-        if flip:
-            a, b = np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2)
         if not (_holds_only(a, Ciphertext) and _holds_only(b, FixedPoint)):
-            raise TypeError("a contraction takes Ciphertext entries on one side and "
-                            "FixedPoint entries on the other, besides structural zeros")
+            raise TypeError("a contraction takes Ciphertext @ FixedPoint entries, "
+                            "besides structural zeros")
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"contraction over mismatched dims {a.shape} @ {b.shape}")
         batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -524,8 +518,6 @@ def contractions(mapper: Mapper, *pairs) -> list[np.ndarray]:
         out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=object)
         for index in np.ndindex(*batch, a.shape[-2]):
             _row_job(a[index], b[index[:-1]], out[index], pending, jobs)
-        if flip:
-            out = np.swapaxes(out, -1, -2)
         if vector_b:
             out = out[..., 0]
         if vector_a:

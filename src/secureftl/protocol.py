@@ -375,7 +375,7 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     else:
         coef = np.concatenate([t.values.reshape(-1, len(basis)) for t in tensors])
         blocks = np.array_split(coef, max(1, min(len(coef), _workers())))
-        terms = np.concatenate(contractions(mapper, *[(block, basis) for block in blocks]))
+        terms = np.concatenate(contractions(mapper, *[(basis, block.T) for block in blocks]))
         ends = np.cumsum([t.values[..., 0].size for t in tensors])
         for tensor, part in zip(tensors, np.split(terms, ends[:-1])):
             tensor.values = part.reshape(tensor.values.shape[:-1])
@@ -627,8 +627,8 @@ class SourceParty(_Party):
         """
         f, n, u = self.frac_bits, len(self.labels), trace[-1]
         (pooled,) = contractions(self.mapper, (
-            np.concatenate([_fixed(0.25 * prototype / n, f), _fixed(-0.5 * self.labels_c / n, f)]),
-            np.concatenate([quad, comps.lin])))
+            np.concatenate([quad, comps.lin]).T,
+            np.concatenate([_fixed(0.25 * prototype / n, f), _fixed(-0.5 * self.labels_c / n, f)])))
         (by_align,) = products(self.mapper, (comps.align, encode(self.cfg.gamma, f)))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         if len(self.ab_rows):

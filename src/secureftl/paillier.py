@@ -20,14 +20,14 @@ their mapper the same kernels, PrivateKey.obfuscator and decrypt_residue,
 that a single own-key encryption or decryption runs, with every random r
 drawn in the caller beforehand; KeyPair.encrypt is the one-element batch of
 encrypt_raws on the builtin map. Every ciphertext-by-plaintext product goes
-through _multiexp_job, from one of two batch forms that check every term's
-fraction bits (and keys) before any job: products, elementwise a * b, one
-one-term job per product; and contractions, a @ b, one job per row of the
-ciphertext operand, whose bases serve all of that row's columns. A single
-ct * FixedPoint is the one-element batch of products on the builtin map, so
-only those two know the rule of multiplication; likewise only __add__ knows
-the rule of addition. mul_int and add_raw are ct * FixedPoint(k, 0) and
-ct + FixedPoint(raw, frac_bits).
+through _multiexp_job from one batch form, contractions (a @ b): it checks
+every term's fraction bits and keys before any job, then sends one job per
+row of the ciphertext operand, whose bases serve all of that row's columns.
+An elementwise product is a contraction over unit axes, a[..., None, None] @
+b[..., None, None], and a single ct * FixedPoint the one-element contraction
+on the builtin map, so only contractions knows the rule of multiplication;
+likewise only __add__ knows the rule of addition. mul_int and add_raw are
+ct * FixedPoint(k, 0) and ct + FixedPoint(raw, frac_bits).
 
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
@@ -409,46 +409,15 @@ class Ciphertext:
         return self * FixedPoint(k, 0)
 
     def __mul__(self, other: "FixedPoint | int") -> "Ciphertext | int":
-        """Multiply the plaintext by a FixedPoint: the one-element batch of
-        products, so the fraction bits add. A product with the structural
-        zero 0 stays 0."""
+        """Multiply the plaintext by a FixedPoint: the one-element contraction
+        on the builtin map, so the fraction bits add. A product with the
+        structural zero 0 stays 0."""
         if isinstance(other, FixedPoint):
-            (product,) = products(map, (self, other))
+            (product,) = contractions(map, ([self], [other]))
             return product.item()
         return 0 if is_zero(other) else NotImplemented
 
     __rmul__ = __mul__
-
-
-def products(mapper: Mapper, *pairs) -> list[np.ndarray]:
-    """a * b under numpy broadcasting for every pair (a, b), as object arrays.
-
-    A Ciphertext times a FixedPoint, in either order, is an exponentiation:
-    the fraction bits of every such product are checked first, then all of
-    them go through mapper in one batch, each a one-term job of
-    _multiexp_job. Every other product is formed here: two FixedPoints
-    multiply, and a product with the structural zero 0 is 0 and sends no
-    job. The powers are exact in Z*_{n^2}, so any mapper reaches the same
-    ciphertexts.
-    """
-    shaped, pending, jobs = [], [], []
-    for a, b in pairs:
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
-        out = np.empty(a.size, dtype=object)
-        for i, (x, y) in enumerate(zip(a.flat, b.flat)):
-            if isinstance(y, Ciphertext):
-                x, y = y, x
-            if isinstance(x, Ciphertext) and isinstance(y, FixedPoint):
-                frac_bits = check_frac_sum(x.frac_bits, y.frac_bits)
-                pending.append((out, i, frac_bits, x.public_key))
-                jobs.append(([x.value], [[y.raw]], x.public_key.n_squared))
-            else:
-                out[i] = x * y
-        shaped.append(out.reshape(a.shape))
-    values = mapper(_multiexp_job, jobs) if jobs else ()
-    for (out, i, frac_bits, key), (value,) in zip(pending, values):
-        out[i] = Ciphertext(value, frac_bits, key)
-    return shaped
 
 
 def _row_job(row: np.ndarray, exponents: np.ndarray, out: np.ndarray, pending: list,
@@ -497,10 +466,11 @@ def contractions(mapper: Mapper, *pairs) -> list[np.ndarray]:
     structural zeros. An entry is the product of its terms' powers, or 0
     when no term pairs a Ciphertext with a FixedPoint; so a sum whose
     exponents are all zero is the ciphertext 1, never 0. Every term's
-    fraction bits and keys are checked as products and + check them before
-    any job. Then all of the pairs go through mapper in one batch of
-    _multiexp_job jobs, one per row of a, whose bases serve every column of
-    that row. An empty batch calls nothing.
+    fraction bits (a product's sum at most MAX_FRAC_BITS, equal across an
+    entry's terms) and key are checked before any job. Then all of the
+    pairs go through mapper in one batch of _multiexp_job jobs, one per row
+    of a, whose bases serve every column of that row; over unit axes that is
+    one one-term job per elementwise product. An empty batch calls nothing.
     """
     shaped, pending, jobs = [], [], []
     for a, b in pairs:

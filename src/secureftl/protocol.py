@@ -31,15 +31,14 @@ comes back with the keys. Then both parties hand it their exponentiations
 through the executor's map, in one chunk per worker: every batch of own-key
 encryptions (a party's whole component batch, reg scalar included, and
 prediction requests), every decryption of the peer's masked sections, and
-every batch of ciphertext-by-plaintext products (paillier.products) and
-contractions (paillier.contractions) that the loss, the gradients and the
-prediction scores are built from. The workers run only paillier's kernels
-on (private key, residue, r), (private key, value) and (bases, exponent
-columns, n^2) jobs. Channels, transcript, masks, the homomorphic additions
-and every encryption's random r stay in the parent, so each ciphertext and
-frame is the one a single core would make. The only single encryptions,
-the peer-key mask entries of a gradient entry no ciphertext reached, run in
-the party's thread.
+every batch of ciphertext-by-plaintext contractions (paillier.contractions)
+that the loss, the gradients and the prediction scores are built from. The
+workers run only paillier's kernels on (private key, residue, r), (private
+key, value) and (bases, exponent columns, n^2) jobs. Channels, transcript,
+masks, the homomorphic additions and every encryption's random r stay in
+the parent, so each ciphertext and frame is the one a single core would
+make. The only single encryptions, the peer-key mask entries of a gradient
+entry no ciphertext reached, run in the party's thread.
 
 A party that fails closes its channel end, which fails the peer's next recv
 with ChannelClosed; the call raises the first failure in time order, so a
@@ -58,11 +57,11 @@ zero that no ciphertext reached (it adds nothing, and any product with it
 stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
 arrays; the loss, the gradients and the prediction scores are
 contractions of ciphertexts against plaintext coefficients
-(paillier.contractions, a @ b) and elementwise products
-(paillier.products), and encrypted_backward runs Network.backward over an
-(N, d, K) upstream. A
-gradient entry that is still plaintext when it is masked (no ciphertext
-reached it, only weight decay) is encrypted then, under the peer's key.
+(paillier.contractions, a @ b; an elementwise product is a contraction over
+unit axes), and encrypted_backward runs Network.backward over an (N, d, K)
+upstream. A gradient entry that is still plaintext when it is masked (no
+ciphertext reached it, only weight decay) is encrypted then, under the
+peer's key.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct) or a frac byte and signed
@@ -92,8 +91,10 @@ own state: its n_c, n_ab and d for COMPONENTS, with reg at the source; for
 a DECRYPTED_BLOB, the sections it masked under that number, each of which
 must also repeat the fraction bits it was masked at; and the n rows it asked
 about for PREDICT_MASKED and PREDICT_LABELS. Only a PREDICT_REQUEST's row
-count n is a wildcard. MASKED_GRAD follows the sender's net, which the
-receiver does not know: it decrypts those sections as sent, and the sender
+count n is a wildcard. MASKED_GRAD follows the sender's net, whose depth and
+input dim the receiver does not know: its sections must be a chain of
+layer<i>.weights (out, in) and layer<i>.bias (out,), each layer's in the
+previous layer's out and the last out the receiver's own d, and the sender
 checks what comes back. A payload that does not parse raises one of
 WIRE_ERRORS.
 """
@@ -127,7 +128,6 @@ from .paillier import (
     contractions,
     deserialize_ciphertext,
     keygen,
-    products,
     serialize_ciphertext,
 )
 from .plain import (
@@ -156,9 +156,9 @@ from .transport import (
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
 
-# A ciphertext contraction hands the kernel at most this many exponent terms
-# per map call, in whole output rows or column blocks of a longer row, so the
-# jobs in flight do not grow with rows * inputs * outputs.
+# A matmul of encrypted_backward hands the kernel at most this many exponent
+# terms per map call, in whole output rows or column blocks of a longer row,
+# so the jobs in flight do not grow with rows * inputs * outputs.
 CONTRACTION_BATCH = 4096
 
 
@@ -231,6 +231,18 @@ def _read(payload: bytes, layout: Layout) -> list[Section]:
             for (name, dims), (want, want_dims) in zip(got, layout)):
         raise ProtocolError(f"expected sections {layout}, got {got}")
     return sections
+
+
+def _read_gradient(payload: bytes, d: int) -> list[Section]:
+    """A MASKED_GRAD payload's sections, which must be a net's gradient:
+    layer<i>.weights (out, in) and layer<i>.bias (out,) for i = 0, 1, ...
+    in order, each layer's in the previous layer's out, and the last out d.
+    The first in and the depth are the sender's, read from the payload."""
+    claimed = [s.dims[:1] for s in unpack_sections(payload)[::2]]
+    outs = [dims[0] if dims else None for dims in claimed[:-1]] + [d]
+    return _read(payload, [entry for i, out in enumerate(outs) for entry in (
+        (f"layer{i}.weights", (out, outs[i - 1] if i else None)),
+        (f"layer{i}.bias", (out,)))])
 
 
 def _pubkey_payload(pk: PublicKey) -> bytes:
@@ -328,12 +340,14 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     Coefficients cross as exact FixedPoint integers, summed over rows before
     any ciphertext is touched, so the cost of a basis does not grow with N;
     the K basis ciphertexts then serve every entry, in one contraction job
-    per block of entries, a block per worker. Every elementwise step goes
-    through mapper in one batch (paillier.products). A contraction of
-    ciphertexts (paillier.contractions) is one job per output row, whose
-    bases serve all of the row's columns; it goes in map calls of whole rows,
-    or of column blocks of a longer row, of at most CONTRACTION_BATCH
-    exponent terms each (a single column of more terms goes alone).
+    per block of entries, a block per worker. On ciphertexts every step goes
+    through mapper as a contraction (paillier.contractions): an elementwise
+    step in one batch over unit axes, one one-term job per product; a matmul
+    as one job per output row, whose bases serve all of the row's columns,
+    in map calls of at most CONTRACTION_BATCH exponent terms each (a single
+    column of more terms goes alone). Those calls hold whole rows, or column
+    blocks of a row narrow enough that each call holds a row per worker.
+    On basis coefficients the elementwise step is numpy's *.
 
     The result is exact, not close: ciphertexts under * and + form the
     commutative group Z*_{n^2}, so prod_k basis[k]^E_k is the very integer
@@ -348,7 +362,8 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         if basis is not None:
             return a @ b
         rows, (k, c) = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), b.shape
-        width = max(1, min(c, CONTRACTION_BATCH // max(1, k)))
+        # Column blocks narrow enough that a call holds a row per worker.
+        width = max(1, min(c, CONTRACTION_BATCH // max(1, k * _workers())))
         step = max(1, CONTRACTION_BATCH // max(1, k * width))
         out = np.zeros((len(rows), c), dtype=object)
         for i in range(0, len(rows), step):
@@ -361,7 +376,9 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
     for idx in range(len(net.layers) - 1, -1, -1):
         a_out, a_in = trace[idx + 1], trace[idx]
-        (dz,) = products(mapper, (delta, _fixed(a_out * (1.0 - a_out), f)[:, None, :]))
+        slope = _fixed(a_out * (1.0 - a_out), f)[:, None, :]
+        dz = (delta * slope if basis is not None else contractions(
+            mapper, (delta[..., None, None], slope[..., None, None]))[0][..., 0, 0])
         grad_w = np.moveaxis(matmul(dz.transpose(1, 2, 0), _fixed(a_in, f)), 0, -1)
         grad_b = dz.sum(axis=0).T
         tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", grad_w, frac + 2 * f)
@@ -629,7 +646,8 @@ class SourceParty(_Party):
         (pooled,) = contractions(self.mapper, (
             np.concatenate([quad, comps.lin]).T,
             np.concatenate([_fixed(0.25 * prototype / n, f), _fixed(-0.5 * self.labels_c / n, f)])))
-        (by_align,) = products(self.mapper, (comps.align, encode(self.cfg.gamma, f)))
+        (by_align,) = contractions(self.mapper, (comps.align[..., None],
+                                                 [encode(self.cfg.gamma, f)]))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         if len(self.ab_rows):
             own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
@@ -664,8 +682,8 @@ class SourceParty(_Party):
                 [self._mask(iteration, "loss", np.array(loss_ct), loss_ct.frac_bits)]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_B: iteration})
-            self._send(MsgType.DECRYPTED_BLOB, iteration,
-                       self._decrypt_to_blob(unpack_sections(grad_frame.payload)))
+            self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(
+                _read_gradient(grad_frame.payload, self.net.hidden_dim)))
             blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
             loss = self._unmask_and_apply(self.net, iteration, blob.payload,
                                           self.cfg.learning_rate)["loss"]
@@ -717,7 +735,7 @@ class TargetParty(_Party):
             np.concatenate([comps.quad, comps.lin[:, :, None]], axis=-1),
             np.concatenate([_fixed(2.0 * u[self.c_pos], f),
                             np.full((n_c, 1), one, dtype=object)], axis=-1)[:, :, None]))
-        (by_align,) = products(self.mapper, (comps.align, one))
+        (by_align,) = contractions(self.mapper, (comps.align[..., None], [one]))
         upstream = np.zeros(u.shape, dtype=object)
         upstream[self.c_pos] = by_pair[..., 0]
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
@@ -751,7 +769,7 @@ class TargetParty(_Party):
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
             loss_frame = self._recv({MsgType.ENC_LOSS: iteration})
-            sections = (unpack_sections(grad_frame.payload)
+            sections = (_read_gradient(grad_frame.payload, self.net.hidden_dim)
                         + _read(loss_frame.payload, [("loss", ())]))
             self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(sections))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secureftl.encoding import EncodingOverflowError, FixedPoint, encode, from_residue
+from secureftl.encoding import EncodingOverflowError, FixedPoint, encode, from_residue, is_zero
 from secureftl.paillier import (
     Ciphertext,
     CiphertextFormatError,
@@ -21,7 +21,6 @@ from secureftl.paillier import (
     contractions,
     deserialize_ciphertext,
     keygen,
-    products,
     serialize_ciphertext,
 )
 
@@ -314,16 +313,25 @@ def _fields(values):
     return [(v.value, v.frac_bits) if isinstance(v, Ciphertext) else v for v in values.flat]
 
 
+def _elementwise(mapper, *pairs):
+    """a * b under numpy broadcasting for every pair (a, b): the
+    contraction a[..., None, None] @ b[..., None, None]."""
+    units = [(np.asarray(a, dtype=object)[..., None, None],
+              np.asarray(b, dtype=object)[..., None, None]) for a, b in pairs]
+    return [out[..., 0, 0] for out in contractions(mapper, *units)]
+
+
 @pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
 def test_pooled_products_match_serial(chunksize):
     # Every ciphertext times every scalar (negative raws, a 200-bit
-    # exponent), in both orders, with a structural zero on each side, and a
-    # plaintext-only pair: one batch of power jobs, none for a zero.
+    # exponent), broadcast both ways round, with a structural zero on each
+    # side: elementwise contractions over unit axes, one batch of one-term
+    # jobs, none for a zero.
     cts = np.array([*KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(6)), 0], dtype=object)
     scalars = np.array([*(FixedPoint(raw, 8) for raw in BATCH_RAWS[::-1]), 0], dtype=object)
-    pairs = [(cts[:, None], scalars), (scalars[:, None], cts), (scalars, scalars)]
-    serial = [np.array([[x * y for y in b] for x in a.ravel()], dtype=object)
-              for a, b in pairs[:2]] + [scalars * scalars]
+    pairs = [(cts[:, None], scalars), (cts, scalars[:, None])]
+    serial = [np.array([[x * y for y in scalars] for x in cts], dtype=object),
+              np.array([[x * y for x in cts] for y in scalars], dtype=object)]
     foreign = keygen(bits=512, rng=random.Random(2))
     two_keys = np.array([cts[1], foreign.encrypt_raws([7], 16, random.Random(8))[0]],
                         dtype=object)
@@ -333,21 +341,21 @@ def test_pooled_products_match_serial(chunksize):
             calls.append((fn, len(jobs)))
             return pool_map(fn, jobs)
 
-        pooled = products(counting, *pairs)
-        (empty,) = products(counting, (np.empty((0, 9), dtype=object), scalars))
-        unpowered = products(counting, (cts, 0), (scalars, FixedPoint(3, 4)))
+        pooled = _elementwise(counting, *pairs)
+        (empty,) = _elementwise(counting, (np.empty((0, 9), dtype=object), scalars))
+        # The scalar form a[..., None] @ [s], with the structural zero as s.
+        (unpowered,) = contractions(counting, (cts[:, None], [0]))
         with pytest.raises(EncodingOverflowError):
-            products(counting, (cts, scalars),
-                      (KEYS.encrypt(1.5, 200, random.Random(7)), FixedPoint(3, 100)))
-        (keyed,) = products(counting, (two_keys, FixedPoint(3, 0)))
+            _elementwise(counting, (cts, scalars),
+                         (KEYS.encrypt(1.5, 200, random.Random(7)), FixedPoint(3, 100)))
+        (keyed,) = contractions(counting, (two_keys[:, None], [FixedPoint(3, 0)]))
     assert [_fields(p) for p in pooled] == [_fields(s) for s in serial]
-    assert [p.shape for p in pooled] == [(9, 9), (9, 9), (9,)]
+    assert [p.shape for p in pooled] == [(9, 9), (9, 9)]
     assert all(pooled[0][8, :] == 0) and all(pooled[0][:, 8] == 0)
     assert [SK.decrypt_raw(ct) for ct in pooled[0][:8, :8].flat] == [
         x * y for x in BATCH_RAWS for y in BATCH_RAWS[::-1]]
     assert empty.shape == (0, 9)
-    assert _fields(unpowered[0]) == [0] * 9
-    assert _fields(unpowered[1]) == [FixedPoint(3 * raw, 12) for raw in BATCH_RAWS[::-1]] + [0]
+    assert _fields(unpowered) == [0] * 9
     assert calls == [(_multiexp_job, 2 * len(BATCH_RAWS) ** 2), (_multiexp_job, 2)]
     assert SK.decrypt_raw(keyed[0]) == 3 and foreign.private.decrypt_raw(keyed[1]) == 21
     with pytest.raises(KeyMismatchError):
@@ -383,7 +391,8 @@ def _summed_pows(a, b):
     out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
     for r in range(a.shape[0]):
         for c in range(b.shape[1]):
-            terms = [(x, y) for x, y in zip(a[r], b[:, c]) if x is not 0 and y is not 0]
+            terms = [(x, y) for x, y in zip(a[r], b[:, c])
+                     if not (is_zero(x) or is_zero(y))]
             if terms:
                 value = math.prod(pow(x.value, y.raw, NSQ) for x, y in terms) % NSQ
                 out[r, c] = Ciphertext(value, terms[0][0].frac_bits + terms[0][1].frac_bits, PK)

@@ -33,6 +33,7 @@ from secureftl.protocol import (
     _party_keys,
     _pubkey_payload,
     _read,
+    _read_gradient,
     _read_labels,
     _read_pubkey,
     _section_cts,
@@ -93,11 +94,12 @@ def test_encrypted_backward_matches_plaintext():
 
 
 def test_contraction_batches_bound_the_products(monkeypatch):
-    # With a batch of 15 exponent terms, each contraction goes in blocks of
-    # whole output rows, and a row of more terms in blocks of its columns: a
-    # delta row is 2 bases x 3 columns, so two rows a block; a gradient row
-    # is 5 bases x 3 or 4 columns, so three columns a block. The
-    # ciphertexts are those of one batch per contraction.
+    # With one worker and a batch of 15 exponent terms, each contraction
+    # goes in blocks of whole output rows, and a row of more terms in blocks
+    # of its columns: a delta row is 2 bases x 3 columns, so two rows a
+    # block; a gradient row is 5 bases x 3 or 4 columns, so three columns a
+    # block. The ciphertexts are those of one batch per contraction.
+    monkeypatch.setattr(protocol, "_workers", lambda: 1)
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
     keypair = keygen(512, random.Random(11))
@@ -118,6 +120,35 @@ def test_contraction_batches_bound_the_products(monkeypatch):
     assert whole_batches == [10, 30, 30, 15, 60]
     assert batches == [10, 15, 15, 12, 12, 6, 15, 15, 5, 15, 5, 15, 5]
     assert max(batches) <= 15 and sum(batches) == sum(whole_batches)
+
+
+def test_blocked_contractions_give_every_worker_a_job(monkeypatch):
+    # With a batch of 12 exponent terms, a gradient row of 4 bases x 3 or 4
+    # columns is cut into column blocks. One worker's blocks are 3 columns
+    # wide, so a map call holds a single row's job and the other worker
+    # idles: [(8, 8), (1, 12), (1, 12), (2, 12), (2, 12), (12, 12), (1, 12),
+    # (1, 4), ...] as (jobs, terms). Two workers' blocks are narrow enough
+    # that every call holds a job for each.
+    rng = np.random.default_rng(4)
+    net = init_network([4, 3, 2], seed=9)
+    keypair = keygen(512, random.Random(11))
+    upstream = _enc_array(keypair.public, rng.normal(size=(4, 2, 1)), 2 * F)
+    trace = net.forward_trace(rng.normal(size=(4, 4)))
+    calls = []
+
+    def record(fn, jobs):
+        calls.append((len(jobs), _terms(jobs)))
+        return map(fn, jobs)
+
+    whole = encrypted_backward(net, trace, upstream, F)
+    monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 12)
+    monkeypatch.setattr(protocol, "_workers", lambda: 2)
+    blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
+    assert _ct_fields(blocked) == _ct_fields(whole)
+    # dz, grad_w in 3 calls, delta in 2, dz, grad_w in 4.
+    assert calls == [(8, 8), (2, 8), (2, 8), (2, 8), (2, 12), (2, 12),
+                     (12, 12), (3, 12), (3, 12), (3, 12), (3, 12)]
+    assert all(jobs >= 2 and terms <= 12 for jobs, terms in calls)
 
 
 def _ct_fields(tensors):
@@ -389,10 +420,11 @@ def _terms(jobs) -> int:
 
 class _PartyWatch:
     """Per role, the exponent terms of the _multiexp_job jobs a party hands
-    its mapper, and the kernel runs on its thread outside any mapper
-    (through ct * FixedPoint or mul_int), in the runs started while
-    monkeypatch holds. exchange_keys, the first step of every training and
-    prediction routine, records the party's thread and wraps its mapper."""
+    its mapper, and the kernel runs on its thread outside any mapper (a
+    ct * FixedPoint, which mul_int also is: a one-element contraction on the
+    builtin map), in the runs started while monkeypatch holds.
+    exchange_keys, the first step of every training and prediction routine,
+    records the party's thread and wraps its mapper."""
 
     def __init__(self, monkeypatch):
         self.threads = {"source": set(), "target": set()}
@@ -676,10 +708,6 @@ def wire_samples():
     return payloads, keys
 
 
-def _all_cts(payload, keys):
-    return [_section_cts(s, keys) for s in unpack_sections(payload)]
-
-
 # The wire samples' shapes: the source reads a target batch of n_c = 2
 # labeled and n_ab = 3 overlap items of d = 2 with a reg scalar, and a
 # prediction asks about n = 2 rows of d = 2.
@@ -690,7 +718,8 @@ DECODERS = {
     "sections": (MsgType.COMPONENTS_A, lambda p, keys: unpack_sections(p)),
     "components": (MsgType.COMPONENTS_B,
                    lambda p, keys: ComponentBatch.from_payload(p, keys, SAMPLE_COMPONENTS)),
-    "masked_grad": (MsgType.MASKED_GRAD_A, _all_cts),
+    "masked_grad": (MsgType.MASKED_GRAD_A,
+                    lambda p, keys: [_section_cts(s, keys) for s in _read_gradient(p, 2)]),
     "loss": (MsgType.ENC_LOSS, lambda p, keys: _section_cts(*_read(p, [("loss", ())]), keys)),
     "blob": (MsgType.DECRYPTED_BLOB,
              lambda p, keys: [_section_ints(s) for s in unpack_sections(p)]),
@@ -858,6 +887,60 @@ def test_training_rejects_reordered_component_batch(small_split):
         train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=1), key_bits=512,
                         channels=channels)
     assert all(np.array_equal(a, b) for a, b in zip(_params(*nets), before))
+
+
+def _gradient(*dims):
+    return pack_sections([Section(name, d, bytes(math.prod(d))) for name, d in dims])
+
+
+# A two-layer gradient from a 6-input net to d = 2, and misfits of it.
+TWO_LAYERS = [("layer0.weights", (4, 6)), ("layer0.bias", (4,)),
+              ("layer1.weights", (2, 4)), ("layer1.bias", (2,))]
+ONE_LAYER = [("layer0.weights", (2, 5)), ("layer0.bias", (2,))]
+
+
+def test_masked_gradient_reads_any_depth_and_input_width():
+    for dims in (TWO_LAYERS, ONE_LAYER):
+        assert [(s.name, s.dims) for s in _read_gradient(_gradient(*dims), 2)] == dims
+
+
+@pytest.mark.parametrize("dims", [
+    [],
+    TWO_LAYERS[:3],
+    TWO_LAYERS + [("lin", (2, 2))],
+    TWO_LAYERS[1::-1] + TWO_LAYERS[2:],
+    [("layer0.weights", (4,))] + TWO_LAYERS[1:],
+    TWO_LAYERS[:1] + [("layer0.bias", (3,))] + TWO_LAYERS[2:],
+    TWO_LAYERS[:2] + [("layer1.weights", (2, 3))] + TWO_LAYERS[3:],
+    TWO_LAYERS[:2] + [("layer2.weights", (2, 4)), ("layer2.bias", (2,))],
+    TWO_LAYERS[:2] + [("layer1.weights", (3, 4)), ("layer1.bias", (3,))],
+], ids=["empty", "no-last-bias", "extra-section", "bias-first", "1-d-weights",
+        "bias-rows", "broken-chain", "misnumbered", "last-out-not-d"])
+def test_masked_gradient_must_be_a_net_gradient(dims):
+    with pytest.raises(ProtocolError, match="expected sections"):
+        _read_gradient(_gradient(*dims), 2)
+
+
+def test_masked_gradient_with_an_appended_section_is_not_decrypted(small_split):
+    # A target that appends the source's own lin components to its
+    # MASKED_GRAD_B would get them back decrypted in the source's blob.
+    lin = []
+
+    def steal(frame):
+        if frame.msg_type == MsgType.COMPONENTS_A:
+            lin.extend(s for s in unpack_sections(frame.payload) if s.name == "lin")
+        return frame
+
+    source_end, target_end, transcript = loopback_pair()
+    channels = (_Watched(source_end, [], _resectioned(MsgType.MASKED_GRAD_B,
+                                                      lambda sections: sections + lin)),
+                _Watched(target_end, [], steal), transcript)
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    with pytest.raises(ProtocolError, match=re.escape("got [('layer0.weights', (2, 2))")):
+        train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=1), key_bits=512,
+                        channels=channels)
+    assert [s.name for s in lin] == ["lin"]
+    assert transcript.frames(DIR_SOURCE_TO_TARGET, MsgType.DECRYPTED_BLOB) == []
 
 
 def test_server_rejects_blob_claiming_other_fraction_bits(small_split):

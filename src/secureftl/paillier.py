@@ -29,6 +29,15 @@ on the builtin map, so only contractions knows the rule of multiplication;
 likewise only __add__ knows the rule of addition. mul_int and add_raw are
 ct * FixedPoint(k, 0) and ct + FixedPoint(raw, frac_bits).
 
+keygen draws each prime as random candidates tested by trial division up
+to 47 and 40 Miller-Rabin rounds with random witnesses. A candidate with a
+prime factor from 53 to 32,768 has a gcd g > 1 with one of two fixed prime
+products, and each of its rounds first runs modulo g: g divides n, so a
+witness modulo g is a witness modulo n. That rejects most such composites
+with a pow modulo a few dozen bits instead of a full-size one, while every
+witness is drawn as before, so the keys and the rng's state after keygen
+are those of the plain test.
+
 This is a research implementation: keys default to 1024 bits and randomness
 may come from a seeded PRNG for reproducible protocol transcripts. Do not use
 it to protect real data.
@@ -61,7 +70,23 @@ from .encoding import (
 
 MIN_KEY_BITS = 512
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+def _primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(hi) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, hi + 1, i)))
+    return [p for p in range(lo, hi + 1) if sieve[p]]
+
+
+_SMALL_PRIMES = tuple(_primes(2, 47))
+
+# The products of the primes from 53 to 2,000 and from 2,001 to 32,768. A
+# candidate's gcd with a tier is the product of its prime factors in that
+# range; a candidate with a factor in the first tier skips the second gcd.
+_SIEVE_TIERS = tuple(math.prod(_primes(lo, hi)) for lo, hi in ((53, 2000), (2001, 32768)))
 
 
 class KeyMismatchError(ValueError):
@@ -72,12 +97,43 @@ class CiphertextFormatError(ValueError):
     """Serialized ciphertext bytes are malformed."""
 
 
+def _strong_liar(a: int, d: int, s: int, m: int) -> bool:
+    """Whether a passes one Miller-Rabin round modulo m with the exponent
+    2^s * d = n - 1 of the candidate n: a^d = 1 or a^(2^r * d) = -1 (mod m)
+    for some r < s."""
+    x = pow(a, d, m)
+    if x == 1 or x == m - 1:
+        return True
+    for _ in range(s - 1):
+        x = pow(x, 2, m)
+        if x == m - 1:
+            return True
+    return False
+
+
 def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
+    """Miller-Rabin with `rounds` random witnesses, after trial division by
+    the primes up to 47, which draws none.
+
+    Every round draws its witness a = rng.randrange(2, n - 1). When n has a
+    prime factor from 53 to 32,768, g = gcd(n, tier) > 1, and the round first
+    runs modulo g, with n's own exponent. g divides n, so a strong liar
+    modulo n is one modulo g too: a witness modulo g is a witness modulo n,
+    and the test returns False after the same draws the full round would
+    have. Only a liar modulo g goes on to the full round. So the answer and
+    the rng's state are those of the plain test, while most such composites
+    cost a pow modulo a few dozen bits instead of a full-size one.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    g = 1
+    for tier in _SIEVE_TIERS:
+        g = math.gcd(n, tier)
+        if g > 1:
+            break
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -85,14 +141,9 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
         s += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
+        if g > 1 and not _strong_liar(a, d, s, g):
+            return False  # a witness modulo g: the full round would return False
+        if not _strong_liar(a, d, s, n):
             return False
     return True
 

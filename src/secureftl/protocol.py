@@ -51,6 +51,11 @@ Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
 STOP the last iteration run, prediction frames the request's sequence
 number. A frame of an unexpected type or number raises ProtocolError.
 
+Set-up is the PUBKEY exchange. Both parties take one key_bits, and keygen
+gives a modulus of exactly that many bits, so a peer's modulus of any other
+bit length raises ProtocolError before any COMPONENTS or score is sent:
+no party masks its values under a weaker key than its own.
+
 The encrypted algebra is the plaintext one, in numpy object arrays: entries
 are paillier.Ciphertext, encoding.FixedPoint or the int 0, the structural
 zero that no ciphertext reached (it adds nothing, and any product with it
@@ -250,10 +255,14 @@ def _pubkey_payload(pk: PublicKey) -> bytes:
     return pack_sections([_int_section("n", (), 0, [pk.modulus])])
 
 
-def _read_pubkey(payload: bytes) -> PublicKey:
+def _read_pubkey(payload: bytes, bits: int) -> PublicKey:
+    """The peer's public key, whose modulus must have the receiver's own
+    key size, bits."""
     _, (n,) = _section_ints(*_read(payload, [("n", ())]))
     if n.bit_length() < MIN_KEY_BITS or n % 2 == 0:
         raise ProtocolError(f"public modulus of {n.bit_length()} bits is no Paillier modulus")
+    if n.bit_length() != bits:
+        raise ProtocolError(f"peer's public modulus has {n.bit_length()} bits, own key {bits}")
     return PublicKey(n, n + 1)
 
 
@@ -469,7 +478,7 @@ class _Party:
     def exchange_keys(self):
         self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.keypair.public))
         frame = self._recv({MsgType.PUBKEY: 0})
-        self.peer_key = _read_pubkey(frame.payload)
+        self.peer_key = _read_pubkey(frame.payload, self.keypair.public.modulus.bit_length())
         self.keys[self.peer_key.fingerprint] = self.peer_key
 
     def _encrypt(self, *parts: tuple[np.ndarray, int]) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secureftl import paillier
 from secureftl.encoding import EncodingOverflowError, FixedPoint, encode, from_residue, is_zero
 from secureftl.paillier import (
     Ciphertext,
@@ -43,6 +44,144 @@ def test_keygen_keeps_fingerprint():
 def test_modulus_size():
     assert 511 <= PK.modulus.bit_length() <= 512
     assert PK.generator == PK.modulus + 1
+
+
+# The prime search keygen ran before candidates were sieved, frozen as the
+# reference: keygen must draw the same primes and leave its rng in the same
+# state, so keys and every transcript stay as they were.
+def _reference_is_probable_prime(n, rng, rounds=40):
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _reference_random_prime(bits, rng):
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        if _reference_is_probable_prime(candidate, rng):
+            return candidate
+
+
+def _keygen_as_reference(bits, seed) -> KeyPair:
+    """keygen(bits) on Random(seed), checked against the reference search."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    keys = keygen(bits, rng)
+    p = _reference_random_prime(bits // 2, reference)
+    q = p
+    while q == p:
+        q = _reference_random_prime(bits // 2, reference)
+    assert (keys.private.p, keys.private.q) == (p, q)
+    assert rng.getstate() == reference.getstate()
+    return keys
+
+
+def _keygen_512_as_reference(seed):
+    _keygen_as_reference(512, seed)
+
+
+def test_keygen_draws_the_reference_primes():
+    with _pool_map(25) as pool_map:
+        assert len(list(pool_map(_keygen_512_as_reference, range(200)))) == 200
+
+
+@pytest.mark.parametrize("seed, fingerprint", [("source:0", "04a7b2e50f861442"),
+                                               ("target:0", "5efbd50afe6e9bba")])
+def test_protocol_keys_are_the_reference_keys(seed, fingerprint):
+    # The 1024-bit keys of the benchmark's protocol seed.
+    assert _keygen_as_reference(1024, seed).public.fingerprint.hex() == fingerprint
+
+
+def _as_reference(n, seed=0) -> bool:
+    """_is_probable_prime(n) on Random(seed), checked against the reference:
+    the same answer, and the rng left in the same state."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    answer = paillier._is_probable_prime(n, rng)
+    assert answer == _reference_is_probable_prime(n, reference)
+    assert rng.getstate() == reference.getstate()
+    return answer
+
+
+def _mr_liar(a, n, m):
+    """Whether a passes a Miller-Rabin round modulo m with n's exponent."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    return x in (1, m - 1) or any(pow(x, 2 ** r, m) == m - 1 for r in range(1, s))
+
+
+def _first_witness(n, seed):
+    return random.Random(seed).randrange(2, n - 1)
+
+
+@pytest.fixture
+def pow_moduli(monkeypatch):
+    """The modulus of every pow paillier makes from here on."""
+    moduli = []
+
+    def counted(base, exp, mod=None):
+        moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(paillier, "pow", counted, raising=False)
+    return moduli
+
+
+# SK.p is a 256-bit prime, so a multiple's gcd with the tiers is its factors.
+@pytest.mark.parametrize("factors", [(53,), (1999,), (2003,), (32749,), (53, 59), (2003, 32749)])
+def test_witness_modulo_a_small_factor_rejects_without_a_full_pow(factors, pow_moduli):
+    n = math.prod(factors) * SK.p
+    g = math.prod([f for f in factors if f < 2000] or factors)  # the first tier's factors
+    seed = next(s for s in range(100) if not _mr_liar(_first_witness(n, s), n, g))
+    assert not _as_reference(n, seed)
+    assert g in pow_moduli and n not in pow_moduli
+
+
+@pytest.mark.parametrize("factor", [53, 2003])
+def test_liar_modulo_a_small_factor_goes_on_to_the_full_round(factor, pow_moduli):
+    n = factor * SK.p
+    seed = next(s for s in range(10_000) if _mr_liar(_first_witness(n, s), n, factor))
+    assert not _as_reference(n, seed)
+    assert pow_moduli[0] == factor and n in pow_moduli
+
+
+def test_strong_pseudoprime_without_small_factors_takes_full_rounds(pow_moduli):
+    # A strong pseudoprime to the prime bases 2 .. 31 whose factors are all above
+    # the sieve: 149491 * 747451 * 34233211.
+    n = 3825123056546413051
+    assert not _as_reference(n)
+    assert set(pow_moduli) == {n}
+
+
+def test_small_numbers_and_primes_answer_as_reference():
+    for n in [*range(2100), *range(32600, 32900)]:
+        assert _as_reference(n, seed=n) == (n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1)))
+    assert all(_as_reference(p) for p in (SK.p, SK.q, 32749, 2 ** 127 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2 ** 63, max_value=2 ** 600), st.integers(0, 2 ** 32))
+def test_probable_prime_answers_as_reference(n, seed):
+    _as_reference(n | 1, seed)
 
 
 def test_roundtrip_float():

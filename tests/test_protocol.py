@@ -515,7 +515,8 @@ def _frame_values(record, keys) -> list[tuple]:
     if record.msg_type == MsgType.STOP:
         return []
     if record.msg_type == MsgType.PUBKEY:
-        return [("n", _read_pubkey(record.payload).modulus)]
+        _, (n,) = _section_ints(*unpack_sections(record.payload))
+        return [("n", n)]
     if record.msg_type == MsgType.PREDICT_LABELS:
         (n,) = unpack_sections(record.payload)[0].dims
         return [("label", int(v)) for v in _read_labels(record.payload, n)]
@@ -674,6 +675,24 @@ def _pubkey_frame(number: int) -> Frame:
     return Frame(MsgType.PUBKEY, number, _pubkey_payload(keygen(512, random.Random(9)).public))
 
 
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_party_rejects_peer_key_of_another_size(small_split, loopback, role):
+    # Both parties hold 512-bit keys; a 768-bit peer modulus is refused at
+    # set-up, before the party sends any component.
+    source_end, target_end, transcript = loopback
+    if role == "source":
+        own_end, peer_end, direction = source_end, target_end, DIR_SOURCE_TO_TARGET
+        party = _source_party(small_split, own_end)
+    else:
+        own_end, peer_end, direction = target_end, source_end, DIR_TARGET_TO_SOURCE
+        party = _target_party(small_split, own_end)
+    peer_end.send(Frame(MsgType.PUBKEY, 0, _pubkey_payload(keygen(768, random.Random(9)).public)))
+    with pytest.raises(ProtocolError, match="peer's public modulus has 768 bits, own key 512"):
+        party.run_training()
+    assert party.peer_key is None
+    assert [r.msg_type for r in transcript.frames(direction=direction)] == [MsgType.PUBKEY]
+
+
 @pytest.mark.parametrize("frames, numbered", [
     ([_pubkey_frame(1)], "PUBKEY numbered 1, expected 0"),
     ([_pubkey_frame(0), Frame(MsgType.COMPONENTS_B, 2, b"")],
@@ -723,7 +742,7 @@ DECODERS = {
     "loss": (MsgType.ENC_LOSS, lambda p, keys: _section_cts(*_read(p, [("loss", ())]), keys)),
     "blob": (MsgType.DECRYPTED_BLOB,
              lambda p, keys: [_section_ints(s) for s in unpack_sections(p)]),
-    "pubkey": (MsgType.PUBKEY, lambda p, keys: _read_pubkey(p)),
+    "pubkey": (MsgType.PUBKEY, lambda p, keys: _read_pubkey(p, 512)),
     "labels": (MsgType.PREDICT_LABELS, lambda p, keys: _read_labels(p, 2)),
     "request": (MsgType.PREDICT_REQUEST,
                 lambda p, keys: _section_cts(*_read(p, [("u", (None, 2))]), keys)),
@@ -984,11 +1003,15 @@ def _read_two_labels(payload):
     return _read_labels(payload, 2)
 
 
+def _read_512_bit_pubkey(payload):
+    return _read_pubkey(payload, 512)
+
+
 @pytest.mark.parametrize("decode, payload, message", [
-    (_read_pubkey, _ints("n", (), [0]), "no Paillier modulus"),
-    (_read_pubkey, _ints("n", (), [1 << 511]), "no Paillier modulus"),
-    (_read_pubkey, _ints("n", (), [(1 << 255) + 1]), "no Paillier modulus"),
-    (_read_pubkey, _ints("g", (), [3]), re.escape("expected sections [('n', ())]")),
+    (_read_512_bit_pubkey, _ints("n", (), [0]), "no Paillier modulus"),
+    (_read_512_bit_pubkey, _ints("n", (), [1 << 511]), "no Paillier modulus"),
+    (_read_512_bit_pubkey, _ints("n", (), [(1 << 255) + 1]), "no Paillier modulus"),
+    (_read_512_bit_pubkey, _ints("g", (), [3]), re.escape("expected sections [('n', ())]")),
     (_read_two_labels, _ints("labels", (2,), [1, 2]), "outside"),
     (_read_two_labels, _ints("labels", (), [1]), re.escape("expected sections [('labels', (2,))]")),
 ], ids=["zero-modulus", "even-modulus", "short-modulus", "wrong-name", "label-2", "scalar-labels"])

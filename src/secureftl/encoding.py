@@ -8,10 +8,10 @@ fractional-bit counter; multiplying two f-bit quantities yields a 2f-bit one,
 and the single rescale happens after decryption (rescaling under encryption
 is impossible additively).
 
-FixedPoint and paillier.Ciphertext share one arithmetic, so numpy object
-arrays of either carry the protocol's formulas: + needs equal fraction bits,
-* adds them. The int 0 is the structural zero, a value nothing reached: it
-adds nothing, and any product with it stays 0.
+FixedPoint and paillier.Ciphertext share one +, which needs equal fraction
+bits; a product adds them, and takes a ciphertext only in
+paillier.contractions. The int 0 is the structural zero, a value nothing
+reached: it adds nothing, and any product with it stays 0.
 """
 
 from __future__ import annotations

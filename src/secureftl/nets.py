@@ -83,9 +83,6 @@ class Network:
                 delta = dz @ self.layers[idx].weights
         return grads
 
-    def backward_u(self, x: np.ndarray, upstream: np.ndarray) -> list[LayerParams]:
-        return self.backward(self.forward_trace(x), upstream)
-
     def apply_gradients(self, grads: list[LayerParams], learning_rate: float):
         for layer, grad in zip(self.layers, grads):
             layer.weights -= learning_rate * grad.weights

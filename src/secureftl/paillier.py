@@ -1,33 +1,34 @@
 """Paillier additively homomorphic encryption with fraction-bit bookkeeping.
 
-Implements keygen / encrypt / decrypt plus the homomorphic operations the
-protocol needs, as operators: ct + ct and ct + FixedPoint add plaintexts,
-ct * FixedPoint multiplies by a plaintext scalar. Ciphertexts carry the
+Implements keygen plus one batch form of each operation the protocol needs.
+ct + ct and ct + FixedPoint add plaintexts; a product with a plaintext is
+only ever a contraction, so a ciphertext has no *. Ciphertexts carry the
 fractional-bit counter of their fixed-point plaintext so mismatched
 additions fail loudly instead of corrupting silently, and the int 0 is the
 structural zero of encoding.
 
-Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, which avoids a
-full modular exponentiation for the generator term.
+Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, so g^m costs
+a multiply instead of a full modular exponentiation, and the modulus n is
+the whole public key.
 
 Every exponentiation runs in a module-level kernel that a map-like callable
 (the builtin map, or an executor's map over worker processes) can take one
 job per element: _encrypt_job on (private key, residue, r), _decrypt_job on
 (private key, value) and _multiexp_job on (bases, exponent columns, n^2),
-which returns prod_j bases[j]^column[j] mod n^2 for every column. The key
-owner's batch forms, KeyPair.encrypt_raws and PrivateKey.decrypt_raws, hand
-their mapper the same kernels, PrivateKey.obfuscator and decrypt_residue,
-that a single own-key encryption or decryption runs, with every random r
-drawn in the caller beforehand; KeyPair.encrypt is the one-element batch of
-encrypt_raws on the builtin map. Every ciphertext-by-plaintext product goes
-through _multiexp_job from one batch form, contractions (a @ b): it checks
-every term's fraction bits and keys before any job, then sends one job per
-row of the ciphertext operand, whose bases serve all of that row's columns.
-An elementwise product is a contraction over unit axes, a[..., None, None] @
-b[..., None, None], and a single ct * FixedPoint the one-element contraction
-on the builtin map, so only contractions knows the rule of multiplication;
-likewise only __add__ knows the rule of addition. mul_int and add_raw are
-ct * FixedPoint(k, 0) and ct + FixedPoint(raw, frac_bits).
+which returns prod_j bases[j]^column[j] mod n^2 for every column. keygen
+returns the owner's PrivateKey, whose .public is what a peer sees. Its batch
+forms, encrypt_raws and decrypt_raws, run PrivateKey.obfuscator and
+decrypt_residue in their jobs, with every random r drawn in the caller
+beforehand; PublicKey.encrypt_raw is the one encryption under a peer's key.
+Every ciphertext-by-plaintext product goes through _multiexp_job from one
+batch form, contractions (a @ b): it checks every term's fraction bits and
+keys before any job, then sends one job per row of the ciphertext operand,
+whose bases serve all of that row's columns. An elementwise product is a
+contraction over unit axes, a[..., None, None] @ b[..., None, None], so
+only contractions knows the rule of multiplication; likewise only __add__
+knows the rule of addition. mul_int and add_raw, which no protocol path
+calls, are the one-element contraction by FixedPoint(k, 0) and
+ct + FixedPoint(raw, frac_bits).
 
 keygen draws each prime as random candidates tested by trial division up
 to 47 and 40 Miller-Rabin rounds with random witnesses. A candidate with a
@@ -55,14 +56,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import (
-    DEFAULT_FRAC_BITS,
     EncodingOverflowError,
     FixedPoint,
     check_frac_bits,
     check_frac_match,
     check_frac_sum,
-    decode_raw,
-    encode,
+    encode,  # noqa: F401
     from_residue,
     is_zero,
     to_residue,
@@ -249,7 +248,6 @@ def _multiexp_job(job: tuple[list[int], list[list[int]], int]) -> list[int]:
 @dataclass(frozen=True)
 class PublicKey:
     modulus: int
-    generator: int
     n_squared: int = field(init=False, repr=False)
     fingerprint: bytes = field(init=False, repr=False)
 
@@ -289,19 +287,16 @@ class PublicKey:
         value = self.encrypt_residue(to_residue(raw, self.modulus), rng)
         return Ciphertext(value, frac_bits, self)
 
-    def encrypt(self, value: float, frac_bits: int = DEFAULT_FRAC_BITS,
-                rng: random.Random | None = None) -> "Ciphertext":
-        return self.encrypt_raw(encode(value, frac_bits).raw, frac_bits, rng)
-
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """The factorization n = p*q and the CRT constants built from it.
+    """The owner's key: its public key, the factorization n = p*q and the
+    CRT constants built from it.
 
     The owner's exponentiations run modulo p^2 and q^2 and are recombined by
-    CRT (Paillier, EUROCRYPT 1999, section 6): decryption and the
-    obfuscators r^n of own-key encryption. The constants are closed-form in
-    p and q, and none of them appears in repr.
+    CRT (Paillier, EUROCRYPT 1999, section 6) in its two batch forms:
+    decryption and the obfuscators r^n of own-key encryption. The constants
+    are closed-form in p and q, and none of them appears in repr.
     """
 
     public: PublicKey
@@ -353,43 +348,11 @@ class PrivateKey:
         mq = (pow(value % self.q_squared, q - 1, self.q_squared) - 1) // q * self.hq % q
         return mq + (mp - mq) * self.q_inv % p * q
 
-    def decrypt_raws(self, cts: list["Ciphertext"], mapper: Mapper = map) -> list[int]:
-        """The signed fixed-point raw integers of cts, in order.
-
-        Every ciphertext's key is checked before any is decrypted; the
-        decryptions then run through mapper, one job per ciphertext. An
-        empty list calls nothing.
-        """
-        if any(ct.public_key.fingerprint != self.public.fingerprint for ct in cts):
-            raise KeyMismatchError("ciphertext was encrypted under a different key")
-        residues = mapper(_decrypt_job, [(self, ct.value) for ct in cts]) if cts else []
-        return [from_residue(residue, self.public.modulus) for residue in residues]
-
-    def decrypt_raw(self, ct: "Ciphertext") -> int:
-        """Decrypt to the signed fixed-point raw integer."""
-        return self.decrypt_raws([ct])[0]
-
-    def decrypt(self, ct: "Ciphertext") -> float:
-        return decode_raw(self.decrypt_raw(ct), ct.frac_bits)
-
-
-@dataclass(frozen=True)
-class KeyPair:
-    public: PublicKey
-    private: PrivateKey
-
-    def encrypt(self, value: float, frac_bits: int = DEFAULT_FRAC_BITS,
-                rng: random.Random | None = None) -> "Ciphertext":
-        """Encrypt under one's own key: the one-element batch of encrypt_raws
-        on the builtin map, so public.encrypt's ciphertext for the same r."""
-        (ct,) = self.encrypt_raws([encode(value, frac_bits).raw], frac_bits, rng)
-        return ct
-
     def encrypt_raws(self, raws: list[int], frac_bits: int | list[int],
                      rng: random.Random | None = None,
                      mapper: Mapper = map) -> list["Ciphertext"]:
-        """encrypt_raw of every raw under one's own key, in order; frac_bits
-        is every raw's precision, or a list of one per raw.
+        """public.encrypt_raw of every raw, in order; frac_bits is every raw's
+        precision, or a list of one per raw.
 
         Every r is drawn from rng, in order, before any exponentiation, so
         the ciphertexts and rng's final state are those of a loop of
@@ -403,13 +366,26 @@ class KeyPair:
             check_frac_bits(frac)
         public = self.public
         residues = [to_residue(raw, public.modulus) for raw in raws]
-        jobs = [(self.private, residue, public.draw_r(rng)) for residue in residues]
+        jobs = [(self, residue, public.draw_r(rng)) for residue in residues]
         values = mapper(_encrypt_job, jobs) if jobs else []
         return [Ciphertext(value, frac, public) for value, frac in zip(values, fracs)]
 
+    def decrypt_raws(self, cts: list["Ciphertext"], mapper: Mapper = map) -> list[int]:
+        """The signed fixed-point raw integers of cts, in order.
 
-def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:
-    """Generate a key pair whose modulus has exactly `bits` bits."""
+        Every ciphertext's key is checked before any is decrypted; the
+        decryptions then run through mapper, one job per ciphertext. An
+        empty list calls nothing.
+        """
+        if any(ct.public_key.fingerprint != self.public.fingerprint for ct in cts):
+            raise KeyMismatchError("ciphertext was encrypted under a different key")
+        residues = mapper(_decrypt_job, [(self, ct.value) for ct in cts]) if cts else []
+        return [from_residue(residue, self.public.modulus) for residue in residues]
+
+
+def keygen(bits: int = 1024, rng: random.Random | None = None) -> PrivateKey:
+    """Generate a private key, whose .public is its public key, with a
+    modulus of exactly `bits` bits."""
     if bits < MIN_KEY_BITS or bits % 2:
         raise ValueError(f"key size must be an even number of bits, at least {MIN_KEY_BITS}")
     prime_rng = rng if rng is not None else random.Random(secrets.randbits(256))
@@ -419,9 +395,7 @@ def keygen(bits: int = 1024, rng: random.Random | None = None) -> KeyPair:
         q = _random_prime(half, prime_rng)
         if q != p:
             break
-    n = p * q
-    public = PublicKey(n, n + 1)
-    return KeyPair(public, PrivateKey(public, p, q))
+    return PrivateKey(PublicKey(p * q), p, q)
 
 
 @dataclass(frozen=True)
@@ -451,24 +425,17 @@ class Ciphertext:
         # Through +, so every homomorphic addition enters __add__ once.
         return self if is_zero(other) else self + other
 
+    # No src caller: add_raw and mul_int stay only while perfbench's tracer
+    # names them (ROADMAP item 1), and the paillier import of encode with them.
     def add_raw(self, raw: int) -> "Ciphertext":
         """Add a plaintext signed raw integer at this ciphertext's precision."""
         return self + FixedPoint(raw, self.frac_bits)
 
     def mul_int(self, k: int) -> "Ciphertext":
-        """Multiply the plaintext by an exact signed integer; precision unchanged."""
-        return self * FixedPoint(k, 0)
-
-    def __mul__(self, other: "FixedPoint | int") -> "Ciphertext | int":
-        """Multiply the plaintext by a FixedPoint: the one-element contraction
-        on the builtin map, so the fraction bits add. A product with the
-        structural zero 0 stays 0."""
-        if isinstance(other, FixedPoint):
-            (product,) = contractions(map, ([self], [other]))
-            return product.item()
-        return 0 if is_zero(other) else NotImplemented
-
-    __rmul__ = __mul__
+        """Multiply the plaintext by an exact signed integer; precision
+        unchanged. The one-element contraction on the builtin map."""
+        (product,) = contractions(map, ([self], [FixedPoint(k, 0)]))
+        return product.item()
 
 
 def _row_job(row: np.ndarray, exponents: np.ndarray, out: np.ndarray, pending: list,

@@ -127,8 +127,8 @@ from .paillier import (
     Ciphertext,
     CiphertextFormatError,
     KeyMismatchError,
-    KeyPair,
     Mapper,
+    PrivateKey,
     PublicKey,
     contractions,
     deserialize_ciphertext,
@@ -263,7 +263,7 @@ def _read_pubkey(payload: bytes, bits: int) -> PublicKey:
         raise ProtocolError(f"public modulus of {n.bit_length()} bits is no Paillier modulus")
     if n.bit_length() != bits:
         raise ProtocolError(f"peer's public modulus has {n.bit_length()} bits, own key {bits}")
-    return PublicKey(n, n + 1)
+    return PublicKey(n)
 
 
 def _read_labels(payload: bytes, n: int) -> np.ndarray:
@@ -418,7 +418,7 @@ def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) ->
 # ---------------------------------------------------------------------------
 # parties
 
-def _party_keys(job: tuple[int, str, int]) -> tuple[KeyPair, tuple]:
+def _party_keys(job: tuple[int, str, int]) -> tuple[PrivateKey, tuple]:
     """keygen(key_bits, rng) on a party's seeded rng, and the rng's state
     after it; job is (key_bits, role, seed)."""
     key_bits, role, seed = job
@@ -436,17 +436,17 @@ class _Party:
 
     role: str
 
-    def __init__(self, channel, cfg: TrainingConfig, keys: tuple[KeyPair, tuple],
+    def __init__(self, channel, cfg: TrainingConfig, keys: tuple[PrivateKey, tuple],
                  frac_bits: int):
         self.channel = channel
         self.cfg = cfg
         self.frac_bits = frac_bits
-        self.keypair, rng_state = keys
+        self.own_key, rng_state = keys
         self.rng = random.Random()
         self.rng.setstate(rng_state)
         self.mapper = map
         self.peer_key: PublicKey | None = None
-        self.keys: dict[bytes, PublicKey] = {self.keypair.public.fingerprint: self.keypair.public}
+        self.keys: dict[bytes, PublicKey] = {self.own_key.public.fingerprint: self.own_key.public}
         self.align = alignment_spec(cfg.alignment)
         # Audit trail: every mask this party ever created, and every
         # unmasked value it applied, keyed by (frame number, section name).
@@ -476,9 +476,9 @@ class _Party:
         return frame
 
     def exchange_keys(self):
-        self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.keypair.public))
+        self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.own_key.public))
         frame = self._recv({MsgType.PUBKEY: 0})
-        self.peer_key = _read_pubkey(frame.payload, self.keypair.public.modulus.bit_length())
+        self.peer_key = _read_pubkey(frame.payload, self.own_key.public.modulus.bit_length())
         self.keys[self.peer_key.fingerprint] = self.peer_key
 
     def _encrypt(self, *parts: tuple[np.ndarray, int]) -> list[np.ndarray]:
@@ -487,8 +487,8 @@ class _Party:
         after part, row-major."""
         fixed = [_fixed(values, frac_bits) for values, frac_bits in parts]
         flat = [x for part in fixed for x in part.flat]
-        cts = iter(self.keypair.encrypt_raws([x.raw for x in flat], [x.frac_bits for x in flat],
-                                             self.rng, self.mapper))
+        cts = iter(self.own_key.encrypt_raws([x.raw for x in flat], [x.frac_bits for x in flat],
+                                         self.rng, self.mapper))
         return [np.array([next(cts) for _ in range(part.size)], dtype=object).reshape(part.shape)
                 for part in fixed]
 
@@ -511,8 +511,7 @@ class _Party:
         a ciphertext under any other key raises KeyMismatchError before any
         is decrypted."""
         parsed = [_section_cts(section, self.keys) for section in sections]
-        raws = iter(self.keypair.private.decrypt_raws([ct for cts in parsed for ct in cts],
-                                                      self.mapper))
+        raws = iter(self.own_key.decrypt_raws([ct for cts in parsed for ct in cts], self.mapper))
         return pack_sections([
             _int_section(section.name, section.dims, cts[0].frac_bits if cts else 0,
                          list(itertools.islice(raws, len(cts))))
@@ -522,21 +521,24 @@ class _Party:
         """Unmask what this party masked under seq.
 
         The blob must hold exactly those sections, in order, each at the
-        fraction bits it was masked at. Returns (name, dims, frac_bits,
-        unmasked raws) per section, each logged as applied once all check.
+        fraction bits it was masked at, and every raw one that a decryption
+        under the peer's key can return: |raw| <= n/2. Returns (name, dims,
+        frac_bits, unmasked raws) per section; the caller logs them as
+        applied once it can apply them all.
         """
         masked = self.awaiting.pop(seq, [])
         sections = _read(payload, [(name, dims) for name, dims, _ in masked])
-        out = []
+        bound, out = self.peer_key.modulus // 2, []
         for section, (name, dims, frac_bits) in zip(sections, masked):
             claimed, raws = _section_ints(section)
             # An empty section has no ciphertext whose fraction bits it could repeat.
             if raws and claimed != frac_bits:
                 raise ProtocolError(f"blob section {name} claims {claimed} fraction bits, "
                                     f"masked at {frac_bits}")
+            if any(abs(r) > bound for r in raws):
+                raise ProtocolError(f"blob section {name} holds a value no decryption returns")
             out.append((name, dims, frac_bits,
                         [r - m for r, m in zip(raws, self.mask_log[(seq, name)])]))
-        self.applied_log.update(((seq, name), tuple(unmasked)) for name, _, _, unmasked in out)
         return out
 
     def _unmask_and_apply(self, net: Network, iteration: int, blob_payload: bytes,
@@ -546,9 +548,13 @@ class _Party:
         Sections named layer*.{weights,bias} are this party's own gradient;
         the rest (the loss at the source) are unmasked and returned.
         """
-        values = {name: np.array([u / (1 << frac_bits) for u in unmasked]).reshape(dims)
-                  for name, dims, frac_bits, unmasked
-                  in self._read_own_blob(iteration, blob_payload)}
+        own = self._read_own_blob(iteration, blob_payload)
+        try:
+            values = {name: np.array([u / (1 << frac_bits) for u in unmasked]).reshape(dims)
+                      for name, dims, frac_bits, unmasked in own}
+        except OverflowError:
+            raise ProtocolError("an unmasked value does not fit a float64") from None
+        self.applied_log.update(((iteration, name), tuple(u)) for name, _, _, u in own)
         for idx, layer in enumerate(net.layers):
             layer.weights -= learning_rate * values.pop(f"layer{idx}.weights")
             layer.bias -= learning_rate * values.pop(f"layer{idx}.bias")
@@ -580,7 +586,8 @@ class _Party:
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
-        [(_, _, _, unmasked)] = self._read_own_blob(seq, blob.payload)
+        [(name, _, _, unmasked)] = self._read_own_blob(seq, blob.payload)
+        self.applied_log[seq, name] = tuple(unmasked)
         # The tie at exactly zero classifies positive; integer-domain
         # unmasking keeps that decidable.
         labels = np.array([1 if u >= 0 else -1 for u in unmasked], dtype=int)
@@ -595,7 +602,7 @@ class SourceParty(_Party):
     role = "source"
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
-                 channel, keys: tuple[KeyPair, tuple], frac_bits: int):
+                 channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
         super().__init__(channel, cfg, keys, frac_bits)
         self.net = net
         self.x = split.x_source
@@ -713,7 +720,7 @@ class TargetParty(_Party):
     role = "target"
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
-                 channel, keys: tuple[KeyPair, tuple], frac_bits: int):
+                 channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
         super().__init__(channel, cfg, keys, frac_bits)
         self.net = net
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)

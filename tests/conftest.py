@@ -5,7 +5,37 @@ import numpy as np
 import pytest
 
 from secureftl.datasets import FederationSplit
+from secureftl.encoding import decode_raw, encode
+from secureftl.paillier import PrivateKey, contractions
 from secureftl.transport import loopback_pair
+
+
+# One-value forms of the batch crypto calls, for tests that check one value.
+def encrypt(key, value: float, frac_bits: int, rng=None):
+    """value encoded at frac_bits, encrypted through encrypt_raws under an
+    owner's PrivateKey, or through encrypt_raw under a peer's PublicKey."""
+    raw = encode(value, frac_bits).raw
+    if isinstance(key, PrivateKey):
+        (ct,) = key.encrypt_raws([raw], frac_bits, rng)
+        return ct
+    return key.encrypt_raw(raw, frac_bits, rng)
+
+
+def decrypt_raw(key: PrivateKey, ct) -> int:
+    """ct's signed raw integer, through decrypt_raws."""
+    (raw,) = key.decrypt_raws([ct])
+    return raw
+
+
+def decrypt(key: PrivateKey, ct) -> float:
+    return decode_raw(decrypt_raw(key, ct), ct.frac_bits)
+
+
+def multiply(ct, scalar):
+    """ct times a FixedPoint scalar, either of them possibly the structural
+    zero: the one-element contraction [ct] @ [scalar] on the builtin map."""
+    (product,) = contractions(map, ([ct], [scalar]))
+    return product.item()
 
 
 @pytest.fixture

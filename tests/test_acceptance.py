@@ -11,9 +11,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from conftest import decrypt_raw, multiply
 
 from secureftl.datasets import synth_two_view
-from secureftl.encoding import encode
+from secureftl.encoding import FixedPoint, encode
 from secureftl.experiments import (
     _train_and_eval,
     build_split,
@@ -53,8 +54,8 @@ def _read_timing_rows(out_dir: Path) -> list[dict]:
 
 
 def test_01_homomorphic_property_suite():
-    keys = keygen(512, random.Random(0))
-    pk, sk = keys.public, keys.private
+    sk = keygen(512, random.Random(0))
+    pk = sk.public
     n = pk.modulus
     rng = random.Random(1)
     started = time.perf_counter()
@@ -67,11 +68,11 @@ def test_01_homomorphic_property_suite():
             r1 = rng.randrange(-(1 << 500), 1 << 500)
             r2 = rng.randrange(-(1 << 500), 1 << 500)
             total = pk.encrypt_raw(r1, 40, rng) + pk.encrypt_raw(r2, 40, rng)
-            assert sk.decrypt_raw(total) == r1 + r2
+            assert decrypt_raw(sk, total) == r1 + r2
         elif branch < 7:
             r = rng.randrange(-(1 << 440), 1 << 440)
             k = rng.randrange(-(1 << 60), 1 << 60)
-            assert sk.decrypt_raw(pk.encrypt_raw(r, 40, rng).mul_int(k)) == k * r
+            assert decrypt_raw(sk, multiply(pk.encrypt_raw(r, 40, rng), FixedPoint(k, 0))) == k * r
         elif branch < 9:
             r1, r2 = rng.randrange(n), rng.randrange(n)
             c1 = Ciphertext(pk.encrypt_residue(r1, rng), 0, pk)
@@ -80,7 +81,7 @@ def test_01_homomorphic_property_suite():
         else:
             r, k = rng.randrange(n), rng.randrange(n)
             ct = Ciphertext(pk.encrypt_residue(r, rng), 0, pk)
-            assert sk.decrypt_residue(ct.mul_int(k).value) == k * r % n
+            assert sk.decrypt_residue(multiply(ct, FixedPoint(k, 0)).value) == k * r % n
     elapsed = time.perf_counter() - started
     _report("01 homomorphic-property-suite", elapsed < 30.0,
             f"1000 cases exact, roundtrip <= 2^-41, {elapsed:.1f}s < 30s")

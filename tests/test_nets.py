@@ -73,18 +73,6 @@ def test_backward_matches_finite_differences():
         assert np.allclose(grad.bias, nb, atol=1e-6)
 
 
-def test_backward_u_is_backward_from_input():
-    net = init_network([3, 4], seed=5)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 3))
-    upstream = rng.normal(size=(2, 4))
-    via_trace = net.backward(net.forward_trace(x), upstream)
-    direct = net.backward_u(x, upstream)
-    for a, b in zip(via_trace, direct):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
-
-
 def test_backward_rejects_bad_upstream_shape():
     net = init_network([3, 4], seed=5)
     x = np.zeros((2, 3))

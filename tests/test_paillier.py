@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import decrypt, decrypt_raw, encrypt, multiply
 from hypothesis import given, settings, strategies as st
 
 from secureftl import paillier
@@ -14,7 +15,6 @@ from secureftl.paillier import (
     Ciphertext,
     CiphertextFormatError,
     KeyMismatchError,
-    KeyPair,
     PrivateKey,
     PublicKey,
     _multiexp_job,
@@ -25,8 +25,8 @@ from secureftl.paillier import (
     serialize_ciphertext,
 )
 
-KEYS = keygen(bits=512, rng=random.Random(1))
-PK, SK = KEYS.public, KEYS.private
+SK = keygen(bits=512, rng=random.Random(1))
+PK = SK.public
 
 
 def test_keygen_deterministic():
@@ -43,7 +43,8 @@ def test_keygen_keeps_fingerprint():
 
 def test_modulus_size():
     assert 511 <= PK.modulus.bit_length() <= 512
-    assert PK.generator == PK.modulus + 1
+    # g = n + 1: the encryption of 1 with r = 1 is g itself.
+    assert PK.encrypt_residue(1, _FixedDraw(1)) == PK.modulus + 1
 
 
 # The prime search keygen ran before candidates were sieved, frozen as the
@@ -81,7 +82,7 @@ def _reference_random_prime(bits, rng):
             return candidate
 
 
-def _keygen_as_reference(bits, seed) -> KeyPair:
+def _keygen_as_reference(bits, seed) -> PrivateKey:
     """keygen(bits) on Random(seed), checked against the reference search."""
     rng, reference = random.Random(seed), random.Random(seed)
     keys = keygen(bits, rng)
@@ -89,7 +90,7 @@ def _keygen_as_reference(bits, seed) -> KeyPair:
     q = p
     while q == p:
         q = _reference_random_prime(bits // 2, reference)
-    assert (keys.private.p, keys.private.q) == (p, q)
+    assert (keys.p, keys.q) == (p, q)
     assert rng.getstate() == reference.getstate()
     return keys
 
@@ -186,10 +187,10 @@ def test_probable_prime_answers_as_reference(n, seed):
 
 def test_roundtrip_float():
     rng = random.Random(7)
-    ct = PK.encrypt(3.25, frac_bits=8, rng=rng)
-    assert SK.decrypt(ct) == 3.25
-    ct = PK.encrypt(-1234.5, frac_bits=8, rng=rng)
-    assert SK.decrypt(ct) == -1234.5
+    ct = encrypt(PK, 3.25, 8, rng)
+    assert decrypt(SK, ct) == 3.25
+    ct = encrypt(PK, -1234.5, 8, rng)
+    assert decrypt(SK, ct) == -1234.5
 
 
 @settings(max_examples=60)
@@ -199,7 +200,7 @@ def test_additive_homomorphism(a, b):
     rng = random.Random(a & 0xFFFF)
     ca = PK.encrypt_raw(a, frac_bits=0, rng=rng)
     cb = PK.encrypt_raw(b, frac_bits=0, rng=rng)
-    assert SK.decrypt_raw(ca + cb) == a + b
+    assert decrypt_raw(SK, ca + cb) == a + b
 
 
 @settings(max_examples=60)
@@ -208,13 +209,14 @@ def test_additive_homomorphism(a, b):
 def test_scalar_homomorphism(a, k):
     rng = random.Random(k & 0xFFFF)
     ca = PK.encrypt_raw(a, frac_bits=0, rng=rng)
-    assert SK.decrypt_raw(ca.mul_int(k)) == a * k
+    assert decrypt_raw(SK, multiply(ca, FixedPoint(k, 0))) == a * k
+    assert decrypt_raw(SK, ca.mul_int(k)) == a * k
 
 
 def test_add_requires_matching_frac():
     rng = random.Random(3)
-    ca = PK.encrypt(1.0, frac_bits=8, rng=rng)
-    cb = PK.encrypt(1.0, frac_bits=9, rng=rng)
+    ca = encrypt(PK, 1.0, 8, rng)
+    cb = encrypt(PK, 1.0, 9, rng)
     with pytest.raises(ValueError):
         _ = ca + cb
 
@@ -222,7 +224,7 @@ def test_add_requires_matching_frac():
 def test_add_raw():
     rng = random.Random(4)
     ct = PK.encrypt_raw(100, frac_bits=5, rng=rng)
-    assert SK.decrypt_raw(ct.add_raw(-300)) == -200
+    assert decrypt_raw(SK, ct.add_raw(-300)) == -200
 
 
 def test_add_fixed_point():
@@ -230,27 +232,25 @@ def test_add_fixed_point():
     ct = PK.encrypt_raw(100, frac_bits=5, rng=rng)
     out = ct + FixedPoint(-300, 5)
     assert out.frac_bits == 5
-    assert SK.decrypt_raw(out) == SK.decrypt_raw(FixedPoint(-300, 5) + ct) == -200
+    assert decrypt_raw(SK, out) == decrypt_raw(SK, FixedPoint(-300, 5) + ct) == -200
 
 
 def test_mul_fixed_point_accumulates_frac():
     rng = random.Random(5)
-    ct = PK.encrypt(2.5, frac_bits=10, rng=rng)
-    for out in (ct * encode(1.5, 10), encode(1.5, 10) * ct):
-        assert out.frac_bits == 20
-        assert SK.decrypt(out) == pytest.approx(3.75, abs=2e-3)
+    out = multiply(encrypt(PK, 2.5, 10, rng), encode(1.5, 10))
+    assert out.frac_bits == 20
+    assert decrypt(SK, out) == pytest.approx(3.75, abs=2e-3)
 
 
 def test_mul_by_encoded_one_lifts():
     rng = random.Random(6)
-    ct = PK.encrypt(2.0, frac_bits=10, rng=rng)
-    lifted = ct * encode(1.0, 5)
+    lifted = multiply(encrypt(PK, 2.0, 10, rng), encode(1.0, 5))
     assert lifted.frac_bits == 15
-    assert SK.decrypt(lifted) == 2.0
+    assert decrypt(SK, lifted) == 2.0
 
 
 def test_operator_fraction_mismatch_raises():
-    ct = PK.encrypt(1.0, frac_bits=8, rng=random.Random(3))
+    ct = encrypt(PK, 1.0, 8, random.Random(3))
     with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 8 vs 9"):
         _ = ct + FixedPoint(1, 9)
     with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch"):
@@ -258,17 +258,31 @@ def test_operator_fraction_mismatch_raises():
 
 
 def test_operator_fraction_overflow_raises():
-    ct = PK.encrypt(1.0, frac_bits=200, rng=random.Random(3))
+    ct = encrypt(PK, 1.0, 200, random.Random(3))
     with pytest.raises(EncodingOverflowError, match="fraction bits 260 exceed 255"):
-        _ = ct * FixedPoint(1, 60)
+        multiply(ct, FixedPoint(1, 60))
 
 
 def test_zero_is_structural():
-    ct = PK.encrypt(1.5, frac_bits=8, rng=random.Random(3))
+    ct = encrypt(PK, 1.5, 8, random.Random(3))
     assert ct + 0 is ct and 0 + ct is ct
-    assert ct * 0 == 0 and 0 * ct == 0
-    assert isinstance(ct * FixedPoint(0, 8), Ciphertext)
-    assert SK.decrypt(ct * FixedPoint(0, 8)) == 0.0
+    # A product with the structural zero, on either side, stays 0.
+    assert multiply(ct, 0) == 0 and multiply(0, FixedPoint(3, 8)) == 0
+    assert isinstance(multiply(ct, FixedPoint(0, 8)), Ciphertext)
+    assert decrypt(SK, multiply(ct, FixedPoint(0, 8))) == 0.0
+
+
+def test_products_outside_contractions_raise():
+    # A ciphertext has no *, so no product can skip contractions' checks
+    # and mapper: not with a FixedPoint, nor with the structural zero, nor
+    # elementwise over object arrays.
+    ct = encrypt(PK, 1.5, 8, random.Random(3))
+    cts = np.array([ct, ct], dtype=object)
+    for product in (lambda: ct * FixedPoint(3, 8), lambda: FixedPoint(3, 8) * ct,
+                    lambda: ct * 0, lambda: 0 * ct,
+                    lambda: cts * np.array([FixedPoint(3, 8)] * 2, dtype=object)):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_wire_size():
@@ -278,18 +292,18 @@ def test_wire_size():
 
 def test_serialize_roundtrip():
     rng = random.Random(9)
-    ct = PK.encrypt(-7.125, frac_bits=16, rng=rng)
+    ct = encrypt(PK, -7.125, 16, rng)
     buf = serialize_ciphertext(ct)
     assert len(buf) == ciphertext_wire_size(512)
     back, offset = deserialize_ciphertext(buf, {PK.fingerprint: PK})
     assert offset == len(buf)
     assert back.value == ct.value and back.frac_bits == ct.frac_bits
-    assert SK.decrypt(back) == -7.125
+    assert decrypt(SK, back) == -7.125
 
 
 def test_deserialize_unknown_key():
     rng = random.Random(10)
-    buf = serialize_ciphertext(PK.encrypt(1.0, frac_bits=8, rng=rng))
+    buf = serialize_ciphertext(encrypt(PK, 1.0, 8, rng))
     with pytest.raises(KeyMismatchError):
         deserialize_ciphertext(buf, {})
 
@@ -304,28 +318,28 @@ def test_deserialize_rejects_non_units(value):
 
 
 def test_ciphertext_is_randomised():
-    ct1 = PK.encrypt(5.0, frac_bits=8, rng=random.Random(11))
-    ct2 = PK.encrypt(5.0, frac_bits=8, rng=random.Random(12))
+    ct1 = encrypt(PK, 5.0, 8, random.Random(11))
+    ct2 = encrypt(PK, 5.0, 8, random.Random(12))
     assert ct1.value != ct2.value
-    assert SK.decrypt(ct1) == SK.decrypt(ct2) == 5.0
+    assert decrypt(SK, ct1) == decrypt(SK, ct2) == 5.0
 
 
 def test_encrypt_uses_public_info_only():
     # ciphertext arithmetic never needs the private key
     rng = random.Random(13)
-    ct = PK.encrypt(1.5, frac_bits=20, rng=rng)
-    combined = (ct + PK.encrypt(0.5, frac_bits=20, rng=rng)).mul_int(3)
-    assert SK.decrypt(combined) == 6.0
+    ct = encrypt(PK, 1.5, 20, rng)
+    combined = multiply(ct + encrypt(PK, 0.5, 20, rng), FixedPoint(3, 0))
+    assert decrypt(SK, combined) == 6.0
 
 
 def test_keypair_shape():
-    assert isinstance(KEYS, KeyPair)
-    assert isinstance(PK.encrypt(0.0, frac_bits=0, rng=random.Random(0)),
-                      Ciphertext)
+    # keygen's one key object is the owner's; its public half is what a peer sees.
+    assert isinstance(SK, PrivateKey) and isinstance(PK, PublicKey)
+    assert isinstance(encrypt(PK, 0.0, 0, random.Random(0)), Ciphertext)
 
 
 # The peer rebuilds the key from the modulus alone, so it has no factorization.
-PEER_VIEW = PublicKey(PK.modulus, PK.modulus + 1)
+PEER_VIEW = PublicKey(PK.modulus)
 
 
 def _textbook_decrypt(value: int) -> int:
@@ -336,7 +350,7 @@ def _textbook_decrypt(value: int) -> int:
 
 
 def _check_crt(residue: int, seed: int):
-    (own,) = KEYS.encrypt_raws([from_residue(residue, PK.modulus)], 0, random.Random(seed))
+    (own,) = SK.encrypt_raws([from_residue(residue, PK.modulus)], 0, random.Random(seed))
     assert own.value == PEER_VIEW.encrypt_residue(residue, random.Random(seed))
     assert SK.decrypt_residue(own.value) == _textbook_decrypt(own.value) == residue
 
@@ -367,31 +381,31 @@ class _FixedDraw:
 def test_crt_obfuscator_at_edge_randomness(r):
     # r sharing a factor with n never comes from a fair draw, but the CRT
     # obfuscator must still equal r^n mod n^2 there.
-    assert (KEYS.encrypt_raws([5], 0, _FixedDraw(r))[0].value
+    assert (SK.encrypt_raws([5], 0, _FixedDraw(r))[0].value
             == PEER_VIEW.encrypt_residue(5, _FixedDraw(r)))
 
 
 def test_owner_encrypt_equals_peer_encrypt():
     for value in (0.0, 3.25, -1234.5):
-        own = KEYS.encrypt(value, 16, random.Random(21))
-        peer = PEER_VIEW.encrypt(value, 16, random.Random(21))
+        own = encrypt(SK, value, 16, random.Random(21))
+        peer = encrypt(PEER_VIEW, value, 16, random.Random(21))
         assert own.value == peer.value and own.frac_bits == peer.frac_bits == 16
-        assert SK.decrypt(own) == value
+        assert decrypt(SK, own) == value
 
 
 @settings(max_examples=40)
 @given(st.integers(min_value=-(2 ** 200), max_value=-1))
 def test_negative_raws_roundtrip(raw):
     rng = random.Random(raw & 0xFFFF)
-    assert SK.decrypt_raw(KEYS.encrypt_raws([raw], 8, rng)[0]) == raw
-    assert SK.decrypt_raw(PEER_VIEW.encrypt_raw(raw, 8, rng)) == raw
+    assert decrypt_raw(SK, SK.encrypt_raws([raw], 8, rng)[0]) == raw
+    assert decrypt_raw(SK, PEER_VIEW.encrypt_raw(raw, 8, rng)) == raw
 
 
 def test_factorization_stays_private():
-    text = repr(KEYS)
+    text = repr(SK)
     assert str(SK.p) not in text and str(SK.q) not in text
     assert not hasattr(PK, "p") and not hasattr(PEER_VIEW, "p")
-    other = keygen(bits=512, rng=random.Random(2)).private
+    other = keygen(bits=512, rng=random.Random(2))
     with pytest.raises(KeyMismatchError):
         PrivateKey(PK, other.p, other.q)
 
@@ -424,25 +438,25 @@ def test_pooled_encryption_matches_serial(chunksize):
     serial_rng, pooled_rng = random.Random(4), random.Random(4)
     serial = [PEER_VIEW.encrypt_raw(raw, 16, serial_rng) for raw in BATCH_RAWS]
     with _pool_map(chunksize) as mapper:
-        pooled = KEYS.encrypt_raws(BATCH_RAWS, 16, pooled_rng, mapper)
+        pooled = SK.encrypt_raws(BATCH_RAWS, 16, pooled_rng, mapper)
     assert [(ct.value, ct.frac_bits) for ct in pooled] == [(ct.value, ct.frac_bits)
                                                           for ct in serial]
     assert pooled_rng.getstate() == serial_rng.getstate()
-    assert KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(4)) == pooled
+    assert SK.encrypt_raws(BATCH_RAWS, 16, random.Random(4)) == pooled
 
 
 @pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
 def test_pooled_decryption_matches_serial(chunksize):
-    cts = KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(5))
+    cts = SK.encrypt_raws(BATCH_RAWS, 16, random.Random(5))
     with _pool_map(chunksize) as mapper:
         pooled = SK.decrypt_raws(cts, mapper)
-    assert pooled == [SK.decrypt_raw(ct) for ct in cts] == BATCH_RAWS
+    assert pooled == [decrypt_raw(SK, ct) for ct in cts] == BATCH_RAWS
 
 
 def test_foreign_ciphertext_fails_before_any_job():
     record = _Recorder()
     foreign = keygen(bits=512, rng=random.Random(2))
-    cts = KEYS.encrypt_raws([1, 2], 16, random.Random(5)) + [foreign.encrypt(3.0, 16)]
+    cts = SK.encrypt_raws([1, 2], 16, random.Random(5)) + [encrypt(foreign, 3.0, 16)]
     with pytest.raises(KeyMismatchError):
         SK.decrypt_raws(cts, record)
     assert record.calls == []
@@ -466,11 +480,12 @@ def test_pooled_products_match_serial(chunksize):
     # exponent), broadcast both ways round, with a structural zero on each
     # side: elementwise contractions over unit axes, one batch of one-term
     # jobs, none for a zero.
-    cts = np.array([*KEYS.encrypt_raws(BATCH_RAWS, 16, random.Random(6)), 0], dtype=object)
+    cts = np.array([*SK.encrypt_raws(BATCH_RAWS, 16, random.Random(6)), 0], dtype=object)
     scalars = np.array([*(FixedPoint(raw, 8) for raw in BATCH_RAWS[::-1]), 0], dtype=object)
     pairs = [(cts[:, None], scalars), (cts, scalars[:, None])]
-    serial = [np.array([[x * y for y in scalars] for x in cts], dtype=object),
-              np.array([[x * y for x in cts] for y in scalars], dtype=object)]
+    # The reference: every product from its own pow.
+    serial = _summed_pows(cts[:, None], scalars[None, :])
+    serial = [serial, serial.T]
     foreign = keygen(bits=512, rng=random.Random(2))
     two_keys = np.array([cts[1], foreign.encrypt_raws([7], 16, random.Random(8))[0]],
                         dtype=object)
@@ -486,17 +501,17 @@ def test_pooled_products_match_serial(chunksize):
         (unpowered,) = contractions(counting, (cts[:, None], [0]))
         with pytest.raises(EncodingOverflowError):
             _elementwise(counting, (cts, scalars),
-                         (KEYS.encrypt(1.5, 200, random.Random(7)), FixedPoint(3, 100)))
+                         (encrypt(SK, 1.5, 200, random.Random(7)), FixedPoint(3, 100)))
         (keyed,) = contractions(counting, (two_keys[:, None], [FixedPoint(3, 0)]))
     assert [_fields(p) for p in pooled] == [_fields(s) for s in serial]
     assert [p.shape for p in pooled] == [(9, 9), (9, 9)]
     assert all(pooled[0][8, :] == 0) and all(pooled[0][:, 8] == 0)
-    assert [SK.decrypt_raw(ct) for ct in pooled[0][:8, :8].flat] == [
+    assert [decrypt_raw(SK, ct) for ct in pooled[0][:8, :8].flat] == [
         x * y for x in BATCH_RAWS for y in BATCH_RAWS[::-1]]
     assert empty.shape == (0, 9)
     assert _fields(unpowered) == [0] * 9
     assert calls == [(_multiexp_job, 2 * len(BATCH_RAWS) ** 2), (_multiexp_job, 2)]
-    assert SK.decrypt_raw(keyed[0]) == 3 and foreign.private.decrypt_raw(keyed[1]) == 21
+    assert decrypt_raw(SK, keyed[0]) == 3 and decrypt_raw(foreign, keyed[1]) == 21
     with pytest.raises(KeyMismatchError):
         keyed.sum()
 
@@ -504,7 +519,7 @@ def test_pooled_products_match_serial(chunksize):
 # Exponents of every width from 0 to 200 bits, either sign.
 _EXPONENTS = st.integers(0, 200).flatmap(
     lambda bits: st.integers(-(1 << bits) + 1, (1 << bits) - 1))
-_CTS = KEYS.encrypt_raws([3, -5, 7 << 30, -11], 16, random.Random(9))
+_CTS = SK.encrypt_raws([3, -5, 7 << 30, -11], 16, random.Random(9))
 NSQ = PK.n_squared
 
 
@@ -571,7 +586,7 @@ def test_contractions_apply_the_product_rules_before_any_job():
     # ciphertext, so it stays 0.
     assert calls == [[([x.value, y.value], [[0, 0], [2, 0]], NSQ)]]
     assert _fields(out) == [(1, 24), (pow(x.value, 2, NSQ), 24), 0, 0]
-    assert SK.decrypt_raw(out[0, 0]) == 0
+    assert decrypt_raw(SK, out[0, 0]) == 0
     foreign = keygen(bits=512, rng=random.Random(2)).encrypt_raws([1], 16, random.Random(3))[0]
     record = _Recorder()
     with pytest.raises(EncodingOverflowError, match="mismatch"):

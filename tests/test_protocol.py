@@ -7,9 +7,11 @@ import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import decrypt, decrypt_raw, encrypt
 from hypothesis import given, settings, strategies as st
 
 from secureftl import paillier, protocol
@@ -17,7 +19,14 @@ from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import FixedPoint, is_zero
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
-from secureftl.paillier import Ciphertext, PrivateKey, _multiexp_job, keygen
+from secureftl.paillier import (
+    Ciphertext,
+    PrivateKey,
+    PublicKey,
+    _multiexp_job,
+    contractions,
+    keygen,
+)
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import (
     ENGINE_KINDS,
@@ -57,15 +66,15 @@ from secureftl.transport import (
 F = 40
 
 
-def _enc_array(public, values, frac_bits=F):
+def _enc_array(key, values, frac_bits=F):
     values = np.asarray(values, dtype=float)
-    return np.array([public.encrypt(float(v), frac_bits) for v in values.ravel()],
+    return np.array([encrypt(key, float(v), frac_bits) for v in values.ravel()],
                     dtype=object).reshape(values.shape)
 
 
-def _decrypt_tensor(tensor, keypair):
+def _decrypt_tensor(tensor, key):
     return np.array([0.0 if isinstance(ct, int) else
-                     keypair.private.decrypt_raw(ct) / 2.0 ** tensor.frac_bits
+                     decrypt_raw(key, ct) / 2.0 ** tensor.frac_bits
                      for ct in tensor.values.flat]).reshape(tensor.values.shape)
 
 
@@ -76,20 +85,20 @@ def test_encrypted_backward_matches_plaintext():
     upstream_plain = np.zeros((5, 2))
     upstream_plain[[0, 2, 4]] = rng.normal(size=(3, 2))
 
-    keypair = keygen(512, random.Random(11))
+    key = keygen(512, random.Random(11))
     # Rows no ciphertext reaches hold the structural zero 0.
     upstream = np.zeros((5, 2, 1), dtype=object)
-    upstream[[0, 2, 4], :, 0] = _enc_array(keypair.public, upstream_plain[[0, 2, 4]], 2 * F)
+    upstream[[0, 2, 4], :, 0] = _enc_array(key.public, upstream_plain[[0, 2, 4]], 2 * F)
     trace = net.forward_trace(x)
     tensors = encrypted_backward(net, trace, upstream, F)
-    expected = net.backward_u(x, upstream_plain)
+    expected = net.backward(trace, upstream_plain)
     assert [t.name for t in tensors] == [
         "layer0.weights", "layer0.bias", "layer1.weights", "layer1.bias"]
     assert [t.frac_bits for t in tensors] == [6 * F, 5 * F, 4 * F, 3 * F]
     for tensor, layer_idx in zip(tensors, (0, 0, 1, 1)):
         want = expected[layer_idx].weights if tensor.name.endswith("weights") \
             else expected[layer_idx].bias
-        got = _decrypt_tensor(tensor, keypair)
+        got = _decrypt_tensor(tensor, key)
         assert np.allclose(got, want, atol=1e-9)
 
 
@@ -102,8 +111,8 @@ def test_contraction_batches_bound_the_products(monkeypatch):
     monkeypatch.setattr(protocol, "_workers", lambda: 1)
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
-    keypair = keygen(512, random.Random(11))
-    upstream = _enc_array(keypair.public, rng.normal(size=(5, 2, 1)), 2 * F)
+    key = keygen(512, random.Random(11))
+    upstream = _enc_array(key.public, rng.normal(size=(5, 2, 1)), 2 * F)
     trace = net.forward_trace(rng.normal(size=(5, 4)))
     batches = []
 
@@ -131,8 +140,8 @@ def test_blocked_contractions_give_every_worker_a_job(monkeypatch):
     # that every call holds a job for each.
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
-    keypair = keygen(512, random.Random(11))
-    upstream = _enc_array(keypair.public, rng.normal(size=(4, 2, 1)), 2 * F)
+    key = keygen(512, random.Random(11))
+    upstream = _enc_array(key.public, rng.normal(size=(4, 2, 1)), 2 * F)
     trace = net.forward_trace(rng.normal(size=(4, 4)))
     calls = []
 
@@ -164,11 +173,11 @@ def test_shared_basis_backward_is_exact(case):
     ciphertext is touched, plus residual ciphertext rows (the source's
     gradient) reach the very ciphertexts of the expanded per-row upstream."""
     rng = np.random.default_rng(5)
-    keypair = keygen(512, random.Random(11))
+    key = keygen(512, random.Random(11))
     net = init_network([3, 4, 2], seed=9)
 
     def enc_rows(count):
-        return _enc_array(keypair.public, rng.normal(size=(count, 2)), 2 * F)
+        return _enc_array(key.public, rng.normal(size=(count, 2)), 2 * F)
 
     basis = enc_rows(1)[0]
     x = rng.normal(size=(5, 3))
@@ -192,7 +201,8 @@ def test_shared_basis_backward_is_exact(case):
         extra = encrypted_backward(net, [a[rows] for a in trace], residual[:, :, None], F)
         for tensor, more in zip(got, extra):
             tensor.values = tensor.values + more.values
-    expanded = coef @ basis  # row r, output o: prod_k basis[k]^coef[r, o, k]
+    # Row r, output o: prod_k basis[k]^coef[r, o, k].
+    (expanded,) = contractions(map, (basis, coef.transpose(0, 2, 1)))
     expanded[rows] += residual
     want = encrypted_backward(net, trace, expanded[:, :, None], F)
     assert _ct_fields(got) == _ct_fields(want)
@@ -202,19 +212,18 @@ def test_shared_basis_backward_is_exact(case):
 
 
 def test_component_batch_roundtrip():
-    keypair = keygen(512, random.Random(1))
-    keys = {keypair.public.fingerprint: keypair.public}
+    key = keygen(512, random.Random(1))
+    keys = {key.public.fingerprint: key.public}
     batch = ComponentBatch(
-        quad=_enc_array(keypair.public, [[[1.0, 2.0], [3.0, 4.0]]]),
-        lin=_enc_array(keypair.public, [[5.0, 6.0], [7.0, 8.0]]),
-        align=_enc_array(keypair.public, [[0.5, -0.5]]),
-        reg=keypair.public.encrypt(9.0, F))
+        quad=_enc_array(key.public, [[[1.0, 2.0], [3.0, 4.0]]]),
+        lin=_enc_array(key.public, [[5.0, 6.0], [7.0, 8.0]]),
+        align=_enc_array(key.public, [[0.5, -0.5]]),
+        reg=encrypt(key.public, 9.0, F))
     layout = [("quad", (1, 2, 2)), ("lin", (2, 2)), ("align", (1, 2)), ("reg", ())]
     back = ComponentBatch.from_payload(batch.to_payload(), keys, layout)
-    private = keypair.private
-    assert private.decrypt_raw(back.quad[0, 1, 0]) == private.decrypt_raw(batch.quad[0, 1, 0])
+    assert decrypt_raw(key, back.quad[0, 1, 0]) == decrypt_raw(key, batch.quad[0, 1, 0])
     assert (back.quad.shape, back.lin.shape, back.align.shape) == ((1, 2, 2), (2, 2), (1, 2))
-    assert private.decrypt_raw(back.reg) == private.decrypt_raw(batch.reg)
+    assert decrypt_raw(key, back.reg) == decrypt_raw(key, batch.reg)
 
 
 def _tiny_cfg(**kw):
@@ -371,7 +380,7 @@ def _component_batch(public, n_c, n_ab, d, reg):
     return ComponentBatch(_enc_array(public, np.full((n_c, d, d), 0.5)),
                           _enc_array(public, np.full((n_c, d), 0.5)),
                           _enc_array(public, np.full((n_ab, d), 0.5)),
-                          public.encrypt(0.5, F) if reg else None)
+                          encrypt(public, 0.5, F) if reg else None)
 
 
 @pytest.mark.parametrize("role", ["source", "target"])
@@ -421,8 +430,8 @@ def _terms(jobs) -> int:
 class _PartyWatch:
     """Per role, the exponent terms of the _multiexp_job jobs a party hands
     its mapper, and the kernel runs on its thread outside any mapper (a
-    ct * FixedPoint, which mul_int also is: a one-element contraction on the
-    builtin map), in the runs started while monkeypatch holds.
+    contraction on the builtin map instead of the party's mapper), in the
+    runs started while monkeypatch holds.
     exchange_keys, the first step of every training and prediction routine,
     records the party's thread and wraps its mapper."""
 
@@ -459,7 +468,7 @@ class _PartyWatch:
                                       if ident in self.threads[role])
 
 
-def _source_mul_ints(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
+def _source_multiplies(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
     """Ciphertext-by-plaintext multiplies made by the source party in one
     iteration (two-layer nets unless told otherwise), wherever they ran."""
     watch = _PartyWatch(monkeypatch)
@@ -473,9 +482,9 @@ def test_source_mul_count_ignores_source_rows(small_split, monkeypatch):
     wide = _with_source_rows(small_split, 12)
     wide.validate()
     assert len(wide.ids_source) == 4 * len(small_split.ids_source)
-    count = _source_mul_ints(small_split, monkeypatch)
+    count = _source_multiplies(small_split, monkeypatch)
     assert count > 0
-    assert _source_mul_ints(wide, monkeypatch) == count
+    assert _source_multiplies(wide, monkeypatch) == count
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -487,7 +496,7 @@ def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
         return synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
                               n_overlap=6, n_labeled=n_labeled, n_eval=2)
 
-    few, many = (_source_mul_ints(split(n), monkeypatch, [3, d], [2, d]) for n in (2, 6))
+    few, many = (_source_multiplies(split(n), monkeypatch, [3, d], [2, d]) for n in (2, 6))
     assert (many - few) / 4 == 2 * d
 
 
@@ -818,7 +827,7 @@ def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes
         for name, param in (("weights", layer.weights), ("bias", layer.bias)):
             ones = np.full(param.shape, FixedPoint(1 << (4 * F), 4 * F), dtype=object)
             masked = party._mask(iteration, f"layer{idx}.{name}", ones, 4 * F)
-            raws = [peer.private.decrypt_raw(ct) for ct in _section_cts(masked, party.keys)]
+            raws = peer.decrypt_raws(_section_cts(masked, party.keys))
             sections.append(_int_section(masked.name, masked.dims, claimed_frac, raws))
     return pack_sections(sections)
 
@@ -832,6 +841,35 @@ def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split, loopback)
     assert np.array_equal(party.net.layers[0].weights, before)
     party._unmask_and_apply(party.net, 2, _unit_gradient_blob(party, peer, 2, 4 * F), 0.1)
     assert np.allclose(party.net.layers[0].weights, before - 0.1)
+
+
+def test_unmask_rejects_blob_value_no_decryption_returns(small_split, loopback):
+    # |raw| <= n/2 for every decryption under the peer's 512-bit key; a raw
+    # of 2^70000 would overflow float64 once unmasked.
+    party, peer = _party_with_peer(small_split, loopback)
+    before = party.net.layers[0].weights.copy()
+    blob = _resections(_unit_gradient_blob(party, peer, 1, 4 * F), lambda sections: [
+        _int_section(s.name, s.dims, 4 * F, [1 << 70000, *_section_ints(s)[1][1:]])
+        if s.name == "layer0.weights" else s for s in sections])
+    with pytest.raises(ProtocolError, match="layer0.weights holds a value no decryption returns"):
+        party._unmask_and_apply(party.net, 1, blob, 0.1)
+    assert np.array_equal(party.net.layers[0].weights, before)
+    assert party.applied_log == {}
+
+
+def test_unmask_rejects_value_float64_cannot_hold(small_split, loopback):
+    # The Mersenne prime 2^1279 - 1 stands in for a large peer modulus: a
+    # decryption under it may return n/2, about 2^1278, which at the
+    # gradient's 160 fraction bits is past float64's 2^1024.
+    party = _source_party(small_split, loopback[0])
+    party.peer_key = PublicKey((1 << 1279) - 1)
+    party.keys[party.peer_key.fingerprint] = party.peer_key
+    half = SimpleNamespace(decrypt_raws=lambda cts: [ct.public_key.modulus // 2 for ct in cts])
+    before = party.net.layers[0].weights.copy()
+    with pytest.raises(ProtocolError, match="does not fit a float64"):
+        party._unmask_and_apply(party.net, 1, _unit_gradient_blob(party, half, 1, 4 * F), 0.1)
+    assert np.array_equal(party.net.layers[0].weights, before)
+    assert party.applied_log == {}
 
 
 def _resections(payload: bytes, edit) -> bytes:
@@ -1125,7 +1163,7 @@ def test_parties_keep_no_closed_pool(small_split):
     for party in (train.source, train.target, predict.server, predict.requester):
         assert party.mapper is map
     (cts,) = train.target._encrypt((np.ones(2), F))
-    assert [train.target.keypair.private.decrypt(ct) for ct in cts] == [1.0, 1.0]
+    assert [decrypt(train.target.own_key, ct) for ct in cts] == [1.0, 1.0]
 
 
 def test_empty_component_batch_dispatches_nothing(small_split, loopback):
@@ -1146,5 +1184,5 @@ def test_pooled_key_generation_matches_serial():
         pooled = list(pool.map(_party_keys, jobs, chunksize=1))
     for (serial, serial_state), (keys, state) in zip(map(_party_keys, jobs), pooled):
         assert keys.public.modulus == serial.public.modulus
-        assert (keys.private.p, keys.private.q) == (serial.private.p, serial.private.q)
+        assert (keys.p, keys.q) == (serial.p, serial.q)
         assert state == serial_state

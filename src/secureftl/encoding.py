@@ -83,9 +83,13 @@ def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
     value = float(value)
     if not math.isfinite(value):
         raise EncodingOverflowError(f"cannot encode non-finite value {value!r}")
-    # Scaling by a power of two is exact in binary floating point, so the
-    # only rounding here is the final half-even round to integer.
-    return FixedPoint(round(value * (1 << frac_bits)), frac_bits)
+    # Scaling by a power of two is exact in binary floating point, unless it
+    # overflows to inf, so the only rounding here is the final half-even
+    # round to integer.
+    scaled = value * (1 << frac_bits)
+    if not math.isfinite(scaled):
+        raise EncodingOverflowError(f"{value!r} * 2**{frac_bits} overflows a float")
+    return FixedPoint(round(scaled), frac_bits)
 
 
 def decode_raw(raw: int, frac_bits: int) -> float:

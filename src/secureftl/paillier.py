@@ -11,6 +11,11 @@ Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, so g^m costs
 a multiply instead of a full modular exponentiation, and the modulus n is
 the whole public key.
 
+Every modular exponentiation, inverses aside, is one _powmod: libgmp's
+mpz_powm through ctypes when the system's libgmp loads, else builtin pow.
+Both compute the same integers, so keys, ciphertexts and transcripts do not
+depend on which one runs.
+
 Every exponentiation runs in a module-level kernel that a map-like callable
 (the builtin map, or an executor's map over worker processes) can take one
 job per element: _encrypt_job on (private key, residue, r), _decrypt_job on
@@ -35,17 +40,21 @@ to 47 and 40 Miller-Rabin rounds with random witnesses. A candidate with a
 prime factor from 53 to 32,768 has a gcd g > 1 with one of two fixed prime
 products, and each of its rounds first runs modulo g: g divides n, so a
 witness modulo g is a witness modulo n. That rejects most such composites
-with a pow modulo a few dozen bits instead of a full-size one, while every
-witness is drawn as before, so the keys and the rng's state after keygen
-are those of the plain test.
+with a _powmod modulo a few dozen bits instead of a full-size one, while
+every witness is drawn as before, so the keys and the rng's state after
+keygen are those of the plain test. A round's squarings are products
+x * x % m, since a ctypes call costs more than a squaring of this size.
 
 This is a research implementation: keys default to 1024 bits and randomness
-may come from a seeded PRNG for reproducible protocol transcripts. Do not use
-it to protect real data.
+may come from a seeded PRNG for reproducible protocol transcripts, and
+neither pow nor mpz_powm runs in constant time. Do not use it to protect
+real data.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 import math
 import random
@@ -68,6 +77,75 @@ from .encoding import (
 )
 
 MIN_KEY_BITS = 512
+
+
+class _Mpz(ctypes.Structure):
+    """GMP's mpz_t: allocated limbs, signed limb count, limb pointer."""
+    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
+
+
+def _load_gmp() -> ctypes.CDLL | None:
+    """libgmp with the signatures _powmod calls declared, or None when the
+    library cannot be found or loaded."""
+    name = ctypes.util.find_library("gmp")
+    if name is None:
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+    except OSError:
+        return None
+    mpz, size, int_ = ctypes.POINTER(_Mpz), ctypes.c_size_t, ctypes.c_int
+    for function, argtypes, restype in (
+            ("__gmpz_init", [mpz], None),
+            ("__gmpz_clear", [mpz], None),
+            ("__gmpz_import", [mpz, size, int_, size, int_, size, ctypes.c_char_p], None),
+            ("__gmpz_export", [ctypes.c_char_p, ctypes.POINTER(size), int_, size, int_, size,
+                               mpz], ctypes.c_void_p),
+            ("__gmpz_sizeinbase", [mpz, int_], size),
+            ("__gmpz_powm", [mpz, mpz, mpz, mpz], None)):
+        getattr(lib, function).argtypes = argtypes
+        getattr(lib, function).restype = restype
+    return lib
+
+
+_GMP = _load_gmp()
+
+
+def _to_mpz(z: _Mpz, value: int):
+    """Set the initialised z to the non-negative value, as big-endian bytes."""
+    count = (value.bit_length() + 7) // 8
+    _GMP.__gmpz_import(z, count, 1, 1, 0, 0, value.to_bytes(count, "big"))
+
+
+def _gmp_powmod(base: int, exp: int, mod: int) -> int:
+    """pow(base, exp, mod), by libgmp's mpz_powm when base >= 0, exp >= 0 and
+    mod >= 1, and by builtin pow otherwise: mpz_powm divides by a zero mod,
+    which kills the process where pow raises ValueError.
+
+    The mpz values live for one call, so threads share none, and every libgmp
+    call releases the GIL."""
+    if base < 0 or exp < 0 or mod < 1:
+        return pow(base, exp, mod)
+    result, b, e, m = mpzs = _Mpz(), _Mpz(), _Mpz(), _Mpz()
+    for z in mpzs:
+        _GMP.__gmpz_init(z)
+    try:
+        _to_mpz(b, base)
+        _to_mpz(e, exp)
+        _to_mpz(m, mod)
+        _GMP.__gmpz_powm(result, b, e, m)
+        out = ctypes.create_string_buffer(_GMP.__gmpz_sizeinbase(result, 256))
+        count = ctypes.c_size_t()
+        _GMP.__gmpz_export(out, ctypes.byref(count), 1, 1, 0, 0, result)
+        return int.from_bytes(out.raw[:count.value], "big")
+    finally:
+        for z in mpzs:
+            _GMP.__gmpz_clear(z)
+
+
+# Every exponentiation in this module, inverses aside: libgmp's when it
+# loads, else builtin pow. Both give the same integers.
+_powmod = pow if _GMP is None else _gmp_powmod
 
 
 def _primes(lo: int, hi: int) -> list[int]:
@@ -100,11 +178,11 @@ def _strong_liar(a: int, d: int, s: int, m: int) -> bool:
     """Whether a passes one Miller-Rabin round modulo m with the exponent
     2^s * d = n - 1 of the candidate n: a^d = 1 or a^(2^r * d) = -1 (mod m)
     for some r < s."""
-    x = pow(a, d, m)
+    x = _powmod(a, d, m)
     if x == 1 or x == m - 1:
         return True
     for _ in range(s - 1):
-        x = pow(x, 2, m)
+        x = x * x % m
         if x == m - 1:
             return True
     return False
@@ -121,7 +199,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     and the test returns False after the same draws the full round would
     have. Only a liar modulo g goes on to the full round. So the answer and
     the rng's state are those of the plain test, while most such composites
-    cost a pow modulo a few dozen bits instead of a full-size one.
+    cost a _powmod modulo a few dozen bits instead of a full-size one.
     """
     if n < 2:
         return False
@@ -187,60 +265,28 @@ def _inverses(values: list[int], modulus: int) -> list[int]:
     return out
 
 
-def _window(tables: int, terms: int, bits: int) -> int:
-    """The window width w that minimises the modular multiplications of an
-    interleaved exponentiation: 2^w - 2 per table, and per term one per
-    nonzero w-bit digit of a bits-bit exponent (squarings do not depend on w)."""
-    return min(range(1, 9), key=lambda w: (tables * ((1 << w) - 2)
-                                           + terms * -(-bits // w) * (1 - 2.0 ** -w)))
-
-
 def _multiexp_job(job: tuple[list[int], list[list[int]], int]) -> list[int]:
     """prod_j bases[j]^column[j] mod n^2 for every column, job being (bases,
     exponent columns, n^2) with signed exponents: the ciphertext of every
     column's combination of the bases' plaintexts.
 
-    Straus's interleaved windowed exponentiation (Straus, AMM 1964; Moeller,
-    SAC 2001): a column's squarings serve all of its terms, and each
-    (base, sign) has one table of its powers 1 .. 2^w - 1, shared by every
-    column. A negative exponent raises the base's inverse; one batch
-    inversion serves every base that needs one. A column with one nonzero
-    term is a single pow, and a column of zeros is 1, the ciphertext of 0.
+    Each column is the product of one _powmod per nonzero term: on libgmp a
+    separate exponentiation per term costs less than Straus's interleaved
+    windows in Python, whose table products and digit loop pay the
+    interpreter for every multiplication. On the builtin pow fallback it
+    costs more than those windows did (BENCH_gmp.json). A negative exponent
+    raises the base's inverse; one batch inversion serves every base that
+    needs one. A column of zeros is 1, the ciphertext of 0.
     """
     bases, columns, nsq = job
     negative = sorted({j for column in columns for j, e in enumerate(column) if e < 0})
     inverse = dict(zip(negative, _inverses([bases[j] for j in negative], nsq)))
-    terms = [[(j, e) for j, e in enumerate(column) if e] for column in columns]
-    shared = [t for t in terms if len(t) > 1]
-    width = _window(len({(j, e < 0) for t in shared for j, e in t}), sum(map(len, shared)),
-                    max((abs(e).bit_length() for t in shared for _, e in t), default=0))
-    size, tables, out = 1 << width, {}, []
-
-    def table(j: int, negate: bool) -> list[int]:
-        if (j, negate) not in tables:
-            x = inverse[j] if negate else bases[j]
-            powers = [1, x]
-            for _ in range(size - 2):
-                powers.append(powers[-1] * x % nsq)
-            tables[j, negate] = powers
-        return tables[j, negate]
-
-    for column in terms:
-        if not column:
-            out.append(1)
-            continue
-        if len(column) == 1:
-            ((j, e),) = column
-            out.append(pow(inverse[j] if e < 0 else bases[j], abs(e), nsq))
-            continue
-        digits = [(table(j, e < 0), abs(e)) for j, e in column]
-        acc, top = 1, max(e for _, e in digits).bit_length()
-        for shift in range((top - 1) // width * width, -1, -width):
-            acc = pow(acc, size, nsq)
-            for powers, e in digits:
-                digit = (e >> shift) & (size - 1)
-                if digit:
-                    acc = acc * powers[digit] % nsq
+    out = []
+    for column in columns:
+        acc = 1
+        for j, e in enumerate(column):
+            if e:
+                acc = acc * _powmod(inverse[j] if e < 0 else bases[j], abs(e), nsq) % nsq
         out.append(acc)
     return out
 
@@ -278,7 +324,7 @@ class PublicKey:
         if not 0 <= residue < self.modulus:
             raise EncodingOverflowError("plaintext residue outside [0, n)")
         r = self.draw_r(rng)
-        return self.combine(residue, pow(r, self.modulus, self.n_squared))
+        return self.combine(residue, _powmod(r, self.modulus, self.n_squared))
 
     def encrypt_raw(self, raw: int, frac_bits: int,
                     rng: random.Random | None = None) -> "Ciphertext":
@@ -338,14 +384,14 @@ class PrivateKey:
         joins the halves.
         """
         p, q = self.p, self.q
-        xp = pow(pow(r % p, self.exp_p, p), p, self.p_squared)
-        xq = pow(pow(r % q, self.exp_q, q), q, self.q_squared)
+        xp = _powmod(_powmod(r % p, self.exp_p, p), p, self.p_squared)
+        xq = _powmod(_powmod(r % q, self.exp_q, q), q, self.q_squared)
         return xq + (xp - xq) * self.q_squared_inv % self.p_squared * self.q_squared
 
     def decrypt_residue(self, value: int) -> int:
         p, q = self.p, self.q
-        mp = (pow(value % self.p_squared, p - 1, self.p_squared) - 1) // p * self.hp % p
-        mq = (pow(value % self.q_squared, q - 1, self.q_squared) - 1) // q * self.hq % q
+        mp = (_powmod(value % self.p_squared, p - 1, self.p_squared) - 1) // p * self.hp % p
+        mq = (_powmod(value % self.q_squared, q - 1, self.q_squared) - 1) // q * self.hq % q
         return mq + (mp - mq) * self.q_inv % p * q
 
     def encrypt_raws(self, raws: list[int], frac_bits: int | list[int],

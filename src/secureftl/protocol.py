@@ -119,7 +119,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, FixedPoint, encode, is_zero
+from .encoding import MAX_FRAC_BITS, FixedPoint, check_frac_match, encode, is_zero
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -324,6 +324,13 @@ def _fixed(values, frac_bits: int) -> np.ndarray:
                     dtype=object).reshape(values.shape)
 
 
+def _raws(values, frac_bits: int) -> np.ndarray:
+    """encode(v, frac_bits).raw of every entry, as an int object array."""
+    values = np.asarray(values, dtype=float)
+    return np.array([encode(v, frac_bits).raw for v in values.ravel()],
+                    dtype=object).reshape(values.shape)
+
+
 @dataclass
 class _GradTensor:
     name: str
@@ -338,17 +345,19 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
 
     With basis None, K is 1 and the entries are ciphertexts at 2*frac_bits
     fraction bits, or 0 where no ciphertext reached. With basis K ciphertexts
-    at 2*frac_bits, the entries are FixedPoint coefficients: row r's upstream
-    at output o is sum_k upstream[r, o, k] * basis[k]. Either way a gradient
-    is (out, in, K) and (out, K) first, then materialised as [..., 0] or
+    at 2*frac_bits, the entries are FixedPoint coefficients, all at one
+    fraction-bit count: row r's upstream at output o is
+    sum_k upstream[r, o, k] * basis[k]. Either way a gradient is
+    (out, in, K) and (out, K) first, then materialised as [..., 0] or
     grad @ basis; its frac_bits is that of its ciphertexts.
 
     Activations and weights are local plaintext, so each layer is linear in
     the upstream: every step multiplies by a scalar encoded at frac_bits, and
     each layer crossing adds 2*frac_bits to the fraction counter.
-    Coefficients cross as exact FixedPoint integers, summed over rows before
-    any ciphertext is touched, so the cost of a basis does not grow with N;
-    the K basis ciphertexts then serve every entry, in one contraction job
+    Coefficients cross as the exact raw integers of their FixedPoint
+    values, summed over rows before any ciphertext is touched, so the cost
+    of a basis does not grow with N; the K basis ciphertexts then serve
+    every entry, in one contraction job
     per block of entries, a block per worker. On ciphertexts every step goes
     through mapper as a contraction (paillier.contractions): an elementwise
     step in one batch over unit axes, one one-term job per product; a matmul
@@ -363,7 +372,17 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     the row-by-row form reaches from the expanded upstream. An entry is 0
     only when no row reaches it, never because an exponent sums to 0.
     """
-    f = frac_bits
+    f, encoded = frac_bits, _fixed
+    if basis is not None:
+        # Coefficients on a basis are plaintext: they cross as raw integers,
+        # whose fraction bits are counted apart, and become FixedPoint
+        # exponents only for the final contraction.
+        fracs = {c.frac_bits for c in upstream.flat}
+        coef_frac = fracs.pop() if fracs else 0
+        for other in fracs:
+            check_frac_match(coef_frac, other)
+        upstream = np.array([c.raw for c in upstream.flat], dtype=object).reshape(upstream.shape)
+        encoded = _raws
 
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # Coefficients on a basis are plaintext: numpy contracts them
@@ -385,21 +404,25 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
     for idx in range(len(net.layers) - 1, -1, -1):
         a_out, a_in = trace[idx + 1], trace[idx]
-        slope = _fixed(a_out * (1.0 - a_out), f)[:, None, :]
+        slope = encoded(a_out * (1.0 - a_out), f)[:, None, :]
         dz = (delta * slope if basis is not None else contractions(
             mapper, (delta[..., None, None], slope[..., None, None]))[0][..., 0, 0])
-        grad_w = np.moveaxis(matmul(dz.transpose(1, 2, 0), _fixed(a_in, f)), 0, -1)
+        grad_w = np.moveaxis(matmul(dz.transpose(1, 2, 0), encoded(a_in, f)), 0, -1)
         grad_b = dz.sum(axis=0).T
         tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", grad_w, frac + 2 * f)
         tensors[2 * idx + 1] = _GradTensor(f"layer{idx}.bias", grad_b, frac + f)
         if idx:
-            delta = matmul(dz, _fixed(net.layers[idx].weights, f))
+            delta = matmul(dz, encoded(net.layers[idx].weights, f))
             frac += 2 * f
     if basis is None:
         for tensor in tensors:
             tensor.values = tensor.values[..., 0]
     else:
-        coef = np.concatenate([t.values.reshape(-1, len(basis)) for t in tensors])
+        # A tensor's coefficients carry the upstream's fraction bits plus
+        # those its layers added: its frac_bits less the 2f it starts from.
+        coef = np.concatenate([
+            np.array([FixedPoint(raw, t.frac_bits - 2 * f + coef_frac) for raw in t.values.flat],
+                     dtype=object).reshape(-1, len(basis)) for t in tensors])
         blocks = np.array_split(coef, max(1, min(len(coef), _workers())))
         terms = np.concatenate(contractions(mapper, *[(basis, block.T) for block in blocks]))
         ends = np.cumsum([t.values[..., 0].size for t in tensors])

@@ -1,13 +1,30 @@
+import ctypes
 import multiprocessing
 import threading
 
 import numpy as np
 import pytest
 
+from secureftl import paillier
 from secureftl.datasets import FederationSplit
 from secureftl.encoding import decode_raw, encode
 from secureftl.paillier import PrivateKey, contractions
 from secureftl.transport import loopback_pair
+
+
+def pytest_report_header():
+    """Which exponentiation the crypto runs on, so a run on the slow
+    builtin fallback shows in the log."""
+    if paillier._powmod is pow:
+        return "powmod: builtin pow (libgmp not found)"
+    version = ctypes.c_char_p.in_dll(paillier._GMP, "__gmp_version").value.decode()
+    return f"powmod: libgmp {version}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the header, so a quiet run prints the line at its end instead.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header())
 
 
 # One-value forms of the batch crypto calls, for tests that check one value.

@@ -52,6 +52,13 @@ def test_frac_bits_out_of_range():
         encode(1.0, -1)
 
 
+@pytest.mark.parametrize("value, frac_bits", [(1e300, 40), (-1e308, 255), (1.7e308, 1)])
+def test_encode_overflowing_scale(value, frac_bits):
+    # Finite values whose scaled form overflows to +-inf.
+    with pytest.raises(EncodingOverflowError):
+        encode(value, frac_bits)
+
+
 @given(st.integers(min_value=-(2 ** 80), max_value=2 ** 80))
 def test_residue_roundtrip(raw):
     modulus = 2 ** 200 + 235  # no structure needed, just > 2*|raw|

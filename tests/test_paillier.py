@@ -1,13 +1,15 @@
 import math
 import multiprocessing
 import random
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from conftest import decrypt, decrypt_raw, encrypt, multiply
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secureftl import paillier
 from secureftl.encoding import EncodingOverflowError, FixedPoint, encode, from_residue, is_zero
@@ -136,14 +138,14 @@ def _first_witness(n, seed):
 
 @pytest.fixture
 def pow_moduli(monkeypatch):
-    """The modulus of every pow paillier makes from here on."""
+    """The modulus of every _powmod paillier makes from here on."""
     moduli = []
 
-    def counted(base, exp, mod=None):
+    def counted(base, exp, mod):
         moduli.append(mod)
         return pow(base, exp, mod)
 
-    monkeypatch.setattr(paillier, "pow", counted, raising=False)
+    monkeypatch.setattr(paillier, "_powmod", counted)
     return moduli
 
 
@@ -514,6 +516,53 @@ def test_pooled_products_match_serial(chunksize):
     assert decrypt_raw(SK, keyed[0]) == 3 and decrypt_raw(foreign, keyed[1]) == 21
     with pytest.raises(KeyMismatchError):
         keyed.sum()
+
+
+def _operand(max_bits):
+    return st.integers(0, max_bits).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_operand(2048), _operand(2048), _operand(2048).map(lambda m: m + 1))
+@example(0, 0, 1)
+@example(7, 0, 2 ** 61 - 1)
+@example(0, 5, 97)
+@example(2 ** 1024 + 3, 65537, 1019)  # base >= mod
+@example(12345, 678, 1)
+@example(3, 2 ** 200 + 1, 2 ** 512)  # even mod
+def test_powmod_equals_pow(base, exp, mod):
+    assert paillier._powmod(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_powmod_zero_modulus_raises_as_pow_does():
+    with pytest.raises(ValueError):
+        pow(3, 5, 0)
+    with pytest.raises(ValueError):
+        paillier._powmod(3, 5, 0)
+
+
+def test_powmod_from_two_threads():
+    # Both party threads exponentiate at once: each call's mpz values must be
+    # its own.
+    results, interval = {}, sys.getswitchinterval()
+
+    def run(seed):
+        rng = random.Random(seed)
+        ops = [(rng.getrandbits(512), rng.getrandbits(256), rng.getrandbits(512) | 1)
+               for _ in range(300)]
+        results[seed] = all(paillier._powmod(*op) == pow(*op) for op in ops)
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {1: True, 2: True}
 
 
 # Exponents of every width from 0 to 200 bits, either sign.

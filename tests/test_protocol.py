@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from secureftl import paillier, protocol
 from secureftl.datasets import FederationSplit, synth_two_view
-from secureftl.encoding import FixedPoint, is_zero
+from secureftl.encoding import EncodingOverflowError, FixedPoint, is_zero
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import (
@@ -209,6 +209,16 @@ def test_shared_basis_backward_is_exact(case):
     assert all(isinstance(ct, Ciphertext) for t in got for ct in t.values.flat)
     if case == "zero-sum":
         assert {ct.value for t in got for ct in t.values.flat} == {1}
+
+
+def test_basis_coefficients_share_one_fraction_count():
+    key = keygen(512, random.Random(11))
+    net = init_network([3, 2], seed=9)
+    trace = net.forward_trace(np.random.default_rng(5).normal(size=(2, 3)))
+    basis = _enc_array(key.public, np.ones((1, 2)), 2 * F)[0]
+    coef = np.array([FixedPoint(1, 0)] * 7 + [FixedPoint(2, 1)], dtype=object).reshape(2, 2, 2)
+    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch"):
+        encrypted_backward(net, trace, coef, F, basis)
 
 
 def test_component_batch_roundtrip():
@@ -601,7 +611,12 @@ def _golden_runs(small_split):
             (predict.transcript, {**predict.server.keys, **predict.requester.keys}))
 
 
-def test_golden_transcripts(small_split):
+@pytest.mark.parametrize("builtin_pow", [False, True], ids=["libgmp", "builtin-pow"])
+def test_golden_transcripts(small_split, monkeypatch, builtin_pow):
+    # libgmp (when it loads) and builtin pow give the same bytes. The pool's
+    # workers fork after the patch, so they run builtin pow too.
+    if builtin_pow:
+        monkeypatch.setattr(paillier, "_powmod", pow)
     ((train, train_keys), (train_2layer, train_2layer_keys),
      (predict, predict_keys)) = _golden_runs(small_split)
     assert _content_digests(train, train_keys) == CONTENT_TRAIN

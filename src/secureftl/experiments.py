@@ -116,9 +116,6 @@ class ExperimentConfig:
                 [self.d_target_features, self.hidden])
 
 
-_COERCE = {str: str, int: int, float: float}
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
     """key=value lines, # comments; sweeps are comma-separated integers."""
     values: dict[str, object] = {}
@@ -135,12 +132,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in by_name:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         current = getattr(defaults, key)
-        if isinstance(current, tuple):
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif isinstance(current, bool):
-            values[key] = value.lower() in ("1", "true", "yes")
-        else:
-            values[key] = type(current)(value)
+        sweep = isinstance(current, tuple)
+        try:
+            values[key] = (tuple(int(v) for v in value.split(",") if v.strip()) if sweep
+                           else type(current)(value))
+        except ValueError:
+            want = "comma-separated integers" if sweep else type(current).__name__
+            raise ValueError(f"line {lineno}: {key} expects {want}, got {value!r}") from None
     return replace(defaults, **values)
 
 

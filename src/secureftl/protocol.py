@@ -62,28 +62,33 @@ zero that no ciphertext reached (it adds nothing, and any product with it
 stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
 arrays; the loss, the gradients and the prediction scores are
 contractions of ciphertexts against plaintext coefficients
-(paillier.contractions, a @ b; an elementwise product is a contraction over
-unit axes), and encrypted_backward runs Network.backward over an (N, d, K)
-upstream. A gradient entry that is still plaintext when it is masked (no
-ciphertext reached it, only weight decay) is encrypted then, under the
-peer's key.
+(paillier.contractions, a @ b). Every plaintext factor of a product is
+multiplied in float64 first and encoded once: encrypted_backward crosses a
+layer in one contraction per output, at f more fraction bits, and the
+source's shared basis takes its coefficients from plaintext
+Network.backward passes. Each ciphertext is made at the fraction bits its
+consumer uses: the source's lin and align at 2f, since the target adds
+them to its 2f upstream as they are. A gradient entry that is still
+plaintext when it is masked (no ciphertext reached it, only weight decay)
+is encrypted then, under the peer's key.
 
 Every payload is a list of sections (transport.pack_sections). A section's
-data is either serialized ciphertexts (ct) or a frac byte and signed
-integers (int), prod(dims) of them, row-major:
+data is either serialized ciphertexts (ct, at the fraction bits given for
+f = frac_bits) or a frac byte and signed integers (int), prod(dims) of
+them, row-major:
 
   frame            section           dims         data
   PUBKEY           n                 ()           int: the modulus (g = n + 1)
-  COMPONENTS_A/B   quad              (n_c, d, d)  ct
-                   lin               (n_c, d)     ct
-                   align             (n_ab, d)    ct
-                   reg               ()           ct, COMPONENTS_B only
+  COMPONENTS_A/B   quad              (n_c, d, d)  ct at f
+                   lin               (n_c, d)     ct at 2f in A, f in B
+                   align             (n_ab, d)    ct at 2f in A, f in B
+                   reg               ()           ct at 2f, COMPONENTS_B only
   MASKED_GRAD_A/B  layer<i>.weights  (out, in)    ct, per layer
                    layer<i>.bias     (out,)       ct
   ENC_LOSS         loss              ()           ct
   DECRYPTED_BLOB   each section of the MASKED_GRAD (and the ENC_LOSS) it
                    answers, same name and dims   int
-  PREDICT_REQUEST  u                 (n, d)       ct
+  PREDICT_REQUEST  u                 (n, d)       ct at f
   PREDICT_MASKED   predict.scores    (n,)         ct
   DECRYPTED_BLOB   predict.scores    (n,)         int
   PREDICT_LABELS   labels            (n,)         int: +1 or -1
@@ -91,17 +96,18 @@ integers (int), prod(dims) of them, row-major:
 
 One rule reads every payload: its sections must be exactly the (name, dims)
 list its receiver expects, in order, or ProtocolError is raised before any
-value is decrypted, logged or applied. The receiver knows every dim from its
-own state: its n_c, n_ab and d for COMPONENTS, with reg at the source; for
-a DECRYPTED_BLOB, the sections it masked under that number, each of which
-must also repeat the fraction bits it was masked at; and the n rows it asked
-about for PREDICT_MASKED and PREDICT_LABELS. Only a PREDICT_REQUEST's row
-count n is a wildcard. MASKED_GRAD follows the sender's net, whose depth and
-input dim the receiver does not know: its sections must be a chain of
-layer<i>.weights (out, in) and layer<i>.bias (out,), each layer's in the
-previous layer's out and the last out the receiver's own d, and the sender
-checks what comes back. A payload that does not parse raises one of
-WIRE_ERRORS.
+value is decrypted, logged or applied; so is a COMPONENTS or PREDICT_REQUEST
+ciphertext at other fraction bits than its section's above. The receiver
+knows every dim from its own state: its n_c, n_ab and d for COMPONENTS,
+with reg at the source; for a DECRYPTED_BLOB, the sections it masked under
+that number, each of which must also repeat the fraction bits it was masked
+at; and the n rows it asked about for PREDICT_MASKED and PREDICT_LABELS.
+Only a PREDICT_REQUEST's row count n is a wildcard. MASKED_GRAD follows the
+sender's net, whose depth and input dim the receiver does not know: its
+sections must be a chain of layer<i>.weights (out, in) and layer<i>.bias
+(out,), each layer's in the previous layer's out and the last out the
+receiver's own d, and the sender checks what comes back. A payload that
+does not parse raises one of WIRE_ERRORS.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, FixedPoint, check_frac_match, encode, is_zero
+from .encoding import MAX_FRAC_BITS, FixedPoint, encode, is_zero
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -161,7 +167,7 @@ from .transport import (
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
 
-# A matmul of encrypted_backward hands the kernel at most this many exponent
+# A contraction of encrypted_backward hands the kernel at most this many exponent
 # terms per map call, in whole output rows or column blocks of a longer row,
 # so the jobs in flight do not grow with rows * inputs * outputs.
 CONTRACTION_BATCH = 4096
@@ -202,9 +208,14 @@ def _section_cts(section: Section, keys: dict[bytes, PublicKey]) -> list[Ciphert
     return out
 
 
-def _section_array(section: Section, keys: dict[bytes, PublicKey]) -> np.ndarray:
-    """The section's ciphertexts as an object array of shape section.dims."""
-    return np.array(_section_cts(section, keys), dtype=object).reshape(section.dims)
+def _section_array(section: Section, keys: dict[bytes, PublicKey], frac_bits: int) -> np.ndarray:
+    """The section's ciphertexts, which must all be at frac_bits fraction
+    bits, as an object array of shape section.dims."""
+    cts = _section_cts(section, keys)
+    if any(ct.frac_bits != frac_bits for ct in cts):
+        raise ProtocolError(f"section {section.name} holds ciphertexts at other than "
+                            f"{frac_bits} fraction bits")
+    return np.array(cts, dtype=object).reshape(section.dims)
 
 
 def _section_ints(section: Section) -> tuple[int, list[int]]:
@@ -223,6 +234,8 @@ def _section_ints(section: Section) -> tuple[int, list[int]]:
 
 
 Layout = list[tuple[str, tuple[int | None, ...]]]
+# A ciphertext payload's layout: (name, dims, fraction bits) per section.
+FracLayout = list[tuple[str, tuple[int | None, ...], int]]
 
 
 def _read(payload: bytes, layout: Layout) -> list[Section]:
@@ -300,15 +313,21 @@ class ComponentBatch:
         return pack_sections(sections)
 
     @staticmethod
-    def layout(n_c: int, n_ab: int, d: int, reg: bool) -> Layout:
+    def layout(n_c: int, n_ab: int, d: int, frac_bits: int, reg: bool) -> FracLayout:
         """The sections of a batch of n_c labeled and n_ab overlap items of
-        dimension d, with a reg scalar when reg."""
-        return ([("quad", (n_c, d, d)), ("lin", (n_c, d)), ("align", (n_ab, d))]
-                + [("reg", ())] * reg)
+        dimension d: the target's, with a reg scalar at 2 frac_bits, when
+        reg, else the source's. quad is at frac_bits; lin and align at
+        frac_bits in the target's batch and 2 frac_bits in the source's,
+        the fraction bits their receiver uses them at."""
+        cross = frac_bits if reg else 2 * frac_bits
+        return ([("quad", (n_c, d, d), frac_bits), ("lin", (n_c, d), cross),
+                 ("align", (n_ab, d), cross)] + [("reg", (), 2 * frac_bits)] * reg)
 
     @classmethod
-    def from_payload(cls, payload: bytes, keys, layout: Layout) -> "ComponentBatch":
-        quad, lin, align, *reg = (_section_array(s, keys) for s in _read(payload, layout))
+    def from_payload(cls, payload: bytes, keys, layout: FracLayout) -> "ComponentBatch":
+        sections = _read(payload, [entry[:2] for entry in layout])
+        quad, lin, align, *reg = (_section_array(section, keys, entry[2])
+                                  for section, entry in zip(sections, layout))
         return cls(quad, lin, align, *(r.item() for r in reg))
 
 
@@ -324,13 +343,6 @@ def _fixed(values, frac_bits: int) -> np.ndarray:
                     dtype=object).reshape(values.shape)
 
 
-def _raws(values, frac_bits: int) -> np.ndarray:
-    """encode(v, frac_bits).raw of every entry, as an int object array."""
-    values = np.asarray(values, dtype=float)
-    return np.array([encode(v, frac_bits).raw for v in values.ravel()],
-                    dtype=object).reshape(values.shape)
-
-
 @dataclass
 class _GradTensor:
     name: str
@@ -338,97 +350,81 @@ class _GradTensor:
     frac_bits: int
 
 
+def _contract(mapper: Mapper, rows: np.ndarray, left: np.ndarray, right: np.ndarray,
+              frac_bits: int) -> np.ndarray:
+    """out[r, c] = sum_k rows[r, k] * encode(left[r, k] * right[k, c], frac_bits)
+    for an (R, K) object array rows and float64 left (R, K) and right (K, C).
+
+    One job per row, whose bases serve all of its columns, in map calls of
+    at most CONTRACTION_BATCH exponent terms each (a single column of more
+    terms goes alone): whole rows, or column blocks of a row narrow enough
+    that each call holds a row per worker. A block's exponents are encoded
+    when its call is made.
+    """
+    (count, k), columns = rows.shape, right.shape[1]
+    width = max(1, min(columns, CONTRACTION_BATCH // max(1, k * _workers())))
+    step = max(1, CONTRACTION_BATCH // max(1, k * width))
+    out = np.zeros((count, columns), dtype=object)
+    for i in range(0, count, step):
+        for j in range(0, columns, width):
+            r, c = slice(i, i + step), slice(j, j + width)
+            (block,) = contractions(mapper, (rows[r, None, :], _fixed(
+                left[r, :, None] * right[None, :, c], frac_bits)))
+            out[r, c] = block[:, 0]
+    return out
+
+
 def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
                        frac_bits: int, basis: np.ndarray | None = None,
                        mapper: Mapper = map) -> list[_GradTensor]:
-    """Network.backward over an encrypted (N, d, K) upstream.
+    """Network.backward over an encrypted upstream at 2*frac_bits fraction
+    bits: layer0.weights, layer0.bias, layer1.weights, ..., each a
+    _GradTensor whose entries are at 2f + (L - i) f fraction bits for layer
+    i of L, f being frac_bits.
 
-    With basis None, K is 1 and the entries are ciphertexts at 2*frac_bits
-    fraction bits, or 0 where no ciphertext reached. With basis K ciphertexts
-    at 2*frac_bits, the entries are FixedPoint coefficients, all at one
-    fraction-bit count: row r's upstream at output o is
-    sum_k upstream[r, o, k] * basis[k]. Either way a gradient is
-    (out, in, K) and (out, K) first, then materialised as [..., 0] or
-    grad @ basis; its frac_bits is that of its ciphertexts.
+    With basis None, upstream is (N, d): ciphertexts, or 0 where no
+    ciphertext reached. Activations and weights are local plaintext, so each
+    layer is one contraction per output: its plaintext factors are multiplied
+    in float64 and encoded once at f, adding f fraction bits per layer. With
+    delta the layer's (N, out) upstream and slope = a_out (1 - a_out),
+      grad[o, :] = sum_r delta[r, o] * enc(slope[r, o] [a_in[r, :] | 1])
+      delta'[r, :] = sum_o delta[r, o] * enc(slope[r, o] W[o, :])
+    in map calls of _contract. A gradient entry is 0 only when no row
+    reaches it.
 
-    Activations and weights are local plaintext, so each layer is linear in
-    the upstream: every step multiplies by a scalar encoded at frac_bits, and
-    each layer crossing adds 2*frac_bits to the fraction counter.
-    Coefficients cross as the exact raw integers of their FixedPoint
-    values, summed over rows before any ciphertext is touched, so the cost
-    of a basis does not grow with N; the K basis ciphertexts then serve
-    every entry, in one contraction job
-    per block of entries, a block per worker. On ciphertexts every step goes
-    through mapper as a contraction (paillier.contractions): an elementwise
-    step in one batch over unit axes, one one-term job per product; a matmul
-    as one job per output row, whose bases serve all of the row's columns,
-    in map calls of at most CONTRACTION_BATCH exponent terms each (a single
-    column of more terms goes alone). Those calls hold whole rows, or column
-    blocks of a row narrow enough that each call holds a row per worker.
-    On basis coefficients the elementwise step is numpy's *.
-
-    The result is exact, not close: ciphertexts under * and + form the
-    commutative group Z*_{n^2}, so prod_k basis[k]^E_k is the very integer
-    the row-by-row form reaches from the expanded upstream. An entry is 0
-    only when no row reaches it, never because an exponent sums to 0.
+    With basis K ciphertexts, upstream is (N, d, K) float64: row r's
+    upstream at output o is sum_k upstream[r, o, k] * basis[k]. Backprop is
+    linear in the upstream, so K plaintext Network.backward passes give
+    every entry's coefficients, each encoded once at the entry's fraction
+    bits less the basis's 2f; the K basis ciphertexts then serve every entry,
+    in one contraction job per block of entries, a block per worker. The
+    cost of a basis does not grow with N.
     """
-    f, encoded = frac_bits, _fixed
+    f, depth = frac_bits, len(net.layers)
+    kinds = ("weights", "bias")
+    names = [f"layer{idx}.{kind}" for idx in range(depth) for kind in kinds]
+    fracs = [(2 + depth - idx) * f for idx in range(depth) for _ in kinds]
     if basis is not None:
-        # Coefficients on a basis are plaintext: they cross as raw integers,
-        # whose fraction bits are counted apart, and become FixedPoint
-        # exponents only for the final contraction.
-        fracs = {c.frac_bits for c in upstream.flat}
-        coef_frac = fracs.pop() if fracs else 0
-        for other in fracs:
-            check_frac_match(coef_frac, other)
-        upstream = np.array([c.raw for c in upstream.flat], dtype=object).reshape(upstream.shape)
-        encoded = _raws
-
-    def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Coefficients on a basis are plaintext: numpy contracts them
-        # without holding every product at once.
-        if basis is not None:
-            return a @ b
-        rows, (k, c) = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), b.shape
-        # Column blocks narrow enough that a call holds a row per worker.
-        width = max(1, min(c, CONTRACTION_BATCH // max(1, k * _workers())))
-        step = max(1, CONTRACTION_BATCH // max(1, k * width))
-        out = np.zeros((len(rows), c), dtype=object)
-        for i in range(0, len(rows), step):
-            for j in range(0, c, width):
-                (out[i:i + step, j:j + width],) = contractions(
-                    mapper, (rows[i:i + step], b[:, j:j + width]))
-        return out.reshape(*a.shape[:-1], c)
-
-    delta, frac = upstream.transpose(0, 2, 1), 2 * f  # (N, K, d)
-    tensors: list[_GradTensor] = [None] * (2 * len(net.layers))
-    for idx in range(len(net.layers) - 1, -1, -1):
-        a_out, a_in = trace[idx + 1], trace[idx]
-        slope = encoded(a_out * (1.0 - a_out), f)[:, None, :]
-        dz = (delta * slope if basis is not None else contractions(
-            mapper, (delta[..., None, None], slope[..., None, None]))[0][..., 0, 0])
-        grad_w = np.moveaxis(matmul(dz.transpose(1, 2, 0), encoded(a_in, f)), 0, -1)
-        grad_b = dz.sum(axis=0).T
-        tensors[2 * idx] = _GradTensor(f"layer{idx}.weights", grad_w, frac + 2 * f)
-        tensors[2 * idx + 1] = _GradTensor(f"layer{idx}.bias", grad_b, frac + f)
-        if idx:
-            delta = matmul(dz, encoded(net.layers[idx].weights, f))
-            frac += 2 * f
-    if basis is None:
-        for tensor in tensors:
-            tensor.values = tensor.values[..., 0]
-    else:
-        # A tensor's coefficients carry the upstream's fraction bits plus
-        # those its layers added: its frac_bits less the 2f it starts from.
-        coef = np.concatenate([
-            np.array([FixedPoint(raw, t.frac_bits - 2 * f + coef_frac) for raw in t.values.flat],
-                     dtype=object).reshape(-1, len(basis)) for t in tensors])
-        blocks = np.array_split(coef, max(1, min(len(coef), _workers())))
+        passes = [net.backward(trace, upstream[..., k]) for k in range(len(basis))]
+        coef = [np.stack([getattr(grads[idx], kind) for grads in passes], axis=-1)
+                for idx in range(depth) for kind in kinds]
+        flat = np.concatenate([_fixed(c, frac - 2 * f).reshape(-1, len(basis))
+                               for c, frac in zip(coef, fracs)])
+        blocks = np.array_split(flat, max(1, min(len(flat), _workers())))
         terms = np.concatenate(contractions(mapper, *[(basis, block.T) for block in blocks]))
-        ends = np.cumsum([t.values[..., 0].size for t in tensors])
-        for tensor, part in zip(tensors, np.split(terms, ends[:-1])):
-            tensor.values = part.reshape(tensor.values.shape[:-1])
-    return tensors
+        values = [part.reshape(c.shape[:-1]) for c, part in zip(
+            coef, np.split(terms, np.cumsum([c[..., 0].size for c in coef])[:-1]))]
+    else:
+        values, delta = [None] * (2 * depth), upstream
+        for idx in range(depth - 1, -1, -1):
+            a_out, a_in = trace[idx + 1], trace[idx]
+            slope = a_out * (1.0 - a_out)
+            a_one = np.hstack([a_in, np.ones((len(a_in), 1))])  # a bias is a unit input
+            grad = _contract(mapper, delta.T, slope.T, a_one, f)
+            values[2 * idx], values[2 * idx + 1] = grad[:, :-1], grad[:, -1]
+            if idx:
+                delta = _contract(mapper, delta, slope, net.layers[idx].weights, f)
+    return [_GradTensor(*entry) for entry in zip(names, values, fracs)]
 
 
 def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) -> list[_GradTensor]:
@@ -604,7 +600,7 @@ class _Party:
         (request,) = _read(self._recv({MsgType.PREDICT_REQUEST: seq}).payload,
                            [("u", (None, len(prototype)))])
         n = request.dims[0]
-        (scores,) = contractions(self.mapper, (_section_array(request, self.keys),
+        (scores,) = contractions(self.mapper, (_section_array(request, self.keys, self.frac_bits),
                                                _fixed(prototype, self.frac_bits)))
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
@@ -633,20 +629,21 @@ class SourceParty(_Party):
         self.labels_c = split.labels_for(split.labeled_ids).astype(int)
         self.ab_rows = split.source_rows(split.overlap_ids)
         self.peer_layout = ComponentBatch.layout(len(self.labels_c), len(self.ab_rows),
-                                                 net.hidden_dim, True)
+                                                 net.hidden_dim, frac_bits, True)
         # Row j's coefficient on the pooled basis: y_j on pooled[o] at output o.
-        self.coef = _fixed(self.labels[:, None, None] * np.eye(net.hidden_dim), 0)
+        self.coef = self.labels[:, None, None] * np.eye(net.hidden_dim)
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         """Encrypt the prototype-quadratic, prototype-linear, and alignment
-        components under this party's own key."""
+        components under this party's own key; the target adds lin and align
+        to its 2f-bit upstream as they are, so they are encrypted at 2f."""
         u = trace[-1]
         prototype = label_prototype(u, self.labels)
         y, f = self.labels_c, self.frac_bits
         return ComponentBatch(*self._encrypt(
             ((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype), f),
-            ((-0.5 * y)[:, None] * prototype, f),
-            (self.cfg.gamma * self.align.kappa * u[self.ab_rows], f)))
+            ((-0.5 * y)[:, None] * prototype, 2 * f),
+            (self.cfg.gamma * self.align.kappa * u[self.ab_rows], 2 * f)))
 
     def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
                       prototype: np.ndarray) -> Ciphertext:
@@ -693,7 +690,7 @@ class SourceParty(_Party):
             residual = by_align + _fixed(own_align, 2 * f)
             rows = [a[self.ab_rows] for a in trace]
             for tensor, extra in zip(tensors, encrypted_backward(
-                    self.net, rows, residual[:, :, None], f, mapper=self.mapper)):
+                    self.net, rows, residual, f, mapper=self.mapper)):
                 tensor.values = tensor.values + extra.values
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
@@ -749,7 +746,7 @@ class TargetParty(_Party):
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)
         self.x = split.x_target[split.target_rows(batch_ids)]
         self.peer_layout = ComponentBatch.layout(len(self.c_pos), len(self.ab_pos),
-                                                 net.hidden_dim, False)
+                                                 net.hidden_dim, frac_bits, False)
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
@@ -766,21 +763,15 @@ class TargetParty(_Party):
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_GradTensor]:
         """Own-parameter gradient under the source's key, before masking."""
         f, u = self.frac_bits, trace[-1]
-        one = encode(1.0, f)  # lifts a component to the upstream's 2f fraction bits
-        # Pair c's upstream at output o contracts quad[c, o, :] and lin[c, o]
-        # against 2 u_c and one.
-        n_c = len(self.c_pos)
-        (by_pair,) = contractions(self.mapper, (
-            np.concatenate([comps.quad, comps.lin[:, :, None]], axis=-1),
-            np.concatenate([_fixed(2.0 * u[self.c_pos], f),
-                            np.full((n_c, 1), one, dtype=object)], axis=-1)[:, :, None]))
-        (by_align,) = contractions(self.mapper, (comps.align[..., None], [one]))
+        # Pair c's upstream at output o contracts quad[c, o, :] against 2 u_c
+        # and adds lin[c, o]; the source sent lin and align at 2f.
+        (by_pair,) = contractions(self.mapper, (comps.quad,
+                                                _fixed(2.0 * u[self.c_pos, :, None], f)))
         upstream = np.zeros(u.shape, dtype=object)
-        upstream[self.c_pos] = by_pair[..., 0]
+        upstream[self.c_pos] = by_pair[..., 0] + comps.lin
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
-        upstream[self.ab_pos] += by_align + _fixed(own_align, 2 * f)
-        tensors = encrypted_backward(self.net, trace, upstream[:, :, None], f,
-                                     mapper=self.mapper)
+        upstream[self.ab_pos] += comps.align + _fixed(own_align, 2 * f)
+        tensors = encrypted_backward(self.net, trace, upstream, f, mapper=self.mapper)
         return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
 
     def run_training(self) -> TrainingResult:
@@ -918,8 +909,8 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
             raise ValueError(f"the encrypted engine trains the Taylor loss only, "
                              f"not loss_mode {cfg.loss_mode!r}")
         for role, net in (("source", net_source), ("target", net_target)):
-            # Upstream enters at 2f fraction bits and each layer adds 2f.
-            needed = 2 * frac_bits * (len(net.layers) + 1)
+            # Upstream enters at 2f fraction bits and each layer adds f.
+            needed = frac_bits * (len(net.layers) + 2)
             if needed > MAX_FRAC_BITS:
                 raise ValueError(f"the {len(net.layers)}-layer {role} net needs {needed} "
                                  f"fraction bits at frac_bits {frac_bits}, over the limit "

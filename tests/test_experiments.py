@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_parse_config_rejects_bad_lines():
         parse_config_text("not_a_key = 3\n")
     with pytest.raises(ValueError):
         parse_config_text("trcv_k = 3\n")
+    # A value that does not parse names its line and key.
+    for text, message in (("n = abc", "line 2: n expects int, got 'abc'"),
+                          ("sweep = 8,x", "line 2: sweep expects comma-separated integers"),
+                          ("gamma = 0.1.2", "line 2: gamma expects float, got '0.1.2'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config_text(f"# comment\n{text}\n")
 
 
 def test_config_validate():

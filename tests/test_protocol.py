@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from secureftl import paillier, protocol
 from secureftl.datasets import FederationSplit, synth_two_view
-from secureftl.encoding import EncodingOverflowError, FixedPoint, is_zero
+from secureftl.encoding import FixedPoint, is_zero
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import (
@@ -24,7 +24,6 @@ from secureftl.paillier import (
     PrivateKey,
     PublicKey,
     _multiexp_job,
-    contractions,
     keygen,
 )
 from secureftl.plain import TrainingConfig, train_plain
@@ -87,14 +86,15 @@ def test_encrypted_backward_matches_plaintext():
 
     key = keygen(512, random.Random(11))
     # Rows no ciphertext reaches hold the structural zero 0.
-    upstream = np.zeros((5, 2, 1), dtype=object)
-    upstream[[0, 2, 4], :, 0] = _enc_array(key.public, upstream_plain[[0, 2, 4]], 2 * F)
+    upstream = np.zeros((5, 2), dtype=object)
+    upstream[[0, 2, 4]] = _enc_array(key.public, upstream_plain[[0, 2, 4]], 2 * F)
     trace = net.forward_trace(x)
     tensors = encrypted_backward(net, trace, upstream, F)
     expected = net.backward(trace, upstream_plain)
     assert [t.name for t in tensors] == [
         "layer0.weights", "layer0.bias", "layer1.weights", "layer1.bias"]
-    assert [t.frac_bits for t in tensors] == [6 * F, 5 * F, 4 * F, 3 * F]
+    # Upstream at 2F, and each layer crossed adds F.
+    assert [t.frac_bits for t in tensors] == [4 * F, 4 * F, 3 * F, 3 * F]
     for tensor, layer_idx in zip(tensors, (0, 0, 1, 1)):
         want = expected[layer_idx].weights if tensor.name.endswith("weights") \
             else expected[layer_idx].bias
@@ -105,14 +105,15 @@ def test_encrypted_backward_matches_plaintext():
 def test_contraction_batches_bound_the_products(monkeypatch):
     # With one worker and a batch of 15 exponent terms, each contraction
     # goes in blocks of whole output rows, and a row of more terms in blocks
-    # of its columns: a delta row is 2 bases x 3 columns, so two rows a
-    # block; a gradient row is 5 bases x 3 or 4 columns, so three columns a
-    # block. The ciphertexts are those of one batch per contraction.
+    # of its columns: a gradient row is 5 bases x 4 or 5 columns (inputs and
+    # bias), so three columns a block; a delta row is 2 bases x 3 columns,
+    # so two rows a block. The ciphertexts are those of one batch per
+    # contraction.
     monkeypatch.setattr(protocol, "_workers", lambda: 1)
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
     key = keygen(512, random.Random(11))
-    upstream = _enc_array(key.public, rng.normal(size=(5, 2, 1)), 2 * F)
+    upstream = _enc_array(key.public, rng.normal(size=(5, 2)), 2 * F)
     trace = net.forward_trace(rng.normal(size=(5, 4)))
     batches = []
 
@@ -125,23 +126,23 @@ def test_contraction_batches_bound_the_products(monkeypatch):
     monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 15)
     blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
     assert _ct_fields(blocked) == _ct_fields(whole)
-    # dz, grad_w, delta, dz, grad_w: one batch each, then per block.
-    assert whole_batches == [10, 30, 30, 15, 60]
-    assert batches == [10, 15, 15, 12, 12, 6, 15, 15, 5, 15, 5, 15, 5]
+    # grad, delta, grad: one batch each, then per block.
+    assert whole_batches == [40, 30, 75]
+    assert batches == [15, 5, 15, 5, 12, 12, 6, 15, 10, 15, 10, 15, 10]
     assert max(batches) <= 15 and sum(batches) == sum(whole_batches)
 
 
 def test_blocked_contractions_give_every_worker_a_job(monkeypatch):
-    # With a batch of 12 exponent terms, a gradient row of 4 bases x 3 or 4
+    # With a batch of 12 exponent terms, a gradient row of 4 bases x 4 or 5
     # columns is cut into column blocks. One worker's blocks are 3 columns
     # wide, so a map call holds a single row's job and the other worker
-    # idles: [(8, 8), (1, 12), (1, 12), (2, 12), (2, 12), (12, 12), (1, 12),
-    # (1, 4), ...] as (jobs, terms). Two workers' blocks are narrow enough
-    # that every call holds a job for each.
+    # idles: [(1, 12), (1, 4), (1, 12), (1, 4), (2, 12), ...] as (jobs,
+    # terms). Two workers' blocks are narrow enough that every call holds a
+    # job for each.
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
     key = keygen(512, random.Random(11))
-    upstream = _enc_array(key.public, rng.normal(size=(4, 2, 1)), 2 * F)
+    upstream = _enc_array(key.public, rng.normal(size=(4, 2)), 2 * F)
     trace = net.forward_trace(rng.normal(size=(4, 4)))
     calls = []
 
@@ -154,9 +155,8 @@ def test_blocked_contractions_give_every_worker_a_job(monkeypatch):
     monkeypatch.setattr(protocol, "_workers", lambda: 2)
     blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
     assert _ct_fields(blocked) == _ct_fields(whole)
-    # dz, grad_w in 3 calls, delta in 2, dz, grad_w in 4.
-    assert calls == [(8, 8), (2, 8), (2, 8), (2, 8), (2, 12), (2, 12),
-                     (12, 12), (3, 12), (3, 12), (3, 12), (3, 12)]
+    # grad in 4 calls, delta in 2, grad in 5.
+    assert calls == [(2, 8)] * 4 + [(2, 12)] * 2 + [(3, 12)] * 5
     assert all(jobs >= 2 and terms <= 12 for jobs, terms in calls)
 
 
@@ -167,58 +167,71 @@ def _ct_fields(tensors):
             for t in tensors]
 
 
+def _add_tensors(tensors, extra):
+    for tensor, more in zip(tensors, extra):
+        tensor.values = tensor.values + more.values
+    return tensors
+
+
 @pytest.mark.parametrize("case", ["signs-and-residual-only-rows", "zero-sum", "no-basis"])
-def test_shared_basis_backward_is_exact(case):
-    """Coefficients on a shared basis, contracted over rows before any
-    ciphertext is touched, plus residual ciphertext rows (the source's
-    gradient) reach the very ciphertexts of the expanded per-row upstream."""
+def test_shared_basis_backward_matches_plaintext(case):
+    """Float64 coefficients on a shared basis, passed through the plaintext
+    backward and encoded once per entry, plus residual ciphertext rows (the
+    source's gradient) match the plaintext backward of the expanded per-row
+    upstream within quantization."""
     rng = np.random.default_rng(5)
     key = keygen(512, random.Random(11))
     net = init_network([3, 4, 2], seed=9)
-
-    def enc_rows(count):
-        return _enc_array(key.public, rng.normal(size=(count, 2)), 2 * F)
-
-    basis = enc_rows(1)[0]
+    basis_plain, residual_plain = rng.normal(size=2), rng.normal(size=(3, 2))
+    basis = _enc_array(key.public, basis_plain, 2 * F)
     x = rng.normal(size=(5, 3))
     signs = np.array([1, -1, 1, -1, -1])
     rows = np.array([0, 3, 4])  # the rows with a residual
-    residual = enc_rows(3)
     if case == "zero-sum":
-        # Two equal rows of opposite sign: every contracted exponent is 0.
-        x, signs, rows, residual = x[[0, 0]], signs[:2], rows[:0], residual[:0]
+        # Two equal rows of opposite sign: every coefficient sums to 0, up
+        # to float64 rounding, yet every entry is still a ciphertext.
+        x, signs, rows, residual_plain = x[[0, 0]], signs[:2], rows[:0], residual_plain[:0]
     coef = signs[:, None, None] * np.eye(2)
     if case == "signs-and-residual-only-rows":
         coef[4] = 0  # row 4 reaches the gradient through its residual only
     if case == "no-basis":
-        basis = np.zeros(2, dtype=object)  # n_c = 0: the pooled basis is structural zeros
-    coef = np.array([FixedPoint(int(c), 0) for c in coef.ravel()],
-                    dtype=object).reshape(coef.shape)
+        # n_c = 0: the pooled basis is structural zeros.
+        basis, basis_plain = np.zeros(2, dtype=object), np.zeros(2)
     trace = net.forward_trace(x)
 
     got = encrypted_backward(net, trace, coef, F, basis)
     if len(rows):
-        extra = encrypted_backward(net, [a[rows] for a in trace], residual[:, :, None], F)
-        for tensor, more in zip(got, extra):
-            tensor.values = tensor.values + more.values
-    # Row r, output o: prod_k basis[k]^coef[r, o, k].
-    (expanded,) = contractions(map, (basis, coef.transpose(0, 2, 1)))
-    expanded[rows] += residual
-    want = encrypted_backward(net, trace, expanded[:, :, None], F)
-    assert _ct_fields(got) == _ct_fields(want)
+        got = _add_tensors(got, encrypted_backward(
+            net, [a[rows] for a in trace], _enc_array(key.public, residual_plain, 2 * F), F))
+    # Row r, output o: sum_k coef[r, o, k] * basis[k], plus its residual.
+    upstream = coef @ basis_plain
+    upstream[rows] += residual_plain
+    expected = net.backward(trace, upstream)
     assert all(isinstance(ct, Ciphertext) for t in got for ct in t.values.flat)
-    if case == "zero-sum":
-        assert {ct.value for t in got for ct in t.values.flat} == {1}
+    for tensor, layer_idx in zip(got, (0, 0, 1, 1)):
+        want = getattr(expected[layer_idx], tensor.name.split(".")[1])
+        assert np.allclose(_decrypt_tensor(tensor, key), want, atol=1e-9)
 
 
 def test_basis_coefficients_share_one_fraction_count():
+    # Basis and ciphertext-row tensors follow one schedule, 2F + (L - i) F
+    # for layer i of L, so the source can add them entry by entry.
     key = keygen(512, random.Random(11))
-    net = init_network([3, 2], seed=9)
-    trace = net.forward_trace(np.random.default_rng(5).normal(size=(2, 3)))
-    basis = _enc_array(key.public, np.ones((1, 2)), 2 * F)[0]
-    coef = np.array([FixedPoint(1, 0)] * 7 + [FixedPoint(2, 1)], dtype=object).reshape(2, 2, 2)
-    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch"):
-        encrypted_backward(net, trace, coef, F, basis)
+    basis = _enc_array(key.public, np.ones(2), 2 * F)
+    coef = np.array([1, -1])[:, None, None] * np.eye(2)
+    rows = _enc_array(key.public, np.ones((2, 2)), 2 * F)
+    for dims in ([3, 2], [3, 4, 2], [3, 2, 2, 2]):
+        net = init_network(dims, seed=9)
+        trace = net.forward_trace(np.random.default_rng(5).normal(size=(2, 3)))
+        depth = len(net.layers)
+        schedule = [(2 + depth - i) * F for i in range(depth) for _ in "wb"]
+        on_basis, on_rows = (encrypted_backward(net, trace, coef, F, basis),
+                             encrypted_backward(net, trace, rows, F))
+        for tensors in (on_basis, on_rows):
+            assert [t.frac_bits for t in tensors] == schedule
+            assert all(ct.frac_bits == t.frac_bits for t in tensors for ct in t.values.flat)
+        assert all(isinstance(ct, Ciphertext)
+                   for t in _add_tensors(on_basis, on_rows) for ct in t.values.flat)
 
 
 def test_component_batch_roundtrip():
@@ -229,7 +242,7 @@ def test_component_batch_roundtrip():
         lin=_enc_array(key.public, [[5.0, 6.0], [7.0, 8.0]]),
         align=_enc_array(key.public, [[0.5, -0.5]]),
         reg=encrypt(key.public, 9.0, F))
-    layout = [("quad", (1, 2, 2)), ("lin", (2, 2)), ("align", (1, 2)), ("reg", ())]
+    layout = [("quad", (1, 2, 2), F), ("lin", (2, 2), F), ("align", (1, 2), F), ("reg", (), F)]
     back = ComponentBatch.from_payload(batch.to_payload(), keys, layout)
     assert decrypt_raw(key, back.quad[0, 1, 0]) == decrypt_raw(key, batch.quad[0, 1, 0])
     assert (back.quad.shape, back.lin.shape, back.align.shape) == ((1, 2, 2), (2, 2), (1, 2))
@@ -377,13 +390,32 @@ def test_encrypted_rejects_too_deep_net_before_keygen(small_split, monkeypatch):
 
     monkeypatch.setattr("secureftl.protocol.keygen", no_keygen)
     channels = loopback_pair()
-    # Three layers at f = 40 reach 2f(3 + 1) = 320 fraction bits.
-    with pytest.raises(ValueError, match="3-layer source net needs 320 fraction bits.*"
+    # Five layers at f = 40 reach 2f + 5f = 280 fraction bits.
+    with pytest.raises(ValueError, match="5-layer source net needs 280 fraction bits.*"
                                          "MAX_FRAC_BITS = 255"):
-        train_encrypted(small_split, init_network([3, 4, 4, 2], seed=4),
+        train_encrypted(small_split, init_network([3, 4, 4, 4, 4, 2], seed=4),
                         init_network([2, 2], seed=5), _tiny_cfg(), frac_bits=F,
                         channels=channels)
     assert channels[2].frames() == []
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_deep_nets_train_encrypted(small_split, depth):
+    # At f = 40 a 4-layer net's bottom gradient reaches 2f + 4f = 240 <= 255
+    # fraction bits.
+    def nets():
+        return (init_network([3] + [4] * (depth - 1) + [2], seed=4),
+                init_network([2] + [4] * (depth - 1) + [2], seed=5))
+
+    cfg = _tiny_cfg(max_iterations=2)
+    plain_nets, enc_nets = nets(), nets()
+    plain = train_plain(small_split, *plain_nets, cfg)
+    run = train_encrypted(small_split, *enc_nets, cfg, key_bits=512, frac_bits=F, seed=0)
+    assert len(run.result.loss_history) == len(plain.loss_history) == 2
+    assert np.allclose(run.result.loss_history, plain.loss_history, atol=1e-5, rtol=0)
+    for enc, want in zip(enc_nets, plain_nets):
+        assert np.allclose(enc.get_flat(), want.get_flat(), atol=1e-5, rtol=0)
+    assert audit_training(run.transcript, run.source, run.target).ok
 
 
 def _component_batch(public, n_c, n_ab, d, reg):
@@ -560,12 +592,15 @@ def _content_digests(transcript, keys) -> dict[str, str]:
     return out
 
 
-# The content digests were computed with the same walk over the payload
-# layout that preceded the section codec: every ciphertext, mask, raw value,
-# label and modulus is the same as under it, only the framing bytes differ.
+# Per-direction sha256 over every value a frame carries, whatever its byte
+# layout. The training digests were pinned when backprop came to fold each
+# layer's plaintext factors into one contraction at f fraction bits and the
+# source to send lin and align at 2f: every gradient section changed its
+# fraction bits and values. The prediction digests predate that change,
+# which leaves prediction untouched.
 CONTENT_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "0fad62dd64981ef2c04acca5ac39cd941091b5f2decf0b1989954208d3e07ec0",
-    DIR_TARGET_TO_SOURCE: "10c18f0f1a19a3e2b0b86025a26443af4a2fffcdbe74c8a1e15f15f0dd78e3af",
+    DIR_SOURCE_TO_TARGET: "26cba94bfc13fdaa5f1a24a2b97127b9449bfb44f7756097c67075e5d8bea70d",
+    DIR_TARGET_TO_SOURCE: "2c6c65e177a94063004c4b1276475771e88ebc719c3d89a819088574d1bbe31c",
 }
 CONTENT_PREDICT = {
     DIR_SOURCE_TO_TARGET: "31ede96207589279146689a828950cb255d664cb1f800eda78218ccba0d1488e",
@@ -575,19 +610,17 @@ CONTENT_PREDICT = {
 # Per-direction sha256 over (type, iteration, payload) of every frame: the
 # exact bytes on the wire under the section codec.
 GOLDEN_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "1dbd98275082faca31502bec55992dac74fd89fdf6741210f7cb86c13accb2e6",
-    DIR_TARGET_TO_SOURCE: "fe9fe571b5faf31888f4eb66dfd1e265e439463d53e9eeec37e7ae6bf6d10a4e",
+    DIR_SOURCE_TO_TARGET: "844bc4f341321770422edc6bd01025511d8476b6d1a1f50907a5788e39f0e857",
+    DIR_TARGET_TO_SOURCE: "736d730c66cb9b0f7bba74e9992d40e383d10810c6e582df225a23b7e8f63895",
 }
-# Two iterations with two-layer nets ([3, 4, 2] source, [2, 4, 2] target),
-# pinned from the row-by-row encrypted backprop that preceded the shared
-# gradient basis: contracting the source's upstream changes no byte.
+# Two iterations with two-layer nets ([3, 4, 2] source, [2, 4, 2] target).
 CONTENT_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "c8d91de9ad23fc2d0b1bb34a61cba996fb4120aca2ce89666e98c6702903646a",
-    DIR_TARGET_TO_SOURCE: "d260b8b89e26a7397f891d780c7b41d65ec99f2bcced9cee79139f1edbc7fd65",
+    DIR_SOURCE_TO_TARGET: "5015a9627a572b6bcce196b214a5f6747094a52e83227838725c3fa79d7ee19a",
+    DIR_TARGET_TO_SOURCE: "b3be3d441e8882013263636cc8cc1ef5e922372a2be337bcc6d1396fc3fd0443",
 }
 GOLDEN_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "25aa5fc6bf634330e52f1d8b7e640eab48e406a97cc9a5134d69beb0561b2c7c",
-    DIR_TARGET_TO_SOURCE: "e459bc34a418e83f56c2eb2fc1c1eab5ad8de181e07437e245004a29fc158686",
+    DIR_SOURCE_TO_TARGET: "71b52d3404de284aed94469cce752256dc8dde76a927afb066c6bb0c737404fb",
+    DIR_TARGET_TO_SOURCE: "0726e13004bdee0c26c9e3e67c3c8e453f0be9be62b351cb03e03e2e08c13554",
 }
 GOLDEN_PREDICT = {
     DIR_SOURCE_TO_TARGET: "b43a813fbbef343fa1a5dcf254f48e6a07418f142bca545abb2efe1a4cca699c",
@@ -628,20 +661,20 @@ def test_golden_transcripts(small_split, monkeypatch, builtin_pow):
 
 
 # Two iterations with two-layer nets and alignment = distance on splits with
-# no labeled pairs, no overlap pairs, or neither, pinned from the engine
-# that ran the protocol over nested lists with None for exact zeros.
+# no labeled pairs, no overlap pairs, or neither, pinned with the training
+# digests above.
 CONTENT_DEGENERATE = {
     (0, 3): {
-        DIR_SOURCE_TO_TARGET: "f666c05073938d525dac73cbe865861a03a0a78248de33bac76dc6e945e05932",
-        DIR_TARGET_TO_SOURCE: "3719e0111dadf7b6b49e9244a25254d46247b260a341d3d8b57d764bfb5bc11b",
+        DIR_SOURCE_TO_TARGET: "73005660e6be8e755add0cc4350f5f2353810845bb6b998db029ae4af3d20139",
+        DIR_TARGET_TO_SOURCE: "ae71aa05fdf56d183f57e31e4053653531f465bea191499597da0e68f6caef64",
     },
     (2, 0): {
-        DIR_SOURCE_TO_TARGET: "31ca6043ae52b54c52f3f108691e48e8eb41c66a798b9c21f2a52d6ec3b4936f",
-        DIR_TARGET_TO_SOURCE: "6302f5f204255c3b87a1104b6144e8ccd002f3d000c6eb46cc0320c210d9719c",
+        DIR_SOURCE_TO_TARGET: "b87b738cefa1f294aace0785e3bab612495e6442c60b8747331032b431a76faa",
+        DIR_TARGET_TO_SOURCE: "09a784eb6cc29a39fb3032f0f2c4c79fda4cc2766acc13e3715ddc2c01e2aae0",
     },
     (0, 0): {
-        DIR_SOURCE_TO_TARGET: "d579987662e70f57422cce9d1109329c921d552b2ecc0a689ce439615723d208",
-        DIR_TARGET_TO_SOURCE: "4ef513f6cc05fd3caa69d679ee61579b86677f29eb3816b9a4d2d95ebd7eebda",
+        DIR_SOURCE_TO_TARGET: "1b9eba6e48c7c4086046d9414174a8bcb1d43252eae7e2c49e1fe8faa164f032",
+        DIR_TARGET_TO_SOURCE: "7e89920cfa4af0bcff89b34f6be668182ba8ce97b0b96d7fe4a8cb66ea2bacd5",
     },
 }
 
@@ -754,7 +787,7 @@ def wire_samples():
 # The wire samples' shapes: the source reads a target batch of n_c = 2
 # labeled and n_ab = 3 overlap items of d = 2 with a reg scalar, and a
 # prediction asks about n = 2 rows of d = 2.
-SAMPLE_COMPONENTS = ComponentBatch.layout(2, 3, 2, True)
+SAMPLE_COMPONENTS = ComponentBatch.layout(2, 3, 2, F, True)
 
 # decoder name -> (message type whose payloads it reads, decoder)
 DECODERS = {
@@ -1025,6 +1058,49 @@ def test_server_rejects_blob_claiming_other_fraction_bits(small_split):
                           channels=channels)
     assert channels[2].frames(msg_type=MsgType.PREDICT_LABELS) == []
     assert all(np.array_equal(a, b) for a, b in zip(_params(*nets), before))
+
+
+def _at_frac_bits(frac_bits: int, name: str):
+    """A section edit that rewrites the fraction byte of every ciphertext in
+    the section called name."""
+    def edit(sections):
+        out = []
+        for section in sections:
+            data, pos = bytearray(section.data), 0
+            while section.name == name and pos < len(data):
+                data[pos + 8] = frac_bits  # after the 8-byte key fingerprint
+                pos += 13 + int.from_bytes(data[pos + 9:pos + 13], "big")
+            out.append(Section(section.name, section.dims, bytes(data)))
+        return out
+    return edit
+
+
+@pytest.mark.parametrize("msg_type, name, frac_bits, reader, want", [
+    (MsgType.COMPONENTS_A, "quad", 200, "target", F),
+    (MsgType.COMPONENTS_A, "lin", 7, "target", 2 * F),
+    (MsgType.COMPONENTS_B, "reg", 3, "source", 2 * F),
+    (MsgType.COMPONENTS_B, "align", 250, "source", F),
+    (MsgType.PREDICT_REQUEST, "u", 3, "source", F),
+], ids=["quad", "lin", "reg", "align", "u"])
+def test_section_at_other_fraction_bits_is_rejected_where_read(small_split, msg_type, name,
+                                                              frac_bits, reader, want):
+    # Each ciphertext section has the fraction bits its reader uses it at;
+    # any other count is a ProtocolError at the read, before the reader
+    # contracts anything or sends another frame.
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    channels = _watched_pair([], reader, _resectioned(msg_type, _at_frac_bits(frac_bits, name)))
+    with pytest.raises(ProtocolError, match=f"section {name} holds ciphertexts at other than "
+                                            f"{want} fraction bits"):
+        if msg_type == MsgType.PREDICT_REQUEST:
+            predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
+                              channels=channels)
+        else:
+            train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=1), key_bits=512,
+                            channels=channels)
+    sent = channels[2].frames(direction=DIR_SOURCE_TO_TARGET if reader == "source"
+                              else DIR_TARGET_TO_SOURCE)
+    assert not {MsgType.MASKED_GRAD_A, MsgType.MASKED_GRAD_B,
+                MsgType.PREDICT_MASKED} & {r.msg_type for r in sent}
 
 
 def test_requester_rejects_extra_scores_before_decrypting(small_split, monkeypatch):

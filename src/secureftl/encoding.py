@@ -9,15 +9,18 @@ and the single rescale happens after decryption (rescaling under encryption
 is impossible additively).
 
 FixedPoint and paillier.Ciphertext share one +, which needs equal fraction
-bits; a product adds them, and takes a ciphertext only in
-paillier.contractions. The int 0 is the structural zero, a value nothing
-reached: it adds nothing, and any product with it stays 0.
+bits. Plaintext meets a ciphertext in a product only as a float64 array,
+which encode_array turns into raws once, in paillier.contractions; the
+product's fraction bits are the sum of both sides'. The int 0 is the
+structural zero, a value nothing reached: it adds nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_FRAC_BITS = 40
 # Wire format spends one byte on the counter; deep encrypted backprop chains
@@ -67,14 +70,7 @@ class FixedPoint:
             return FixedPoint(self.raw + other.raw, self.frac_bits)
         return self if is_zero(other) else NotImplemented
 
-    def __mul__(self, other):
-        if isinstance(other, FixedPoint):
-            return FixedPoint(self.raw * other.raw,
-                              check_frac_sum(self.frac_bits, other.frac_bits))
-        return 0 if is_zero(other) else NotImplemented
-
     __radd__ = __add__
-    __rmul__ = __mul__
 
 
 def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
@@ -90,6 +86,22 @@ def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
     if not math.isfinite(scaled):
         raise EncodingOverflowError(f"{value!r} * 2**{frac_bits} overflows a float")
     return FixedPoint(round(scaled), frac_bits)
+
+
+def encode_array(values, frac_bits: int) -> np.ndarray:
+    """encode(v, frac_bits).raw of every entry of a float64 array, as an
+    object array of ints of the same shape."""
+    check_frac_bits(frac_bits)
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise EncodingOverflowError("cannot encode a non-finite value")
+    with np.errstate(over="ignore"):
+        scaled = values * float(1 << frac_bits)
+    if not np.isfinite(scaled).all():
+        raise EncodingOverflowError(f"a value * 2**{frac_bits} overflows a float")
+    # The same exact power-of-two scaling and half-even round as encode.
+    return np.array([round(x) for x in scaled.ravel().tolist()],
+                    dtype=object).reshape(values.shape)
 
 
 def decode_raw(raw: int, frac_bits: int) -> float:

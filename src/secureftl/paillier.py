@@ -2,10 +2,10 @@
 
 Implements keygen plus one batch form of each operation the protocol needs.
 ct + ct and ct + FixedPoint add plaintexts; a product with a plaintext is
-only ever a contraction, so a ciphertext has no *. Ciphertexts carry the
-fractional-bit counter of their fixed-point plaintext so mismatched
-additions fail loudly instead of corrupting silently, and the int 0 is the
-structural zero of encoding.
+only ever a contraction against a float64 array, so a ciphertext has no *.
+Ciphertexts carry the fractional-bit counter of their fixed-point plaintext
+so mismatched additions fail loudly instead of corrupting silently, and the
+int 0 is the structural zero of encoding.
 
 Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, so g^m costs
 a multiply instead of a full modular exponentiation, and the modulus n is
@@ -26,14 +26,15 @@ forms, encrypt_raws and decrypt_raws, run PrivateKey.obfuscator and
 decrypt_residue in their jobs, with every random r drawn in the caller
 beforehand; PublicKey.encrypt_raw is the one encryption under a peer's key.
 Every ciphertext-by-plaintext product goes through _multiexp_job from one
-batch form, contractions (a @ b): it checks every term's fraction bits and
-keys before any job, then sends one job per row of the ciphertext operand,
-whose bases serve all of that row's columns. An elementwise product is a
-contraction over unit axes, a[..., None, None] @ b[..., None, None], so
-only contractions knows the rule of multiplication; likewise only __add__
-knows the rule of addition. mul_int and add_raw, which no protocol path
-calls, are the one-element contraction by FixedPoint(k, 0) and
-ct + FixedPoint(raw, frac_bits).
+batch form, contractions (a @ b): a holds ciphertexts, b is float64 and
+encoded once at the one fraction count given with it (encode_array). It
+checks each row's key and fraction bits before any job, then sends one job
+per row of the ciphertext operand, whose bases serve all of that row's
+columns. An elementwise product is a contraction over unit axes,
+a[..., None, None] @ b[..., None, None], so only contractions knows the
+rule of multiplication; likewise only __add__ knows the rule of addition.
+mul_int and add_raw, which no protocol path calls, are one one-term
+_multiexp_job by an exact int and ct + FixedPoint(raw, frac_bits).
 
 keygen draws each prime as random candidates tested by trial division up
 to 47 and 40 Miller-Rabin rounds with random witnesses. A candidate with a
@@ -71,6 +72,7 @@ from .encoding import (
     check_frac_match,
     check_frac_sum,
     encode,  # noqa: F401
+    encode_array,
     from_residue,
     is_zero,
     to_residue,
@@ -479,71 +481,56 @@ class Ciphertext:
 
     def mul_int(self, k: int) -> "Ciphertext":
         """Multiply the plaintext by an exact signed integer; precision
-        unchanged. The one-element contraction on the builtin map."""
-        (product,) = contractions(map, ([self], [FixedPoint(k, 0)]))
-        return product.item()
+        unchanged. One one-term _multiexp_job."""
+        (value,) = _multiexp_job(([self.value], [[k]], self.public_key.n_squared))
+        return Ciphertext(value, self.frac_bits, self.public_key)
 
 
-def _row_job(row: np.ndarray, exponents: np.ndarray, out: np.ndarray, pending: list,
-             jobs: list):
-    """Queue out[c] = sum_k row[k] * exponents[k, c], for every column c a
-    term reaches, as one job whose bases are the row's ciphertexts those
-    terms use; every term is checked first. An entry no term reaches stays
-    the structural zero 0."""
-    cts = [(k, ct) for k, ct in enumerate(row) if not is_zero(ct)]
-    used, columns = set(), []
-    for c in range(exponents.shape[1]):
-        fracs = set()
-        for k, ct in cts:
-            e = exponents[k, c]
-            if not is_zero(e):
-                fracs.add(check_frac_sum(ct.frac_bits, e.frac_bits))
-                used.add(k)
-        if fracs:
-            frac_bits = fracs.pop()
-            for other in fracs:
-                check_frac_match(frac_bits, other)
-            columns.append((c, frac_bits))
-    if not columns:
+def _row_job(row: np.ndarray, raws: np.ndarray, frac_bits: int, out: np.ndarray,
+             pending: list, jobs: list):
+    """Queue out[c] = sum_k row[k] * raws[k, c] for every column c, as one job
+    whose bases are the row's ciphertexts, each product at their fraction
+    bits plus frac_bits. The row's key, ciphertext fraction bits and that sum
+    are checked once. A row with no ciphertext stays the structural zero 0."""
+    used = [k for k, ct in enumerate(row) if not is_zero(ct)]
+    if not used:
         return
-    used = sorted(used)
-    keys = {row[k].public_key.fingerprint: row[k].public_key for k in used}
+    cts = [row[k] for k in used]
+    if not all(isinstance(ct, Ciphertext) for ct in cts):
+        raise TypeError("a contraction takes Ciphertext entries, besides structural zeros")
+    keys = {ct.public_key.fingerprint: ct.public_key for ct in cts}
     if len(keys) > 1:
         raise KeyMismatchError("cannot combine ciphertexts under different keys")
-    (key,) = keys.values()
-    pending.append((out, columns, key))
-    jobs.append(([row[k].value for k in used],
-                 [[0 if is_zero(exponents[k, c]) else exponents[k, c].raw for k in used]
-                  for c, _ in columns],
-                 key.n_squared))
+    fracs = {ct.frac_bits for ct in cts}
+    if len(fracs) > 1:
+        raise EncodingOverflowError(f"fraction-bit mismatch in a sum: {sorted(fracs)}")
+    total = check_frac_sum(fracs.pop(), frac_bits)
+    if raws.shape[1]:
+        (key,) = keys.values()
+        pending.append((out, total, key))
+        jobs.append(([ct.value for ct in cts], raws[used].T.tolist(), key.n_squared))
 
 
-def _holds_only(values: np.ndarray, kind: type) -> bool:
-    return all(isinstance(x, kind) or is_zero(x) for x in values.flat)
+def contractions(mapper: Mapper, *triples) -> list[np.ndarray]:
+    """a @ b under numpy matmul broadcasting for every triple (a, b,
+    frac_bits), as object arrays: the batch form of ciphertext times
+    plaintext.
 
-
-def contractions(mapper: Mapper, *pairs) -> list[np.ndarray]:
-    """a @ b under numpy matmul broadcasting for every pair (a, b), as
-    object arrays: the batch form of ciphertext @ FixedPoint.
-
-    a holds Ciphertexts and b FixedPoint exponents; either may hold
-    structural zeros. An entry is the product of its terms' powers, or 0
-    when no term pairs a Ciphertext with a FixedPoint; so a sum whose
-    exponents are all zero is the ciphertext 1, never 0. Every term's
-    fraction bits (a product's sum at most MAX_FRAC_BITS, equal across an
-    entry's terms) and key are checked before any job. Then all of the
-    pairs go through mapper in one batch of _multiexp_job jobs, one per row
+    a holds Ciphertexts or structural zeros; b is float64, encoded once at
+    frac_bits by encode_array (a non-finite or overflowing value raises).
+    An entry is 0 when its row of a holds no Ciphertext, else the product of
+    its terms' powers at the row's fraction bits plus frac_bits, so a column
+    of zero exponents gives the ciphertext 1. Every b is encoded and every
+    row's key and fraction bits checked before any job. Then all of the
+    triples go through mapper in one batch of _multiexp_job jobs, one per row
     of a, whose bases serve every column of that row; over unit axes that is
     one one-term job per elementwise product. An empty batch calls nothing.
     """
     shaped, pending, jobs = [], [], []
-    for a, b in pairs:
-        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    for a, b, frac_bits in triples:
+        a, b = np.asarray(a, dtype=object), encode_array(b, frac_bits)
         vector_a, vector_b = a.ndim == 1, b.ndim == 1
         a, b = (a[None, :] if vector_a else a), (b[:, None] if vector_b else b)
-        if not (_holds_only(a, Ciphertext) and _holds_only(b, FixedPoint)):
-            raise TypeError("a contraction takes Ciphertext @ FixedPoint entries, "
-                            "besides structural zeros")
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"contraction over mismatched dims {a.shape} @ {b.shape}")
         batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -551,16 +538,15 @@ def contractions(mapper: Mapper, *pairs) -> list[np.ndarray]:
         b = np.broadcast_to(b, batch + b.shape[-2:])
         out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=object)
         for index in np.ndindex(*batch, a.shape[-2]):
-            _row_job(a[index], b[index[:-1]], out[index], pending, jobs)
+            _row_job(a[index], b[index[:-1]], frac_bits, out[index], pending, jobs)
         if vector_b:
             out = out[..., 0]
         if vector_a:
             out = out[..., 0] if vector_b else out[..., 0, :]
         shaped.append(out)
     values = mapper(_multiexp_job, jobs) if jobs else ()
-    for (out, columns, key), column_values in zip(pending, values):
-        for (c, frac_bits), value in zip(columns, column_values):
-            out[c] = Ciphertext(value, frac_bits, key)
+    for (out, frac_bits, key), column_values in zip(pending, values):
+        out[:] = [Ciphertext(value, frac_bits, key) for value in column_values]
     return shaped
 
 

@@ -125,7 +125,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, FixedPoint, encode, is_zero
+from .encoding import MAX_FRAC_BITS, FixedPoint, encode, encode_array, is_zero
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -368,8 +368,8 @@ def _contract(mapper: Mapper, rows: np.ndarray, left: np.ndarray, right: np.ndar
     for i in range(0, count, step):
         for j in range(0, columns, width):
             r, c = slice(i, i + step), slice(j, j + width)
-            (block,) = contractions(mapper, (rows[r, None, :], _fixed(
-                left[r, :, None] * right[None, :, c], frac_bits)))
+            (block,) = contractions(mapper, (rows[r, None, :],
+                                             left[r, :, None] * right[None, :, c], frac_bits))
             out[r, c] = block[:, 0]
     return out
 
@@ -397,8 +397,8 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     linear in the upstream, so K plaintext Network.backward passes give
     every entry's coefficients, each encoded once at the entry's fraction
     bits less the basis's 2f; the K basis ciphertexts then serve every entry,
-    in one contraction job per block of entries, a block per worker. The
-    cost of a basis does not grow with N.
+    in one contraction job per block of a tensor's entries, and a block of
+    every tensor per worker. The cost of a basis does not grow with N.
     """
     f, depth = frac_bits, len(net.layers)
     kinds = ("weights", "bias")
@@ -408,12 +408,17 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         passes = [net.backward(trace, upstream[..., k]) for k in range(len(basis))]
         coef = [np.stack([getattr(grads[idx], kind) for grads in passes], axis=-1)
                 for idx in range(depth) for kind in kinds]
-        flat = np.concatenate([_fixed(c, frac - 2 * f).reshape(-1, len(basis))
-                               for c, frac in zip(coef, fracs)])
-        blocks = np.array_split(flat, max(1, min(len(flat), _workers())))
-        terms = np.concatenate(contractions(mapper, *[(basis, block.T) for block in blocks]))
-        values = [part.reshape(c.shape[:-1]) for c, part in zip(
-            coef, np.split(terms, np.cumsum([c[..., 0].size for c in coef])[:-1]))]
+        # Block w of every tensor is its entries w, w + workers, ...; the
+        # blocks go worker by worker, so each worker's chunk holds a block
+        # of every tensor.
+        workers = _workers()
+        products = iter(contractions(mapper, *[
+            (basis, c.reshape(-1, len(basis))[w::workers].T, frac - 2 * f)
+            for w in range(workers) for c, frac in zip(coef, fracs)]))
+        values = [np.empty(c.shape[:-1], dtype=object) for c in coef]
+        for w in range(workers):
+            for tensor in values:
+                tensor.flat[w::workers] = next(products)
     else:
         values, delta = [None] * (2 * depth), upstream
         for idx in range(depth - 1, -1, -1):
@@ -504,12 +509,13 @@ class _Party:
         """Every entry of every (values, frac_bits) part under this party's
         own key at its part's frac_bits, as one batch whose r are drawn part
         after part, row-major."""
-        fixed = [_fixed(values, frac_bits) for values, frac_bits in parts]
-        flat = [x for part in fixed for x in part.flat]
-        cts = iter(self.own_key.encrypt_raws([x.raw for x in flat], [x.frac_bits for x in flat],
-                                         self.rng, self.mapper))
+        raws = [encode_array(values, frac_bits) for values, frac_bits in parts]
+        cts = iter(self.own_key.encrypt_raws(
+            [raw for part in raws for raw in part.flat],
+            [frac_bits for part, (_, frac_bits) in zip(raws, parts) for _ in part.flat],
+            self.rng, self.mapper))
         return [np.array([next(cts) for _ in range(part.size)], dtype=object).reshape(part.shape)
-                for part in fixed]
+                for part in raws]
 
     def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
         """values plus a fresh mask at frac_bits, recorded under (seq, name),
@@ -601,7 +607,7 @@ class _Party:
                            [("u", (None, len(prototype)))])
         n = request.dims[0]
         (scores,) = contractions(self.mapper, (_section_array(request, self.keys, self.frac_bits),
-                                               _fixed(prototype, self.frac_bits)))
+                                               prototype, self.frac_bits))
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
@@ -659,9 +665,9 @@ class SourceParty(_Party):
         # their plaintext coefficients.
         (pairs,) = contractions(self.mapper, (
             np.concatenate([quad.ravel(), comps.lin.ravel(), comps.align.ravel()]),
-            np.concatenate([_fixed(np.outer(0.125 * prototype, prototype), f).ravel(),
-                            _fixed((-0.5 * y)[:, None] * prototype, f).ravel(),
-                            _fixed(self.cfg.gamma * u_ab, f).ravel()])))
+            np.concatenate([np.outer(0.125 * prototype, prototype).ravel(),
+                            ((-0.5 * y)[:, None] * prototype).ravel(),
+                            (self.cfg.gamma * u_ab).ravel()]), f))
         terms = [pairs.item(), comps.reg, encode(constant, 2 * f)]
         # The structural zero (no labeled or overlap pairs) is skipped, so no
         # addition of 0 reaches a ciphertext.
@@ -681,9 +687,8 @@ class SourceParty(_Party):
         f, n, u = self.frac_bits, len(self.labels), trace[-1]
         (pooled,) = contractions(self.mapper, (
             np.concatenate([quad, comps.lin]).T,
-            np.concatenate([_fixed(0.25 * prototype / n, f), _fixed(-0.5 * self.labels_c / n, f)])))
-        (by_align,) = contractions(self.mapper, (comps.align[..., None],
-                                                 [encode(self.cfg.gamma, f)]))
+            np.concatenate([0.25 * prototype / n, -0.5 * self.labels_c / n]), f))
+        (by_align,) = contractions(self.mapper, (comps.align[..., None], [self.cfg.gamma], f))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         if len(self.ab_rows):
             own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
@@ -765,8 +770,7 @@ class TargetParty(_Party):
         f, u = self.frac_bits, trace[-1]
         # Pair c's upstream at output o contracts quad[c, o, :] against 2 u_c
         # and adds lin[c, o]; the source sent lin and align at 2f.
-        (by_pair,) = contractions(self.mapper, (comps.quad,
-                                                _fixed(2.0 * u[self.c_pos, :, None], f)))
+        (by_pair,) = contractions(self.mapper, (comps.quad, 2.0 * u[self.c_pos, :, None], f))
         upstream = np.zeros(u.shape, dtype=object)
         upstream[self.c_pos] = by_pair[..., 0] + comps.lin
         own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])

@@ -48,10 +48,10 @@ def decrypt(key: PrivateKey, ct) -> float:
     return decode_raw(decrypt_raw(key, ct), ct.frac_bits)
 
 
-def multiply(ct, scalar):
-    """ct times a FixedPoint scalar, either of them possibly the structural
-    zero: the one-element contraction [ct] @ [scalar] on the builtin map."""
-    (product,) = contractions(map, ([ct], [scalar]))
+def multiply(ct, scalar: float, frac_bits: int):
+    """ct, or the structural zero, times a float scalar encoded at frac_bits:
+    the one-element contraction [ct] @ [scalar] on the builtin map."""
+    (product,) = contractions(map, ([ct], [scalar], frac_bits))
     return product.item()
 
 

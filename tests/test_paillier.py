@@ -12,7 +12,13 @@ from conftest import decrypt, decrypt_raw, encrypt, multiply
 from hypothesis import example, given, settings, strategies as st
 
 from secureftl import paillier
-from secureftl.encoding import EncodingOverflowError, FixedPoint, encode, from_residue, is_zero
+from secureftl.encoding import (
+    EncodingOverflowError,
+    FixedPoint,
+    encode,
+    from_residue,
+    is_zero,
+)
 from secureftl.paillier import (
     Ciphertext,
     CiphertextFormatError,
@@ -211,7 +217,7 @@ def test_additive_homomorphism(a, b):
 def test_scalar_homomorphism(a, k):
     rng = random.Random(k & 0xFFFF)
     ca = PK.encrypt_raw(a, frac_bits=0, rng=rng)
-    assert decrypt_raw(SK, multiply(ca, FixedPoint(k, 0))) == a * k
+    assert decrypt_raw(SK, multiply(ca, float(k), 0)) == a * k
     assert decrypt_raw(SK, ca.mul_int(k)) == a * k
 
 
@@ -239,14 +245,14 @@ def test_add_fixed_point():
 
 def test_mul_fixed_point_accumulates_frac():
     rng = random.Random(5)
-    out = multiply(encrypt(PK, 2.5, 10, rng), encode(1.5, 10))
+    out = multiply(encrypt(PK, 2.5, 10, rng), 1.5, 10)
     assert out.frac_bits == 20
     assert decrypt(SK, out) == pytest.approx(3.75, abs=2e-3)
 
 
 def test_mul_by_encoded_one_lifts():
     rng = random.Random(6)
-    lifted = multiply(encrypt(PK, 2.0, 10, rng), encode(1.0, 5))
+    lifted = multiply(encrypt(PK, 2.0, 10, rng), 1.0, 5)
     assert lifted.frac_bits == 15
     assert decrypt(SK, lifted) == 2.0
 
@@ -262,26 +268,27 @@ def test_operator_fraction_mismatch_raises():
 def test_operator_fraction_overflow_raises():
     ct = encrypt(PK, 1.0, 200, random.Random(3))
     with pytest.raises(EncodingOverflowError, match="fraction bits 260 exceed 255"):
-        multiply(ct, FixedPoint(1, 60))
+        multiply(ct, 1.0, 60)
 
 
 def test_zero_is_structural():
     ct = encrypt(PK, 1.5, 8, random.Random(3))
     assert ct + 0 is ct and 0 + ct is ct
-    # A product with the structural zero, on either side, stays 0.
-    assert multiply(ct, 0) == 0 and multiply(0, FixedPoint(3, 8)) == 0
-    assert isinstance(multiply(ct, FixedPoint(0, 8)), Ciphertext)
-    assert decrypt(SK, multiply(ct, FixedPoint(0, 8))) == 0.0
+    # A product with the structural zero stays 0; a zero exponent is a
+    # plaintext 0, so its product is a ciphertext of 0.
+    assert multiply(0, 3.0, 8) == 0
+    assert isinstance(multiply(ct, 0.0, 8), Ciphertext)
+    assert decrypt(SK, multiply(ct, 0.0, 8)) == 0.0
 
 
 def test_products_outside_contractions_raise():
     # A ciphertext has no *, so no product can skip contractions' checks
-    # and mapper: not with a FixedPoint, nor with the structural zero, nor
-    # elementwise over object arrays.
+    # and mapper: not with a float or a FixedPoint, nor with the structural
+    # zero, nor elementwise over object arrays.
     ct = encrypt(PK, 1.5, 8, random.Random(3))
     cts = np.array([ct, ct], dtype=object)
     for product in (lambda: ct * FixedPoint(3, 8), lambda: FixedPoint(3, 8) * ct,
-                    lambda: ct * 0, lambda: 0 * ct,
+                    lambda: ct * 3.0, lambda: 3.0 * ct, lambda: ct * 0, lambda: 0 * ct,
                     lambda: cts * np.array([FixedPoint(3, 8)] * 2, dtype=object)):
         with pytest.raises(TypeError):
             product()
@@ -330,7 +337,7 @@ def test_encrypt_uses_public_info_only():
     # ciphertext arithmetic never needs the private key
     rng = random.Random(13)
     ct = encrypt(PK, 1.5, 20, rng)
-    combined = multiply(ct + encrypt(PK, 0.5, 20, rng), FixedPoint(3, 0))
+    combined = multiply(ct + encrypt(PK, 0.5, 20, rng), 3.0, 0)
     assert decrypt(SK, combined) == 6.0
 
 
@@ -468,25 +475,26 @@ def _fields(values):
     return [(v.value, v.frac_bits) if isinstance(v, Ciphertext) else v for v in values.flat]
 
 
-def _elementwise(mapper, *pairs):
-    """a * b under numpy broadcasting for every pair (a, b): the
-    contraction a[..., None, None] @ b[..., None, None]."""
+def _elementwise(mapper, *triples):
+    """a * b under numpy broadcasting for every triple (a, b, frac_bits):
+    the contraction a[..., None, None] @ b[..., None, None]."""
     units = [(np.asarray(a, dtype=object)[..., None, None],
-              np.asarray(b, dtype=object)[..., None, None]) for a, b in pairs]
+              np.asarray(b, dtype=float)[..., None, None], frac_bits) for a, b, frac_bits in triples]
     return [out[..., 0, 0] for out in contractions(mapper, *units)]
 
 
 @pytest.mark.parametrize("chunksize", [1, 2, 3, 8, 20])
 def test_pooled_products_match_serial(chunksize):
     # Every ciphertext times every scalar (negative raws, a 200-bit
-    # exponent), broadcast both ways round, with a structural zero on each
-    # side: elementwise contractions over unit axes, one batch of one-term
-    # jobs, none for a zero.
+    # exponent), broadcast both ways round, with the structural zero among
+    # the ciphertexts and 0.0 among the scalars: elementwise contractions
+    # over unit axes, one batch of one-term jobs, none for the structural
+    # zero. The scalars encode at 8 fraction bits to BATCH_RAWS reversed.
     cts = np.array([*SK.encrypt_raws(BATCH_RAWS, 16, random.Random(6)), 0], dtype=object)
-    scalars = np.array([*(FixedPoint(raw, 8) for raw in BATCH_RAWS[::-1]), 0], dtype=object)
-    pairs = [(cts[:, None], scalars), (cts, scalars[:, None])]
+    scalars = np.array([*(raw / 256 for raw in BATCH_RAWS[::-1]), 0.0])
+    triples = [(cts[:, None], scalars, 8), (cts, scalars[:, None], 8)]
     # The reference: every product from its own pow.
-    serial = _summed_pows(cts[:, None], scalars[None, :])
+    serial = _summed_pows(cts[:, None], scalars[None, :], 8)
     serial = [serial, serial.T]
     foreign = keygen(bits=512, rng=random.Random(2))
     two_keys = np.array([cts[1], foreign.encrypt_raws([7], 16, random.Random(8))[0]],
@@ -497,22 +505,23 @@ def test_pooled_products_match_serial(chunksize):
             calls.append((fn, len(jobs)))
             return pool_map(fn, jobs)
 
-        pooled = _elementwise(counting, *pairs)
-        (empty,) = _elementwise(counting, (np.empty((0, 9), dtype=object), scalars))
-        # The scalar form a[..., None] @ [s], with the structural zero as s.
-        (unpowered,) = contractions(counting, (cts[:, None], [0]))
+        pooled = _elementwise(counting, *triples)
+        (empty,) = _elementwise(counting, (np.empty((0, 9), dtype=object), scalars, 8))
+        # The scalar form a[..., None] @ [s], with 0.0 as s.
+        (unpowered,) = contractions(counting, (cts[:, None], [0.0], 8))
         with pytest.raises(EncodingOverflowError):
-            _elementwise(counting, (cts, scalars),
-                         (encrypt(SK, 1.5, 200, random.Random(7)), FixedPoint(3, 100)))
-        (keyed,) = contractions(counting, (two_keys[:, None], [FixedPoint(3, 0)]))
+            _elementwise(counting, (cts, scalars, 8),
+                         (encrypt(SK, 1.5, 200, random.Random(7)), 3.0, 100))
+        (keyed,) = contractions(counting, (two_keys[:, None], [3.0], 0))
     assert [_fields(p) for p in pooled] == [_fields(s) for s in serial]
     assert [p.shape for p in pooled] == [(9, 9), (9, 9)]
-    assert all(pooled[0][8, :] == 0) and all(pooled[0][:, 8] == 0)
+    assert all(pooled[0][8, :] == 0) and _fields(pooled[0][:8, 8]) == [(1, 24)] * 8
     assert [decrypt_raw(SK, ct) for ct in pooled[0][:8, :8].flat] == [
         x * y for x in BATCH_RAWS for y in BATCH_RAWS[::-1]]
     assert empty.shape == (0, 9)
-    assert _fields(unpowered) == [0] * 9
-    assert calls == [(_multiexp_job, 2 * len(BATCH_RAWS) ** 2), (_multiexp_job, 2)]
+    assert _fields(unpowered) == [(1, 24)] * 8 + [0]
+    assert calls == [(_multiexp_job, 2 * len(BATCH_RAWS) * 9), (_multiexp_job, 8),
+                     (_multiexp_job, 2)]
     assert decrypt_raw(SK, keyed[0]) == 3 and decrypt_raw(foreign, keyed[1]) == 21
     with pytest.raises(KeyMismatchError):
         keyed.sum()
@@ -587,38 +596,41 @@ def test_multiexp_job_equals_separate_pows(data):
     assert expected[-1] == 1
 
 
-def _summed_pows(a, b):
-    """a @ b for a 2-d Ciphertext-or-0 a and FixedPoint-or-0 b, from
-    separate signed pows: 0 where no term pairs a ciphertext with a
-    FixedPoint."""
+def _summed_pows(a, b, frac_bits):
+    """a @ b for a 2-d Ciphertext-or-0 a and float b encoded one entry at a
+    time by encode at frac_bits, from separate signed pows: 0 where a's row
+    holds no ciphertext."""
     out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
     for r in range(a.shape[0]):
         for c in range(b.shape[1]):
-            terms = [(x, y) for x, y in zip(a[r], b[:, c])
-                     if not (is_zero(x) or is_zero(y))]
+            terms = [(x, encode(y, frac_bits).raw) for x, y in zip(a[r], b[:, c])
+                     if not is_zero(x)]
             if terms:
-                value = math.prod(pow(x.value, y.raw, NSQ) for x, y in terms) % NSQ
-                out[r, c] = Ciphertext(value, terms[0][0].frac_bits + terms[0][1].frac_bits, PK)
+                value = math.prod(pow(x.value, raw, NSQ) for x, raw in terms) % NSQ
+                out[r, c] = Ciphertext(value, terms[0][0].frac_bits + frac_bits, PK)
     return out
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_contractions_equal_summed_pows(data):
-    # Structural zeros on both sides (an all-zero row gives 0, an
-    # all-zero-exponent column the ciphertext 1), and the numpy broadcasting
-    # of a batch dim and of 1-d operands.
+    # Structural zeros among the ciphertexts (an all-zero row gives 0),
+    # zero and rounding float exponents (an all-zero column gives the
+    # ciphertext 1), and the numpy broadcasting of a batch dim and of 1-d
+    # operands.
     rows, inner, cols = (data.draw(st.integers(lo, 3)) for lo in (0, 1, 1))
     ct = st.sampled_from([*_CTS, 0])
-    fp = st.one_of(st.just(0), _EXPONENTS.map(lambda e: FixedPoint(e, 8)))
+    exponent = st.one_of(st.just(0.0), _EXPONENTS.map(lambda e: e / 256),
+                         st.floats(-1e6, 1e6, allow_nan=False))
     a = np.array(data.draw(st.lists(st.lists(ct, min_size=inner, max_size=inner),
                                     min_size=rows, max_size=rows)), dtype=object)
     a = a.reshape(rows, inner)
-    b = np.array(data.draw(st.lists(st.lists(fp, min_size=cols, max_size=cols),
-                                    min_size=inner, max_size=inner)), dtype=object)
-    expected = _summed_pows(a, b)
+    b = np.array(data.draw(st.lists(st.lists(exponent, min_size=cols, max_size=cols),
+                                    min_size=inner, max_size=inner)))
+    expected = _summed_pows(a, b, 8)
     record = _Recorder()
-    plain, batched, vector = contractions(record, (a, b), (np.stack([a, a]), b), (a, b[:, 0]))
+    plain, batched, vector = contractions(record, (a, b, 8), (np.stack([a, a]), b, 8),
+                                          (a, b[:, 0], 8))
     assert len(record.calls) <= 1
     assert _fields(plain) == _fields(expected)
     assert _fields(batched) == _fields(np.stack([expected, expected]))
@@ -629,25 +641,37 @@ def test_contractions_apply_the_product_rules_before_any_job():
     record = _Recorder()
     x, y = _CTS[:2]
     a = np.array([[x, y], [0, 0]], dtype=object)
-    b = np.array([[FixedPoint(0, 8), FixedPoint(2, 8)], [FixedPoint(0, 8), 0]], dtype=object)
-    ((out,), calls) = contractions(record, (a, b)), record.calls
+    b = np.array([[0.0, 2 / 256], [0.0, 0.0]])
+    ((out,), calls) = contractions(record, (a, b, 8)), record.calls
     # Row 0 is one job of its two bases and both columns; row 1 has no
     # ciphertext, so it stays 0.
     assert calls == [[([x.value, y.value], [[0, 0], [2, 0]], NSQ)]]
     assert _fields(out) == [(1, 24), (pow(x.value, 2, NSQ), 24), 0, 0]
     assert decrypt_raw(SK, out[0, 0]) == 0
     foreign = keygen(bits=512, rng=random.Random(2)).encrypt_raws([1], 16, random.Random(3))[0]
+    other_frac = encrypt(SK, 1.0, 17, random.Random(4))
     record = _Recorder()
     with pytest.raises(EncodingOverflowError, match="mismatch"):
-        contractions(record, (a, b), (a, np.array([[FixedPoint(1, 8)], [FixedPoint(1, 9)]])))
+        contractions(record, (a, b, 8), (np.array([x, other_frac]), np.ones(2), 8))
     with pytest.raises(EncodingOverflowError, match="exceed"):
-        contractions(record, (a, b), (a[0], np.array([FixedPoint(1, 240)] * 2)))
+        contractions(record, (a, b, 8), (a[0], np.ones(2), 240))
     with pytest.raises(KeyMismatchError):
-        contractions(record, (a, b), (np.array([x, foreign]), np.array([FixedPoint(1, 8)] * 2)))
+        contractions(record, (a, b, 8), (np.array([x, foreign]), np.ones(2), 8))
     with pytest.raises(TypeError):
-        contractions(record, (a, a))
+        contractions(record, (a, a, 8))
     with pytest.raises(TypeError):
-        contractions(record, (b, a))
-    (empty,) = contractions(record, (np.empty((0, 2), dtype=object), b))
+        contractions(record, (b, b, 8))
+    (empty,) = contractions(record, (np.empty((0, 2), dtype=object), b, 8))
     assert contractions(record) == [] and empty.shape == (0, 2)
+    assert record.calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_nan_exponent_raises_before_any_job(bad):
+    # Every b is encoded before the first job: a NaN, an infinity or a
+    # value that overflows at its fraction bits fails the whole batch.
+    record = _Recorder()
+    a = np.array(_CTS[:2], dtype=object)
+    with pytest.raises(EncodingOverflowError):
+        contractions(record, (a, np.ones(2), 8), (a, np.array([1.0, bad]), 40))
     assert record.calls == []

@@ -493,21 +493,16 @@ def _row_job(row: np.ndarray, raws: np.ndarray, frac_bits: int, out: np.ndarray,
     bits plus frac_bits. The row's key, ciphertext fraction bits and that sum
     are checked once. A row with no ciphertext stays the structural zero 0."""
     used = [k for k, ct in enumerate(row) if not is_zero(ct)]
-    if not used:
-        return
     cts = [row[k] for k in used]
     if not all(isinstance(ct, Ciphertext) for ct in cts):
         raise TypeError("a contraction takes Ciphertext entries, besides structural zeros")
-    keys = {ct.public_key.fingerprint: ct.public_key for ct in cts}
-    if len(keys) > 1:
+    if len({ct.public_key.fingerprint for ct in cts}) > 1:
         raise KeyMismatchError("cannot combine ciphertexts under different keys")
-    fracs = {ct.frac_bits for ct in cts}
-    if len(fracs) > 1:
-        raise EncodingOverflowError(f"fraction-bit mismatch in a sum: {sorted(fracs)}")
-    total = check_frac_sum(fracs.pop(), frac_bits)
-    if raws.shape[1]:
-        (key,) = keys.values()
-        pending.append((out, total, key))
+    for ct in cts[1:]:
+        check_frac_match(cts[0].frac_bits, ct.frac_bits)
+    if cts and raws.shape[1]:
+        key = cts[0].public_key
+        pending.append((out, check_frac_sum(cts[0].frac_bits, frac_bits), key))
         jobs.append(([ct.value for ct in cts], raws[used].T.tolist(), key.n_squared))
 
 

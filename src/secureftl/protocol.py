@@ -56,21 +56,22 @@ gives a modulus of exactly that many bits, so a peer's modulus of any other
 bit length raises ProtocolError before any COMPONENTS or score is sent:
 no party masks its values under a weaker key than its own.
 
-The encrypted algebra is the plaintext one, in numpy object arrays: entries
-are paillier.Ciphertext, encoding.FixedPoint or the int 0, the structural
-zero that no ciphertext reached (it adds nothing, and any product with it
-stays 0). Components are (n_c, d, d) quad, (n_c, d) lin and (n_ab, d) align
-arrays; the loss, the gradients and the prediction scores are
-contractions of ciphertexts against plaintext coefficients
-(paillier.contractions, a @ b). Every plaintext factor of a product is
-multiplied in float64 first and encoded once: encrypted_backward crosses a
-layer in one contraction per output, at f more fraction bits, and the
-source's shared basis takes its coefficients from plaintext
-Network.backward passes. Each ciphertext is made at the fraction bits its
-consumer uses: the source's lin and align at 2f, since the target adds
-them to its 2f upstream as they are. A gradient entry that is still
-plaintext when it is masked (no ciphertext reached it, only weight decay)
-is encrypted then, under the peer's key.
+The encrypted algebra is the plaintext one, in numpy object arrays of
+paillier.Ciphertext or the int 0, the structural zero that no ciphertext
+reached (it adds nothing). Components are (n_c, d, d) quad, (n_c, d) lin
+and (n_ab, d) align arrays. Plaintext enters at two points only. A product
+is a contraction of ciphertexts against float64 (paillier.contractions,
+a @ b), its plaintext factors multiplied in float64 and encoded once:
+encrypted_backward crosses a layer in one contraction per output, at f more
+fraction bits, the source's gamma joins its overlap rows' top-layer
+exponents, and its shared basis takes its coefficients from plaintext
+Network.backward passes. And each gradient tensor gets one plaintext
+addend, what its party computes alone (own alignment terms through
+Network.backward, plus weight decay), encoded once at the tensor's fraction
+bits; the loss gets its constant likewise. Each ciphertext is made at the
+fraction bits its consumer uses: the source's lin and align at 2f, since the
+target adds them to its 2f upstream as they are. A gradient entry that is
+still plaintext when it is masked is encrypted then, under the peer's key.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct, at the fraction bits given for
@@ -331,18 +332,6 @@ class ComponentBatch:
         return cls(quad, lin, align, *(r.item() for r in reg))
 
 
-def _mask_raws(rng: random.Random, count: int, frac_bits: int) -> list[int]:
-    bound = 1 << (MASK_MAGNITUDE_BITS + frac_bits)
-    return [rng.randrange(-bound, bound + 1) for _ in range(count)]
-
-
-def _fixed(values, frac_bits: int) -> np.ndarray:
-    """encode(v, frac_bits) of every entry, as a FixedPoint object array."""
-    values = np.asarray(values, dtype=float)
-    return np.array([encode(v, frac_bits) for v in values.ravel()],
-                    dtype=object).reshape(values.shape)
-
-
 @dataclass
 class _GradTensor:
     name: str
@@ -376,23 +365,24 @@ def _contract(mapper: Mapper, rows: np.ndarray, left: np.ndarray, right: np.ndar
 
 def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
                        frac_bits: int, basis: np.ndarray | None = None,
-                       mapper: Mapper = map) -> list[_GradTensor]:
-    """Network.backward over an encrypted upstream at 2*frac_bits fraction
-    bits: layer0.weights, layer0.bias, layer1.weights, ..., each a
-    _GradTensor whose entries are at 2f + (L - i) f fraction bits for layer
-    i of L, f being frac_bits.
+                       mapper: Mapper = map, upstream_frac: int | None = None,
+                       factor: float = 1.0) -> list[_GradTensor]:
+    """Network.backward over an encrypted upstream: layer0.weights,
+    layer0.bias, layer1.weights, ..., each a _GradTensor whose entries are
+    at 2f + (L - i) f fraction bits for layer i of L, f being frac_bits.
 
-    With basis None, upstream is (N, d): ciphertexts, or 0 where no
-    ciphertext reached. Activations and weights are local plaintext, so each
-    layer is one contraction per output: its plaintext factors are multiplied
-    in float64 and encoded once at f, adding f fraction bits per layer. With
-    delta the layer's (N, out) upstream and slope = a_out (1 - a_out),
+    With basis None, upstream is (N, d): ciphertexts at upstream_frac (2f
+    when None), or 0 where none reached; the gradient is that of factor *
+    upstream. Activations and weights are local plaintext, so each layer is
+    one contraction per output of float64 products encoded once: at
+    3f - upstream_frac with factor in the top layer, at f below. With delta
+    the layer's (N, out) upstream and slope = a_out (1 - a_out),
       grad[o, :] = sum_r delta[r, o] * enc(slope[r, o] [a_in[r, :] | 1])
       delta'[r, :] = sum_o delta[r, o] * enc(slope[r, o] W[o, :])
     in map calls of _contract. A gradient entry is 0 only when no row
     reaches it.
 
-    With basis K ciphertexts, upstream is (N, d, K) float64: row r's
+    With basis K ciphertexts at 2f, upstream is (N, d, K) float64: row r's
     upstream at output o is sum_k upstream[r, o, k] * basis[k]. Backprop is
     linear in the upstream, so K plaintext Network.backward passes give
     every entry's coefficients, each encoded once at the entry's fraction
@@ -421,22 +411,17 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
                 tensor.flat[w::workers] = next(products)
     else:
         values, delta = [None] * (2 * depth), upstream
+        bits = f if upstream_frac is None else 3 * f - upstream_frac
         for idx in range(depth - 1, -1, -1):
             a_out, a_in = trace[idx + 1], trace[idx]
-            slope = a_out * (1.0 - a_out)
+            slope = factor * a_out * (1.0 - a_out)
             a_one = np.hstack([a_in, np.ones((len(a_in), 1))])  # a bias is a unit input
-            grad = _contract(mapper, delta.T, slope.T, a_one, f)
+            grad = _contract(mapper, delta.T, slope.T, a_one, bits)
             values[2 * idx], values[2 * idx + 1] = grad[:, :-1], grad[:, -1]
             if idx:
-                delta = _contract(mapper, delta, slope, net.layers[idx].weights, f)
+                delta = _contract(mapper, delta, slope, net.layers[idx].weights, bits)
+            factor, bits = 1.0, f
     return [_GradTensor(*entry) for entry in zip(names, values, fracs)]
-
-
-def _add_weight_decay(tensors: list[_GradTensor], net: Network, decay: float) -> list[_GradTensor]:
-    params = [param for layer in net.layers for param in (layer.weights, layer.bias)]
-    for tensor, param in zip(tensors, params):
-        tensor.values = tensor.values + _fixed(decay * param, tensor.frac_bits)
-    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +494,28 @@ class _Party:
         """Every entry of every (values, frac_bits) part under this party's
         own key at its part's frac_bits, as one batch whose r are drawn part
         after part, row-major."""
-        raws = [encode_array(values, frac_bits) for values, frac_bits in parts]
-        cts = iter(self.own_key.encrypt_raws(
-            [raw for part in raws for raw in part.flat],
-            [frac_bits for part, (_, frac_bits) in zip(raws, parts) for _ in part.flat],
-            self.rng, self.mapper))
+        raws = [(encode_array(values, frac_bits), frac_bits) for values, frac_bits in parts]
+        cts = iter(self.own_key.encrypt_raws([raw for part, _ in raws for raw in part.flat],
+                                             [frac for part, frac in raws for _ in part.flat],
+                                             self.rng, self.mapper))
         return [np.array([next(cts) for _ in range(part.size)], dtype=object).reshape(part.shape)
-                for part in raws]
+                for part, _ in raws]
+
+    def _add_plain_part(self, tensors: list[_GradTensor], trace: list[np.ndarray],
+                        ab_rows: np.ndarray) -> list[_GradTensor]:
+        """Add to every tensor, encoded once at its fraction bits, the part of
+        this party's gradient it holds in plaintext, as the plaintext oracle
+        computes it: Network.backward of gamma * own_grad on its overlap rows
+        (0 elsewhere), plus weight decay * theta."""
+        upstream = np.zeros(trace[-1].shape)
+        upstream[ab_rows] = self.cfg.gamma * self.align.own_grad(trace[-1][ab_rows])
+        grads = self.net.backward(trace, upstream)
+        parts = [getattr(grad, kind) + self.cfg.weight_decay * getattr(layer, kind)
+                 for grad, layer in zip(grads, self.net.layers) for kind in ("weights", "bias")]
+        for tensor, part in zip(tensors, parts):
+            raws = encode_array(part, tensor.frac_bits)
+            tensor.values = tensor.values + np.frompyfunc(FixedPoint, 2, 1)(raws, tensor.frac_bits)
+        return tensors
 
     def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
         """values plus a fresh mask at frac_bits, recorded under (seq, name),
@@ -523,7 +523,8 @@ class _Party:
         key = (seq, name)
         if key in self.mask_log:
             raise ProtocolError(f"mask for {key} would be reused")
-        raws = _mask_raws(self.rng, values.size, frac_bits)
+        bound = 1 << (MASK_MAGNITUDE_BITS + frac_bits)
+        raws = [self.rng.randrange(-bound, bound + 1) for _ in range(values.size)]
         self.mask_log[key] = tuple(raws)
         self.awaiting.setdefault(seq, []).append((name, values.shape, frac_bits))
         masked = values.ravel() + np.array([FixedPoint(m, frac_bits) for m in raws], dtype=object)
@@ -679,25 +680,21 @@ class SourceParty(_Party):
 
         Every source row j receives (y_j / N) * S through the prototype path,
         where S pools the per-pair loss slopes against the target's encrypted
-        representations; overlap rows add the alignment terms. So the d
-        ciphertexts pooled = S / N are a basis every row shares with
-        coefficient y_j = +-1, and only the overlap rows carry residual
-        ciphertexts through encrypted_backward.
+        representations; overlap rows add gamma times the target's align. So
+        the d ciphertexts pooled = S / N are a basis every row shares with
+        coefficient y_j = +-1, and only the overlap rows carry ciphertexts of
+        their own through encrypted_backward, gamma in their exponents.
         """
-        f, n, u = self.frac_bits, len(self.labels), trace[-1]
+        f, n = self.frac_bits, len(self.labels)
         (pooled,) = contractions(self.mapper, (
             np.concatenate([quad, comps.lin]).T,
             np.concatenate([0.25 * prototype / n, -0.5 * self.labels_c / n]), f))
-        (by_align,) = contractions(self.mapper, (comps.align[..., None], [self.cfg.gamma], f))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
-        if len(self.ab_rows):
-            own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_rows])
-            residual = by_align + _fixed(own_align, 2 * f)
-            rows = [a[self.ab_rows] for a in trace]
-            for tensor, extra in zip(tensors, encrypted_backward(
-                    self.net, rows, residual, f, mapper=self.mapper)):
-                tensor.values = tensor.values + extra.values
-        return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
+        for tensor, extra in zip(tensors, encrypted_backward(
+                self.net, [a[self.ab_rows] for a in trace], comps.align, f, mapper=self.mapper,
+                upstream_frac=f, factor=self.cfg.gamma)):
+            tensor.values = tensor.values + extra.values
+        return self._add_plain_part(tensors, trace, self.ab_rows)
 
     def run_training(self) -> TrainingResult:
         self.exchange_keys()
@@ -773,10 +770,9 @@ class TargetParty(_Party):
         (by_pair,) = contractions(self.mapper, (comps.quad, 2.0 * u[self.c_pos, :, None], f))
         upstream = np.zeros(u.shape, dtype=object)
         upstream[self.c_pos] = by_pair[..., 0] + comps.lin
-        own_align = self.cfg.gamma * self.align.own_grad(u[self.ab_pos])
-        upstream[self.ab_pos] += comps.align + _fixed(own_align, 2 * f)
+        upstream[self.ab_pos] += comps.align
         tensors = encrypted_backward(self.net, trace, upstream, f, mapper=self.mapper)
-        return _add_weight_decay(tensors, self.net, self.cfg.weight_decay)
+        return self._add_plain_part(tensors, trace, self.ab_pos)
 
     def run_training(self) -> TrainingResult:
         self.exchange_keys()

@@ -102,6 +102,24 @@ def test_encrypted_backward_matches_plaintext():
         assert np.allclose(got, want, atol=1e-9)
 
 
+def test_encrypted_backward_scales_an_upstream_at_other_fraction_bits():
+    # The source's overlap rows: align ciphertexts at F, times gamma, which
+    # rides in the top layer's exponents at 2F, so every tensor lands on the
+    # schedule of an upstream at 2F.
+    rng = np.random.default_rng(3)
+    net = init_network([4, 3, 2], seed=9)
+    upstream_plain = rng.normal(size=(5, 2))
+    key = keygen(512, random.Random(11))
+    trace = net.forward_trace(rng.normal(size=(5, 4)))
+    tensors = encrypted_backward(net, trace, _enc_array(key.public, upstream_plain, F), F,
+                                 upstream_frac=F, factor=0.3)
+    expected = net.backward(trace, 0.3 * upstream_plain)
+    assert [t.frac_bits for t in tensors] == [4 * F, 4 * F, 3 * F, 3 * F]
+    for tensor, layer_idx in zip(tensors, (0, 0, 1, 1)):
+        want = getattr(expected[layer_idx], tensor.name.split(".")[1])
+        assert np.allclose(_decrypt_tensor(tensor, key), want, atol=1e-9)
+
+
 def test_contraction_batches_bound_the_products(monkeypatch):
     # With one worker and a batch of 15 exponent terms, each contraction
     # goes in blocks of whole output rows, and a row of more terms in blocks
@@ -480,6 +498,7 @@ class _PartyWatch:
     def __init__(self, monkeypatch):
         self.threads = {"source": set(), "target": set()}
         self.terms = {"source": 0, "target": 0}
+        self.mapped_jobs = {"source": 0, "target": 0}
         self.kernel_threads = []  # (thread, terms) per kernel run outside a mapper
         exchange_keys = _Party.exchange_keys
 
@@ -494,6 +513,7 @@ class _PartyWatch:
             def counting(fn, jobs):
                 if fn is watched_kernel:
                     self.terms[role] += _terms(jobs)
+                    self.mapped_jobs[role] += len(jobs)
                     fn = _unwatched_multiexp_job
                 return mapper(fn, jobs)
 
@@ -509,15 +529,27 @@ class _PartyWatch:
         return self.terms[role] + sum(terms for ident, terms in self.kernel_threads
                                       if ident in self.threads[role])
 
+    def jobs(self, role: str) -> int:
+        """Multi-exponentiation jobs role ran, counted as multiplies counts
+        their terms."""
+        return self.mapped_jobs[role] + sum(ident in self.threads[role]
+                                            for ident, _ in self.kernel_threads)
 
-def _source_multiplies(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
-    """Ciphertext-by-plaintext multiplies made by the source party in one
-    iteration (two-layer nets unless told otherwise), wherever they ran."""
+
+def _source_watch(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)):
+    """The _PartyWatch of one training iteration (two-layer nets unless told
+    otherwise)."""
     watch = _PartyWatch(monkeypatch)
     train_encrypted(split, init_network(dims_source, seed=4), init_network(dims_target, seed=5),
                     _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
     monkeypatch.undo()
-    return watch.multiplies("source")
+    return watch
+
+
+def _source_multiplies(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)) -> int:
+    """Ciphertext-by-plaintext multiplies made by the source party in one
+    iteration, wherever they ran."""
+    return _source_watch(split, monkeypatch, dims_source, dims_target).multiplies("source")
 
 
 def test_source_mul_count_ignores_source_rows(small_split, monkeypatch):
@@ -540,6 +572,18 @@ def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
 
     few, many = (_source_multiplies(split(n), monkeypatch, [3, d], [2, d]) for n in (2, 6))
     assert (many - few) / 4 == 2 * d
+
+
+def test_source_mul_count_ignores_overlap_pairs(monkeypatch):
+    # gamma joins the overlap rows' top-layer exponents, so with single-layer
+    # nets an overlap pair adds terms to the d gradient jobs but no job of
+    # its own: no one-term job scales the target's align by gamma.
+    def jobs(n_overlap):
+        split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                               n_overlap=n_overlap, n_labeled=2, n_eval=2)
+        return _source_watch(split, monkeypatch, [3, 3], [2, 3]).jobs("source")
+
+    assert jobs(2) == jobs(6) > 0
 
 
 def test_recv_rejects_unexpected_message(small_split, loopback):
@@ -593,14 +637,16 @@ def _content_digests(transcript, keys) -> dict[str, str]:
 
 
 # Per-direction sha256 over every value a frame carries, whatever its byte
-# layout. The training digests were pinned when backprop came to fold each
-# layer's plaintext factors into one contraction at f fraction bits and the
-# source to send lin and align at 2f: every gradient section changed its
-# fraction bits and values. The prediction digests predate that change,
-# which leaves prediction untouched.
+# layout. The training digests were pinned when the source came to fold
+# gamma into its overlap rows' top-layer exponents instead of scaling the
+# target's align ciphertexts, and each party to add its own alignment terms
+# and weight decay as one plaintext part per gradient tensor: the source's
+# gradient values changed, and so did the target's under the distance
+# alignment. The prediction digests predate that change, which leaves
+# prediction untouched.
 CONTENT_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "26cba94bfc13fdaa5f1a24a2b97127b9449bfb44f7756097c67075e5d8bea70d",
-    DIR_TARGET_TO_SOURCE: "2c6c65e177a94063004c4b1276475771e88ebc719c3d89a819088574d1bbe31c",
+    DIR_SOURCE_TO_TARGET: "da2f279ad5cd55b54dd6da057819040494e58bd4f229b461fefb1a09c745c5c6",
+    DIR_TARGET_TO_SOURCE: "1a47fc5b644370fab1c8eeb0a6d9e529ffd361128677599878cf0ef26686e7e5",
 }
 CONTENT_PREDICT = {
     DIR_SOURCE_TO_TARGET: "31ede96207589279146689a828950cb255d664cb1f800eda78218ccba0d1488e",
@@ -610,17 +656,17 @@ CONTENT_PREDICT = {
 # Per-direction sha256 over (type, iteration, payload) of every frame: the
 # exact bytes on the wire under the section codec.
 GOLDEN_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "844bc4f341321770422edc6bd01025511d8476b6d1a1f50907a5788e39f0e857",
-    DIR_TARGET_TO_SOURCE: "736d730c66cb9b0f7bba74e9992d40e383d10810c6e582df225a23b7e8f63895",
+    DIR_SOURCE_TO_TARGET: "7737fc2f3312dd5cb788ad52ffdc550b69ef654c703dfd2e8102cce9926e9eb3",
+    DIR_TARGET_TO_SOURCE: "7e5a280513812193df2a48f6d95447ff10a19d98ac26788995ebd9ab126cfcf9",
 }
 # Two iterations with two-layer nets ([3, 4, 2] source, [2, 4, 2] target).
 CONTENT_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "5015a9627a572b6bcce196b214a5f6747094a52e83227838725c3fa79d7ee19a",
-    DIR_TARGET_TO_SOURCE: "b3be3d441e8882013263636cc8cc1ef5e922372a2be337bcc6d1396fc3fd0443",
+    DIR_SOURCE_TO_TARGET: "760bde3eb6642823e7ab5cc649f4240668dcd6d78fd705d8baaaee6d6defb333",
+    DIR_TARGET_TO_SOURCE: "f7b32725810f9bf237f513bee33a424e1208ad8052d14f39cd69744a28a05ccb",
 }
 GOLDEN_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "71b52d3404de284aed94469cce752256dc8dde76a927afb066c6bb0c737404fb",
-    DIR_TARGET_TO_SOURCE: "0726e13004bdee0c26c9e3e67c3c8e453f0be9be62b351cb03e03e2e08c13554",
+    DIR_SOURCE_TO_TARGET: "e8c40c33057001fcd7475ee156596877fc17803e035d60a9e12968ff0aa051b5",
+    DIR_TARGET_TO_SOURCE: "fc13c86b3351dc691a9ecde5680fb71962b38f102585e0201e8479d7d212ba43",
 }
 GOLDEN_PREDICT = {
     DIR_SOURCE_TO_TARGET: "b43a813fbbef343fa1a5dcf254f48e6a07418f142bca545abb2efe1a4cca699c",
@@ -661,12 +707,13 @@ def test_golden_transcripts(small_split, monkeypatch, builtin_pow):
 
 
 # Two iterations with two-layer nets and alignment = distance on splits with
-# no labeled pairs, no overlap pairs, or neither, pinned with the training
-# digests above.
+# no labeled pairs, no overlap pairs, or neither. The first was pinned with
+# the training digests above; without overlap pairs there are no alignment
+# terms, and the other two are unchanged since the change before it.
 CONTENT_DEGENERATE = {
     (0, 3): {
-        DIR_SOURCE_TO_TARGET: "73005660e6be8e755add0cc4350f5f2353810845bb6b998db029ae4af3d20139",
-        DIR_TARGET_TO_SOURCE: "ae71aa05fdf56d183f57e31e4053653531f465bea191499597da0e68f6caef64",
+        DIR_SOURCE_TO_TARGET: "36e8335fa59fe859040dabae2999a9557eac16b840b104312c1df5a231fd557c",
+        DIR_TARGET_TO_SOURCE: "6eac161f6e79da61d0f14d8a8e9dec2917e4a49876c59f09526476275cb30e82",
     },
     (2, 0): {
         DIR_SOURCE_TO_TARGET: "b87b738cefa1f294aace0785e3bab612495e6442c60b8747331032b431a76faa",

@@ -102,6 +102,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.hidden < 1:
             raise ValueError("shared representation needs at least one unit")
+        if self.seeds < 1:
+            raise ValueError(f"seeds = {self.seeds}: a run needs at least one seed")
+        for key in ("n_overlap", "n_labeled", "n_eval", "sweep", "dim_sweep"):
+            if min(np.atleast_1d(getattr(self, key)), default=0) < 0:
+                raise ValueError(f"{key} = {getattr(self, key)}: counts cannot be negative")
 
     def training(self, loss_mode: str | None = None) -> TrainingConfig:
         return TrainingConfig(
@@ -170,12 +175,13 @@ def build_split(cfg: ExperimentConfig, seed: int, n: int | None = None,
         return vertical_split(x, labels, columns_source, cfg.overlap_fraction,
                               cfg.label_fraction, rng=seed)
     return synth_two_view(
-        n=n or cfg.n, d_source=cfg.d_source_features,
+        n=cfg.n if n is None else n, d_source=cfg.d_source_features,
         d_target=cfg.d_target_features, noise=cfg.noise, seed=seed,
         latent_dim=cfg.latent_dim, margin=cfg.margin,
         noise_target=None if cfg.noise_target < 0 else cfg.noise_target,
-        n_overlap=n_overlap or (cfg.n_overlap or None),
-        n_labeled=n_labeled or (cfg.n_labeled or None),
+        # A config count of 0 means the default; an override is taken as it is.
+        n_overlap=(cfg.n_overlap or None) if n_overlap is None else n_overlap,
+        n_labeled=(cfg.n_labeled or None) if n_labeled is None else n_labeled,
         n_eval=cfg.n_eval or None)
 
 

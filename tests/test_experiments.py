@@ -68,8 +68,15 @@ def test_config_validate():
             ExperimentConfig(kind=kind, engine="encrypted").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(kind="scaling-sweep", engine="plain").validate()
+    # Counts a run cannot use name their key.
+    for bad in (dict(seeds=0), dict(seeds=-1), dict(n_overlap=-3), dict(n_labeled=-1),
+                dict(n_eval=-2), dict(sweep=(4, -8)), dict(dim_sweep=(-2,))):
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**bad).validate()
     ExperimentConfig().validate()
     ExperimentConfig(kind="scaling-sweep", engine="encrypted").validate()
+    ExperimentConfig(seeds=1, n_overlap=0, sweep=(0, 4), dim_sweep=(2,)).validate()
 
 
 def test_config_training_and_dims():
@@ -96,6 +103,15 @@ def test_build_split_overrides():
     assert len(split.eval_ids) == 8
     bigger = build_split(cfg, seed=0, n_overlap=30)
     assert len(bigger.overlap_ids) == 30
+
+
+def test_build_split_takes_a_zero_override():
+    # A sweep point of 0 overlap pairs trains on 0 pairs, not on the
+    # config's count.
+    cfg = ExperimentConfig(n=60, n_overlap=10, n_labeled=4, n_eval=8)
+    assert len(build_split(cfg, 0, n_overlap=0).overlap_ids) == 0
+    assert len(build_split(cfg, 0, n_overlap=0, n_labeled=0).labeled_ids) == 0
+    assert len(build_split(cfg, 0).overlap_ids) == 10
 
 
 def _fast_base(tmp_path, **kw):

@@ -8,17 +8,17 @@ fractional-bit counter; multiplying two f-bit quantities yields a 2f-bit one,
 and the single rescale happens after decryption (rescaling under encryption
 is impossible additively).
 
-FixedPoint and paillier.Ciphertext share one +, which needs equal fraction
-bits. Plaintext meets a ciphertext in a product only as a float64 array,
-which encode_array turns into raws once, in paillier.contractions; the
-product's fraction bits are the sum of both sides'. The int 0 is the
-structural zero, a value nothing reached: it adds nothing.
+A plaintext is a raw int, encode's result. It meets a ciphertext in two
+ways only: in a product as a float64 array, which encode_array turns into
+raws once, in paillier.contractions (the product's fraction bits are the
+sum of both sides'), and in a sum as one raw at the ciphertext's fraction
+bits, Ciphertext.add_raw. The int 0 is the structural zero, a value
+nothing reached: it adds nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +54,9 @@ def check_frac_match(a: int, b: int):
         raise EncodingOverflowError(f"fraction-bit mismatch in addition: {a} vs {b}")
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPoint:
-    """A signed real stored as raw = round(value * 2**frac_bits)."""
-
-    raw: int
-    frac_bits: int
-
-    def decode(self) -> float:
-        return decode_raw(self.raw, self.frac_bits)
-
-    def __add__(self, other):
-        if isinstance(other, FixedPoint):
-            check_frac_match(self.frac_bits, other.frac_bits)
-            return FixedPoint(self.raw + other.raw, self.frac_bits)
-        return self if is_zero(other) else NotImplemented
-
-    __radd__ = __add__
-
-
-def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
-    """Round value to the nearest multiple of 2**-frac_bits."""
+def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> int:
+    """The raw int round(value * 2**frac_bits): value rounded to the nearest
+    multiple of 2**-frac_bits."""
     check_frac_bits(frac_bits)
     value = float(value)
     if not math.isfinite(value):
@@ -85,11 +67,11 @@ def encode(value: float, frac_bits: int = DEFAULT_FRAC_BITS) -> FixedPoint:
     scaled = value * (1 << frac_bits)
     if not math.isfinite(scaled):
         raise EncodingOverflowError(f"{value!r} * 2**{frac_bits} overflows a float")
-    return FixedPoint(round(scaled), frac_bits)
+    return round(scaled)
 
 
 def encode_array(values, frac_bits: int) -> np.ndarray:
-    """encode(v, frac_bits).raw of every entry of a float64 array, as an
+    """encode(v, frac_bits) of every entry of a float64 array, as an
     object array of ints of the same shape."""
     check_frac_bits(frac_bits)
     values = np.asarray(values, dtype=float)
@@ -105,6 +87,7 @@ def encode_array(values, frac_bits: int) -> np.ndarray:
 
 
 def decode_raw(raw: int, frac_bits: int) -> float:
+    """The real a raw int at frac_bits stands for: raw / 2**frac_bits."""
     # Big-int / big-int true division is correctly rounded in CPython even
     # when raw exceeds the float mantissa.
     return raw / (1 << frac_bits)

@@ -27,7 +27,7 @@ from .datasets import (
     vertical_split,
     weighted_f1,
 )
-from .nets import autoencoder_pretrain, init_network
+from .nets import Network, fresh_network
 from .plain import TrainingConfig
 # train_encrypted and predict_encrypted stay importable from here for the
 # benchmark's tracer; every run goes through Engine.
@@ -86,8 +86,17 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.dataset != "synth" and not os.path.exists(self.dataset):
-            raise ValueError(f"dataset file {self.dataset!r} does not exist")
+        if self.dataset != "synth":
+            if not os.path.exists(self.dataset):
+                raise ValueError(f"dataset file {self.dataset!r} does not exist")
+            # A CSV split's rows come from overlap_fraction and label_fraction.
+            if self.kind in ("overlap-sweep", "scaling-sweep"):
+                raise ValueError(f"kind = {self.kind} sweeps row counts, which a CSV "
+                                 "dataset does not take; use dataset = synth")
+            for key in ("n_overlap", "n_labeled", "n_eval"):
+                if getattr(self, key):
+                    raise ValueError(f"{key} = {getattr(self, key)}: a CSV dataset does not "
+                                     "take row counts; set overlap_fraction and label_fraction")
         if self.engine not in ENGINE_KINDS:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.engine == "encrypted" and self.loss_mode != "taylor":
@@ -211,19 +220,20 @@ def _make_engine(cfg: ExperimentConfig) -> Engine:
     return Engine(cfg.engine, cfg.key_bits, cfg.frac_bits, _ChannelFactory(cfg))
 
 
+def _fresh_nets(cfg: ExperimentConfig, split: FederationSplit,
+                seed: int) -> tuple[Network, Network]:
+    """One run's source and target nets, seeded seed and seed + 1."""
+    dims_a, dims_b = cfg.dims()
+    return (fresh_network(dims_a, seed, split.x_source, cfg.pretrain_epochs),
+            fresh_network(dims_b, seed + 1, split.x_target, cfg.pretrain_epochs))
+
+
 def _train_and_eval(cfg: ExperimentConfig, split: FederationSplit, seed: int,
                     loss_mode: str | None = None, engine: Engine | None = None):
     """One engine run; returns (loss_history, eval F1, transcript or None)."""
     if engine is None:
         engine = _make_engine(cfg)
-    dims_a, dims_b = cfg.dims()
-    net_a = init_network(dims_a, seed=seed)
-    net_b = init_network(dims_b, seed=seed + 1)
-    if cfg.pretrain_epochs:
-        net_a = autoencoder_pretrain(net_a, split.x_source,
-                                     epochs=cfg.pretrain_epochs, learning_rate=0.1)
-        net_b = autoencoder_pretrain(net_b, split.x_target,
-                                     epochs=cfg.pretrain_epochs, learning_rate=0.1)
+    net_a, net_b = _fresh_nets(cfg, split, seed)
     trained, transcript = engine.train(split, net_a, net_b, cfg.training(loss_mode), seed)
     predicted = engine.predict(split, net_a, net_b, split.eval_ids, seed)
     score = weighted_f1(predicted, split.labels_eval).weighted_f1
@@ -340,9 +350,7 @@ def _run_scaling_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
     def one(axis: str, value: int, n_overlap: int, hidden: int):
         run_cfg = replace(cfg, hidden=hidden)
         split = build_split(run_cfg, cfg.seed, n_overlap=n_overlap)
-        dims_a, dims_b = run_cfg.dims()
-        net_a = init_network(dims_a, seed=cfg.seed)
-        net_b = init_network(dims_b, seed=cfg.seed + 1)
+        net_a, net_b = _fresh_nets(run_cfg, split, cfg.seed)
         started = time.perf_counter()
         trained, transcript = engine.train(split, net_a, net_b, run_cfg.training(),
                                            cfg.seed)

@@ -155,3 +155,12 @@ def autoencoder_pretrain(net: Network, x: np.ndarray, epochs: int, learning_rate
             dec_bias -= learning_rate * d_recon.sum(axis=0)
         layer_input = sigmoid(layer_input @ layer.weights.T + layer.bias)
     return out
+
+
+def fresh_network(layer_dims, seed: int, x: np.ndarray, pretrain_epochs: int) -> Network:
+    """init_network, then autoencoder_pretrain on x at learning rate 0.1 when
+    pretrain_epochs is nonzero: a party's net at the start of a run."""
+    net = init_network(layer_dims, seed=seed)
+    if pretrain_epochs:
+        net = autoencoder_pretrain(net, x, epochs=pretrain_epochs, learning_rate=0.1)
+    return net

@@ -1,11 +1,12 @@
 """Paillier additively homomorphic encryption with fraction-bit bookkeeping.
 
 Implements keygen plus one batch form of each operation the protocol needs.
-ct + ct and ct + FixedPoint add plaintexts; a product with a plaintext is
-only ever a contraction against a float64 array, so a ciphertext has no *.
-Ciphertexts carry the fractional-bit counter of their fixed-point plaintext
-so mismatched additions fail loudly instead of corrupting silently, and the
-int 0 is the structural zero of encoding.
+ct + ct adds two ciphertexts and ct.add_raw(raw) a plaintext raw int; a
+product with a plaintext is only ever a contraction against a float64
+array, so a ciphertext has no *. Ciphertexts carry the fractional-bit
+counter of their fixed-point plaintext so mismatched additions fail loudly
+instead of corrupting silently, and the int 0 is the structural zero of
+encoding (no other int is an addend).
 
 Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, so g^m costs
 a multiply instead of a full modular exponentiation, and the modulus n is
@@ -32,9 +33,10 @@ checks each row's key and fraction bits before any job, then sends one job
 per row of the ciphertext operand, whose bases serve all of that row's
 columns. An elementwise product is a contraction over unit axes,
 a[..., None, None] @ b[..., None, None], so only contractions knows the
-rule of multiplication; likewise only __add__ knows the rule of addition.
-mul_int and add_raw, which no protocol path calls, are one one-term
-_multiexp_job by an exact int and ct + FixedPoint(raw, frac_bits).
+rule of multiplication. __add__ and add_raw know the rule of addition: with
+g = n + 1, g^a g^b = g^(a + b) mod n^2, so a plaintext joins a ciphertext
+as one raw however many addends it sums. mul_int, which no protocol path
+calls, is one one-term _multiexp_job by an exact int.
 
 keygen draws each prime as random candidates tested by trial division up
 to 47 and 40 Miller-Rabin rounds with random witnesses. A candidate with a
@@ -67,7 +69,6 @@ import numpy as np
 
 from .encoding import (
     EncodingOverflowError,
-    FixedPoint,
     check_frac_bits,
     check_frac_match,
     check_frac_sum,
@@ -454,31 +455,30 @@ class Ciphertext:
     frac_bits: int
     public_key: PublicKey
 
-    def __add__(self, other: "Ciphertext | FixedPoint | int") -> "Ciphertext":
-        """Add a ciphertext under the same key or a plaintext FixedPoint, at
-        equal fraction bits; the structural zero 0 adds nothing."""
-        n, nsq = self.public_key.modulus, self.public_key.n_squared
-        if isinstance(other, Ciphertext):
-            if self.public_key.fingerprint != other.public_key.fingerprint:
-                raise KeyMismatchError("cannot combine ciphertexts under different keys")
-            factor = other.value
-        elif isinstance(other, FixedPoint):
-            factor = 1 + to_residue(other.raw, n) * n
-        else:
+    def __add__(self, other: "Ciphertext | int") -> "Ciphertext":
+        """Add a ciphertext under the same key at equal fraction bits; the
+        structural zero 0 adds nothing."""
+        if not isinstance(other, Ciphertext):
             return self if is_zero(other) else NotImplemented
+        if self.public_key.fingerprint != other.public_key.fingerprint:
+            raise KeyMismatchError("cannot combine ciphertexts under different keys")
         check_frac_match(self.frac_bits, other.frac_bits)
-        return Ciphertext(self.value * factor % nsq, self.frac_bits, self.public_key)
+        nsq = self.public_key.n_squared
+        return Ciphertext(self.value * other.value % nsq, self.frac_bits, self.public_key)
 
     def __radd__(self, other) -> "Ciphertext":
         # Through +, so every homomorphic addition enters __add__ once.
         return self if is_zero(other) else self + other
 
-    # No src caller: add_raw and mul_int stay only while perfbench's tracer
-    # names them (ROADMAP item 1), and the paillier import of encode with them.
     def add_raw(self, raw: int) -> "Ciphertext":
-        """Add a plaintext signed raw integer at this ciphertext's precision."""
-        return self + FixedPoint(raw, self.frac_bits)
+        """Add a plaintext signed raw integer at this ciphertext's precision:
+        times g^raw = 1 + raw*n mod n^2."""
+        n, nsq = self.public_key.modulus, self.public_key.n_squared
+        return Ciphertext(self.value * (1 + to_residue(raw, n) * n) % nsq, self.frac_bits,
+                          self.public_key)
 
+    # No src caller: mul_int stays only while perfbench's tracer names it
+    # (ROADMAP item 1), and the paillier import of encode with it.
     def mul_int(self, k: int) -> "Ciphertext":
         """Multiply the plaintext by an exact signed integer; precision
         unchanged. One one-term _multiexp_job."""

@@ -65,13 +65,14 @@ a @ b), its plaintext factors multiplied in float64 and encoded once:
 encrypted_backward crosses a layer in one contraction per output, at f more
 fraction bits, the source's gamma joins its overlap rows' top-layer
 exponents, and its shared basis takes its coefficients from plaintext
-Network.backward passes. And each gradient tensor gets one plaintext
-addend, what its party computes alone (own alignment terms through
-Network.backward, plus weight decay), encoded once at the tensor's fraction
-bits; the loss gets its constant likewise. Each ciphertext is made at the
-fraction bits its consumer uses: the source's lin and align at 2f, since the
-target adds them to its 2f upstream as they are. A gradient entry that is
-still plaintext when it is masked is encrypted then, under the peer's key.
+Network.backward passes. And every masked entry gets one plaintext addend,
+joined with its mask: a _Tensor carries as raws at its fraction bits what
+its party computes alone (own alignment terms through Network.backward
+plus weight decay, or the loss's constant), and _mask adds plain + mask to
+each ciphertext entry with add_raw, or encrypts it under the peer's key
+where no ciphertext reached. Each ciphertext is made at the fraction bits
+its consumer uses: the source's lin and align at 2f, since the target adds
+them to its 2f upstream as they are.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct, at the fraction bits given for
@@ -126,7 +127,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, FixedPoint, encode, encode_array, is_zero
+from .encoding import MAX_FRAC_BITS, check_frac_match, decode_raw, encode, encode_array
 from .nets import Network
 from .objective import LOG2, alignment_spec, label_prototype
 from .paillier import (
@@ -333,10 +334,12 @@ class ComponentBatch:
 
 
 @dataclass
-class _GradTensor:
+class _Tensor:
+    """One section to mask; plain holds the raws at frac_bits that join the mask."""
     name: str
-    values: np.ndarray  # entries Ciphertext, FixedPoint or the structural zero 0
+    values: np.ndarray  # entries Ciphertext or the structural zero 0
     frac_bits: int
+    plain: np.ndarray | int = 0  # raws of values' shape, or 0
 
 
 def _contract(mapper: Mapper, rows: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -366,9 +369,9 @@ def _contract(mapper: Mapper, rows: np.ndarray, left: np.ndarray, right: np.ndar
 def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
                        frac_bits: int, basis: np.ndarray | None = None,
                        mapper: Mapper = map, upstream_frac: int | None = None,
-                       factor: float = 1.0) -> list[_GradTensor]:
+                       factor: float = 1.0) -> list[_Tensor]:
     """Network.backward over an encrypted upstream: layer0.weights,
-    layer0.bias, layer1.weights, ..., each a _GradTensor whose entries are
+    layer0.bias, layer1.weights, ..., each a _Tensor whose entries are
     at 2f + (L - i) f fraction bits for layer i of L, f being frac_bits.
 
     With basis None, upstream is (N, d): ciphertexts at upstream_frac (2f
@@ -421,7 +424,7 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
             if idx:
                 delta = _contract(mapper, delta, slope, net.layers[idx].weights, bits)
             factor, bits = 1.0, f
-    return [_GradTensor(*entry) for entry in zip(names, values, fracs)]
+    return [_Tensor(*entry) for entry in zip(names, values, fracs)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +504,9 @@ class _Party:
         return [np.array([next(cts) for _ in range(part.size)], dtype=object).reshape(part.shape)
                 for part, _ in raws]
 
-    def _add_plain_part(self, tensors: list[_GradTensor], trace: list[np.ndarray],
-                        ab_rows: np.ndarray) -> list[_GradTensor]:
-        """Add to every tensor, encoded once at its fraction bits, the part of
+    def _with_plain_part(self, tensors: list[_Tensor], trace: list[np.ndarray],
+                         ab_rows: np.ndarray) -> list[_Tensor]:
+        """Give every tensor, encoded once at its fraction bits, the part of
         this party's gradient it holds in plaintext, as the plaintext oracle
         computes it: Network.backward of gamma * own_grad on its overlap rows
         (0 elsewhere), plus weight decay * theta."""
@@ -513,24 +516,29 @@ class _Party:
         parts = [getattr(grad, kind) + self.cfg.weight_decay * getattr(layer, kind)
                  for grad, layer in zip(grads, self.net.layers) for kind in ("weights", "bias")]
         for tensor, part in zip(tensors, parts):
-            raws = encode_array(part, tensor.frac_bits)
-            tensor.values = tensor.values + np.frompyfunc(FixedPoint, 2, 1)(raws, tensor.frac_bits)
+            tensor.plain = encode_array(part, tensor.frac_bits)
         return tensors
 
-    def _mask(self, seq: int, name: str, values: np.ndarray, frac_bits: int) -> Section:
-        """values plus a fresh mask at frac_bits, recorded under (seq, name),
-        as a ciphertext section under the peer's key."""
+    def _mask(self, seq: int, tensor: _Tensor) -> Section:
+        """tensor plus a fresh mask at its fraction bits, recorded under (seq,
+        name), as a ciphertext section under the peer's key: ct.add_raw(plain
+        + mask) per ciphertext, Enc_peer(plain + mask) per structural zero.
+        A ciphertext at other fraction bits raises before any mask is drawn."""
+        name, values, frac_bits = tensor.name, tensor.values, tensor.frac_bits
         key = (seq, name)
         if key in self.mask_log:
             raise ProtocolError(f"mask for {key} would be reused")
+        for frac in {ct.frac_bits for ct in values.flat if isinstance(ct, Ciphertext)}:
+            check_frac_match(frac, frac_bits)
         bound = 1 << (MASK_MAGNITUDE_BITS + frac_bits)
         raws = [self.rng.randrange(-bound, bound + 1) for _ in range(values.size)]
         self.mask_log[key] = tuple(raws)
         self.awaiting.setdefault(seq, []).append((name, values.shape, frac_bits))
-        masked = values.ravel() + np.array([FixedPoint(m, frac_bits) for m in raws], dtype=object)
+        plain = np.broadcast_to(np.asarray(tensor.plain, dtype=object), values.shape).flat
         return _ct_section(name, values.shape, [
-            m if isinstance(m, Ciphertext) else self.peer_key.encrypt_raw(m.raw, frac_bits, self.rng)
-            for m in masked])
+            v.add_raw(p + m) if isinstance(v, Ciphertext)
+            else self.peer_key.encrypt_raw(p + m, frac_bits, self.rng)
+            for v, p, m in zip(values.flat, plain, raws)])
 
     def _decrypt_to_blob(self, sections: list[Section]) -> bytes:
         """Decrypt a peer's masked ciphertext sections into a DECRYPTED_BLOB;
@@ -576,7 +584,7 @@ class _Party:
         """
         own = self._read_own_blob(iteration, blob_payload)
         try:
-            values = {name: np.array([u / (1 << frac_bits) for u in unmasked]).reshape(dims)
+            values = {name: np.array([decode_raw(u, frac_bits) for u in unmasked]).reshape(dims)
                       for name, dims, frac_bits, unmasked in own}
         except OverflowError:
             raise ProtocolError("an unmasked value does not fit a float64") from None
@@ -610,7 +618,7 @@ class _Party:
         (scores,) = contractions(self.mapper, (_section_array(request, self.keys, self.frac_bits),
                                                prototype, self.frac_bits))
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
-            [self._mask(seq, "predict.scores", scores, 2 * self.frac_bits)]))
+            [self._mask(seq, _Tensor("predict.scores", scores, 2 * self.frac_bits))]))
         blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
         [(name, _, _, unmasked)] = self._read_own_blob(seq, blob.payload)
         self.applied_log[seq, name] = tuple(unmasked)
@@ -653,9 +661,10 @@ class SourceParty(_Party):
             (self.cfg.gamma * self.align.kappa * u[self.ab_rows], 2 * f)))
 
     def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
-                      prototype: np.ndarray) -> Ciphertext:
-        """Build [[loss]] under the target's key from the target's components;
-        quad is comps.quad summed over labeled pairs."""
+                      prototype: np.ndarray) -> _Tensor:
+        """Build [[loss]] under the target's key from the target's components,
+        at 2f: the pair terms plus reg, with the source's own constant as its
+        plaintext part; quad is comps.quad summed over labeled pairs."""
         f = self.frac_bits
         u_ab = trace[-1][self.ab_rows]
         y = self.labels_c
@@ -669,13 +678,10 @@ class SourceParty(_Party):
             np.concatenate([np.outer(0.125 * prototype, prototype).ravel(),
                             ((-0.5 * y)[:, None] * prototype).ravel(),
                             (self.cfg.gamma * u_ab).ravel()]), f))
-        terms = [pairs.item(), comps.reg, encode(constant, 2 * f)]
-        # The structural zero (no labeled or overlap pairs) is skipped, so no
-        # addition of 0 reaches a ciphertext.
-        return sum(term for term in terms if not is_zero(term))
+        return _Tensor("loss", np.array(pairs.item() + comps.reg), 2 * f, encode(constant, 2 * f))
 
     def assemble_gradient(self, comps: ComponentBatch, quad: np.ndarray,
-                          trace: list[np.ndarray], prototype: np.ndarray) -> list[_GradTensor]:
+                          trace: list[np.ndarray], prototype: np.ndarray) -> list[_Tensor]:
         """Own-parameter gradient under the target's key, before masking.
 
         Every source row j receives (y_j / N) * S through the prototype path,
@@ -694,7 +700,7 @@ class SourceParty(_Party):
                 self.net, [a[self.ab_rows] for a in trace], comps.align, f, mapper=self.mapper,
                 upstream_frac=f, factor=self.cfg.gamma)):
             tensor.values = tensor.values + extra.values
-        return self._add_plain_part(tensors, trace, self.ab_rows)
+        return self._with_plain_part(tensors, trace, self.ab_rows)
 
     def run_training(self) -> TrainingResult:
         self.exchange_keys()
@@ -714,10 +720,10 @@ class SourceParty(_Party):
 
             tensors = self.assemble_gradient(comps, quad, trace, prototype)
             self._send(MsgType.MASKED_GRAD_A, iteration, pack_sections(
-                [self._mask(iteration, t.name, t.values, t.frac_bits) for t in tensors]))
-            loss_ct = self.assemble_loss(comps, quad, trace, prototype)
-            self._send(MsgType.ENC_LOSS, iteration, pack_sections(
-                [self._mask(iteration, "loss", np.array(loss_ct), loss_ct.frac_bits)]))
+                [self._mask(iteration, tensor) for tensor in tensors]))
+            loss_tensor = self.assemble_loss(comps, quad, trace, prototype)
+            self._send(MsgType.ENC_LOSS, iteration,
+                       pack_sections([self._mask(iteration, loss_tensor)]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_B: iteration})
             self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(
@@ -762,7 +768,7 @@ class TargetParty(_Party):
                                               (self.align.kappa * u_ab, f), (reg_value, 2 * f))
         return ComponentBatch(quad, lin, align, reg.item())
 
-    def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_GradTensor]:
+    def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_Tensor]:
         """Own-parameter gradient under the source's key, before masking."""
         f, u = self.frac_bits, trace[-1]
         # Pair c's upstream at output o contracts quad[c, o, :] against 2 u_c
@@ -772,7 +778,7 @@ class TargetParty(_Party):
         upstream[self.c_pos] = by_pair[..., 0] + comps.lin
         upstream[self.ab_pos] += comps.align
         tensors = encrypted_backward(self.net, trace, upstream, f, mapper=self.mapper)
-        return self._add_plain_part(tensors, trace, self.ab_pos)
+        return self._with_plain_part(tensors, trace, self.ab_pos)
 
     def run_training(self) -> TrainingResult:
         self.exchange_keys()
@@ -795,7 +801,7 @@ class TargetParty(_Party):
 
             tensors = self.assemble_gradient(comps, trace)
             self._send(MsgType.MASKED_GRAD_B, iteration, pack_sections(
-                [self._mask(iteration, t.name, t.values, t.frac_bits) for t in tensors]))
+                [self._mask(iteration, tensor) for tensor in tensors]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
             loss_frame = self._recv({MsgType.ENC_LOSS: iteration})

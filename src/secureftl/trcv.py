@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import train_logistic
 from .datasets import FederationSplit, weighted_f1
-from .nets import Network, autoencoder_pretrain, init_network
+from .nets import fresh_network
 from .plain import TrainingConfig
 from .protocol import Engine
 
@@ -121,13 +121,6 @@ def mirror_split(split: FederationSplit, labels_target: np.ndarray,
     )
 
 
-def _fresh_net(dims: list[int], seed: int, x: np.ndarray, pretrain_epochs: int) -> Network:
-    net = init_network(dims, seed=seed)
-    if pretrain_epochs:
-        net = autoencoder_pretrain(net, x, epochs=pretrain_epochs, learning_rate=0.1)
-    return net
-
-
 def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
              dims_source: list[int], dims_target: list[int], engine: Engine = Engine(),
              seed: int = 0, pretrain_epochs: int = 0) -> float:
@@ -136,8 +129,8 @@ def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
     if len(fold_ids) == 0:
         raise ValueError("empty fold")
     sub = restrict_source(split, fold_ids)
-    net_a = _fresh_net(dims_source, seed, sub.x_source, pretrain_epochs)
-    net_b = _fresh_net(dims_target, seed + 1, sub.x_target, pretrain_epochs)
+    net_a = fresh_network(dims_source, seed, sub.x_source, pretrain_epochs)
+    net_b = fresh_network(dims_target, seed + 1, sub.x_target, pretrain_epochs)
     engine.train(sub, net_a, net_b, cfg, seed)
 
     # Pseudo-label every target row whose true label is not safely usable:
@@ -150,8 +143,8 @@ def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
     labels_target[needs_pseudo] = pseudo
 
     mirrored = mirror_split(split, labels_target, fold_ids)
-    net_b2 = _fresh_net(dims_target, seed + 2, mirrored.x_source, pretrain_epochs)
-    net_a2 = _fresh_net(dims_source, seed + 3, mirrored.x_target, pretrain_epochs)
+    net_b2 = fresh_network(dims_target, seed + 2, mirrored.x_source, pretrain_epochs)
+    net_a2 = fresh_network(dims_source, seed + 3, mirrored.x_target, pretrain_epochs)
     engine.train(mirrored, net_b2, net_a2, cfg, seed + 1)
     predicted = engine.predict(mirrored, net_b2, net_a2, fold_ids, seed + 1)
     return weighted_f1(predicted, split.labels_for(fold_ids)).weighted_f1

@@ -31,7 +31,7 @@ def pytest_terminal_summary(terminalreporter, config):
 def encrypt(key, value: float, frac_bits: int, rng=None):
     """value encoded at frac_bits, encrypted through encrypt_raws under an
     owner's PrivateKey, or through encrypt_raw under a peer's PublicKey."""
-    raw = encode(value, frac_bits).raw
+    raw = encode(value, frac_bits)
     if isinstance(key, PrivateKey):
         (ct,) = key.encrypt_raws([raw], frac_bits, rng)
         return ct

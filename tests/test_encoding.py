@@ -8,7 +8,6 @@ from secureftl.encoding import (
     DEFAULT_FRAC_BITS,
     MAX_FRAC_BITS,
     EncodingOverflowError,
-    FixedPoint,
     decode_raw,
     encode,
     encode_array,
@@ -23,29 +22,30 @@ def test_defaults():
 
 
 def test_encode_known_values():
-    assert encode(1.0, 8).raw == 256
-    assert encode(-1.0, 8).raw == -256
-    assert encode(0.5, 1).raw == 1
-    assert encode(0.0, 40).raw == 0
+    assert encode(1.0, 8) == 256
+    assert encode(-1.0, 8) == -256
+    assert encode(0.5, 1) == 1
+    assert encode(0.0, 40) == 0
+    assert type(encode(2.5, 3)) is int
 
 
 def test_decode_known_values():
-    assert FixedPoint(256, 8).decode() == 1.0
-    assert FixedPoint(-384, 8).decode() == -1.5
+    assert decode_raw(256, 8) == 1.0
+    assert decode_raw(-384, 8) == -1.5
     assert decode_raw(3, 1) == 1.5
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_roundtrip_error_bound(value):
     # quantisation error is at most half an lsb
-    got = encode(value, DEFAULT_FRAC_BITS).decode()
+    got = decode_raw(encode(value, DEFAULT_FRAC_BITS), DEFAULT_FRAC_BITS)
     assert abs(got - value) <= 2.0 ** -(DEFAULT_FRAC_BITS + 1)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
        st.integers(min_value=0, max_value=60))
 def test_roundtrip_any_frac(value, frac_bits):
-    got = encode(value, frac_bits).decode()
+    got = decode_raw(encode(value, frac_bits), frac_bits)
     assert abs(got - value) <= 2.0 ** -(frac_bits + 1)
 
 
@@ -84,21 +84,6 @@ def test_residue_overflow():
     assert from_residue(51, modulus) == -50
 
 
-def test_fixed_point_arithmetic():
-    assert FixedPoint(3, 4) + FixedPoint(-5, 4) == FixedPoint(-2, 4)
-    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 4 vs 5"):
-        _ = FixedPoint(3, 4) + FixedPoint(3, 5)
-    # A plaintext is multiplied only in float64, before it is encoded.
-    with pytest.raises(TypeError):
-        _ = FixedPoint(3, 4) * FixedPoint(-5, 2)
-
-
-def test_zero_is_structural():
-    x = FixedPoint(7, 3)
-    assert x + 0 is x and 0 + x is x
-    assert sum([x, x]) == FixedPoint(14, 3)
-
-
 # Floats of every kind encode accepts or rejects: any finite float (±0,
 # subnormals, huge values), and values exactly half an lsb off the grid.
 _EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308,
@@ -112,7 +97,7 @@ _EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1
 def test_encode_array_equals_encode(case):
     frac_bits, values = case
     try:
-        expected = [encode(v, frac_bits).raw for v in values]
+        expected = [encode(v, frac_bits) for v in values]
     except EncodingOverflowError:
         with pytest.raises(EncodingOverflowError):
             encode_array(values, frac_bits)

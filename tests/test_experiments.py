@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from secureftl import experiments
+from secureftl import experiments, nets
 from secureftl.experiments import (
     ExperimentConfig,
     build_split,
@@ -112,6 +112,41 @@ def test_build_split_takes_a_zero_override():
     assert len(build_split(cfg, 0, n_overlap=0).overlap_ids) == 0
     assert len(build_split(cfg, 0, n_overlap=0, n_labeled=0).labeled_ids) == 0
     assert len(build_split(cfg, 0).overlap_ids) == 10
+
+
+def test_csv_dataset_rejects_row_counts(tmp_path):
+    # A CSV split takes its rows from overlap_fraction and label_fraction, so
+    # a sweep's or the config's row counts would be silently ignored.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c,d,label\n" + "".join(
+        ",".join(f"{v:.4f}" for v in rng.standard_normal(4)) + f",{i % 2}\n" for i in range(30)))
+    base = dict(dataset=str(path), csv_label_column="label", engine="encrypted")
+    for bad in (dict(kind="overlap-sweep"), dict(kind="scaling-sweep"), dict(n_overlap=5),
+                dict(n_labeled=3), dict(n_eval=2)):
+        (key,) = bad
+        with pytest.raises(ValueError, match=f"{key} = "):
+            ExperimentConfig(**base, **bad).validate()
+    cfg = ExperimentConfig(dataset=str(path), kind="taylor-vs-exact", seeds=1, max_iterations=2,
+                           d_source_features=2, d_target_features=2, label_fraction=0.5,
+                           out_dir=str(tmp_path / "out"))
+    assert len(run_experiment(cfg).rows) == 2
+
+
+def test_scaling_sweep_pretrains_every_net(tmp_path, monkeypatch):
+    calls = []
+    pretrain = nets.autoencoder_pretrain
+
+    def counting(net, x, epochs, learning_rate):
+        calls.append((x.shape[0], epochs))
+        return pretrain(net, x, epochs, learning_rate)
+
+    monkeypatch.setattr(nets, "autoencoder_pretrain", counting)
+    run_experiment(_fast_base(tmp_path, kind="scaling-sweep", engine="encrypted",
+                              max_iterations=1, seeds=1, sweep=(4,), dim_sweep=(2,),
+                              pretrain_epochs=3))
+    # Two points, each a source and a target net.
+    assert len(calls) == 4 and all(epochs == 3 for _, epochs in calls)
 
 
 def _fast_base(tmp_path, **kw):

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from secureftl import paillier
 from secureftl.encoding import (
     EncodingOverflowError,
-    FixedPoint,
     encode,
     from_residue,
     is_zero,
@@ -232,15 +231,37 @@ def test_add_requires_matching_frac():
 def test_add_raw():
     rng = random.Random(4)
     ct = PK.encrypt_raw(100, frac_bits=5, rng=rng)
-    assert decrypt_raw(SK, ct.add_raw(-300)) == -200
-
-
-def test_add_fixed_point():
-    rng = random.Random(4)
-    ct = PK.encrypt_raw(100, frac_bits=5, rng=rng)
-    out = ct + FixedPoint(-300, 5)
+    out = ct.add_raw(-300)
     assert out.frac_bits == 5
-    assert decrypt_raw(SK, out) == decrypt_raw(SK, FixedPoint(-300, 5) + ct) == -200
+    assert decrypt_raw(SK, out) == -200
+
+
+_HALF_N = PK.modulus // 2
+
+
+# With g = n + 1, g^a g^b = g^(a + b) mod n^2: adding two raws one after the
+# other gives the very ciphertext that adding their sum once does, which is
+# what lets a plaintext part and a mask join a ciphertext as one raw.
+@settings(derandomize=True, deadline=None)
+@given(st.integers(-_HALF_N, _HALF_N).flatmap(lambda a: st.tuples(
+    st.just(a), st.integers(max(-_HALF_N, -_HALF_N - a), min(_HALF_N, _HALF_N - a)))))
+@example((_HALF_N, -_HALF_N))  # the signed ends of the plaintext space
+@example((-1, 1))  # a sum of 0
+def test_add_raw_twice_is_add_raw_of_the_sum(pair):
+    a, b = pair
+    ct = PK.encrypt_raw(12345, frac_bits=7, rng=random.Random(4))
+    assert ct.add_raw(a).add_raw(b).value == ct.add_raw(a + b).value
+    assert decrypt_raw(SK, ct.add_raw(a + b)) == from_residue((12345 + a + b) % PK.modulus,
+                                                              PK.modulus)
+
+
+def test_nonzero_int_is_no_addend():
+    # A plaintext joins a ciphertext only through add_raw; only the int 0,
+    # the structural zero, is an addend (test_zero_is_structural).
+    ct = encrypt(PK, 1.5, 8, random.Random(3))
+    for addition in (lambda: ct + 7, lambda: 7 + ct, lambda: ct + True, lambda: ct + 0.0):
+        with pytest.raises(TypeError):
+            addition()
 
 
 def test_mul_fixed_point_accumulates_frac():
@@ -258,11 +279,12 @@ def test_mul_by_encoded_one_lifts():
 
 
 def test_operator_fraction_mismatch_raises():
-    ct = encrypt(PK, 1.0, 8, random.Random(3))
+    rng = random.Random(3)
+    ct, other = encrypt(PK, 1.0, 8, rng), PK.encrypt_raw(1, 9, rng)
     with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 8 vs 9"):
-        _ = ct + FixedPoint(1, 9)
-    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch"):
-        _ = FixedPoint(1, 9) + ct
+        _ = ct + other
+    with pytest.raises(EncodingOverflowError, match="fraction-bit mismatch in addition: 9 vs 8"):
+        _ = other + ct
 
 
 def test_operator_fraction_overflow_raises():
@@ -283,13 +305,13 @@ def test_zero_is_structural():
 
 def test_products_outside_contractions_raise():
     # A ciphertext has no *, so no product can skip contractions' checks
-    # and mapper: not with a float or a FixedPoint, nor with the structural
-    # zero, nor elementwise over object arrays.
+    # and mapper: not with a float or an int, nor with the structural zero,
+    # nor with another ciphertext, nor elementwise over object arrays.
     ct = encrypt(PK, 1.5, 8, random.Random(3))
     cts = np.array([ct, ct], dtype=object)
-    for product in (lambda: ct * FixedPoint(3, 8), lambda: FixedPoint(3, 8) * ct,
+    for product in (lambda: ct * 3, lambda: 3 * ct, lambda: ct * ct,
                     lambda: ct * 3.0, lambda: 3.0 * ct, lambda: ct * 0, lambda: 0 * ct,
-                    lambda: cts * np.array([FixedPoint(3, 8)] * 2, dtype=object)):
+                    lambda: cts * np.array([3, 3], dtype=object)):
         with pytest.raises(TypeError):
             product()
 
@@ -603,7 +625,7 @@ def _summed_pows(a, b, frac_bits):
     out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
     for r in range(a.shape[0]):
         for c in range(b.shape[1]):
-            terms = [(x, encode(y, frac_bits).raw) for x, y in zip(a[r], b[:, c])
+            terms = [(x, encode(y, frac_bits)) for x, y in zip(a[r], b[:, c])
                      if not is_zero(x)]
             if terms:
                 value = math.prod(pow(x.value, raw, NSQ) for x, raw in terms) % NSQ

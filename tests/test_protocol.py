@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from secureftl import paillier, protocol
 from secureftl.datasets import FederationSplit, synth_two_view
-from secureftl.encoding import FixedPoint, is_zero
+from secureftl.encoding import EncodingOverflowError, is_zero
 from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import (
@@ -40,6 +40,7 @@ from secureftl.protocol import (
     _int_section,
     _party_keys,
     _pubkey_payload,
+    _Tensor,
     _read,
     _read_gradient,
     _read_labels,
@@ -916,15 +917,37 @@ def test_unmask_rejects_blob_without_every_layer(small_split, loopback):
 
 def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes:
     """The peer's DECRYPTED_BLOB answering party's masked all-ones gradient at
-    4F fraction bits, written as if it were at claimed_frac bits."""
+    4F fraction bits, written as if it were at claimed_frac bits. The ones are
+    the gradient's plaintext part; no ciphertext reached any entry."""
     sections = []
     for idx, layer in enumerate(party.net.layers):
         for name, param in (("weights", layer.weights), ("bias", layer.bias)):
-            ones = np.full(param.shape, FixedPoint(1 << (4 * F), 4 * F), dtype=object)
-            masked = party._mask(iteration, f"layer{idx}.{name}", ones, 4 * F)
+            ones = np.full(param.shape, 1 << (4 * F), dtype=object)
+            masked = party._mask(iteration, _Tensor(f"layer{idx}.{name}",
+                                                    np.zeros(param.shape, dtype=object), 4 * F,
+                                                    ones))
             raws = peer.decrypt_raws(_section_cts(masked, party.keys))
             sections.append(_int_section(masked.name, masked.dims, claimed_frac, raws))
     return pack_sections(sections)
+
+
+def test_mask_checks_fraction_bits_before_drawing_a_mask(small_split, loopback):
+    # add_raw checks nothing, so _mask checks every ciphertext of a tensor
+    # against the tensor's fraction bits before it draws or logs any mask.
+    party, peer = _party_with_peer(small_split, loopback)
+    rng = random.Random(7)
+    values = np.array([party.peer_key.encrypt_raw(1, 4 * F, rng),
+                       party.peer_key.encrypt_raw(1, 3 * F, rng), 0], dtype=object)
+    plain, state = np.array([5, 6, 7], dtype=object), party.rng.getstate()
+    with pytest.raises(EncodingOverflowError,
+                       match=f"fraction-bit mismatch in addition: {3 * F} vs {4 * F}"):
+        party._mask(1, _Tensor("layer0.bias", values, 4 * F, plain))
+    assert party.mask_log == {} and party.awaiting == {}
+    assert party.rng.getstate() == state
+    values[1] = party.peer_key.encrypt_raw(1, 4 * F, rng)
+    masked = party._mask(1, _Tensor("layer0.bias", values, 4 * F, plain))
+    raws = peer.decrypt_raws(_section_cts(masked, party.keys))
+    assert [r - m for r, m in zip(raws, party.mask_log[1, "layer0.bias"])] == [6, 7, 7]
 
 
 def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split, loopback):

@@ -124,10 +124,11 @@ class ExperimentConfig:
             tolerance=self.tolerance, alignment=self.alignment,
             loss_mode=loss_mode or self.loss_mode)
 
-    def dims(self) -> tuple[list[int], list[int]]:
-        """Layer dims per party; both end at the shared representation size."""
-        return ([self.d_source_features, self.hidden],
-                [self.d_target_features, self.hidden])
+    def dims(self, split: FederationSplit) -> tuple[list[int], list[int]]:
+        """Layer dims per party: each party's feature width in split, then
+        the shared representation size."""
+        return ([split.x_source.shape[1], self.hidden],
+                [split.x_target.shape[1], self.hidden])
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -178,11 +179,12 @@ def build_split(cfg: ExperimentConfig, seed: int, n: int | None = None,
                 n_labeled: int | None = None) -> FederationSplit:
     if cfg.dataset != "synth":
         x, labels, _names = load_csv(cfg.dataset, CsvSchema(cfg.csv_label_column))
-        mean, std = fit_standardizer(x)
-        x = standardize(x, mean, std)
-        columns_source = list(range(x.shape[1] // 2))
-        return vertical_split(x, labels, columns_source, cfg.overlap_fraction,
-                              cfg.label_fraction, rng=seed)
+        split = vertical_split(x, labels, list(range(x.shape[1] // 2)), cfg.overlap_fraction,
+                               cfg.label_fraction, rng=seed)
+        # Each party standardizes its columns over the rows it holds.
+        split.x_source = standardize(split.x_source, *fit_standardizer(split.x_source))
+        split.x_target = standardize(split.x_target, *fit_standardizer(split.x_target))
+        return split
     return synth_two_view(
         n=cfg.n if n is None else n, d_source=cfg.d_source_features,
         d_target=cfg.d_target_features, noise=cfg.noise, seed=seed,
@@ -223,7 +225,7 @@ def _make_engine(cfg: ExperimentConfig) -> Engine:
 def _fresh_nets(cfg: ExperimentConfig, split: FederationSplit,
                 seed: int) -> tuple[Network, Network]:
     """One run's source and target nets, seeded seed and seed + 1."""
-    dims_a, dims_b = cfg.dims()
+    dims_a, dims_b = cfg.dims(split)
     return (fresh_network(dims_a, seed, split.x_source, cfg.pretrain_epochs),
             fresh_network(dims_b, seed + 1, split.x_target, cfg.pretrain_epochs))
 
@@ -288,7 +290,7 @@ def _run_ftl_vs_self(cfg: ExperimentConfig, engine: Engine, result: RunResult,
                 _append_losses(loss_rows, seed, name, history)
         lr_model = train_logistic(x_c, y_c, seed=seed)
         svm_model = train_linear_svm(x_c, y_c, seed=seed)
-        sae_model = train_sae_classifier(x_c, y_c, cfg.dims()[1], seed=seed)
+        sae_model = train_sae_classifier(x_c, y_c, cfg.dims(split)[1], seed=seed)
         scores["self_lr"] = weighted_f1(lr_model.predict(x_eval),
                                         split.labels_eval).weighted_f1
         scores["self_svm"] = weighted_f1(svm_model.predict(x_eval),
@@ -321,7 +323,7 @@ def _run_overlap_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
 def _run_trcv_vs_cv(cfg: ExperimentConfig, engine: Engine, result: RunResult,
                     loss_rows: list, timing_rows: list):
     split = build_split(cfg, cfg.seed)
-    dims_a, dims_b = cfg.dims()
+    dims_a, dims_b = cfg.dims(split)
     x_c = split.x_target[split.target_rows(split.labeled_ids)]
     y_c = split.labels_for(split.labeled_ids)
     best_trcv_score = 0.0

@@ -29,9 +29,12 @@ beforehand; PublicKey.encrypt_raw is the one encryption under a peer's key.
 Every ciphertext-by-plaintext product goes through _multiexp_job from one
 batch form, contractions (a @ b): a holds ciphertexts, b is float64 and
 encoded once at the one fraction count given with it (encode_array). It
-checks each row's key and fraction bits before any job, then sends one job
-per row of the ciphertext operand, whose bases serve all of that row's
-columns. An elementwise product is a contraction over unit axes,
+checks each row's key and fraction bits before any job, then cuts each row
+of the ciphertext operand into one stride of its ciphertexts per worker
+(_workers, the usable CPUs), each stride a job whose bases serve all of the
+row's columns, queued so each worker's chunk holds one stride of every row;
+the stride products multiply into the row's entries. An elementwise product
+is a contraction over unit axes,
 a[..., None, None] @ b[..., None, None], so only contractions knows the
 rule of multiplication. __add__ and add_raw know the rule of addition: with
 g = n + 1, g^a g^b = g^(a + b) mod n^2, so a plaintext joins a ciphertext
@@ -60,6 +63,7 @@ import ctypes
 import ctypes.util
 import hashlib
 import math
+import os
 import random
 import secrets
 from collections.abc import Callable, Iterable
@@ -486,12 +490,19 @@ class Ciphertext:
         return Ciphertext(value, self.frac_bits, self.public_key)
 
 
+def _workers() -> int:
+    """The usable CPUs: a run's worker processes, and the strides each row of
+    a contraction is cut into."""
+    return len(os.sched_getaffinity(0))
+
+
 def _row_job(row: np.ndarray, raws: np.ndarray, frac_bits: int, out: np.ndarray,
-             pending: list, jobs: list):
-    """Queue out[c] = sum_k row[k] * raws[k, c] for every column c, as one job
-    whose bases are the row's ciphertexts, each product at their fraction
-    bits plus frac_bits. The row's key, ciphertext fraction bits and that sum
-    are checked once. A row with no ciphertext stays the structural zero 0."""
+             strides: int, rows: list):
+    """Queue out[c] = sum_k row[k] * raws[k, c] for every column c, as one
+    job per nonempty stride k, k + strides, ... of the row's ciphertexts,
+    each carrying every column, the products at their fraction bits plus
+    frac_bits. The row's key, ciphertext fraction bits and that sum are
+    checked once. A row with no ciphertext stays the structural zero 0."""
     used = [k for k, ct in enumerate(row) if not is_zero(ct)]
     cts = [row[k] for k in used]
     if not all(isinstance(ct, Ciphertext) for ct in cts):
@@ -502,8 +513,9 @@ def _row_job(row: np.ndarray, raws: np.ndarray, frac_bits: int, out: np.ndarray,
         check_frac_match(cts[0].frac_bits, ct.frac_bits)
     if cts and raws.shape[1]:
         key = cts[0].public_key
-        pending.append((out, check_frac_sum(cts[0].frac_bits, frac_bits), key))
-        jobs.append(([ct.value for ct in cts], raws[used].T.tolist(), key.n_squared))
+        rows.append((out, check_frac_sum(cts[0].frac_bits, frac_bits), key, [
+            ([ct.value for ct in cts[k::strides]], raws[used[k::strides]].T.tolist(),
+             key.n_squared) for k in range(min(strides, len(cts)))]))
 
 
 def contractions(mapper: Mapper, *triples) -> list[np.ndarray]:
@@ -517,11 +529,17 @@ def contractions(mapper: Mapper, *triples) -> list[np.ndarray]:
     its terms' powers at the row's fraction bits plus frac_bits, so a column
     of zero exponents gives the ciphertext 1. Every b is encoded and every
     row's key and fraction bits checked before any job. Then all of the
-    triples go through mapper in one batch of _multiexp_job jobs, one per row
-    of a, whose bases serve every column of that row; over unit axes that is
-    one one-term job per elementwise product. An empty batch calls nothing.
+    triples go through mapper in one batch of _multiexp_job jobs: each row
+    of a, its structural zeros dropped, is cut into one stride k, k + W, ...
+    of its ciphertexts per worker (W = _workers()), and each nonempty stride
+    is a job that carries every column of the row. The jobs are queued
+    stride-major, stride 0 of every row, then stride 1, ..., so each of the
+    executor's equal-count chunks holds one stride of every row; a row's
+    stride products multiplied mod n^2 are the integers one job would give.
+    Over unit axes that is one one-term job per elementwise product. An
+    empty batch calls nothing.
     """
-    shaped, pending, jobs = [], [], []
+    strides, shaped, rows = _workers(), [], []
     for a, b, frac_bits in triples:
         a, b = np.asarray(a, dtype=object), encode_array(b, frac_bits)
         vector_a, vector_b = a.ndim == 1, b.ndim == 1
@@ -533,15 +551,21 @@ def contractions(mapper: Mapper, *triples) -> list[np.ndarray]:
         b = np.broadcast_to(b, batch + b.shape[-2:])
         out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=object)
         for index in np.ndindex(*batch, a.shape[-2]):
-            _row_job(a[index], b[index[:-1]], frac_bits, out[index], pending, jobs)
+            _row_job(a[index], b[index[:-1]], frac_bits, out[index], strides, rows)
         if vector_b:
             out = out[..., 0]
         if vector_a:
             out = out[..., 0] if vector_b else out[..., 0, :]
         shaped.append(out)
-    values = mapper(_multiexp_job, jobs) if jobs else ()
-    for (out, frac_bits, key), column_values in zip(pending, values):
-        out[:] = [Ciphertext(value, frac_bits, key) for value in column_values]
+    # Stride-major: stride 0 of every row, then stride 1, ...
+    order = sorted((k, i) for i, (*_, jobs) in enumerate(rows) for k in range(len(jobs)))
+    values = mapper(_multiexp_job, [rows[i][3][k] for k, i in order]) if order else ()
+    products = [[1] * len(out) for out, *_ in rows]
+    for (_, i), column_values in zip(order, values):
+        nsq = rows[i][2].n_squared
+        products[i] = [x * y % nsq for x, y in zip(products[i], column_values)]
+    for (out, frac_bits, key, _), row_values in zip(rows, products):
+        out[:] = [Ciphertext(value, frac_bits, key) for value in row_values]
     return shaped
 
 

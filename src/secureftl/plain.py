@@ -45,6 +45,7 @@ class TrainingConfig:
             raise ValueError("need at least one iteration")
         if self.tolerance < 0:
             raise ValueError("tolerance must be non-negative")
+        self.objective()  # gamma, weight_decay, loss_mode and alignment, for either engine
 
     def objective(self) -> ObjectiveConfig:
         return ObjectiveConfig(gamma=self.gamma, weight_decay=self.weight_decay,

@@ -117,7 +117,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import os
 import random
 import threading
 from collections.abc import Callable
@@ -138,6 +137,7 @@ from .paillier import (
     Mapper,
     PrivateKey,
     PublicKey,
+    _workers,
     contractions,
     deserialize_ciphertext,
     keygen,
@@ -168,11 +168,6 @@ from .transport import (
 # full fixed-point resolution: large against unit-scale gradients, small
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
-
-# A contraction of encrypted_backward hands the kernel at most this many exponent
-# terms per map call, in whole output rows or column blocks of a longer row,
-# so the jobs in flight do not grow with rows * inputs * outputs.
-CONTRACTION_BATCH = 4096
 
 
 class ProtocolError(RuntimeError):
@@ -342,30 +337,6 @@ class _Tensor:
     plain: np.ndarray | int = 0  # raws of values' shape, or 0
 
 
-def _contract(mapper: Mapper, rows: np.ndarray, left: np.ndarray, right: np.ndarray,
-              frac_bits: int) -> np.ndarray:
-    """out[r, c] = sum_k rows[r, k] * encode(left[r, k] * right[k, c], frac_bits)
-    for an (R, K) object array rows and float64 left (R, K) and right (K, C).
-
-    One job per row, whose bases serve all of its columns, in map calls of
-    at most CONTRACTION_BATCH exponent terms each (a single column of more
-    terms goes alone): whole rows, or column blocks of a row narrow enough
-    that each call holds a row per worker. A block's exponents are encoded
-    when its call is made.
-    """
-    (count, k), columns = rows.shape, right.shape[1]
-    width = max(1, min(columns, CONTRACTION_BATCH // max(1, k * _workers())))
-    step = max(1, CONTRACTION_BATCH // max(1, k * width))
-    out = np.zeros((count, columns), dtype=object)
-    for i in range(0, count, step):
-        for j in range(0, columns, width):
-            r, c = slice(i, i + step), slice(j, j + width)
-            (block,) = contractions(mapper, (rows[r, None, :],
-                                             left[r, :, None] * right[None, :, c], frac_bits))
-            out[r, c] = block[:, 0]
-    return out
-
-
 def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
                        frac_bits: int, basis: np.ndarray | None = None,
                        mapper: Mapper = map, upstream_frac: int | None = None,
@@ -377,21 +348,21 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
     With basis None, upstream is (N, d): ciphertexts at upstream_frac (2f
     when None), or 0 where none reached; the gradient is that of factor *
     upstream. Activations and weights are local plaintext, so each layer is
-    one contraction per output of float64 products encoded once: at
+    one contractions call of float64 products encoded once: at
     3f - upstream_frac with factor in the top layer, at f below. With delta
     the layer's (N, out) upstream and slope = a_out (1 - a_out),
       grad[o, :] = sum_r delta[r, o] * enc(slope[r, o] [a_in[r, :] | 1])
       delta'[r, :] = sum_o delta[r, o] * enc(slope[r, o] W[o, :])
-    in map calls of _contract. A gradient entry is 0 only when no row
-    reaches it.
+    the second only above the first layer. A gradient entry is 0 only when
+    no row reaches it.
 
     With basis K ciphertexts at 2f, upstream is (N, d, K) float64: row r's
     upstream at output o is sum_k upstream[r, o, k] * basis[k]. Backprop is
     linear in the upstream, so K plaintext Network.backward passes give
     every entry's coefficients, each encoded once at the entry's fraction
     bits less the basis's 2f; the K basis ciphertexts then serve every entry,
-    in one contraction job per block of a tensor's entries, and a block of
-    every tensor per worker. The cost of a basis does not grow with N.
+    one contraction basis @ coefficients per tensor, all in one call. The
+    cost of a basis does not grow with N.
     """
     f, depth = frac_bits, len(net.layers)
     kinds = ("weights", "bias")
@@ -401,17 +372,9 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         passes = [net.backward(trace, upstream[..., k]) for k in range(len(basis))]
         coef = [np.stack([getattr(grads[idx], kind) for grads in passes], axis=-1)
                 for idx in range(depth) for kind in kinds]
-        # Block w of every tensor is its entries w, w + workers, ...; the
-        # blocks go worker by worker, so each worker's chunk holds a block
-        # of every tensor.
-        workers = _workers()
-        products = iter(contractions(mapper, *[
-            (basis, c.reshape(-1, len(basis))[w::workers].T, frac - 2 * f)
-            for w in range(workers) for c, frac in zip(coef, fracs)]))
-        values = [np.empty(c.shape[:-1], dtype=object) for c in coef]
-        for w in range(workers):
-            for tensor in values:
-                tensor.flat[w::workers] = next(products)
+        products = contractions(mapper, *[(basis, c.reshape(-1, len(basis)).T, frac - 2 * f)
+                                          for c, frac in zip(coef, fracs)])
+        values = [p.reshape(c.shape[:-1]) for p, c in zip(products, coef)]
     else:
         values, delta = [None] * (2 * depth), upstream
         bits = f if upstream_frac is None else 3 * f - upstream_frac
@@ -419,10 +382,16 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
             a_out, a_in = trace[idx + 1], trace[idx]
             slope = factor * a_out * (1.0 - a_out)
             a_one = np.hstack([a_in, np.ones((len(a_in), 1))])  # a bias is a unit input
-            grad = _contract(mapper, delta.T, slope.T, a_one, bits)
-            values[2 * idx], values[2 * idx + 1] = grad[:, :-1], grad[:, -1]
+            # grad[o] = delta[:, o] @ (slope[:, o] [a_in | 1]) and, above the
+            # first layer, delta'[r] = delta[r] @ (slope[r] W): one call.
+            triples = [(delta.T[:, None, :], slope.T[:, :, None] * a_one, bits)]
             if idx:
-                delta = _contract(mapper, delta, slope, net.layers[idx].weights, bits)
+                triples.append((delta[:, None, :], slope[:, :, None] * net.layers[idx].weights,
+                                bits))
+            grad, *below = contractions(mapper, *triples)
+            values[2 * idx], values[2 * idx + 1] = grad[:, 0, :-1], grad[:, 0, -1]
+            if idx:
+                delta = below[0][:, 0]
             factor, bits = 1.0, f
     return [_Tensor(*entry) for entry in zip(names, values, fracs)]
 
@@ -832,12 +801,6 @@ class EncryptedRunResult:
 JOIN_TIMEOUT = 600.0
 
 
-def _workers() -> int:
-    """The usable CPUs: a run's worker processes, and the blocks a shared
-    basis contraction is split into."""
-    return len(os.sched_getaffinity(0))
-
-
 def _close(channels):
     channels[0].close()
     channels[1].close()
@@ -850,11 +813,12 @@ def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: Tra
     returns ((source, target), (source_fn(source), target_fn(target))).
 
     The executor forks its workers at the keygen map, before the target
-    thread starts; its map, one chunk per worker, is the only place that
-    splits a batch. source_fn runs in the caller and target_fn on a thread.
-    The first failure in time order is raised. However the run ends, both
-    channel ends are closed, the executor is shut down, so no worker
-    outlives the call, and both parties' mapper is map again.
+    thread starts; its map cuts every batch into one chunk per worker, and
+    _workers() sizes both it and a contraction's strides. source_fn runs in
+    the caller and target_fn on a thread. The first failure in time order
+    is raised. However the run ends, both channel ends are closed, the
+    executor is shut down, so no worker outlives the call, and both
+    parties' mapper is map again.
     """
     cpus = _workers()
     pool = (ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))

@@ -14,11 +14,13 @@ from secureftl.transport import loopback_pair
 
 def pytest_report_header():
     """Which exponentiation the crypto runs on, so a run on the slow
-    builtin fallback shows in the log."""
+    builtin fallback shows in the log, and the worker count, which sets how
+    contractions split their jobs and the timings test_08 fits."""
     if paillier._powmod is pow:
-        return "powmod: builtin pow (libgmp not found)"
-    version = ctypes.c_char_p.in_dll(paillier._GMP, "__gmp_version").value.decode()
-    return f"powmod: libgmp {version}"
+        powmod = "builtin pow (libgmp not found)"
+    else:
+        powmod = "libgmp " + ctypes.c_char_p.in_dll(paillier._GMP, "__gmp_version").value.decode()
+    return f"powmod: {powmod}, workers: {paillier._workers()}"
 
 
 def pytest_terminal_summary(terminalreporter, config):

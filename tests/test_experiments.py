@@ -82,7 +82,7 @@ def test_config_validate():
 def test_config_training_and_dims():
     cfg = ExperimentConfig(d_source_features=7, d_target_features=4, hidden=3,
                            learning_rate=0.1, loss_mode="taylor")
-    dims_a, dims_b = cfg.dims()
+    dims_a, dims_b = cfg.dims(build_split(cfg, seed=0))
     assert dims_a == [7, 3] and dims_b == [4, 3]
     assert cfg.training().loss_mode == "taylor"
     assert cfg.training("exact").loss_mode == "exact"
@@ -131,6 +131,25 @@ def test_csv_dataset_rejects_row_counts(tmp_path):
                            d_source_features=2, d_target_features=2, label_fraction=0.5,
                            out_dir=str(tmp_path / "out"))
     assert len(run_experiment(cfg).rows) == 2
+
+
+def test_csv_run_takes_each_partys_widths_and_statistics_from_its_split(tmp_path):
+    # A 5-feature CSV splits 2 columns to the source and 3 to the target,
+    # whatever the configured widths, and each party standardizes its
+    # columns over the rows it holds.
+    rng = np.random.default_rng(1)
+    path = tmp_path / "five.csv"
+    path.write_text("a,b,c,d,e,label\n" + "".join(
+        ",".join(f"{v:.4f}" for v in 3.0 + rng.standard_normal(5) * [1, 2, 3, 4, 5])
+        + f",{i % 2}\n" for i in range(60)))
+    cfg = ExperimentConfig(dataset=str(path), kind="taylor-vs-exact", seeds=1, max_iterations=2,
+                           out_dir=str(tmp_path / "out"))
+    cfg.validate()
+    assert len(run_experiment(cfg).rows) == 2
+    split = build_split(cfg, seed=0)
+    for x in (split.x_source, split.x_target):
+        assert np.allclose(x.mean(axis=0), 0.0) and np.allclose(x.std(axis=0), 1.0)
+    assert cfg.dims(split) == ([2, cfg.hidden], [3, cfg.hidden])
 
 
 def test_scaling_sweep_pretrains_every_net(tmp_path, monkeypatch):
@@ -262,7 +281,7 @@ def test_encrypted_sweep_trains_once_per_result(tmp_path, monkeypatch):
     assert len(opened) == 4
 
     split = build_split(cfg, cfg.seed, n_overlap=4)
-    dims_a, dims_b = cfg.dims()
+    dims_a, dims_b = cfg.dims(split)
     run = train_encrypted(split, init_network(dims_a, seed=cfg.seed),
                           init_network(dims_b, seed=cfg.seed + 1), cfg.training(),
                           key_bits=cfg.key_bits, frac_bits=cfg.frac_bits, seed=cfg.seed)

@@ -659,16 +659,51 @@ def test_contractions_equal_summed_pows(data):
     assert _fields(vector) == _fields(expected[:, 0])
 
 
-def test_contractions_apply_the_product_rules_before_any_job():
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_contractions_are_the_same_at_every_stride_count(data):
+    # One to four strides per row give the same entries: broadcast batch
+    # dims, negative exponents, all-zero rows, a b with no column, and rows
+    # with fewer ciphertexts than strides.
+    shape = st.sampled_from([(), (1,), (2,)])
+    batch_a, batch_b = data.draw(shape), data.draw(shape)
+    rows, inner, cols = (data.draw(st.integers(lo, hi)) for lo, hi in ((0, 3), (1, 6), (0, 3)))
+    ct = st.sampled_from([*_CTS, 0, 0])
+    exponent = st.one_of(st.just(0.0), _EXPONENTS.map(lambda e: e / 256))
+    a = np.array(data.draw(st.lists(ct, min_size=math.prod(batch_a) * rows * inner,
+                                    max_size=math.prod(batch_a) * rows * inner)),
+                 dtype=object).reshape(batch_a + (rows, inner))
+    b = np.array(data.draw(st.lists(exponent, min_size=math.prod(batch_b) * inner * cols,
+                                    max_size=math.prod(batch_b) * inner * cols)),
+                 dtype=float).reshape(batch_b + (inner, cols))
+    results = []
+    for strides in range(1, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paillier, "_workers", lambda: strides)
+            (out,) = contractions(map, (a, b, 8))
+        results.append((out.shape, _fields(out)))
+    assert results == results[:1] * 4
+
+
+def test_contractions_apply_the_product_rules_before_any_job(monkeypatch):
     record = _Recorder()
     x, y = _CTS[:2]
     a = np.array([[x, y], [0, 0]], dtype=object)
     b = np.array([[0.0, 2 / 256], [0.0, 0.0]])
+    monkeypatch.setattr(paillier, "_workers", lambda: 1)
     ((out,), calls) = contractions(record, (a, b, 8)), record.calls
     # Row 0 is one job of its two bases and both columns; row 1 has no
     # ciphertext, so it stays 0.
     assert calls == [[([x.value, y.value], [[0, 0], [2, 0]], NSQ)]]
     assert _fields(out) == [(1, 24), (pow(x.value, 2, NSQ), 24), 0, 0]
+    # With two workers row 0 is a job per stride of its bases, each with
+    # both columns, and their products give the same entries.
+    monkeypatch.setattr(paillier, "_workers", lambda: 2)
+    record = _Recorder()
+    ((strided,), calls) = contractions(record, (a, b, 8)), record.calls
+    assert calls == [[([x.value], [[0], [2]], NSQ), ([y.value], [[0], [0]], NSQ)]]
+    assert _fields(strided) == _fields(out)
+    monkeypatch.undo()
     assert decrypt_raw(SK, out[0, 0]) == 0
     foreign = keygen(bits=512, rng=random.Random(2)).encrypt_raws([1], 16, random.Random(3))[0]
     other_frac = encrypt(SK, 1.0, 17, random.Random(4))

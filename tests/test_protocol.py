@@ -14,7 +14,7 @@ import pytest
 from conftest import decrypt, decrypt_raw, encrypt
 from hypothesis import given, settings, strategies as st
 
-from secureftl import paillier, protocol
+from secureftl import paillier
 from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import EncodingOverflowError, is_zero
 from secureftl.nets import init_network
@@ -121,62 +121,57 @@ def test_encrypted_backward_scales_an_upstream_at_other_fraction_bits():
         assert np.allclose(_decrypt_tensor(tensor, key), want, atol=1e-9)
 
 
-def test_contraction_batches_bound_the_products(monkeypatch):
-    # With one worker and a batch of 15 exponent terms, each contraction
-    # goes in blocks of whole output rows, and a row of more terms in blocks
-    # of its columns: a gradient row is 5 bases x 4 or 5 columns (inputs and
-    # bias), so three columns a block; a delta row is 2 bases x 3 columns,
-    # so two rows a block. The ciphertexts are those of one batch per
-    # contraction.
-    monkeypatch.setattr(protocol, "_workers", lambda: 1)
+def test_contractions_give_each_worker_one_stride_of_every_row(monkeypatch, small_split,
+                                                               loopback):
+    # With two workers each row's ciphertexts go as two strides, 0, 2, ...
+    # and 1, 3, ..., queued stride-major: the executor's two equal-count
+    # chunks of a map call hold stride 0 and stride 1 of every row, with the
+    # row's columns. A layer is one map call (its gradient and, above the
+    # first layer, the next delta), the shared basis one call for every
+    # tensor, and the ciphertexts are those of a one-worker run.
     rng = np.random.default_rng(4)
     net = init_network([4, 3, 2], seed=9)
     key = keygen(512, random.Random(11))
     upstream = _enc_array(key.public, rng.normal(size=(5, 2)), 2 * F)
     trace = net.forward_trace(rng.normal(size=(5, 4)))
-    batches = []
+    basis, coef = _enc_array(key.public, rng.normal(size=3), 2 * F), rng.normal(size=(5, 2, 3))
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(paillier, "_workers", lambda: workers)
+        calls = []
 
-    def record(fn, jobs):
-        batches.append(_terms(jobs))
-        return map(fn, jobs)
+        def record(fn, jobs):
+            calls.append(list(jobs))
+            return map(fn, jobs)
 
-    whole = encrypted_backward(net, trace, upstream, F, mapper=record)
-    whole_batches, batches[:] = list(batches), []
-    monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 15)
-    blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
-    assert _ct_fields(blocked) == _ct_fields(whole)
-    # grad, delta, grad: one batch each, then per block.
-    assert whole_batches == [40, 30, 75]
-    assert batches == [15, 5, 15, 5, 12, 12, 6, 15, 10, 15, 10, 15, 10]
-    assert max(batches) <= 15 and sum(batches) == sum(whole_batches)
+        tensors = (encrypted_backward(net, trace, upstream, F, mapper=record)
+                   + encrypted_backward(net, trace, coef, F, basis, mapper=record))
+        runs[workers] = _ct_fields(tensors), calls
+    (whole, rows), (strided, calls) = runs[1], runs[2]
+    assert strided == whole
+    # Top layer: 2 gradient rows of 5 ciphertexts and 5 delta rows of 2;
+    # bottom layer: 3 gradient rows; basis: 4 tensors' rows of 3.
+    assert [len(jobs) for jobs in rows] == [7, 3, 4]
+    assert [len(jobs) for jobs in calls] == [14, 6, 8]
+    for one, two in zip(rows, calls):
+        half = len(two) // 2
+        for k, chunk in enumerate((two[:half], two[half:])):
+            assert chunk == [(bases[k::2], [column[k::2] for column in columns], nsq)
+                             for bases, columns, nsq in one]
 
-
-def test_blocked_contractions_give_every_worker_a_job(monkeypatch):
-    # With a batch of 12 exponent terms, a gradient row of 4 bases x 4 or 5
-    # columns is cut into column blocks. One worker's blocks are 3 columns
-    # wide, so a map call holds a single row's job and the other worker
-    # idles: [(1, 12), (1, 4), (1, 12), (1, 4), (2, 12), ...] as (jobs,
-    # terms). Two workers' blocks are narrow enough that every call holds a
-    # job for each.
-    rng = np.random.default_rng(4)
-    net = init_network([4, 3, 2], seed=9)
-    key = keygen(512, random.Random(11))
-    upstream = _enc_array(key.public, rng.normal(size=(4, 2)), 2 * F)
-    trace = net.forward_trace(rng.normal(size=(4, 4)))
+    # The source's loss contraction is one row of d^2 + n_c d + n_ab d
+    # ciphertexts: a job for each of the two workers.
+    party = _source_party(small_split, loopback[0])
     calls = []
-
-    def record(fn, jobs):
-        calls.append((len(jobs), _terms(jobs)))
-        return map(fn, jobs)
-
-    whole = encrypted_backward(net, trace, upstream, F)
-    monkeypatch.setattr(protocol, "CONTRACTION_BATCH", 12)
-    monkeypatch.setattr(protocol, "_workers", lambda: 2)
-    blocked = encrypted_backward(net, trace, upstream, F, mapper=record)
-    assert _ct_fields(blocked) == _ct_fields(whole)
-    # grad in 4 calls, delta in 2, grad in 5.
-    assert calls == [(2, 8)] * 4 + [(2, 12)] * 2 + [(3, 12)] * 5
-    assert all(jobs >= 2 and terms <= 12 for jobs, terms in calls)
+    party.mapper = lambda fn, jobs: calls.append(len(jobs)) or map(fn, jobs)
+    d, trace = party.net.hidden_dim, party.net.forward_trace(party.x)
+    comps = ComponentBatch(_enc_array(key.public, rng.normal(size=(2, d, d))),
+                           _enc_array(key.public, rng.normal(size=(2, d))),
+                           _enc_array(key.public, rng.normal(size=(3, d))),
+                           encrypt(key.public, 0.5, 2 * F))
+    party.assemble_loss(comps, comps.quad.sum(axis=0), trace,
+                        label_prototype(trace[-1], party.labels))
+    assert calls == [2]
 
 
 def _ct_fields(tensors):
@@ -397,6 +392,17 @@ def test_engine_kinds_agree(small_split):
         Engine("fhe")
 
 
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("bad", [{"gamma": -0.5}, {"weight_decay": -1.0},
+                                 {"loss_mode": "cubic"}, {"alignment": "cosine"}])
+def test_both_engines_refuse_the_same_training_configs(small_split, kind, bad):
+    # A config is checked when it is built, not only when the plain engine
+    # builds its objective.
+    net_a, net_b = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    with pytest.raises(ValueError):
+        Engine(kind).train(small_split, net_a, net_b, _tiny_cfg(max_iterations=1, **bad))
+
+
 def test_encrypted_rejects_exact_loss(small_split):
     with pytest.raises(ValueError, match="Taylor"):
         train_encrypted(small_split, init_network([3, 2], seed=4),
@@ -578,10 +584,12 @@ def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
 def test_source_mul_count_ignores_overlap_pairs(monkeypatch):
     # gamma joins the overlap rows' top-layer exponents, so with single-layer
     # nets an overlap pair adds terms to the d gradient jobs but no job of
-    # its own: no one-term job scales the target's align by gamma.
+    # its own: no one-term job scales the target's align by gamma. With two
+    # workers a gradient row of 2 overlap rows already fills both strides.
     def jobs(n_overlap):
         split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
                                n_overlap=n_overlap, n_labeled=2, n_eval=2)
+        monkeypatch.setattr(paillier, "_workers", lambda: 2)
         return _source_watch(split, monkeypatch, [3, 3], [2, 3]).jobs("source")
 
     assert jobs(2) == jobs(6) > 0

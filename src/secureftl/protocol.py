@@ -63,16 +63,16 @@ and (n_ab, d) align arrays. Plaintext enters at two points only. A product
 is a contraction of ciphertexts against float64 (paillier.contractions,
 a @ b), its plaintext factors multiplied in float64 and encoded once:
 encrypted_backward crosses a layer in one contraction per output, at f more
-fraction bits, the source's gamma joins its overlap rows' top-layer
-exponents, and its shared basis takes its coefficients from plaintext
-Network.backward passes. And every masked entry gets one plaintext addend,
+fraction bits, and the source's shared basis takes its coefficients from
+plaintext Network.backward passes. And every masked entry gets one plaintext addend,
 joined with its mask: a _Tensor carries as raws at its fraction bits what
 its party computes alone (own alignment terms through Network.backward
 plus weight decay, or the loss's constant), and _mask adds plain + mask to
 each ciphertext entry with add_raw, or encrypts it under the peer's key
 where no ciphertext reached. Each ciphertext is made at the fraction bits
-its consumer uses: the source's lin and align at 2f, since the target adds
-them to its 2f upstream as they are.
+its consumer uses: both parties' align, gamma kappa u, and the source's lin
+at 2f, since the peer adds them to its 2f upstream as they are, and the
+target's reg at 3f, the loss's fraction bits.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct, at the fraction bits given for
@@ -83,11 +83,11 @@ them, row-major:
   PUBKEY           n                 ()           int: the modulus (g = n + 1)
   COMPONENTS_A/B   quad              (n_c, d, d)  ct at f
                    lin               (n_c, d)     ct at 2f in A, f in B
-                   align             (n_ab, d)    ct at 2f in A, f in B
-                   reg               ()           ct at 2f, COMPONENTS_B only
+                   align             (n_ab, d)    ct at 2f
+                   reg               ()           ct at 3f, COMPONENTS_B only
   MASKED_GRAD_A/B  layer<i>.weights  (out, in)    ct, per layer
                    layer<i>.bias     (out,)       ct
-  ENC_LOSS         loss              ()           ct
+  ENC_LOSS         loss              ()           ct at 3f
   DECRYPTED_BLOB   each section of the MASKED_GRAD (and the ENC_LOSS) it
                    answers, same name and dims   int
   PREDICT_REQUEST  u                 (n, d)       ct at f
@@ -312,13 +312,12 @@ class ComponentBatch:
     @staticmethod
     def layout(n_c: int, n_ab: int, d: int, frac_bits: int, reg: bool) -> FracLayout:
         """The sections of a batch of n_c labeled and n_ab overlap items of
-        dimension d: the target's, with a reg scalar at 2 frac_bits, when
-        reg, else the source's. quad is at frac_bits; lin and align at
-        frac_bits in the target's batch and 2 frac_bits in the source's,
-        the fraction bits their receiver uses them at."""
-        cross = frac_bits if reg else 2 * frac_bits
-        return ([("quad", (n_c, d, d), frac_bits), ("lin", (n_c, d), cross),
-                 ("align", (n_ab, d), cross)] + [("reg", (), 2 * frac_bits)] * reg)
+        dimension d: the target's, with a reg scalar at 3 frac_bits, when
+        reg, else the source's. quad is at frac_bits, align at 2 frac_bits,
+        and lin at frac_bits in the target's batch and 2 frac_bits in the
+        source's: the fraction bits their receiver uses them at."""
+        return ([("quad", (n_c, d, d), frac_bits), ("lin", (n_c, d), (2 - reg) * frac_bits),
+                 ("align", (n_ab, d), 2 * frac_bits)] + [("reg", (), 3 * frac_bits)] * reg)
 
     @classmethod
     def from_payload(cls, payload: bytes, keys, layout: FracLayout) -> "ComponentBatch":
@@ -339,17 +338,14 @@ class _Tensor:
 
 def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarray,
                        frac_bits: int, basis: np.ndarray | None = None,
-                       mapper: Mapper = map, upstream_frac: int | None = None,
-                       factor: float = 1.0) -> list[_Tensor]:
+                       mapper: Mapper = map) -> list[_Tensor]:
     """Network.backward over an encrypted upstream: layer0.weights,
     layer0.bias, layer1.weights, ..., each a _Tensor whose entries are
     at 2f + (L - i) f fraction bits for layer i of L, f being frac_bits.
 
-    With basis None, upstream is (N, d): ciphertexts at upstream_frac (2f
-    when None), or 0 where none reached; the gradient is that of factor *
-    upstream. Activations and weights are local plaintext, so each layer is
-    one contractions call of float64 products encoded once: at
-    3f - upstream_frac with factor in the top layer, at f below. With delta
+    With basis None, upstream is (N, d): ciphertexts at 2f, or 0 where none
+    reached. Activations and weights are local plaintext, so each layer is
+    one contractions call of float64 products encoded once at f. With delta
     the layer's (N, out) upstream and slope = a_out (1 - a_out),
       grad[o, :] = sum_r delta[r, o] * enc(slope[r, o] [a_in[r, :] | 1])
       delta'[r, :] = sum_o delta[r, o] * enc(slope[r, o] W[o, :])
@@ -377,22 +373,19 @@ def encrypted_backward(net: Network, trace: list[np.ndarray], upstream: np.ndarr
         values = [p.reshape(c.shape[:-1]) for p, c in zip(products, coef)]
     else:
         values, delta = [None] * (2 * depth), upstream
-        bits = f if upstream_frac is None else 3 * f - upstream_frac
         for idx in range(depth - 1, -1, -1):
             a_out, a_in = trace[idx + 1], trace[idx]
-            slope = factor * a_out * (1.0 - a_out)
+            slope = a_out * (1.0 - a_out)
             a_one = np.hstack([a_in, np.ones((len(a_in), 1))])  # a bias is a unit input
             # grad[o] = delta[:, o] @ (slope[:, o] [a_in | 1]) and, above the
             # first layer, delta'[r] = delta[r] @ (slope[r] W): one call.
-            triples = [(delta.T[:, None, :], slope.T[:, :, None] * a_one, bits)]
+            triples = [(delta.T[:, None, :], slope.T[:, :, None] * a_one, f)]
             if idx:
-                triples.append((delta[:, None, :], slope[:, :, None] * net.layers[idx].weights,
-                                bits))
+                triples.append((delta[:, None, :], slope[:, :, None] * net.layers[idx].weights, f))
             grad, *below = contractions(mapper, *triples)
             values[2 * idx], values[2 * idx + 1] = grad[:, 0, :-1], grad[:, 0, -1]
             if idx:
                 delta = below[0][:, 0]
-            factor, bits = 1.0, f
     return [_Tensor(*entry) for entry in zip(names, values, fracs)]
 
 
@@ -632,7 +625,7 @@ class SourceParty(_Party):
     def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
                       prototype: np.ndarray) -> _Tensor:
         """Build [[loss]] under the target's key from the target's components,
-        at 2f: the pair terms plus reg, with the source's own constant as its
+        at 3f: the pair terms plus reg, with the source's own constant as its
         plaintext part; quad is comps.quad summed over labeled pairs."""
         f = self.frac_bits
         u_ab = trace[-1][self.ab_rows]
@@ -640,14 +633,15 @@ class SourceParty(_Party):
         constant = (len(y) * LOG2
                     + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        # Every pair term is one contraction of the components against
-        # their plaintext coefficients.
-        (pairs,) = contractions(self.mapper, (
-            np.concatenate([quad.ravel(), comps.lin.ravel(), comps.align.ravel()]),
+        # Every pair term is a contraction of the components against their
+        # plaintext coefficients: quad and lin (at f) at 2f, align (at 2f) at f.
+        pairs = contractions(self.mapper, (
+            np.concatenate([quad.ravel(), comps.lin.ravel()]),
             np.concatenate([np.outer(0.125 * prototype, prototype).ravel(),
-                            ((-0.5 * y)[:, None] * prototype).ravel(),
-                            (self.cfg.gamma * u_ab).ravel()]), f))
-        return _Tensor("loss", np.array(pairs.item() + comps.reg), 2 * f, encode(constant, 2 * f))
+                            ((-0.5 * y)[:, None] * prototype).ravel()]), 2 * f),
+            (comps.align.ravel(), u_ab.ravel(), f))
+        loss = sum((p.item() for p in pairs if isinstance(p.item(), Ciphertext)), comps.reg)
+        return _Tensor("loss", np.array(loss), 3 * f, encode(constant, 3 * f))
 
     def assemble_gradient(self, comps: ComponentBatch, quad: np.ndarray,
                           trace: list[np.ndarray], prototype: np.ndarray) -> list[_Tensor]:
@@ -655,10 +649,10 @@ class SourceParty(_Party):
 
         Every source row j receives (y_j / N) * S through the prototype path,
         where S pools the per-pair loss slopes against the target's encrypted
-        representations; overlap rows add gamma times the target's align. So
-        the d ciphertexts pooled = S / N are a basis every row shares with
-        coefficient y_j = +-1, and only the overlap rows carry ciphertexts of
-        their own through encrypted_backward, gamma in their exponents.
+        representations; overlap rows add the target's align, gamma kappa u
+        at 2f. So the d ciphertexts pooled = S / N are a basis every row
+        shares with coefficient y_j = +-1, and only the overlap rows carry
+        ciphertexts of their own through encrypted_backward.
         """
         f, n = self.frac_bits, len(self.labels)
         (pooled,) = contractions(self.mapper, (
@@ -666,8 +660,7 @@ class SourceParty(_Party):
             np.concatenate([0.25 * prototype / n, -0.5 * self.labels_c / n]), f))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         for tensor, extra in zip(tensors, encrypted_backward(
-                self.net, [a[self.ab_rows] for a in trace], comps.align, f, mapper=self.mapper,
-                upstream_frac=f, factor=self.cfg.gamma)):
+                self.net, [a[self.ab_rows] for a in trace], comps.align, f, mapper=self.mapper)):
             tensor.values = tensor.values + extra.values
         return self._with_plain_part(tensors, trace, self.ab_rows)
 
@@ -733,8 +726,9 @@ class TargetParty(_Party):
         reg_value = (0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                      + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
         f = self.frac_bits
-        quad, lin, align, reg = self._encrypt((u_c[:, :, None] * u_c[:, None, :], f), (u_c, f),
-                                              (self.align.kappa * u_ab, f), (reg_value, 2 * f))
+        quad, lin, align, reg = self._encrypt(
+            (u_c[:, :, None] * u_c[:, None, :], f), (u_c, f),
+            (self.cfg.gamma * self.align.kappa * u_ab, 2 * f), (reg_value, 3 * f))
         return ComponentBatch(quad, lin, align, reg.item())
 
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_Tensor]:

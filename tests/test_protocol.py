@@ -103,24 +103,6 @@ def test_encrypted_backward_matches_plaintext():
         assert np.allclose(got, want, atol=1e-9)
 
 
-def test_encrypted_backward_scales_an_upstream_at_other_fraction_bits():
-    # The source's overlap rows: align ciphertexts at F, times gamma, which
-    # rides in the top layer's exponents at 2F, so every tensor lands on the
-    # schedule of an upstream at 2F.
-    rng = np.random.default_rng(3)
-    net = init_network([4, 3, 2], seed=9)
-    upstream_plain = rng.normal(size=(5, 2))
-    key = keygen(512, random.Random(11))
-    trace = net.forward_trace(rng.normal(size=(5, 4)))
-    tensors = encrypted_backward(net, trace, _enc_array(key.public, upstream_plain, F), F,
-                                 upstream_frac=F, factor=0.3)
-    expected = net.backward(trace, 0.3 * upstream_plain)
-    assert [t.frac_bits for t in tensors] == [4 * F, 4 * F, 3 * F, 3 * F]
-    for tensor, layer_idx in zip(tensors, (0, 0, 1, 1)):
-        want = getattr(expected[layer_idx], tensor.name.split(".")[1])
-        assert np.allclose(_decrypt_tensor(tensor, key), want, atol=1e-9)
-
-
 def test_contractions_give_each_worker_one_stride_of_every_row(monkeypatch, small_split,
                                                                loopback):
     # With two workers each row's ciphertexts go as two strides, 0, 2, ...
@@ -159,19 +141,20 @@ def test_contractions_give_each_worker_one_stride_of_every_row(monkeypatch, smal
             assert chunk == [(bases[k::2], [column[k::2] for column in columns], nsq)
                              for bases, columns, nsq in one]
 
-    # The source's loss contraction is one row of d^2 + n_c d + n_ab d
-    # ciphertexts: a job for each of the two workers.
+    # The source's loss contraction is two rows, d^2 + n_c d quad and lin
+    # ciphertexts and n_ab d align ciphertexts: one map call of a job per
+    # row for each of the two workers.
     party = _source_party(small_split, loopback[0])
     calls = []
     party.mapper = lambda fn, jobs: calls.append(len(jobs)) or map(fn, jobs)
     d, trace = party.net.hidden_dim, party.net.forward_trace(party.x)
     comps = ComponentBatch(_enc_array(key.public, rng.normal(size=(2, d, d))),
                            _enc_array(key.public, rng.normal(size=(2, d))),
-                           _enc_array(key.public, rng.normal(size=(3, d))),
-                           encrypt(key.public, 0.5, 2 * F))
+                           _enc_array(key.public, rng.normal(size=(3, d)), 2 * F),
+                           encrypt(key.public, 0.5, 3 * F))
     party.assemble_loss(comps, comps.quad.sum(axis=0), trace,
                         label_prototype(trace[-1], party.labels))
-    assert calls == [2]
+    assert calls == [4]
 
 
 def _ct_fields(tensors):
@@ -496,9 +479,10 @@ def _terms(jobs) -> int:
 
 class _PartyWatch:
     """Per role, the exponent terms of the _multiexp_job jobs a party hands
-    its mapper, and the kernel runs on its thread outside any mapper (a
-    contraction on the builtin map instead of the party's mapper), in the
-    runs started while monkeypatch holds.
+    its mapper, each term's (base, exponent bit length), and the kernel runs
+    on its thread outside any mapper (a contraction on the builtin map
+    instead of the party's mapper), in the runs started while monkeypatch
+    holds.
     exchange_keys, the first step of every training and prediction routine,
     records the party's thread and wraps its mapper."""
 
@@ -506,6 +490,7 @@ class _PartyWatch:
         self.threads = {"source": set(), "target": set()}
         self.terms = {"source": 0, "target": 0}
         self.mapped_jobs = {"source": 0, "target": 0}
+        self.exponents = {"source": [], "target": []}
         self.kernel_threads = []  # (thread, terms) per kernel run outside a mapper
         exchange_keys = _Party.exchange_keys
 
@@ -521,6 +506,9 @@ class _PartyWatch:
                 if fn is watched_kernel:
                     self.terms[role] += _terms(jobs)
                     self.mapped_jobs[role] += len(jobs)
+                    self.exponents[role] += [
+                        (base, abs(e).bit_length()) for bases, columns, _ in jobs
+                        for column in columns for base, e in zip(bases, column)]
                     fn = _unwatched_multiexp_job
                 return mapper(fn, jobs)
 
@@ -541,6 +529,11 @@ class _PartyWatch:
         their terms."""
         return self.mapped_jobs[role] + sum(ident in self.threads[role]
                                             for ident, _ in self.kernel_threads)
+
+    def exponent_bits(self, role: str, bases) -> list[int]:
+        """The bit length of every exponent role's mapped jobs raised one of
+        bases (ciphertext values) to; their sum is what those terms cost."""
+        return [bits for base, bits in self.exponents[role] if base in bases]
 
 
 def _source_watch(split, monkeypatch, dims_source=(3, 4, 2), dims_target=(2, 4, 2)):
@@ -582,10 +575,10 @@ def test_source_mul_count_grows_by_2d_per_labeled_pair(monkeypatch, d):
 
 
 def test_source_mul_count_ignores_overlap_pairs(monkeypatch):
-    # gamma joins the overlap rows' top-layer exponents, so with single-layer
+    # The target's align arrives as gamma kappa u at 2f, so with single-layer
     # nets an overlap pair adds terms to the d gradient jobs but no job of
-    # its own: no one-term job scales the target's align by gamma. With two
-    # workers a gradient row of 2 overlap rows already fills both strides.
+    # its own: no one-term job scales it by gamma. With two workers a
+    # gradient row of 2 overlap rows already fills both strides.
     def jobs(n_overlap):
         split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
                                n_overlap=n_overlap, n_labeled=2, n_eval=2)
@@ -593,6 +586,21 @@ def test_source_mul_count_ignores_overlap_pairs(monkeypatch):
         return _source_watch(split, monkeypatch, [3, 3], [2, 3]).jobs("source")
 
     assert jobs(2) == jobs(6) > 0
+
+
+def test_source_overlap_rows_take_exponents_at_f(small_split, monkeypatch):
+    # Both parties send gamma kappa u at 2f, so the target's align reaches the
+    # source's encrypted_backward at 2f like any upstream, and every exponent
+    # it meets is a product of local factors of order one encoded at f.
+    watch = _PartyWatch(monkeypatch)
+    run = train_encrypted(small_split, init_network([3, 4, 2], seed=4),
+                          init_network([2, 4, 2], seed=5), _tiny_cfg(max_iterations=1),
+                          key_bits=512, frac_bits=F, seed=0)
+    monkeypatch.undo()
+    (record,) = run.transcript.frames(DIR_TARGET_TO_SOURCE, MsgType.COMPONENTS_B)
+    (align,) = [s for s in unpack_sections(record.payload) if s.name == "align"]
+    bits = watch.exponent_bits("source", {ct.value for ct in _section_cts(align, run.source.keys)})
+    assert bits and max(bits) < F + 8, f"{len(bits)} exponents of {sum(bits)} bits"
 
 
 def test_recv_rejects_unexpected_message(small_split, loopback):
@@ -646,16 +654,13 @@ def _content_digests(transcript, keys) -> dict[str, str]:
 
 
 # Per-direction sha256 over every value a frame carries, whatever its byte
-# layout. The training digests were pinned when the source came to fold
-# gamma into its overlap rows' top-layer exponents instead of scaling the
-# target's align ciphertexts, and each party to add its own alignment terms
-# and weight decay as one plaintext part per gradient tensor: the source's
-# gradient values changed, and so did the target's under the distance
-# alignment. The prediction digests predate that change, which leaves
-# prediction untouched.
+# layout. The training digests were pinned when the target came to send its
+# align as gamma kappa u at 2f, like the source, and its reg at 3f: the
+# source's overlap-row exponents moved to f and its loss to 3f. The
+# prediction digests predate that change, which leaves prediction untouched.
 CONTENT_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "da2f279ad5cd55b54dd6da057819040494e58bd4f229b461fefb1a09c745c5c6",
-    DIR_TARGET_TO_SOURCE: "1a47fc5b644370fab1c8eeb0a6d9e529ffd361128677599878cf0ef26686e7e5",
+    DIR_SOURCE_TO_TARGET: "c4dd081f28ddb5d8f8b13a60c5caa02f32e7bbca7af2d73cdd5b14e76ebc8f96",
+    DIR_TARGET_TO_SOURCE: "9e08958a1a968f7640904c07ac572e444b3c3846fd263e798c802b79eff3eb6c",
 }
 CONTENT_PREDICT = {
     DIR_SOURCE_TO_TARGET: "31ede96207589279146689a828950cb255d664cb1f800eda78218ccba0d1488e",
@@ -665,17 +670,17 @@ CONTENT_PREDICT = {
 # Per-direction sha256 over (type, iteration, payload) of every frame: the
 # exact bytes on the wire under the section codec.
 GOLDEN_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "7737fc2f3312dd5cb788ad52ffdc550b69ef654c703dfd2e8102cce9926e9eb3",
-    DIR_TARGET_TO_SOURCE: "7e5a280513812193df2a48f6d95447ff10a19d98ac26788995ebd9ab126cfcf9",
+    DIR_SOURCE_TO_TARGET: "464b89cd8b5bd540e343190eece5d74e9d1afda36e7115eec9763df074ea93fb",
+    DIR_TARGET_TO_SOURCE: "4c88aee8bd812e9f97991c60a4ea0d542186b707b5133690d216dfd5e5f92d00",
 }
 # Two iterations with two-layer nets ([3, 4, 2] source, [2, 4, 2] target).
 CONTENT_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "760bde3eb6642823e7ab5cc649f4240668dcd6d78fd705d8baaaee6d6defb333",
-    DIR_TARGET_TO_SOURCE: "f7b32725810f9bf237f513bee33a424e1208ad8052d14f39cd69744a28a05ccb",
+    DIR_SOURCE_TO_TARGET: "e9bd4c175b6daeb2547b5fb79a62dae35032ac777261ccf76735e69b01e67b8d",
+    DIR_TARGET_TO_SOURCE: "8d9f6c1557c4cef264df731d1d1cec9f8f2edb96d4297095567b26af25604194",
 }
 GOLDEN_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "e8c40c33057001fcd7475ee156596877fc17803e035d60a9e12968ff0aa051b5",
-    DIR_TARGET_TO_SOURCE: "fc13c86b3351dc691a9ecde5680fb71962b38f102585e0201e8479d7d212ba43",
+    DIR_SOURCE_TO_TARGET: "52fed8c6dc8a052df357036810910129a69e4761fe73f8d23e7b38579adb1201",
+    DIR_TARGET_TO_SOURCE: "712d36416dbdc95943c8c4aad2f2bc6b6aebb286b8e56801a1a6a7923b9986ad",
 }
 GOLDEN_PREDICT = {
     DIR_SOURCE_TO_TARGET: "b43a813fbbef343fa1a5dcf254f48e6a07418f142bca545abb2efe1a4cca699c",
@@ -716,21 +721,20 @@ def test_golden_transcripts(small_split, monkeypatch, builtin_pow):
 
 
 # Two iterations with two-layer nets and alignment = distance on splits with
-# no labeled pairs, no overlap pairs, or neither. The first was pinned with
-# the training digests above; without overlap pairs there are no alignment
-# terms, and the other two are unchanged since the change before it.
+# no labeled pairs, no overlap pairs, or neither, all pinned with the
+# training digests above: the loss moved to 3f in every one.
 CONTENT_DEGENERATE = {
     (0, 3): {
-        DIR_SOURCE_TO_TARGET: "36e8335fa59fe859040dabae2999a9557eac16b840b104312c1df5a231fd557c",
-        DIR_TARGET_TO_SOURCE: "6eac161f6e79da61d0f14d8a8e9dec2917e4a49876c59f09526476275cb30e82",
+        DIR_SOURCE_TO_TARGET: "af4d31270aa312f9107c992c8da986248bf7f007dd4b0a2506f6564ded005f97",
+        DIR_TARGET_TO_SOURCE: "e3538a261f21527d54072564bff3d9d35ddc6d819df5aacafffa532e43de7eb0",
     },
     (2, 0): {
-        DIR_SOURCE_TO_TARGET: "b87b738cefa1f294aace0785e3bab612495e6442c60b8747331032b431a76faa",
-        DIR_TARGET_TO_SOURCE: "09a784eb6cc29a39fb3032f0f2c4c79fda4cc2766acc13e3715ddc2c01e2aae0",
+        DIR_SOURCE_TO_TARGET: "01a3df22e7046cde015b6f0924496b8d00e850114c3acc61db8bf3646da5cffe",
+        DIR_TARGET_TO_SOURCE: "daa780c6acdd22fd350d8c757c8f3e4d1df34f0e4ce6f3ff17f5f7c378362f3c",
     },
     (0, 0): {
-        DIR_SOURCE_TO_TARGET: "1b9eba6e48c7c4086046d9414174a8bcb1d43252eae7e2c49e1fe8faa164f032",
-        DIR_TARGET_TO_SOURCE: "7e89920cfa4af0bcff89b34f6be668182ba8ce97b0b96d7fe4a8cb66ea2bacd5",
+        DIR_SOURCE_TO_TARGET: "bce06c32b6b7fdfedc2389100eb63b73f44bda14c2c1efb44f1652ca7799c91b",
+        DIR_TARGET_TO_SOURCE: "105c71b19b7485047087acb3ec1efa0db9fe0f9b4f5c8780e3662f5c97aeb691",
     },
 }
 
@@ -1156,8 +1160,8 @@ def _at_frac_bits(frac_bits: int, name: str):
 @pytest.mark.parametrize("msg_type, name, frac_bits, reader, want", [
     (MsgType.COMPONENTS_A, "quad", 200, "target", F),
     (MsgType.COMPONENTS_A, "lin", 7, "target", 2 * F),
-    (MsgType.COMPONENTS_B, "reg", 3, "source", 2 * F),
-    (MsgType.COMPONENTS_B, "align", 250, "source", F),
+    (MsgType.COMPONENTS_B, "reg", 3, "source", 3 * F),
+    (MsgType.COMPONENTS_B, "align", 250, "source", 2 * F),
     (MsgType.PREDICT_REQUEST, "u", 3, "source", F),
 ], ids=["quad", "lin", "reg", "align", "u"])
 def test_section_at_other_fraction_bits_is_rejected_where_read(small_split, msg_type, name,

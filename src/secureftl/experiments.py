@@ -31,7 +31,13 @@ from .nets import Network, fresh_network
 from .plain import TrainingConfig
 # train_encrypted and predict_encrypted stay importable from here for the
 # benchmark's tracer; every run goes through Engine.
-from .protocol import ENGINE_KINDS, Engine, predict_encrypted, train_encrypted  # noqa: F401
+from .protocol import (  # noqa: F401
+    ENGINE_KINDS,
+    Engine,
+    check_depth,
+    predict_encrypted,
+    train_encrypted,
+)
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -40,7 +46,7 @@ from .transport import (
     measure_cost,
     tcp_pair,
 )
-from .paillier import ciphertext_wire_size
+from .paillier import check_key_bits, ciphertext_wire_size
 from .trcv import local_cv, run_trcv, self_learning_safeguard
 
 
@@ -99,8 +105,13 @@ class ExperimentConfig:
                                      "take row counts; set overlap_fraction and label_fraction")
         if self.engine not in ENGINE_KINDS:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.engine == "encrypted" and self.loss_mode != "taylor":
-            raise ValueError("the encrypted engine trains the Taylor loss only")
+        self.training()  # the training fields, as either engine checks them
+        if self.engine == "encrypted":
+            if self.loss_mode != "taylor":
+                raise ValueError("the encrypted engine trains the Taylor loss only")
+            check_key_bits(self.key_bits)
+            for role in ("source", "target"):  # dims() gives each party one layer
+                check_depth(role, 1, self.frac_bits)
         if self.engine == "encrypted" and self.kind in ("taylor-vs-exact", "ftl-vs-self"):
             raise ValueError(f"{self.kind} trains the exact loss, which the "
                              "encrypted engine cannot")

@@ -436,11 +436,16 @@ class PrivateKey:
         return [from_residue(residue, self.public.modulus) for residue in residues]
 
 
+def check_key_bits(bits: int):
+    """Refuse a key size keygen cannot make: odd, or under MIN_KEY_BITS."""
+    if bits < MIN_KEY_BITS or bits % 2:
+        raise ValueError(f"key size must be an even number of bits, at least {MIN_KEY_BITS}")
+
+
 def keygen(bits: int = 1024, rng: random.Random | None = None) -> PrivateKey:
     """Generate a private key, whose .public is its public key, with a
     modulus of exactly `bits` bits."""
-    if bits < MIN_KEY_BITS or bits % 2:
-        raise ValueError(f"key size must be an even number of bits, at least {MIN_KEY_BITS}")
+    check_key_bits(bits)
     prime_rng = rng if rng is not None else random.Random(secrets.randbits(256))
     half = bits // 2
     p = _random_prime(half, prime_rng)

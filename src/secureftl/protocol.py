@@ -855,6 +855,14 @@ def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: Tra
             party.mapper = map
 
 
+def check_depth(role: str, layers: int, frac_bits: int):
+    """Refuse a net too deep for MAX_FRAC_BITS: its gradient's upstream
+    enters at 2f fraction bits and each layer adds f."""
+    if (needed := frac_bits * (layers + 2)) > MAX_FRAC_BITS:
+        raise ValueError(f"the {layers}-layer {role} net needs {needed} fraction bits at "
+                         f"frac_bits {frac_bits}, over the limit MAX_FRAC_BITS = {MAX_FRAC_BITS}")
+
+
 def train_encrypted(split: FederationSplit, net_source: Network, net_target: Network,
                     cfg: TrainingConfig, key_bits: int = 512, frac_bits: int = 40,
                     seed: int = 0, channels=None) -> EncryptedRunResult:
@@ -873,12 +881,7 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
             raise ValueError(f"the encrypted engine trains the Taylor loss only, "
                              f"not loss_mode {cfg.loss_mode!r}")
         for role, net in (("source", net_source), ("target", net_target)):
-            # Upstream enters at 2f fraction bits and each layer adds f.
-            needed = frac_bits * (len(net.layers) + 2)
-            if needed > MAX_FRAC_BITS:
-                raise ValueError(f"the {len(net.layers)}-layer {role} net needs {needed} "
-                                 f"fraction bits at frac_bits {frac_bits}, over the limit "
-                                 f"MAX_FRAC_BITS = {MAX_FRAC_BITS}")
+            check_depth(role, len(net.layers), frac_bits)
     except ValueError:
         _close(channels)
         raise

@@ -79,6 +79,27 @@ def test_config_validate():
     ExperimentConfig(seeds=1, n_overlap=0, sweep=(0, 4), dim_sweep=(2,)).validate()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(gamma=-1.0), "gamma and weight_decay must be non-negative"),
+    (dict(weight_decay=-0.5), "gamma and weight_decay must be non-negative"),
+    (dict(alignment="nope"), "unknown alignment kind 'nope'"),
+    (dict(learning_rate=0.0), "learning rate must be positive"),
+    (dict(engine="encrypted", key_bits=500), "key size must be an even number of bits"),
+    (dict(engine="encrypted", frac_bits=100), "1-layer source net needs 300 fraction bits"),
+], ids=["gamma", "weight-decay", "alignment", "learning-rate", "key-bits", "frac-bits"])
+def test_validate_refuses_what_the_run_refuses_before_out_dir(tmp_path, bad, message):
+    # The refusal the run would reach only in training, at keygen or at the
+    # depth check comes from validate, before run_experiment makes out_dir.
+    out_dir = tmp_path / "out"
+    cfg = ExperimentConfig(kind="overlap-sweep", n=24, seeds=1, max_iterations=1,
+                           out_dir=str(out_dir), **bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cfg.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(cfg)
+    assert not out_dir.exists()
+
+
 def test_config_training_and_dims():
     cfg = ExperimentConfig(d_source_features=7, d_target_features=4, hidden=3,
                            learning_rate=0.1, loss_mode="taylor")

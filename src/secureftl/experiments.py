@@ -31,13 +31,8 @@ from .nets import Network, fresh_network
 from .plain import TrainingConfig
 # train_encrypted and predict_encrypted stay importable from here for the
 # benchmark's tracer; every run goes through Engine.
-from .protocol import (  # noqa: F401
-    ENGINE_KINDS,
-    Engine,
-    check_depth,
-    predict_encrypted,
-    train_encrypted,
-)
+from .protocol import (ENGINE_KINDS, Engine, check_depth, predict_encrypted,  # noqa: F401
+                       train_encrypted)
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -110,8 +105,7 @@ class ExperimentConfig:
             if self.loss_mode != "taylor":
                 raise ValueError("the encrypted engine trains the Taylor loss only")
             check_key_bits(self.key_bits)
-            for role in ("source", "target"):  # dims() gives each party one layer
-                check_depth(role, 1, self.frac_bits)
+            check_depth("source", 1, self.frac_bits)  # dims() gives both nets one layer
         if self.engine == "encrypted" and self.kind in ("taylor-vs-exact", "ftl-vs-self"):
             raise ValueError(f"{self.kind} trains the exact loss, which the "
                              "encrypted engine cannot")

@@ -64,9 +64,9 @@ is a contraction of ciphertexts against float64 (paillier.contractions,
 a @ b), its plaintext factors multiplied in float64 and encoded once:
 encrypted_backward crosses a layer in one contraction per output, at f more
 fraction bits, and the source's shared basis takes its coefficients from
-plaintext Network.backward passes. And every masked entry gets one plaintext addend,
-joined with its mask: a _Tensor carries as raws at its fraction bits what
-its party computes alone (own alignment terms through Network.backward
+plaintext Network.backward passes. And every masked entry gets one plaintext
+addend, joined with its mask: a _Tensor carries as raws at its fraction bits
+what its party computes alone (own alignment terms through Network.backward
 plus weight decay, or the loss's constant), and _mask adds plain + mask to
 each ciphertext entry with add_raw, or encrypts it under the peer's key
 where no ciphertext reached. Each ciphertext is made at the fraction bits
@@ -633,8 +633,8 @@ class SourceParty(_Party):
         constant = (len(y) * LOG2
                     + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
-        # Every pair term is a contraction of the components against their
-        # plaintext coefficients: quad and lin (at f) at 2f, align (at 2f) at f.
+        # Each pair term is a contraction landing at 3f: quad and lin (at f)
+        # against coefficients at 2f, and align (at 2f) against u at f.
         pairs = contractions(self.mapper, (
             np.concatenate([quad.ravel(), comps.lin.ravel()]),
             np.concatenate([np.outer(0.125 * prototype, prototype).ravel(),

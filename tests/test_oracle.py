@@ -28,7 +28,7 @@ BOUND = 2.0 ** (12 - F)
 
 
 @st.composite
-def federations(draw):
+def _federations(draw):
     """A FederationSplit of 1-6 source rows and 1-6 target rows with unsorted
     ids: the rows both parties hold, any subsets of them as overlap and as
     labeled pairs, and 1-2 target-only eval rows."""
@@ -63,7 +63,7 @@ def _dims(draw, input_width: int, d: int) -> list[int]:
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_encrypted_engine_follows_the_plaintext_oracle(data):
-    split = data.draw(federations())
+    split = data.draw(_federations())
     split.validate()
     d = data.draw(st.integers(1, 4))
     dims_source = _dims(data.draw, split.x_source.shape[1], d)

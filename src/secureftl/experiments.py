@@ -31,8 +31,8 @@ from .nets import Network, fresh_network
 from .plain import TrainingConfig
 # train_encrypted and predict_encrypted stay importable from here for the
 # benchmark's tracer; every run goes through Engine.
-from .protocol import (ENGINE_KINDS, Engine, check_depth, predict_encrypted,  # noqa: F401
-                       train_encrypted)
+from .protocol import (ENGINE_KINDS, Engine, check_depth, check_loss_mode,  # noqa: F401
+                       predict_encrypted, train_encrypted)
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -102,8 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         self.training()  # the training fields, as either engine checks them
         if self.engine == "encrypted":
-            if self.loss_mode != "taylor":
-                raise ValueError("the encrypted engine trains the Taylor loss only")
+            check_loss_mode(self.loss_mode)
             check_key_bits(self.key_bits)
             check_depth("source", 1, self.frac_bits)  # dims() gives both nets one layer
         if self.engine == "encrypted" and self.kind in ("taylor-vs-exact", "ftl-vs-self"):

@@ -76,7 +76,9 @@ def target_batch(split: FederationSplit):
 
 def train_plain(split: FederationSplit, net_source: Network, net_target: Network,
                 cfg: TrainingConfig) -> TrainingResult:
-    """Train both nets in place; returns them with the loss history."""
+    """Train both nets in place; returns them with the loss history. An
+    invalid split is refused before the first step."""
+    split.validate()
     objective_cfg = cfg.objective()
     batch_ids, labeled_pos, overlap_pos = target_batch(split)
     x_target = split.x_target[split.target_rows(batch_ids)]

@@ -19,9 +19,11 @@ The message choreography per iteration:
   target -> source  DECRYPTED_BLOB    grad_source + mask_source and masked loss
   source -> target  STOP              only when converged or out of iterations
 
-From the second iteration on the target waits for COMPONENTS_A (or STOP)
-before computing its own components, so exactly one component batch per
-direction crosses the wire per executed iteration.
+The parties take turns: every frame is sent while its receiver waits for it
+or will wait without sending first (only the two small PUBKEY frames cross
+at once), so no send waits on a peer that is sending too. The target takes
+COMPONENTS_A (or STOP) before it computes its own components, so exactly one
+component batch per direction crosses the wire per executed iteration.
 
 The two parties are threads of the calling process, built and run by one
 driver, _run_parties. It opens a fork-context ProcessPoolExecutor of one
@@ -681,9 +683,9 @@ class SourceParty(_Party):
             quad = comps.quad.sum(axis=0)
 
             tensors = self.assemble_gradient(comps, quad, trace, prototype)
+            loss_tensor = self.assemble_loss(comps, quad, trace, prototype)
             self._send(MsgType.MASKED_GRAD_A, iteration, pack_sections(
                 [self._mask(iteration, tensor) for tensor in tensors]))
-            loss_tensor = self.assemble_loss(comps, quad, trace, prototype)
             self._send(MsgType.ENC_LOSS, iteration,
                        pack_sections([self._mask(iteration, loss_tensor)]))
 
@@ -747,32 +749,29 @@ class TargetParty(_Party):
         self.exchange_keys()
         result = TrainingResult(None, self.net)
         for iteration in range(1, self.cfg.max_iterations + 1):
+            # STOP carries the last iteration the source ran; none is numbered 0.
+            expected = {MsgType.COMPONENTS_A: iteration}
             if iteration > 1:
-                # STOP carries the last iteration the source ran.
-                frame = self._recv({MsgType.COMPONENTS_A: iteration,
-                                    MsgType.STOP: iteration - 1})
-                if frame.msg_type == MsgType.STOP:
-                    result.converged = True
-                    return result
-                comps_frame = frame
+                expected[MsgType.STOP] = iteration - 1
+            frame = self._recv(expected)
+            if frame.msg_type == MsgType.STOP:
+                result.converged = True
+                return result
             trace = self.net.forward_trace(self.x)
             self._send(MsgType.COMPONENTS_B, iteration,
                        self.compute_components(trace).to_payload())
-            if iteration == 1:
-                comps_frame = self._recv({MsgType.COMPONENTS_A: iteration})
-            comps = ComponentBatch.from_payload(comps_frame.payload, self.keys, self.peer_layout)
-
+            comps = ComponentBatch.from_payload(frame.payload, self.keys, self.peer_layout)
             tensors = self.assemble_gradient(comps, trace)
-            self._send(MsgType.MASKED_GRAD_B, iteration, pack_sections(
-                [self._mask(iteration, tensor) for tensor in tensors]))
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
             loss_frame = self._recv({MsgType.ENC_LOSS: iteration})
-            sections = (_read_gradient(grad_frame.payload, self.net.hidden_dim)
-                        + _read(loss_frame.payload, [("loss", ())]))
-            self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(sections))
+            self._send(MsgType.MASKED_GRAD_B, iteration, pack_sections(
+                [self._mask(iteration, tensor) for tensor in tensors]))
+            blob = self._decrypt_to_blob(_read_gradient(grad_frame.payload, self.net.hidden_dim)
+                                         + _read(loss_frame.payload, [("loss", ())]))
 
             own_blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
+            self._send(MsgType.DECRYPTED_BLOB, iteration, blob)
             self._unmask_and_apply(self.net, iteration, own_blob.payload,
                                    self.cfg.learning_rate)
         self._recv({MsgType.STOP: self.cfg.max_iterations})
@@ -863,23 +862,29 @@ def check_depth(role: str, layers: int, frac_bits: int):
                          f"frac_bits {frac_bits}, over the limit MAX_FRAC_BITS = {MAX_FRAC_BITS}")
 
 
+def check_loss_mode(loss_mode: str):
+    """Refuse a loss with no encrypted form: only the Taylor loss has one."""
+    if loss_mode != "taylor":
+        raise ValueError(f"the encrypted engine trains the Taylor loss only, "
+                         f"not loss_mode {loss_mode!r}")
+
+
 def train_encrypted(split: FederationSplit, net_source: Network, net_target: Network,
                     cfg: TrainingConfig, key_bits: int = 512, frac_bits: int = 40,
                     seed: int = 0, channels=None) -> EncryptedRunResult:
     """Run the full two-party protocol; both nets are updated in place.
 
     channels defaults to loopback_pair(); pass the triple from tcp_pair to
-    run over localhost TCP instead. Only the Taylor loss has an encrypted
-    form, so any other loss_mode is rejected, and so is a net too deep for
-    MAX_FRAC_BITS at frac_bits, before any key or frame. channels are
-    closed however the call ends, a refusal included.
+    run over localhost TCP instead. An invalid split, a loss with no
+    encrypted form and a net too deep for MAX_FRAC_BITS at frac_bits are
+    refused before any key or frame. channels are closed however the call
+    ends, a refusal included.
     """
     if channels is None:
         channels = loopback_pair()
     try:
-        if cfg.loss_mode != "taylor":
-            raise ValueError(f"the encrypted engine trains the Taylor loss only, "
-                             f"not loss_mode {cfg.loss_mode!r}")
+        split.validate()
+        check_loss_mode(cfg.loss_mode)
         for role, net in (("source", net_source), ("target", net_target)):
             check_depth(role, len(net.layers), frac_bits)
     except ValueError:

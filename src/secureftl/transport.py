@@ -5,9 +5,10 @@ big-endian iteration counter, 8-byte big-endian payload length, then the
 payload. Every channel is a SocketChannel over a connected stream socket:
 an in-process socketpair (loopback_pair) or a localhost TCP connection
 (tcp_pair), so every run sends, receives, closes and sees end of stream
-the same way. Both ends record every frame into a shared transcript so
-experiments can count exactly what crossed the wire, and so the security
-audit can inspect everything a party ever received.
+the same way; a send writes inline, on its caller's thread. Both ends
+record every frame into a shared transcript so experiments can count
+exactly what crossed the wire, and so the security audit can inspect
+everything a party ever received.
 
 Every protocol payload is a list of named, shaped sections: a 1-byte
 section count, then per section a 1-byte name length and the UTF-8 name,
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import queue
 import socket
 import struct
 import threading
@@ -112,42 +112,32 @@ class Transcript:
 class SocketChannel:
     """One endpoint of a connected stream socket carrying frames.
 
-    Sends go through a writer thread so that both parties can emit large
-    component batches simultaneously without deadlocking on full kernel
-    buffers; per-direction frame order is preserved. A send after close()
-    or after a failed write raises ChannelClosed and records nothing; a recv
-    after close() raises ChannelClosed too.
+    send writes the frame inline with sendall. The parties take turns, so a
+    send waits at most until the peer reads; a scripted test peer that never
+    reads blocks a party only on a frame larger than the socket buffer
+    (212,992 bytes for a Linux socketpair by default). A frame is recorded once sendall
+    returns, so a failed send records nothing: a timeout raises TimeoutError,
+    as in recv, and any other socket error ChannelClosed, as does a send or
+    recv after close().
     """
 
     def __init__(self, sock: socket.socket, direction_out: str, transcript: Transcript):
         self._sock = sock
         self.direction_out = direction_out
         self.transcript = transcript
-        self._outbox: queue.Queue = queue.Queue()
         self._closed = False
-        self._send_error: OSError | None = None
-        self._writer = threading.Thread(target=self._drain, daemon=True)
-        self._writer.start()
-
-    def _drain(self):
-        while True:
-            data = self._outbox.get()
-            if data is None:
-                return
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                self._send_error = exc
-                return
 
     def send(self, frame: Frame):
         if self._closed:
             raise ChannelClosed("channel is closed")
-        if self._send_error is not None:
-            raise ChannelClosed(f"send failed: {self._send_error}")
-        data = encode_frame(frame)
+        self._sock.settimeout(DEFAULT_TIMEOUT)
+        try:
+            self._sock.sendall(encode_frame(frame))
+        except socket.timeout:
+            raise TimeoutError(f"frame not sent within {DEFAULT_TIMEOUT}s") from None
+        except OSError as exc:
+            raise ChannelClosed(f"send failed: {exc}") from None
         self.transcript.record(self.direction_out, frame)
-        self._outbox.put(data)
 
     def _recv_exact(self, count: int, timeout: float) -> bytes:
         self._sock.settimeout(timeout)
@@ -179,8 +169,6 @@ class SocketChannel:
 
     def close(self):
         self._closed = True
-        self._outbox.put(None)
-        self._writer.join(timeout=10)
         # Shut down before closing: forked workers hold copies of the fd, and
         # only shutdown ends the connection while any copy is open.
         try:

@@ -81,7 +81,7 @@ def small_split():
 @pytest.fixture
 def loopback():
     """A (source end, target end, transcript) loopback pair whose ends are
-    closed after the test, so their writer threads end with it."""
+    closed after the test, so their sockets end with it."""
     source_end, target_end, transcript = loopback_pair()
     yield source_end, target_end, transcript
     source_end.close()
@@ -100,9 +100,8 @@ def no_process_outlives_its_test():
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Fail any test that leaves a thread it started running: a party thread,
-    an executor's manager thread or a socket writer must end with the call
-    that started it."""
+    """Fail any test that leaves a thread it started running: a party thread
+    or an executor's manager thread must end with the call that started it."""
     before = set(threading.enumerate())
     yield
     left = [thread for thread in threading.enumerate() if thread not in before]

@@ -79,6 +79,17 @@ def test_config_validate():
     ExperimentConfig(seeds=1, n_overlap=0, sweep=(0, 4), dim_sweep=(2,)).validate()
 
 
+def test_config_and_engine_refuse_a_non_taylor_loss_alike(small_split):
+    # Both refusals come from one check, so they read alike.
+    with pytest.raises(ValueError) as by_config:
+        ExperimentConfig(kind="overlap-sweep", engine="encrypted", loss_mode="exact").validate()
+    cfg = ExperimentConfig(loss_mode="exact").training()
+    with pytest.raises(ValueError) as by_engine:
+        train_encrypted(small_split, init_network([3, 2], seed=4), init_network([2, 2], seed=5),
+                        cfg)
+    assert str(by_config.value) == str(by_engine.value)
+
+
 @pytest.mark.parametrize("bad, message", [
     (dict(gamma=-1.0), "gamma and weight_decay must be non-negative"),
     (dict(weight_decay=-0.5), "gamma and weight_decay must be non-negative"),

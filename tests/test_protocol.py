@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import math
 import multiprocessing
 import os
 import random
 import re
+import socket
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -26,7 +28,7 @@ from secureftl.paillier import (
     _multiexp_job,
     keygen,
 )
-from secureftl.plain import TrainingConfig, train_plain
+from secureftl.plain import TrainingConfig, predict_plain, train_plain
 from secureftl.protocol import (
     ENGINE_KINDS,
     ComponentBatch,
@@ -58,6 +60,8 @@ from secureftl.transport import (
     Frame,
     MsgType,
     Section,
+    SocketChannel,
+    Transcript,
     loopback_pair,
     pack_sections,
     unpack_sections,
@@ -405,6 +409,81 @@ def test_encrypted_rejects_too_deep_net_before_keygen(small_split, monkeypatch):
                         init_network([2, 2], seed=5), _tiny_cfg(), frac_bits=F,
                         channels=channels)
     assert channels[2].frames() == []
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("edit, message", [
+    (dict(labels_source=[0, -1, 1, -1]), "source labels must be"),
+    (dict(labeled_ids=[10, 14], eval_ids=[], labels_eval=[]), "labeled ids must be held"),
+    (dict(labeled_ids=[10, 10]), "duplicate ids in labeled_ids"),
+], ids=["zero-label", "labeled-id-not-at-source", "duplicated-id"])
+def test_both_engines_refuse_an_invalid_split(small_split, kind, edit, message):
+    # Unrefused, a 0 label trains without complaint, and the encrypted
+    # engine, whose source sums the target's quad matrices on y^2 = 1,
+    # trains another loss than the plaintext one.
+    split = dataclasses.replace(small_split, **edit)
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    if kind == "plain":
+        with pytest.raises(ValueError, match=message):
+            train_plain(split, *nets, _tiny_cfg())
+        return
+    channels = loopback_pair()
+    with pytest.raises(ValueError, match=message):
+        train_encrypted(split, *nets, _tiny_cfg(), frac_bits=F, channels=channels)
+    assert channels[2].frames() == []
+
+
+def _minimal_buffer_pair():
+    """Channels over a socketpair whose ends hold the smallest send and
+    receive buffers the kernel allows, and per direction the sender's send
+    buffer plus the receiver's receive buffer, as read back."""
+    socks = socket.socketpair()
+    for sock in socks:
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            sock.setsockopt(socket.SOL_SOCKET, option, 1)
+    directions = (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE)
+    floor = {directions[out]: socks[out].getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+             + socks[1 - out].getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+             for out in (0, 1)}
+    transcript = Transcript()
+    return (*(SocketChannel(sock, direction, transcript)
+              for sock, direction in zip(socks, directions)), transcript), floor
+
+
+def test_minimal_socket_buffers_do_not_deadlock():
+    # A frame larger than its sender's send buffer and its receiver's receive
+    # buffer together cannot be sent before the peer reads, so a run that
+    # completes sent every such frame while its receiver was reading. Were
+    # both parties to send one at once, both sends would block until timeout.
+    split = synth_two_view(n=24, d_source=6, d_target=5, noise=0.1, seed=3, latent_dim=2,
+                           n_overlap=8, n_labeled=6, n_eval=12)
+
+    def nets():
+        return init_network([6, 40, 4], seed=4), init_network([5, 40, 4], seed=5)
+
+    cfg = _tiny_cfg(max_iterations=2)
+    plain_nets, enc_nets = nets(), nets()
+    plain = train_plain(split, *plain_nets, cfg)
+    channels, floor = _minimal_buffer_pair()
+    run = train_encrypted(split, *enc_nets, cfg, key_bits=512, frac_bits=F, seed=0,
+                          channels=channels)
+    big = [r for r in run.transcript.frames() if r.msg_type in (
+        MsgType.COMPONENTS_A, MsgType.COMPONENTS_B, MsgType.MASKED_GRAD_A,
+        MsgType.MASKED_GRAD_B, MsgType.DECRYPTED_BLOB)]
+    assert len(big) == 2 * 6
+    assert all(len(r.payload) > floor[r.direction] for r in big)
+    assert np.allclose(run.result.loss_history, plain.loss_history, atol=1e-5, rtol=0)
+    for enc, want in zip(enc_nets, plain_nets):
+        assert np.allclose(enc.get_flat(), want.get_flat(), atol=1e-5, rtol=0)
+    assert audit_training(run.transcript, run.source, run.target).ok
+
+    channels, floor = _minimal_buffer_pair()
+    query = split.ids_target
+    predicted = predict_encrypted(split, *enc_nets, query, key_bits=512, frac_bits=F, seed=0,
+                                  channels=channels)
+    (request,) = predicted.transcript.frames(msg_type=MsgType.PREDICT_REQUEST)
+    assert len(request.payload) > floor[DIR_TARGET_TO_SOURCE]
+    assert np.array_equal(predicted.labels, predict_plain(split, *enc_nets, query))
 
 
 @pytest.mark.parametrize("depth", [3, 4])

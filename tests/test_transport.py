@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import pytest
@@ -151,9 +152,22 @@ def test_tcp_close_signals_peer():
 
 
 @pytest.mark.parametrize("pair", [loopback_pair, tcp_pair], ids=["loopback", "tcp"])
+def test_a_channel_pair_starts_no_thread(pair):
+    # A send writes inline on its caller's thread.
+    before = threading.enumerate()
+    source, target, _ = pair()
+    try:
+        assert threading.enumerate() == before
+    finally:
+        source.close()
+        target.close()
+
+
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair], ids=["loopback", "tcp"])
 def test_send_after_failed_write_raises(pair):
-    # Once the peer is gone a write fails in the writer thread; the send
-    # after it raises and records nothing.
+    # Once the peer is gone a write fails, at once on a socketpair and on
+    # TCP once the peer's reset is back; the send that fails raises and
+    # records nothing.
     source, target, transcript = pair()
     target.close()
     try:

@@ -77,11 +77,16 @@ class FederationSplit:
         if len(self.labels_eval) and not np.all(np.isin(self.labels_eval, (-1, 1))):
             raise ValueError("eval labels must be +-1")
 
+    def _rows(self, party: str, positions: dict[int, int], ids) -> np.ndarray:
+        if missing := [int(i) for i in ids if int(i) not in positions]:
+            raise ValueError(f"the {party} holds no row for ids {missing}")
+        return np.array([positions[int(i)] for i in ids], dtype=int)
+
     def source_rows(self, ids) -> np.ndarray:
-        return np.array([self._source_pos[int(i)] for i in ids], dtype=int)
+        return self._rows("source", self._source_pos, ids)
 
     def target_rows(self, ids) -> np.ndarray:
-        return np.array([self._target_pos[int(i)] for i in ids], dtype=int)
+        return self._rows("target", self._target_pos, ids)
 
     def labels_for(self, ids) -> np.ndarray:
         return self.labels_source[self.source_rows(ids)]

@@ -27,12 +27,13 @@ from .datasets import (
     vertical_split,
     weighted_f1,
 )
+from .encoding import DEFAULT_FRAC_BITS
 from .nets import Network, fresh_network
 from .plain import TrainingConfig
 # train_encrypted and predict_encrypted stay importable from here for the
 # benchmark's tracer; every run goes through Engine.
-from .protocol import (ENGINE_KINDS, Engine, check_depth, check_loss_mode,  # noqa: F401
-                       predict_encrypted, train_encrypted)
+from .protocol import (DEFAULT_KEY_BITS, ENGINE_KINDS, Engine, check_depth,  # noqa: F401
+                       check_loss_mode, predict_encrypted, train_encrypted)
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -72,8 +73,8 @@ class ExperimentConfig:
     tolerance: float = 0.0
     alignment: str = "inner"
     loss_mode: str = "taylor"
-    key_bits: int = 512
-    frac_bits: int = 40
+    key_bits: int = DEFAULT_KEY_BITS
+    frac_bits: int = DEFAULT_FRAC_BITS
     seed: int = 0
     seeds: int = 3
     engine: str = "plain"

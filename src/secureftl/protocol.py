@@ -21,7 +21,7 @@ The message choreography per iteration:
 
 The parties take turns: every frame is sent while its receiver waits for it
 or will wait without sending first (only the two small PUBKEY frames cross
-at once), so no send waits on a peer that is sending too. The target takes
+at once), so no send waits on a peer that is sending too. The target reads
 COMPONENTS_A (or STOP) before it computes its own components, so exactly one
 component batch per direction crosses the wire per executed iteration.
 
@@ -78,22 +78,22 @@ target's reg at 3f, the loss's fraction bits.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct, at the fraction bits given for
-f = frac_bits) or a frac byte and signed integers (int), prod(dims) of
-them, row-major:
+f = frac_bits, under the key given) or a frac byte and signed integers
+(int), prod(dims) of them, row-major:
 
   frame            section           dims         data
   PUBKEY           n                 ()           int: the modulus (g = n + 1)
-  COMPONENTS_A/B   quad              (n_c, d, d)  ct at f
+  COMPONENTS_A/B   quad              (n_c, d, d)  ct at f, sender's key
                    lin               (n_c, d)     ct at 2f in A, f in B
                    align             (n_ab, d)    ct at 2f
                    reg               ()           ct at 3f, COMPONENTS_B only
-  MASKED_GRAD_A/B  layer<i>.weights  (out, in)    ct, per layer
+  MASKED_GRAD_A/B  layer<i>.weights  (out, in)    ct, receiver's key, per layer
                    layer<i>.bias     (out,)       ct
-  ENC_LOSS         loss              ()           ct at 3f
+  ENC_LOSS         loss              ()           ct at 3f, receiver's key
   DECRYPTED_BLOB   each section of the MASKED_GRAD (and the ENC_LOSS) it
                    answers, same name and dims   int
-  PREDICT_REQUEST  u                 (n, d)       ct at f
-  PREDICT_MASKED   predict.scores    (n,)         ct
+  PREDICT_REQUEST  u                 (n, d)       ct at f, sender's key
+  PREDICT_MASKED   predict.scores    (n,)         ct, receiver's key
   DECRYPTED_BLOB   predict.scores    (n,)         int
   PREDICT_LABELS   labels            (n,)         int: +1 or -1
   STOP             empty payload
@@ -101,17 +101,21 @@ them, row-major:
 One rule reads every payload: its sections must be exactly the (name, dims)
 list its receiver expects, in order, or ProtocolError is raised before any
 value is decrypted, logged or applied; so is a COMPONENTS or PREDICT_REQUEST
-ciphertext at other fraction bits than its section's above. The receiver
-knows every dim from its own state: its n_c, n_ab and d for COMPONENTS,
-with reg at the source; for a DECRYPTED_BLOB, the sections it masked under
-that number, each of which must also repeat the fraction bits it was masked
-at; and the n rows it asked about for PREDICT_MASKED and PREDICT_LABELS.
-Only a PREDICT_REQUEST's row count n is a wildcard. MASKED_GRAD follows the
+ciphertext at other fraction bits than its section's above. Each read names
+the key its frame must be under in the table, and a ciphertext under any
+other raises KeyMismatchError there. The receiver knows every dim from its
+own state: its n_c, n_ab and d for COMPONENTS, with reg at the source; for a
+DECRYPTED_BLOB, the sections it masked under that number; and the n rows it
+asked about for PREDICT_MASKED and PREDICT_LABELS. One routine, _unmask,
+reads every DECRYPTED_BLOB: each section must also repeat the fraction bits
+it was masked at, and each value be one a decryption returns and, unmasked,
+one a float64 holds, before any is logged as applied. Only a
+PREDICT_REQUEST's row count n is a wildcard. MASKED_GRAD follows the
 sender's net, whose depth and input dim the receiver does not know: its
 sections must be a chain of layer<i>.weights (out, in) and layer<i>.bias
 (out,), each layer's in the previous layer's out and the last out the
-receiver's own d, and the sender checks what comes back. A payload that
-does not parse raises one of WIRE_ERRORS.
+receiver's own d, and the sender checks what comes back. A payload that does
+not parse raises one of WIRE_ERRORS.
 """
 
 from __future__ import annotations
@@ -128,9 +132,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import MAX_FRAC_BITS, check_frac_match, decode_raw, encode, encode_array
-from .nets import Network
-from .objective import LOG2, alignment_spec, label_prototype
+from .encoding import (DEFAULT_FRAC_BITS, MAX_FRAC_BITS, check_frac_match, decode_raw, encode,
+                       encode_array)
+from .nets import LayerParams, Network
+from .objective import LOG2, alignment_spec, label_prototype, threshold_labels
 from .paillier import (
     MIN_KEY_BITS,
     Ciphertext,
@@ -170,6 +175,8 @@ from .transport import (
 # full fixed-point resolution: large against unit-scale gradients, small
 # against the plaintext space.
 MASK_MAGNITUDE_BITS = 20
+# Both parties' key size when the caller names none.
+DEFAULT_KEY_BITS = 512
 
 
 class ProtocolError(RuntimeError):
@@ -197,24 +204,20 @@ def _int_section(name: str, dims: tuple[int, ...], frac_bits: int, raws) -> Sect
     return Section(name, dims, b"".join(out))
 
 
-def _section_cts(section: Section, keys: dict[bytes, PublicKey]) -> list[Ciphertext]:
-    data, pos, out = section.data, 0, []
+def _section_cts(section: Section, key: PublicKey, frac_bits: int | None = None) -> np.ndarray:
+    """The section's ciphertexts as an object array of shape section.dims.
+    Each must be under key, else KeyMismatchError, and at frac_bits fraction
+    bits when that is given."""
+    data, pos, out, keys = section.data, 0, [], {key.fingerprint: key}
     for _ in range(math.prod(section.dims)):
         ct, pos = deserialize_ciphertext(data, keys, pos)
         out.append(ct)
     if pos != len(data):
         raise FramingError(f"section {section.name}: trailing bytes after ciphertexts")
-    return out
-
-
-def _section_array(section: Section, keys: dict[bytes, PublicKey], frac_bits: int) -> np.ndarray:
-    """The section's ciphertexts, which must all be at frac_bits fraction
-    bits, as an object array of shape section.dims."""
-    cts = _section_cts(section, keys)
-    if any(ct.frac_bits != frac_bits for ct in cts):
+    if frac_bits is not None and any(ct.frac_bits != frac_bits for ct in out):
         raise ProtocolError(f"section {section.name} holds ciphertexts at other than "
                             f"{frac_bits} fraction bits")
-    return np.array(cts, dtype=object).reshape(section.dims)
+    return np.array(out, dtype=object).reshape(section.dims)
 
 
 def _section_ints(section: Section) -> tuple[int, list[int]]:
@@ -322,10 +325,10 @@ class ComponentBatch:
                  ("align", (n_ab, d), 2 * frac_bits)] + [("reg", (), 3 * frac_bits)] * reg)
 
     @classmethod
-    def from_payload(cls, payload: bytes, keys, layout: FracLayout) -> "ComponentBatch":
+    def from_payload(cls, payload: bytes, key: PublicKey, layout: FracLayout) -> "ComponentBatch":
         sections = _read(payload, [entry[:2] for entry in layout])
-        quad, lin, align, *reg = (_section_array(section, keys, entry[2])
-                                  for section, entry in zip(sections, layout))
+        quad, lin, align, *reg = (_section_cts(section, key, frac)
+                                  for section, (_, _, frac) in zip(sections, layout))
         return cls(quad, lin, align, *(r.item() for r in reg))
 
 
@@ -422,7 +425,6 @@ class _Party:
         self.rng.setstate(rng_state)
         self.mapper = map
         self.peer_key: PublicKey | None = None
-        self.keys: dict[bytes, PublicKey] = {self.own_key.public.fingerprint: self.own_key.public}
         self.align = alignment_spec(cfg.alignment)
         # Audit trail: every mask this party ever created, and every
         # unmasked value it applied, keyed by (frame number, section name).
@@ -455,7 +457,6 @@ class _Party:
         self._send(MsgType.PUBKEY, 0, _pubkey_payload(self.own_key.public))
         frame = self._recv({MsgType.PUBKEY: 0})
         self.peer_key = _read_pubkey(frame.payload, self.own_key.public.modulus.bit_length())
-        self.keys[self.peer_key.fingerprint] = self.peer_key
 
     def _encrypt(self, *parts: tuple[np.ndarray, int]) -> list[np.ndarray]:
         """Every entry of every (values, frac_bits) part under this party's
@@ -506,27 +507,27 @@ class _Party:
 
     def _decrypt_to_blob(self, sections: list[Section]) -> bytes:
         """Decrypt a peer's masked ciphertext sections into a DECRYPTED_BLOB;
-        a ciphertext under any other key raises KeyMismatchError before any
-        is decrypted."""
-        parsed = [_section_cts(section, self.keys) for section in sections]
+        a ciphertext under any key but this party's own raises
+        KeyMismatchError before any is decrypted."""
+        parsed = [_section_cts(section, self.own_key.public).ravel() for section in sections]
         raws = iter(self.own_key.decrypt_raws([ct for cts in parsed for ct in cts], self.mapper))
         return pack_sections([
-            _int_section(section.name, section.dims, cts[0].frac_bits if cts else 0,
+            _int_section(section.name, section.dims, cts[0].frac_bits if len(cts) else 0,
                          list(itertools.islice(raws, len(cts))))
             for section, cts in zip(sections, parsed)])
 
-    def _read_own_blob(self, seq: int, payload: bytes) -> list[tuple]:
-        """Unmask what this party masked under seq.
+    def _unmask(self, seq: int, payload: bytes) -> dict[str, np.ndarray]:
+        """What this party masked under seq, unmasked and decoded, by name.
 
         The blob must hold exactly those sections, in order, each at the
-        fraction bits it was masked at, and every raw one that a decryption
-        under the peer's key can return: |raw| <= n/2. Returns (name, dims,
-        frac_bits, unmasked raws) per section; the caller logs them as
-        applied once it can apply them all.
+        fraction bits it was masked at, every raw one that a decryption
+        under the peer's key can return (|raw| <= n/2), and every unmasked
+        value one a float64 holds; else ProtocolError is raised before any
+        value is logged as applied.
         """
         masked = self.awaiting.pop(seq, [])
         sections = _read(payload, [(name, dims) for name, dims, _ in masked])
-        bound, out = self.peer_key.modulus // 2, []
+        bound, unmasked, values = self.peer_key.modulus // 2, {}, {}
         for section, (name, dims, frac_bits) in zip(sections, masked):
             claimed, raws = _section_ints(section)
             # An empty section has no ciphertext whose fraction bits it could repeat.
@@ -535,27 +536,21 @@ class _Party:
                                     f"masked at {frac_bits}")
             if any(abs(r) > bound for r in raws):
                 raise ProtocolError(f"blob section {name} holds a value no decryption returns")
-            out.append((name, dims, frac_bits,
-                        [r - m for r, m in zip(raws, self.mask_log[(seq, name)])]))
-        return out
+            unmasked[name] = tuple(r - m for r, m in zip(raws, self.mask_log[seq, name]))
+            try:
+                values[name] = np.reshape([decode_raw(u, frac_bits) for u in unmasked[name]], dims)
+            except OverflowError:
+                raise ProtocolError("an unmasked value does not fit a float64") from None
+        self.applied_log.update(((seq, name), u) for name, u in unmasked.items())
+        return values
 
-    def _unmask_and_apply(self, net: Network, iteration: int, blob_payload: bytes,
-                          learning_rate: float) -> dict[str, float]:
-        """Exact integer unmasking, then one gradient step.
-
-        Sections named layer*.{weights,bias} are this party's own gradient;
-        the rest (the loss at the source) are unmasked and returned.
-        """
-        own = self._read_own_blob(iteration, blob_payload)
-        try:
-            values = {name: np.array([decode_raw(u, frac_bits) for u in unmasked]).reshape(dims)
-                      for name, dims, frac_bits, unmasked in own}
-        except OverflowError:
-            raise ProtocolError("an unmasked value does not fit a float64") from None
-        self.applied_log.update(((iteration, name), tuple(u)) for name, _, _, u in own)
-        for idx, layer in enumerate(net.layers):
-            layer.weights -= learning_rate * values.pop(f"layer{idx}.weights")
-            layer.bias -= learning_rate * values.pop(f"layer{idx}.bias")
+    def _unmask_and_apply(self, seq: int, payload: bytes) -> dict[str, float]:
+        """_unmask, then one step of this party's net on its layer*.{weights,
+        bias} sections; the rest (the loss at the source) are returned."""
+        values = self._unmask(seq, payload)
+        self.net.apply_gradients([LayerParams(values.pop(f"layer{idx}.weights"),
+                                              values.pop(f"layer{idx}.bias"))
+                                  for idx in range(len(self.net.layers))], self.cfg.learning_rate)
         return {name: float(v) for name, v in values.items()}
 
     # -- prediction roles (either party can serve or request)
@@ -578,19 +573,16 @@ class _Party:
         seq = self.predict_seq
         (request,) = _read(self._recv({MsgType.PREDICT_REQUEST: seq}).payload,
                            [("u", (None, len(prototype)))])
-        n = request.dims[0]
-        (scores,) = contractions(self.mapper, (_section_array(request, self.keys, self.frac_bits),
-                                               prototype, self.frac_bits))
+        u = _section_cts(request, self.peer_key, self.frac_bits)
+        (scores,) = contractions(self.mapper, (u, prototype, self.frac_bits))
         self._send(MsgType.PREDICT_MASKED, seq, pack_sections(
             [self._mask(seq, _Tensor("predict.scores", scores, 2 * self.frac_bits))]))
-        blob = self._recv({MsgType.DECRYPTED_BLOB: seq})
-        [(name, _, _, unmasked)] = self._read_own_blob(seq, blob.payload)
-        self.applied_log[seq, name] = tuple(unmasked)
-        # The tie at exactly zero classifies positive; integer-domain
-        # unmasking keeps that decidable.
-        labels = np.array([1 if u >= 0 else -1 for u in unmasked], dtype=int)
+        # decode_raw keeps every sign and zero, so the tie at exactly zero
+        # classifies positive here as it does in the integers.
+        labels = threshold_labels(self._unmask(
+            seq, self._recv({MsgType.DECRYPTED_BLOB: seq}).payload)["predict.scores"])
         self._send(MsgType.PREDICT_LABELS, seq,
-                   pack_sections([_int_section("labels", (n,), 0, labels.tolist())]))
+                   pack_sections([_int_section("labels", labels.shape, 0, labels.tolist())]))
         return labels
 
 
@@ -676,7 +668,7 @@ class SourceParty(_Party):
             self._send(MsgType.COMPONENTS_A, iteration,
                        self.compute_components(trace).to_payload())
             frame = self._recv({MsgType.COMPONENTS_B: iteration})
-            comps = ComponentBatch.from_payload(frame.payload, self.keys, self.peer_layout)
+            comps = ComponentBatch.from_payload(frame.payload, self.peer_key, self.peer_layout)
             # Labels are +-1, so y^2 = 1 and every labeled pair's quad
             # coefficient is the same: contract the pairs once, before any
             # multiply.
@@ -693,8 +685,7 @@ class SourceParty(_Party):
             self._send(MsgType.DECRYPTED_BLOB, iteration, self._decrypt_to_blob(
                 _read_gradient(grad_frame.payload, self.net.hidden_dim)))
             blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
-            loss = self._unmask_and_apply(self.net, iteration, blob.payload,
-                                          self.cfg.learning_rate)["loss"]
+            loss = self._unmask_and_apply(iteration, blob.payload)["loss"]
             result.loss_history.append(loss)
             if previous - loss <= self.cfg.tolerance:
                 result.converged = True
@@ -757,10 +748,10 @@ class TargetParty(_Party):
             if frame.msg_type == MsgType.STOP:
                 result.converged = True
                 return result
+            comps = ComponentBatch.from_payload(frame.payload, self.peer_key, self.peer_layout)
             trace = self.net.forward_trace(self.x)
             self._send(MsgType.COMPONENTS_B, iteration,
                        self.compute_components(trace).to_payload())
-            comps = ComponentBatch.from_payload(frame.payload, self.keys, self.peer_layout)
             tensors = self.assemble_gradient(comps, trace)
 
             grad_frame = self._recv({MsgType.MASKED_GRAD_A: iteration})
@@ -772,8 +763,7 @@ class TargetParty(_Party):
 
             own_blob = self._recv({MsgType.DECRYPTED_BLOB: iteration})
             self._send(MsgType.DECRYPTED_BLOB, iteration, blob)
-            self._unmask_and_apply(self.net, iteration, own_blob.payload,
-                                   self.cfg.learning_rate)
+            self._unmask_and_apply(iteration, own_blob.payload)
         self._recv({MsgType.STOP: self.cfg.max_iterations})
         result.converged = True
         return result
@@ -870,8 +860,9 @@ def check_loss_mode(loss_mode: str):
 
 
 def train_encrypted(split: FederationSplit, net_source: Network, net_target: Network,
-                    cfg: TrainingConfig, key_bits: int = 512, frac_bits: int = 40,
-                    seed: int = 0, channels=None) -> EncryptedRunResult:
+                    cfg: TrainingConfig, key_bits: int = DEFAULT_KEY_BITS,
+                    frac_bits: int = DEFAULT_FRAC_BITS, seed: int = 0,
+                    channels=None) -> EncryptedRunResult:
     """Run the full two-party protocol; both nets are updated in place.
 
     channels defaults to loopback_pair(); pass the triple from tcp_pair to
@@ -907,7 +898,8 @@ class PredictionRunResult:
 
 
 def predict_encrypted(split: FederationSplit, net_source: Network, net_target: Network,
-                      query_ids, key_bits: int = 512, frac_bits: int = 40, seed: int = 0,
+                      query_ids, key_bits: int = DEFAULT_KEY_BITS,
+                      frac_bits: int = DEFAULT_FRAC_BITS, seed: int = 0,
                       channels=None) -> PredictionRunResult:
     """Label target-side query rows without revealing either party's data.
 
@@ -950,8 +942,8 @@ class Engine:
     """
 
     kind: str = "plain"
-    key_bits: int = 512
-    frac_bits: int = 40
+    key_bits: int = DEFAULT_KEY_BITS
+    frac_bits: int = DEFAULT_FRAC_BITS
     channels: Callable[[], tuple] = loopback_pair
 
     def __post_init__(self):
@@ -1001,25 +993,26 @@ class AuditReport:
         return not self.issues
 
 
-_CIPHERTEXT_ONLY = (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B, MsgType.MASKED_GRAD_A,
-                    MsgType.MASKED_GRAD_B, MsgType.ENC_LOSS, MsgType.PREDICT_REQUEST,
-                    MsgType.PREDICT_MASKED)
+# The frames under their sender's key, then those under their receiver's.
+_SENDER_KEY = (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B, MsgType.PREDICT_REQUEST)
+_CIPHERTEXT_ONLY = _SENDER_KEY + (MsgType.MASKED_GRAD_A, MsgType.MASKED_GRAD_B,
+                                  MsgType.ENC_LOSS, MsgType.PREDICT_MASKED)
 
 
 def audit_training(transcript: Transcript, source: _Party, target: _Party) -> AuditReport:
     """Replay a transcript against both parties' mask and update logs."""
     report = AuditReport()
-    keys = dict(source.keys)
-    keys.update(target.keys)
-    for direction, receiver in ((DIR_TARGET_TO_SOURCE, source), (DIR_SOURCE_TO_TARGET, target)):
+    for direction, sender, receiver in ((DIR_TARGET_TO_SOURCE, target, source),
+                                        (DIR_SOURCE_TO_TARGET, source, target)):
         for record in transcript.frames(direction=direction):
             if record.msg_type in _CIPHERTEXT_ONLY:
+                owner = sender if record.msg_type in _SENDER_KEY else receiver
                 try:
                     for section in unpack_sections(record.payload):
-                        _section_cts(section, keys)
+                        _section_cts(section, owner.own_key.public)
                 except WIRE_ERRORS as exc:
-                    report.issues.append(f"{MsgType(record.msg_type).name} frame does not "
-                                         f"parse as ciphertext-only: {exc}")
+                    report.issues.append(f"{MsgType(record.msg_type).name} frame does not parse "
+                                         f"as ciphertexts under the {owner.role}'s key: {exc}")
                 else:
                     report.ciphertext_frames += 1
                 continue

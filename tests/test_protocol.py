@@ -23,6 +23,7 @@ from secureftl.nets import init_network
 from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import (
     Ciphertext,
+    KeyMismatchError,
     PrivateKey,
     PublicKey,
     _multiexp_job,
@@ -237,14 +238,13 @@ def test_basis_coefficients_share_one_fraction_count():
 
 def test_component_batch_roundtrip():
     key = keygen(512, random.Random(1))
-    keys = {key.public.fingerprint: key.public}
     batch = ComponentBatch(
         quad=_enc_array(key.public, [[[1.0, 2.0], [3.0, 4.0]]]),
         lin=_enc_array(key.public, [[5.0, 6.0], [7.0, 8.0]]),
         align=_enc_array(key.public, [[0.5, -0.5]]),
         reg=encrypt(key.public, 9.0, F))
     layout = [("quad", (1, 2, 2), F), ("lin", (2, 2), F), ("align", (1, 2), F), ("reg", (), F)]
-    back = ComponentBatch.from_payload(batch.to_payload(), keys, layout)
+    back = ComponentBatch.from_payload(batch.to_payload(), key.public, layout)
     assert decrypt_raw(key, back.quad[0, 1, 0]) == decrypt_raw(key, batch.quad[0, 1, 0])
     assert (back.quad.shape, back.lin.shape, back.align.shape) == ((1, 2, 2), (2, 2), (1, 2))
     assert decrypt_raw(key, back.reg) == decrypt_raw(key, batch.reg)
@@ -431,6 +431,19 @@ def test_both_engines_refuse_an_invalid_split(small_split, kind, edit, message):
     with pytest.raises(ValueError, match=message):
         train_encrypted(split, *nets, _tiny_cfg(), frac_bits=F, channels=channels)
     assert channels[2].frames() == []
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_both_engines_refuse_a_query_id_the_target_lacks(small_split, kind):
+    # 13 is a source-only row and 1000000 no row at all; the encrypted
+    # engine refuses before any key or frame.
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    channels = loopback_pair()
+    with pytest.raises(ValueError, match=re.escape("the target holds no row for ids [13, 1000000]")):
+        Engine(kind, channels=lambda: channels).predict(small_split, *nets, [14, 13, 1000000])
+    assert channels[2].frames() == []
+    channels[0].close()  # the plain engine opens no channel, so it closes none
+    channels[1].close()
 
 
 def _minimal_buffer_pair():
@@ -678,7 +691,8 @@ def test_source_overlap_rows_take_exponents_at_f(small_split, monkeypatch):
     monkeypatch.undo()
     (record,) = run.transcript.frames(DIR_TARGET_TO_SOURCE, MsgType.COMPONENTS_B)
     (align,) = [s for s in unpack_sections(record.payload) if s.name == "align"]
-    bits = watch.exponent_bits("source", {ct.value for ct in _section_cts(align, run.source.keys)})
+    bits = watch.exponent_bits("source", {ct.value for ct in
+                                          _section_cts(align, run.target.own_key.public).flat})
     assert bits and max(bits) < F + 8, f"{len(bits)} exponents of {sum(bits)} bits"
 
 
@@ -701,7 +715,17 @@ def _digests(transcript) -> dict[str, str]:
     return out
 
 
-def _frame_values(record, keys) -> list[tuple]:
+def _frame_key(record, source, target) -> PublicKey:
+    """The key a ciphertext frame is under: its sender's for COMPONENTS and
+    PREDICT_REQUEST, which the receiver computes on, and its receiver's for
+    the frames the receiver decrypts."""
+    sender, receiver = ((source, target) if record.direction == DIR_SOURCE_TO_TARGET
+                        else (target, source))
+    own = record.msg_type in (MsgType.COMPONENTS_A, MsgType.COMPONENTS_B, MsgType.PREDICT_REQUEST)
+    return (sender if own else receiver).own_key.public
+
+
+def _frame_values(record, key) -> list[tuple]:
     """Every value a frame carries, in order, whatever its byte layout."""
     if record.msg_type == MsgType.STOP:
         return []
@@ -716,17 +740,17 @@ def _frame_values(record, keys) -> list[tuple]:
                                                           unpack_sections(record.payload))
                 for raw in raws]
     return [("ct", ct.frac_bits, ct.value) for section in unpack_sections(record.payload)
-            for ct in _section_cts(section, keys)]
+            for ct in _section_cts(section, key).flat]
 
 
-def _content_digests(transcript, keys) -> dict[str, str]:
+def _content_digests(transcript, source, target) -> dict[str, str]:
     """Per direction: each frame's type and iteration, then its values."""
     out = {}
     for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE):
         digest = hashlib.sha256()
         for record in transcript.frames(direction=direction):
             digest.update(f"{int(record.msg_type)} {record.iteration}\n".encode())
-            for value in _frame_values(record, keys):
+            for value in _frame_values(record, _frame_key(record, source, target)):
                 digest.update(f"{value}\n".encode())
         out[direction] = digest.hexdigest()
     return out
@@ -771,7 +795,7 @@ def _golden_train(small_split, dims_source, dims_target):
     train = train_encrypted(small_split, init_network(dims_source, seed=4),
                             init_network(dims_target, seed=5), _tiny_cfg(max_iterations=2),
                             key_bits=512, frac_bits=F, seed=0)
-    return train.transcript, {**train.source.keys, **train.target.keys}
+    return train.transcript, train.source, train.target
 
 
 def _golden_runs(small_split):
@@ -780,7 +804,7 @@ def _golden_runs(small_split):
                                 key_bits=512, frac_bits=F, seed=3)
     return (_golden_train(small_split, [3, 2], [2, 2]),
             _golden_train(small_split, [3, 4, 2], [2, 4, 2]),
-            (predict.transcript, {**predict.server.keys, **predict.requester.keys}))
+            (predict.transcript, predict.server, predict.requester))
 
 
 @pytest.mark.parametrize("builtin_pow", [False, True], ids=["libgmp", "builtin-pow"])
@@ -789,11 +813,11 @@ def test_golden_transcripts(small_split, monkeypatch, builtin_pow):
     # workers fork after the patch, so they run builtin pow too.
     if builtin_pow:
         monkeypatch.setattr(paillier, "_powmod", pow)
-    ((train, train_keys), (train_2layer, train_2layer_keys),
-     (predict, predict_keys)) = _golden_runs(small_split)
-    assert _content_digests(train, train_keys) == CONTENT_TRAIN
-    assert _content_digests(train_2layer, train_2layer_keys) == CONTENT_TRAIN_2LAYER
-    assert _content_digests(predict, predict_keys) == CONTENT_PREDICT
+    ((train, *train_parties), (train_2layer, *train_2layer_parties),
+     (predict, *predict_parties)) = _golden_runs(small_split)
+    assert _content_digests(train, *train_parties) == CONTENT_TRAIN
+    assert _content_digests(train_2layer, *train_2layer_parties) == CONTENT_TRAIN_2LAYER
+    assert _content_digests(predict, *predict_parties) == CONTENT_PREDICT
     assert _digests(train) == GOLDEN_TRAIN
     assert _digests(train_2layer) == GOLDEN_TRAIN_2LAYER
     assert _digests(predict) == GOLDEN_PREDICT
@@ -831,8 +855,8 @@ def test_degenerate_splits_train(n_labeled, n_overlap):
                           seed=0)
     assert np.allclose(run.result.loss_history, plain.loss_history, atol=1e-6)
     assert audit_training(run.transcript, run.source, run.target).ok
-    keys = {**run.source.keys, **run.target.keys}
-    assert _content_digests(run.transcript, keys) == CONTENT_DEGENERATE[(n_labeled, n_overlap)]
+    assert (_content_digests(run.transcript, run.source, run.target)
+            == CONTENT_DEGENERATE[(n_labeled, n_overlap)])
 
 
 @pytest.mark.parametrize("n_labeled, n_overlap", [(2, 0), (0, 3)],
@@ -906,7 +930,7 @@ def test_recv_rejects_misnumbered_frame(small_split, loopback, frames, numbered)
 @pytest.fixture(scope="module")
 def wire_samples():
     """One real payload per message type from a one-iteration training run
-    and a prediction, with every key needed to read them."""
+    and a prediction, with the party that received it."""
     split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
                            n_overlap=3, n_labeled=2, n_eval=2)
     train = train_encrypted(split, init_network([3, 2], seed=4), init_network([2, 2], seed=5),
@@ -914,51 +938,58 @@ def wire_samples():
     predict = predict_encrypted(split, init_network([3, 2], seed=4),
                                 init_network([2, 2], seed=5), split.eval_ids,
                                 key_bits=512, frac_bits=F, seed=0)
-    payloads = {}
-    for run in (train, predict):
+    payloads, readers = {}, {}
+    for run, source, target in ((train, train.source, train.target),
+                                (predict, predict.server, predict.requester)):
         for record in run.transcript.frames():
             payloads.setdefault(MsgType(record.msg_type), record.payload)
-    keys = {**train.source.keys, **train.target.keys,
-            **predict.server.keys, **predict.requester.keys}
-    return payloads, keys
+            readers.setdefault(MsgType(record.msg_type),
+                               target if record.direction == DIR_SOURCE_TO_TARGET else source)
+    return payloads, readers
 
 
-# The wire samples' shapes: the source reads a target batch of n_c = 2
-# labeled and n_ab = 3 overlap items of d = 2 with a reg scalar, and a
+def _gradient_blob(payload, reader):
+    """reader's DECRYPTED_BLOB for a MASKED_GRAD payload."""
+    return reader._decrypt_to_blob(_read_gradient(payload, reader.net.hidden_dim))
+
+
+# message type -> how the party that receives it reads its payload, under
+# the one key its ciphertexts must be under: the peer's key for components
+# and a prediction request, the reader's own key for what it decrypts. A
 # prediction asks about n = 2 rows of d = 2.
-SAMPLE_COMPONENTS = ComponentBatch.layout(2, 3, 2, F, True)
-
-# decoder name -> (message type whose payloads it reads, decoder)
 DECODERS = {
-    "sections": (MsgType.COMPONENTS_A, lambda p, keys: unpack_sections(p)),
-    "components": (MsgType.COMPONENTS_B,
-                   lambda p, keys: ComponentBatch.from_payload(p, keys, SAMPLE_COMPONENTS)),
-    "masked_grad": (MsgType.MASKED_GRAD_A,
-                    lambda p, keys: [_section_cts(s, keys) for s in _read_gradient(p, 2)]),
-    "loss": (MsgType.ENC_LOSS, lambda p, keys: _section_cts(*_read(p, [("loss", ())]), keys)),
-    "blob": (MsgType.DECRYPTED_BLOB,
-             lambda p, keys: [_section_ints(s) for s in unpack_sections(p)]),
-    "pubkey": (MsgType.PUBKEY, lambda p, keys: _read_pubkey(p, 512)),
-    "labels": (MsgType.PREDICT_LABELS, lambda p, keys: _read_labels(p, 2)),
-    "request": (MsgType.PREDICT_REQUEST,
-                lambda p, keys: _section_cts(*_read(p, [("u", (None, 2))]), keys)),
-    "scores": (MsgType.PREDICT_MASKED,
-               lambda p, keys: _section_cts(*_read(p, [("predict.scores", (2,))]), keys)),
+    MsgType.PUBKEY: lambda p, reader: _read_pubkey(p, 512),
+    MsgType.COMPONENTS_A: lambda p, reader: ComponentBatch.from_payload(
+        p, reader.peer_key, reader.peer_layout),
+    MsgType.COMPONENTS_B: lambda p, reader: ComponentBatch.from_payload(
+        p, reader.peer_key, reader.peer_layout),
+    MsgType.MASKED_GRAD_A: _gradient_blob,
+    MsgType.MASKED_GRAD_B: _gradient_blob,
+    MsgType.ENC_LOSS: lambda p, reader: reader._decrypt_to_blob(_read(p, [("loss", ())])),
+    MsgType.DECRYPTED_BLOB: lambda p, reader: [_section_ints(s) for s in unpack_sections(p)],
+    MsgType.PREDICT_REQUEST: lambda p, reader: _section_cts(
+        *_read(p, [("u", (None, 2))]), reader.peer_key, F),
+    MsgType.PREDICT_MASKED: lambda p, reader: reader._decrypt_to_blob(
+        _read(p, [("predict.scores", (2,))])),
+    MsgType.PREDICT_LABELS: lambda p, reader: _read_labels(p, 2),
 }
 
 
+def test_decoders_cover_every_payload_type():
+    assert set(DECODERS) == set(MsgType) - {MsgType.STOP}
+
+
 def test_decoders_read_real_payloads(wire_samples):
-    payloads, keys = wire_samples
-    for msg_type, decode in DECODERS.values():
-        decode(payloads[msg_type], keys)
+    payloads, readers = wire_samples
+    for msg_type, decode in DECODERS.items():
+        decode(payloads[msg_type], readers[msg_type])
 
 
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(st.sampled_from(sorted(DECODERS)), st.sampled_from(["random", "truncate", "flip"]),
        st.data())
-def test_decoders_raise_only_wire_errors(wire_samples, decoder, mutation, data):
-    payloads, keys = wire_samples
-    msg_type, decode = DECODERS[decoder]
+def test_decoders_raise_only_wire_errors(wire_samples, msg_type, mutation, data):
+    payloads, readers = wire_samples
     real = payloads[msg_type]
     if mutation == "random":
         payload = data.draw(st.binary(max_size=400))
@@ -970,7 +1001,7 @@ def test_decoders_raise_only_wire_errors(wire_samples, decoder, mutation, data):
         flipped[bit // 8] ^= 1 << (bit % 8)
         payload = bytes(flipped)
     try:
-        decode(payload, keys)
+        DECODERS[msg_type](payload, readers[msg_type])
     except WIRE_ERRORS:
         pass
 
@@ -979,11 +1010,13 @@ def test_decoders_raise_only_wire_errors(wire_samples, decoder, mutation, data):
     ("bias", (1,)), ("quad", (1, 2, 3)), ("lin", (2,)), ("reg", (1,)),
 ], ids=["unknown-family", "quad-not-square", "lin-not-a-matrix", "reg-not-a-scalar"])
 def test_component_batch_rejects_misfit_sections(wire_samples, name, dims):
-    payloads, keys = wire_samples
-    batch = ComponentBatch.from_payload(payloads[MsgType.COMPONENTS_B], keys, SAMPLE_COMPONENTS)
+    payloads, readers = wire_samples
+    source = readers[MsgType.COMPONENTS_B]
+    batch = ComponentBatch.from_payload(payloads[MsgType.COMPONENTS_B], source.peer_key,
+                                        source.peer_layout)
     payload = pack_sections([_ct_section(name, dims, [batch.reg] * math.prod(dims))])
     with pytest.raises(ProtocolError, match="expected sections"):
-        ComponentBatch.from_payload(payload, keys, SAMPLE_COMPONENTS)
+        ComponentBatch.from_payload(payload, source.peer_key, source.peer_layout)
 
 
 def _party_with_peer(split, loopback):
@@ -992,7 +1025,6 @@ def _party_with_peer(split, loopback):
     party = _source_party(split, loopback[0])
     peer = keygen(512, random.Random(9))
     party.peer_key = peer.public
-    party.keys[peer.public.fingerprint] = peer.public
     return party, peer
 
 
@@ -1002,7 +1034,7 @@ def test_unmask_rejects_blob_without_every_layer(small_split, loopback):
     before = party.net.layers[0].weights.copy()
     with pytest.raises(ProtocolError,
                        match=re.escape("expected sections [('layer0.weights', (2, 3))")):
-        party._unmask_and_apply(party.net, 1, pack_sections([]), 0.1)
+        party._unmask_and_apply(1, pack_sections([]))
     assert np.array_equal(party.net.layers[0].weights, before)
 
 
@@ -1017,7 +1049,7 @@ def _unit_gradient_blob(party, peer, iteration: int, claimed_frac: int) -> bytes
             masked = party._mask(iteration, _Tensor(f"layer{idx}.{name}",
                                                     np.zeros(param.shape, dtype=object), 4 * F,
                                                     ones))
-            raws = peer.decrypt_raws(_section_cts(masked, party.keys))
+            raws = peer.decrypt_raws(list(_section_cts(masked, party.peer_key).flat))
             sections.append(_int_section(masked.name, masked.dims, claimed_frac, raws))
     return pack_sections(sections)
 
@@ -1037,7 +1069,7 @@ def test_mask_checks_fraction_bits_before_drawing_a_mask(small_split, loopback):
     assert party.rng.getstate() == state
     values[1] = party.peer_key.encrypt_raw(1, 4 * F, rng)
     masked = party._mask(1, _Tensor("layer0.bias", values, 4 * F, plain))
-    raws = peer.decrypt_raws(_section_cts(masked, party.keys))
+    raws = peer.decrypt_raws(list(_section_cts(masked, party.peer_key).flat))
     assert [r - m for r, m in zip(raws, party.mask_log[1, "layer0.bias"])] == [6, 7, 7]
 
 
@@ -1046,9 +1078,9 @@ def test_unmask_rejects_blob_claiming_other_fraction_bits(small_split, loopback)
     before = party.net.layers[0].weights.copy()
     # Read at 100 bits, the unit gradient masked at 160 would step by 0.1 * 2^60.
     with pytest.raises(ProtocolError, match="claims 100 fraction bits, masked at 160"):
-        party._unmask_and_apply(party.net, 1, _unit_gradient_blob(party, peer, 1, 100), 0.1)
+        party._unmask_and_apply(1, _unit_gradient_blob(party, peer, 1, 100))
     assert np.array_equal(party.net.layers[0].weights, before)
-    party._unmask_and_apply(party.net, 2, _unit_gradient_blob(party, peer, 2, 4 * F), 0.1)
+    party._unmask_and_apply(2, _unit_gradient_blob(party, peer, 2, 4 * F))
     assert np.allclose(party.net.layers[0].weights, before - 0.1)
 
 
@@ -1061,7 +1093,7 @@ def test_unmask_rejects_blob_value_no_decryption_returns(small_split, loopback):
         _int_section(s.name, s.dims, 4 * F, [1 << 70000, *_section_ints(s)[1][1:]])
         if s.name == "layer0.weights" else s for s in sections])
     with pytest.raises(ProtocolError, match="layer0.weights holds a value no decryption returns"):
-        party._unmask_and_apply(party.net, 1, blob, 0.1)
+        party._unmask_and_apply(1, blob)
     assert np.array_equal(party.net.layers[0].weights, before)
     assert party.applied_log == {}
 
@@ -1072,11 +1104,10 @@ def test_unmask_rejects_value_float64_cannot_hold(small_split, loopback):
     # gradient's 160 fraction bits is past float64's 2^1024.
     party = _source_party(small_split, loopback[0])
     party.peer_key = PublicKey((1 << 1279) - 1)
-    party.keys[party.peer_key.fingerprint] = party.peer_key
     half = SimpleNamespace(decrypt_raws=lambda cts: [ct.public_key.modulus // 2 for ct in cts])
     before = party.net.layers[0].weights.copy()
     with pytest.raises(ProtocolError, match="does not fit a float64"):
-        party._unmask_and_apply(party.net, 1, _unit_gradient_blob(party, half, 1, 4 * F), 0.1)
+        party._unmask_and_apply(1, _unit_gradient_blob(party, half, 1, 4 * F))
     assert np.array_equal(party.net.layers[0].weights, before)
     assert party.applied_log == {}
 
@@ -1093,7 +1124,7 @@ def test_unmask_rejects_blob_section_of_other_dims(small_split, loopback):
     blob = _resections(_unit_gradient_blob(party, peer, 1, 4 * F), lambda sections: [
         Section(s.name, s.dims[::-1], s.data) for s in sections])
     with pytest.raises(ProtocolError, match="expected sections"):
-        party._unmask_and_apply(party.net, 1, blob, 0.1)
+        party._unmask_and_apply(1, blob)
     assert np.array_equal(party.net.layers[0].weights, before)
     assert party.applied_log == {}
 
@@ -1262,6 +1293,71 @@ def test_section_at_other_fraction_bits_is_rejected_where_read(small_split, msg_
                               else DIR_TARGET_TO_SOURCE)
     assert not {MsgType.MASKED_GRAD_A, MsgType.MASKED_GRAD_B,
                 MsgType.PREDICT_MASKED} & {r.msg_type for r in sent}
+
+
+def _reencrypted(old: PrivateKey, new: PublicKey):
+    """A section edit that re-encrypts every ciphertext, each under old, under
+    new at the same fraction bits."""
+    rng = random.Random(5)
+
+    def edit(sections):
+        out = []
+        for section in sections:
+            cts, pos = [], 0
+            while pos < len(section.data):
+                ct, pos = paillier.deserialize_ciphertext(
+                    section.data, {old.public.fingerprint: old.public}, pos)
+                cts.append(ct)
+            out.append(_ct_section(section.name, section.dims, [
+                new.encrypt_raw(raw, ct.frac_bits, rng)
+                for raw, ct in zip(old.decrypt_raws(cts), cts)]))
+        return out
+    return edit
+
+
+@pytest.mark.parametrize("msg_type, reader, sent", [
+    (MsgType.COMPONENTS_B, "source", [MsgType.PUBKEY, MsgType.COMPONENTS_A]),
+    (MsgType.COMPONENTS_A, "target", [MsgType.PUBKEY]),
+    (MsgType.PREDICT_REQUEST, "source", [MsgType.PUBKEY]),
+], ids=["source-reads-components", "target-reads-components", "server-reads-request"])
+def test_frame_under_the_readers_own_key_is_refused_where_read(small_split, msg_type, reader,
+                                                              sent):
+    # A party computes only on its peer's ciphertexts. The peer's frame
+    # re-encrypted under the reader's own key raises KeyMismatchError where
+    # it is read, before the reader sends another frame: the target does
+    # not send even its COMPONENTS_B.
+    keys = {role: _party_keys((512, role, 0))[0] for role in ("source", "target")}
+    writer = "target" if reader == "source" else "source"
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    channels = _watched_pair([], reader, _resectioned(
+        msg_type, _reencrypted(keys[writer], keys[reader].public)))
+    with pytest.raises(KeyMismatchError, match=keys[reader].public.fingerprint.hex()):
+        if msg_type == MsgType.PREDICT_REQUEST:
+            predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
+                              channels=channels)
+        else:
+            train_encrypted(small_split, *nets, _tiny_cfg(max_iterations=1), key_bits=512,
+                            channels=channels)
+    out = DIR_SOURCE_TO_TARGET if reader == "source" else DIR_TARGET_TO_SOURCE
+    assert [r.msg_type for r in channels[2].frames(direction=out)] == sent
+
+
+def test_audit_reports_a_frame_under_the_wrong_partys_key(small_split):
+    # COMPONENTS_A must be under the source's key. The same batch
+    # re-encrypted under the target's key, in the same layout, parses under
+    # either key, and the audit reports it.
+    run = train_encrypted(small_split, init_network([3, 2], seed=4), init_network([2, 2], seed=5),
+                          _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
+    edit = _reencrypted(run.source.own_key, run.target.own_key.public)
+    transcript = Transcript()
+    for record in run.transcript.frames():
+        payload = (_resections(record.payload, edit) if record.msg_type == MsgType.COMPONENTS_A
+                   else record.payload)
+        transcript.record(record.direction, Frame(record.msg_type, record.iteration, payload))
+    assert audit_training(run.transcript, run.source, run.target).ok
+    report = audit_training(transcript, run.source, run.target)
+    assert [issue.split(":")[0] for issue in report.issues] == [
+        "COMPONENTS_A frame does not parse as ciphertexts under the source's key"]
 
 
 def test_requester_rejects_extra_scores_before_decrypting(small_split, monkeypatch):

@@ -948,6 +948,11 @@ def wire_samples():
     return payloads, readers
 
 
+def _components(payload, reader):
+    """reader's ComponentBatch of its peer's COMPONENTS payload."""
+    return ComponentBatch.from_payload(payload, reader.peer_key, reader.peer_layout)
+
+
 def _gradient_blob(payload, reader):
     """reader's DECRYPTED_BLOB for a MASKED_GRAD payload."""
     return reader._decrypt_to_blob(_read_gradient(payload, reader.net.hidden_dim))
@@ -959,10 +964,8 @@ def _gradient_blob(payload, reader):
 # prediction asks about n = 2 rows of d = 2.
 DECODERS = {
     MsgType.PUBKEY: lambda p, reader: _read_pubkey(p, 512),
-    MsgType.COMPONENTS_A: lambda p, reader: ComponentBatch.from_payload(
-        p, reader.peer_key, reader.peer_layout),
-    MsgType.COMPONENTS_B: lambda p, reader: ComponentBatch.from_payload(
-        p, reader.peer_key, reader.peer_layout),
+    MsgType.COMPONENTS_A: _components,
+    MsgType.COMPONENTS_B: _components,
     MsgType.MASKED_GRAD_A: _gradient_blob,
     MsgType.MASKED_GRAD_B: _gradient_blob,
     MsgType.ENC_LOSS: lambda p, reader: reader._decrypt_to_blob(_read(p, [("loss", ())])),
@@ -1012,11 +1015,10 @@ def test_decoders_raise_only_wire_errors(wire_samples, msg_type, mutation, data)
 def test_component_batch_rejects_misfit_sections(wire_samples, name, dims):
     payloads, readers = wire_samples
     source = readers[MsgType.COMPONENTS_B]
-    batch = ComponentBatch.from_payload(payloads[MsgType.COMPONENTS_B], source.peer_key,
-                                        source.peer_layout)
+    batch = _components(payloads[MsgType.COMPONENTS_B], source)
     payload = pack_sections([_ct_section(name, dims, [batch.reg] * math.prod(dims))])
     with pytest.raises(ProtocolError, match="expected sections"):
-        ComponentBatch.from_payload(payload, source.peer_key, source.peer_layout)
+        _components(payload, source)
 
 
 def _party_with_peer(split, loopback):

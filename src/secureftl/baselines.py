@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import Network, autoencoder_pretrain, init_network, sigmoid
+from .nets import Network, fresh_network, sigmoid
+from .objective import threshold_labels
 
 
 @dataclass
@@ -27,7 +28,7 @@ class LinearModel:
         return x @ self.weights + self.bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.decision(x) >= 0, 1, -1)
+        return threshold_labels(self.decision(x))
 
 
 def _check_labels(labels: np.ndarray):
@@ -35,22 +36,36 @@ def _check_labels(labels: np.ndarray):
         raise ValueError("labels must be -1 or +1")
 
 
-def train_logistic(x: np.ndarray, labels: np.ndarray, epochs: int = 300,
-                   learning_rate: float = 0.5, l2: float = 1e-3,
-                   seed: int = 0) -> LinearModel:
-    """Full-batch gradient descent on the regularized logistic loss."""
+def _logistic_slope(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # d/dz log(1+exp(-y z)) = -y * sigmoid(-y z), per row of the mean loss
+    return -y * sigmoid(-y * z) / len(y)
+
+
+def _hinge_slope(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # a subgradient of max(0, 1 - y z), per row of the mean loss
+    return np.where(y * z < 1.0, -y, 0.0) / len(y)
+
+
+def _fit_linear(x: np.ndarray, labels: np.ndarray, slope_of, epochs: int,
+                learning_rate: float, l2: float, seed: int) -> LinearModel:
+    """Full-batch descent on a mean loss with per-row slope slope_of(y, z)."""
     _check_labels(labels)
     rng = np.random.default_rng(seed)
     w = 0.01 * rng.standard_normal(x.shape[1])
     b = 0.0
     y = labels.astype(float)
     for _ in range(epochs):
-        z = x @ w + b
-        # d/dz log(1+exp(-y z)) = -y * sigmoid(-y z)
-        slope = -y * sigmoid(-y * z) / len(y)
+        slope = slope_of(y, x @ w + b)
         w -= learning_rate * (x.T @ slope + l2 * w)
         b -= learning_rate * float(np.sum(slope))
     return LinearModel(w, b)
+
+
+def train_logistic(x: np.ndarray, labels: np.ndarray, epochs: int = 300,
+                   learning_rate: float = 0.5, l2: float = 1e-3,
+                   seed: int = 0) -> LinearModel:
+    """Full-batch gradient descent on the regularized logistic loss."""
+    return _fit_linear(x, labels, _logistic_slope, epochs, learning_rate, l2, seed)
 
 
 def train_linear_svm(x: np.ndarray, labels: np.ndarray, epochs: int = 300,
@@ -61,18 +76,7 @@ def train_linear_svm(x: np.ndarray, labels: np.ndarray, epochs: int = 300,
     A stand-in for a kernel SVM solver: same decision family, no external
     dependency, good enough as a self-learning reference point.
     """
-    _check_labels(labels)
-    rng = np.random.default_rng(seed)
-    w = 0.01 * rng.standard_normal(x.shape[1])
-    b = 0.0
-    y = labels.astype(float)
-    for _ in range(epochs):
-        margin = y * (x @ w + b)
-        active = margin < 1.0
-        slope = np.where(active, -y, 0.0) / len(y)
-        w -= learning_rate * (x.T @ slope + l2 * w)
-        b -= learning_rate * float(np.sum(slope))
-    return LinearModel(w, b)
+    return _fit_linear(x, labels, _hinge_slope, epochs, learning_rate, l2, seed)
 
 
 @dataclass
@@ -86,7 +90,7 @@ class SaeClassifier:
         return self.head.decision(self.net.forward(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.decision(x) >= 0, 1, -1)
+        return threshold_labels(self.decision(x))
 
 
 def train_sae_classifier(x: np.ndarray, labels: np.ndarray, layer_dims: list[int],
@@ -99,8 +103,7 @@ def train_sae_classifier(x: np.ndarray, labels: np.ndarray, layer_dims: list[int
     gradient is backpropagated through the stack during fine-tuning.
     """
     _check_labels(labels)
-    net = init_network(layer_dims, seed=seed)
-    net = autoencoder_pretrain(net, x, epochs=pretrain_epochs, learning_rate=0.1)
+    net = fresh_network(layer_dims, seed, x, pretrain_epochs)
     rng = np.random.default_rng(seed + 1)
     w = 0.01 * rng.standard_normal(net.hidden_dim)
     b = 0.0
@@ -108,8 +111,7 @@ def train_sae_classifier(x: np.ndarray, labels: np.ndarray, layer_dims: list[int
     for _ in range(epochs):
         trace = net.forward_trace(x)
         u = trace[-1]
-        z = u @ w + b
-        slope = -y * sigmoid(-y * z) / len(y)
+        slope = _logistic_slope(y, u @ w + b)
         grads = net.backward(trace, slope[:, None] * w[None, :])
         net.apply_gradients(grads, learning_rate)
         w -= learning_rate * (u.T @ slope + l2 * w)

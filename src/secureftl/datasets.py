@@ -157,12 +157,6 @@ def load_csv(path: str, schema: CsvSchema):
     return features, labels, names
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def vertical_split(x, labels, columns_source, overlap_fraction: float,
                    label_fraction: float, rng=0) -> FederationSplit:
     """Split one dataset into a two-party federation.
@@ -184,7 +178,7 @@ def vertical_split(x, labels, columns_source, overlap_fraction: float,
         raise ValueError("each party needs at least one feature column")
 
     n = len(x)
-    order = _as_generator(rng).permutation(n)
+    order = np.random.default_rng(rng).permutation(n)
     n_both = round(overlap_fraction * n)
     rest = n - n_both
     n_source_only = (rest + 1) // 2
@@ -207,7 +201,7 @@ def synth_two_view(n: int, d_source: int, d_target: int, noise: float, seed: int
                    latent_dim: int = 4, n_overlap: int | None = None,
                    n_labeled: int | None = None, n_eval: int | None = None,
                    n_pool: int | None = None, noise_target: float | None = None,
-                   margin: float = 0.0, mix_source=None, mix_target=None) -> FederationSplit:
+                   margin: float = 0.0) -> FederationSplit:
     """Two noisy linear views of a shared latent variable, label = sign(w.z).
 
     Co-occurring rows form a pool of size n_pool; the first n_overlap of them
@@ -241,13 +235,11 @@ def synth_two_view(n: int, d_source: int, d_target: int, noise: float, seed: int
                 z[i] = rng.normal(size=latent_dim)
     labels = np.where(z @ w >= 0, 1, -1)
 
-    mix_source = (rng.normal(size=(d_source, latent_dim)) / np.sqrt(latent_dim)
-                  if mix_source is None else np.asarray(mix_source, dtype=float))
-    mix_target = (rng.normal(size=(d_target, latent_dim)) / np.sqrt(latent_dim)
-                  if mix_target is None else np.asarray(mix_target, dtype=float))
-    view_source = z @ mix_source.T + noise * rng.normal(size=(n, mix_source.shape[0]))
+    mix_source = rng.normal(size=(d_source, latent_dim)) / np.sqrt(latent_dim)
+    mix_target = rng.normal(size=(d_target, latent_dim)) / np.sqrt(latent_dim)
+    view_source = z @ mix_source.T + noise * rng.normal(size=(n, d_source))
     target_noise = noise if noise_target is None else noise_target
-    view_target = z @ mix_target.T + target_noise * rng.normal(size=(n, mix_target.shape[0]))
+    view_target = z @ mix_target.T + target_noise * rng.normal(size=(n, d_target))
 
     order = rng.permutation(n)
     pool = order[:n_pool]

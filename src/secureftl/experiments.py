@@ -99,6 +99,10 @@ class ExperimentConfig:
                 if getattr(self, key):
                     raise ValueError(f"{key} = {getattr(self, key)}: a CSV dataset does not "
                                      "take row counts; set overlap_fraction and label_fraction")
+        elif self.n < 4 or min(self.d_source_features, self.d_target_features) < 1:
+            raise ValueError(f"n = {self.n}, d_source_features = {self.d_source_features}, "
+                             f"d_target_features = {self.d_target_features}: a synth dataset "
+                             "needs at least 4 rows and a feature column per party")
         if self.engine not in ENGINE_KINDS:
             raise ValueError(f"unknown engine {self.engine!r}")
         self.training()  # the training fields, as either engine checks them
@@ -114,11 +118,13 @@ class ExperimentConfig:
                              "set engine = encrypted")
         if self.transport not in ("loopback", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
+        if self.transport == "tcp" and not 0 <= self.port <= 65535:
+            raise ValueError(f"port = {self.port}: a TCP port lies in [0, 65535]")
         if self.hidden < 1:
             raise ValueError("shared representation needs at least one unit")
         if self.seeds < 1:
             raise ValueError(f"seeds = {self.seeds}: a run needs at least one seed")
-        for key in ("n_overlap", "n_labeled", "n_eval", "sweep", "dim_sweep"):
+        for key in ("n_overlap", "n_labeled", "n_eval", "pretrain_epochs", "sweep", "dim_sweep"):
             if min(np.atleast_1d(getattr(self, key)), default=0) < 0:
                 raise ValueError(f"{key} = {getattr(self, key)}: counts cannot be negative")
 
@@ -172,7 +178,6 @@ class RunResult:
     """What an experiment hands back besides its CSV files."""
 
     metrics: dict[str, float] = field(default_factory=dict)
-    bytes_by_direction: dict[str, int] = field(default_factory=dict)
     rows: list[dict] = field(default_factory=list)
 
 
@@ -437,10 +442,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # Every kind trains before it predicts, so the first channel pair opened
     # carried the experiment's first encrypted training run.
     transcript = engine.channels.first_transcript
-    if transcript is not None:
-        for direction in (DIR_SOURCE_TO_TARGET, DIR_TARGET_TO_SOURCE):
-            result.bytes_by_direction[direction] = transcript.payload_bytes(direction)
-
     columns = sorted({key for row in result.rows for key in row})
     _write_csv(os.path.join(cfg.out_dir, "results.csv"), result.rows, columns)
     _write_csv(os.path.join(cfg.out_dir, "loss_history.csv"), loss_rows,

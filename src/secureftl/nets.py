@@ -114,7 +114,7 @@ def init_network(layer_dims, seed: int | np.random.Generator = 0) -> Network:
         raise ValueError("need input and output dims")
     if any(d <= 0 for d in dims):
         raise ValueError("zero-width layer")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

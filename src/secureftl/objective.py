@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nets import LayerParams, Network
+
+if TYPE_CHECKING:
+    from .plain import TrainingConfig
 
 LOG2 = math.log(2.0)
 
@@ -59,21 +63,6 @@ def alignment_spec(kind: str) -> AlignmentSpec:
         # l2 = |a - b|^2 = |a|^2 + |b|^2 - 2 a.b.
         return AlignmentSpec("distance", -2.0, True)
     raise ValueError(f"unknown alignment kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    gamma: float = 0.05
-    weight_decay: float = 0.005
-    loss_mode: str = "taylor"  # "taylor" | "exact"
-    alignment: str = "inner"
-
-    def __post_init__(self):
-        if self.gamma < 0 or self.weight_decay < 0:
-            raise ValueError("gamma and weight_decay must be non-negative")
-        if self.loss_mode not in ("taylor", "exact"):
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
-        alignment_spec(self.alignment)
 
 
 def label_prototype(u: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -133,8 +122,6 @@ class TransferTerms:
     """One evaluation of the federated objective and its per-row gradients."""
 
     loss: float
-    prediction_loss: float
-    alignment_loss: float
     prototype: np.ndarray
     du_source: np.ndarray        # (N_source, d): prediction-loss path through the prototype
     du_source_align: np.ndarray  # (N_ab, d): alignment gradient on source overlap rows
@@ -146,7 +133,7 @@ def transfer_terms(u_source: np.ndarray, labels_source: np.ndarray,
                    u_target_c: np.ndarray, labels_c: np.ndarray,
                    u_source_ab: np.ndarray, u_target_ab: np.ndarray,
                    source_param_norm: float, target_param_norm: float,
-                   cfg: ObjectiveConfig) -> TransferTerms:
+                   cfg: TrainingConfig) -> TransferTerms:
     """Evaluate the full objective and all representation-level gradients.
 
     The prediction loss runs over the labeled target rows (scored against the
@@ -176,14 +163,14 @@ def transfer_terms(u_source: np.ndarray, labels_source: np.ndarray,
 
     loss = (pred_loss + cfg.gamma * align_loss
             + 0.5 * cfg.weight_decay * (source_param_norm + target_param_norm))
-    return TransferTerms(loss, pred_loss, align_loss, prototype, du_source,
-                         du_source_align, du_target_pred, du_target_align)
+    return TransferTerms(loss, prototype, du_source, du_source_align, du_target_pred,
+                         du_target_align)
 
 
 def _gather_terms(net_source: Network, x_source, labels_source,
                   net_target: Network, x_target,
                   c_rows_source, c_rows_target, ab_rows_source, ab_rows_target,
-                  cfg: ObjectiveConfig):
+                  cfg: TrainingConfig):
     trace_source = net_source.forward_trace(x_source)
     trace_target = net_target.forward_trace(x_target)
     u_source, u_target = trace_source[-1], trace_target[-1]
@@ -198,7 +185,7 @@ def _gather_terms(net_source: Network, x_source, labels_source,
 def full_loss(net_source: Network, x_source, labels_source,
               net_target: Network, x_target,
               c_rows_source, c_rows_target, ab_rows_source, ab_rows_target,
-              cfg: ObjectiveConfig) -> float:
+              cfg: TrainingConfig) -> float:
     """Objective value: prediction + gamma*alignment + (decay/2)*param norms."""
     return _gather_terms(net_source, x_source, labels_source, net_target, x_target,
                          c_rows_source, c_rows_target, ab_rows_source, ab_rows_target,
@@ -208,7 +195,7 @@ def full_loss(net_source: Network, x_source, labels_source,
 def plaintext_gradients(net_source: Network, x_source, labels_source,
                         net_target: Network, x_target,
                         c_rows_source, c_rows_target, ab_rows_source, ab_rows_target,
-                        cfg: ObjectiveConfig
+                        cfg: TrainingConfig
                         ) -> tuple[list[LayerParams], list[LayerParams], TransferTerms]:
     """Exact parameter gradients of full_loss for both networks.
 

@@ -66,6 +66,7 @@ import math
 import os
 import random
 import secrets
+import struct
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -574,41 +575,39 @@ def contractions(mapper: Mapper, *triples) -> list[np.ndarray]:
     return shaped
 
 
-def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    """8-byte key fingerprint, 1-byte frac counter, 4-byte length, value bytes.
+# A serialized ciphertext's header: 8-byte key fingerprint, 1-byte frac
+# counter, 4-byte value length.
+_CT_HEADER = struct.Struct(">8sBI")
 
-    The value is padded to the key's fixed width so every ciphertext under a
-    given key serializes to the same number of bytes.
-    """
+
+def serialize_ciphertext(ct: Ciphertext) -> bytes:
+    """_CT_HEADER, then the value padded to the key's fixed width, so every
+    ciphertext under a given key serializes to the same number of bytes."""
     width = ct.public_key.value_width
-    return (
-        ct.public_key.fingerprint
-        + ct.frac_bits.to_bytes(1, "big")
-        + width.to_bytes(4, "big")
-        + ct.value.to_bytes(width, "big")
-    )
+    return (_CT_HEADER.pack(ct.public_key.fingerprint, ct.frac_bits, width)
+            + ct.value.to_bytes(width, "big"))
 
 
 def ciphertext_wire_size(key_bits: int) -> int:
     """Serialized size in bytes of one ciphertext under a key_bits modulus."""
-    return 8 + 1 + 4 + (2 * key_bits + 7) // 8
+    return _CT_HEADER.size + (2 * key_bits + 7) // 8
 
 
-def deserialize_ciphertext(buf: bytes, keys: dict[bytes, PublicKey],
+def deserialize_ciphertext(buf: bytes, key: PublicKey,
                            offset: int = 0) -> tuple[Ciphertext, int]:
-    """Parse one ciphertext from buf at offset; returns (ciphertext, next offset)."""
-    if len(buf) - offset < 13:
+    """Parse one ciphertext under key from buf at offset; returns (ciphertext,
+    next offset). One under any other key raises KeyMismatchError."""
+    if len(buf) - offset < _CT_HEADER.size:
         raise CiphertextFormatError("truncated ciphertext header")
-    fingerprint = buf[offset:offset + 8]
-    key = keys.get(fingerprint)
-    if key is None:
-        raise KeyMismatchError(f"unknown key fingerprint {fingerprint.hex()}")
-    frac_bits = buf[offset + 8]
-    length = int.from_bytes(buf[offset + 9:offset + 13], "big")
-    end = offset + 13 + length
+    fingerprint, frac_bits, length = _CT_HEADER.unpack_from(buf, offset)
+    if fingerprint != key.fingerprint:
+        raise KeyMismatchError(f"ciphertext under key {fingerprint.hex()}, "
+                               f"expected {key.fingerprint.hex()}")
+    start = offset + _CT_HEADER.size
+    end = start + length
     if length != key.value_width or len(buf) < end:
         raise CiphertextFormatError("ciphertext value length does not match key width")
-    value = int.from_bytes(buf[offset + 13:end], "big")
+    value = int.from_bytes(buf[start:end], "big")
     if value >= key.n_squared:
         raise CiphertextFormatError("ciphertext value outside [0, n^2)")
     # Every encryption is a unit mod n^2; anything sharing a factor with n

@@ -18,7 +18,7 @@ import numpy as np
 from .datasets import FederationSplit
 from .nets import Network
 from .objective import (
-    ObjectiveConfig,
+    alignment_spec,
     label_prototype,
     plaintext_gradients,
     predict_phi,
@@ -45,11 +45,11 @@ class TrainingConfig:
             raise ValueError("need at least one iteration")
         if self.tolerance < 0:
             raise ValueError("tolerance must be non-negative")
-        self.objective()  # gamma, weight_decay, loss_mode and alignment, for either engine
-
-    def objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(gamma=self.gamma, weight_decay=self.weight_decay,
-                               loss_mode=self.loss_mode, alignment=self.alignment)
+        if self.gamma < 0 or self.weight_decay < 0:
+            raise ValueError("gamma and weight_decay must be non-negative")
+        if self.loss_mode not in ("taylor", "exact"):
+            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
+        alignment_spec(self.alignment)
 
 
 @dataclass
@@ -79,7 +79,6 @@ def train_plain(split: FederationSplit, net_source: Network, net_target: Network
     """Train both nets in place; returns them with the loss history. An
     invalid split is refused before the first step."""
     split.validate()
-    objective_cfg = cfg.objective()
     batch_ids, labeled_pos, overlap_pos = target_batch(split)
     x_target = split.x_target[split.target_rows(batch_ids)]
     c_rows_source = split.source_rows(split.labeled_ids)
@@ -91,8 +90,7 @@ def train_plain(split: FederationSplit, net_source: Network, net_target: Network
         grads_source, grads_target, terms = plaintext_gradients(
             net_source, split.x_source, split.labels_source,
             net_target, x_target,
-            c_rows_source, labeled_pos, ab_rows_source, overlap_pos,
-            objective_cfg)
+            c_rows_source, labeled_pos, ab_rows_source, overlap_pos, cfg)
         result.loss_history.append(terms.loss)
         net_source.apply_gradients(grads_source, cfg.learning_rate)
         net_target.apply_gradients(grads_target, cfg.learning_rate)

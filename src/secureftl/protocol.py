@@ -127,13 +127,13 @@ import random
 import threading
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datasets import FederationSplit
-from .encoding import (DEFAULT_FRAC_BITS, MAX_FRAC_BITS, check_frac_match, decode_raw, encode,
-                       encode_array)
+from .encoding import (DEFAULT_FRAC_BITS, MAX_FRAC_BITS, check_frac_bits, check_frac_match,
+                       check_frac_sum, decode_raw, encode, encode_array)
 from .nets import LayerParams, Network
 from .objective import LOG2, alignment_spec, label_prototype, threshold_labels
 from .paillier import (
@@ -208,9 +208,12 @@ def _section_cts(section: Section, key: PublicKey, frac_bits: int | None = None)
     """The section's ciphertexts as an object array of shape section.dims.
     Each must be under key, else KeyMismatchError, and at frac_bits fraction
     bits when that is given."""
-    data, pos, out, keys = section.data, 0, [], {key.fingerprint: key}
+    data, pos, out = section.data, 0, []
     for _ in range(math.prod(section.dims)):
-        ct, pos = deserialize_ciphertext(data, keys, pos)
+        try:
+            ct, pos = deserialize_ciphertext(data, key, pos)
+        except KeyMismatchError as exc:
+            raise KeyMismatchError(f"section {section.name}: {exc}") from None
         out.append(ct)
     if pos != len(data):
         raise FramingError(f"section {section.name}: trailing bytes after ciphertexts")
@@ -415,9 +418,10 @@ class _Party:
 
     role: str
 
-    def __init__(self, channel, cfg: TrainingConfig, keys: tuple[PrivateKey, tuple],
-                 frac_bits: int):
+    def __init__(self, channel, net: Network, cfg: TrainingConfig,
+                 keys: tuple[PrivateKey, tuple], frac_bits: int):
         self.channel = channel
+        self.net = net
         self.cfg = cfg
         self.frac_bits = frac_bits
         self.own_key, rng_state = keys
@@ -593,8 +597,7 @@ class SourceParty(_Party):
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
                  channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
-        super().__init__(channel, cfg, keys, frac_bits)
-        self.net = net
+        super().__init__(channel, net, cfg, keys, frac_bits)
         self.x = split.x_source
         self.labels = split.labels_source.astype(int)
         self.labels_c = split.labels_for(split.labeled_ids).astype(int)
@@ -604,12 +607,11 @@ class SourceParty(_Party):
         # Row j's coefficient on the pooled basis: y_j on pooled[o] at output o.
         self.coef = self.labels[:, None, None] * np.eye(net.hidden_dim)
 
-    def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
+    def compute_components(self, trace: list[np.ndarray], prototype: np.ndarray) -> ComponentBatch:
         """Encrypt the prototype-quadratic, prototype-linear, and alignment
         components under this party's own key; the target adds lin and align
         to its 2f-bit upstream as they are, so they are encrypted at 2f."""
         u = trace[-1]
-        prototype = label_prototype(u, self.labels)
         y, f = self.labels_c, self.frac_bits
         return ComponentBatch(*self._encrypt(
             ((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype), f),
@@ -666,7 +668,7 @@ class SourceParty(_Party):
             trace = self.net.forward_trace(self.x)
             prototype = label_prototype(trace[-1], self.labels)
             self._send(MsgType.COMPONENTS_A, iteration,
-                       self.compute_components(trace).to_payload())
+                       self.compute_components(trace, prototype).to_payload())
             frame = self._recv({MsgType.COMPONENTS_B: iteration})
             comps = ComponentBatch.from_payload(frame.payload, self.peer_key, self.peer_layout)
             # Labels are +-1, so y^2 = 1 and every labeled pair's quad
@@ -689,11 +691,9 @@ class SourceParty(_Party):
             result.loss_history.append(loss)
             if previous - loss <= self.cfg.tolerance:
                 result.converged = True
-                self._send(MsgType.STOP, iteration)
                 break
             previous = loss
-        else:
-            self._send(MsgType.STOP, self.cfg.max_iterations)
+        self._send(MsgType.STOP, iteration)
         return result
 
 
@@ -704,8 +704,7 @@ class TargetParty(_Party):
 
     def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
                  channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
-        super().__init__(channel, cfg, keys, frac_bits)
-        self.net = net
+        super().__init__(channel, net, cfg, keys, frac_bits)
         batch_ids, self.c_pos, self.ab_pos = target_batch(split)
         self.x = split.x_target[split.target_rows(batch_ids)]
         self.peer_layout = ComponentBatch.layout(len(self.c_pos), len(self.ab_pos),
@@ -736,9 +735,8 @@ class TargetParty(_Party):
         tensors = encrypted_backward(self.net, trace, upstream, f, mapper=self.mapper)
         return self._with_plain_part(tensors, trace, self.ab_pos)
 
-    def run_training(self) -> TrainingResult:
+    def run_training(self):
         self.exchange_keys()
-        result = TrainingResult(None, self.net)
         for iteration in range(1, self.cfg.max_iterations + 1):
             # STOP carries the last iteration the source ran; none is numbered 0.
             expected = {MsgType.COMPONENTS_A: iteration}
@@ -746,8 +744,7 @@ class TargetParty(_Party):
                 expected[MsgType.STOP] = iteration - 1
             frame = self._recv(expected)
             if frame.msg_type == MsgType.STOP:
-                result.converged = True
-                return result
+                return
             comps = ComponentBatch.from_payload(frame.payload, self.peer_key, self.peer_layout)
             trace = self.net.forward_trace(self.x)
             self._send(MsgType.COMPONENTS_B, iteration,
@@ -765,8 +762,6 @@ class TargetParty(_Party):
             self._send(MsgType.DECRYPTED_BLOB, iteration, blob)
             self._unmask_and_apply(iteration, own_blob.payload)
         self._recv({MsgType.STOP: self.cfg.max_iterations})
-        result.converged = True
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +840,9 @@ def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: Tra
 
 
 def check_depth(role: str, layers: int, frac_bits: int):
-    """Refuse a net too deep for MAX_FRAC_BITS: its gradient's upstream
-    enters at 2f fraction bits and each layer adds f."""
+    """Refuse a negative frac_bits, and a net too deep for MAX_FRAC_BITS: its
+    gradient's upstream enters at 2f fraction bits and each layer adds f."""
+    check_frac_bits(frac_bits)
     if (needed := frac_bits * (layers + 2)) > MAX_FRAC_BITS:
         raise ValueError(f"the {layers}-layer {role} net needs {needed} fraction bits at "
                          f"frac_bits {frac_bits}, over the limit MAX_FRAC_BITS = {MAX_FRAC_BITS}")
@@ -881,12 +877,10 @@ def train_encrypted(split: FederationSplit, net_source: Network, net_target: Net
     except ValueError:
         _close(channels)
         raise
-    (source, target), (res_source, _) = _run_parties(
+    (source, target), (result, _) = _run_parties(
         split, (net_source, net_target), cfg, channels, key_bits, frac_bits, seed,
         SourceParty.run_training, TargetParty.run_training)
-    result = TrainingResult(net_source, net_target, res_source.loss_history,
-                            res_source.converged)
-    return EncryptedRunResult(result, channels[2], source, target)
+    return EncryptedRunResult(replace(result, net_target=net_target), channels[2], source, target)
 
 
 @dataclass
@@ -904,12 +898,15 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
     """Label target-side query rows without revealing either party's data.
 
     The target encrypts its representations under its own key; the source
-    scores them against the label prototype, masks, and returns only the
-    thresholded labels. channels are closed however the call ends.
+    scores them at 2f against the label prototype, masks, and returns only
+    the thresholded labels. f = frac_bits outside [0, MAX_FRAC_BITS // 2] is
+    refused before any key or frame. channels are closed however the call ends.
     """
     if channels is None:
         channels = loopback_pair()
     try:
+        check_frac_bits(frac_bits)
+        check_frac_sum(frac_bits, frac_bits)
         prototype = source_prototype(split, net_source)
         u_query = net_target.forward(split.x_target[split.target_rows(query_ids)])
     except BaseException:

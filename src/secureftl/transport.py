@@ -178,20 +178,19 @@ class SocketChannel:
         self._sock.close()
 
 
-def _channel_pair(source_sock: socket.socket, target_sock: socket.socket,
-                  transcript: Transcript | None):
-    transcript = transcript if transcript is not None else Transcript()
+def _channel_pair(source_sock: socket.socket, target_sock: socket.socket):
+    transcript = Transcript()
     return (SocketChannel(source_sock, DIR_SOURCE_TO_TARGET, transcript),
             SocketChannel(target_sock, DIR_TARGET_TO_SOURCE, transcript), transcript)
 
 
-def loopback_pair(transcript: Transcript | None = None):
+def loopback_pair():
     """Connected (source endpoint, target endpoint, transcript) over an
     in-process socketpair."""
-    return _channel_pair(*socket.socketpair(), transcript)
+    return _channel_pair(*socket.socketpair())
 
 
-def tcp_pair(port: int = 0, transcript: Transcript | None = None, host: str = "127.0.0.1"):
+def tcp_pair(port: int = 0):
     """Listen, connect, and return (source endpoint, target endpoint, transcript).
 
     The source endpoint is the accepting side; port 0 picks a free port.
@@ -199,9 +198,9 @@ def tcp_pair(port: int = 0, transcript: Transcript | None = None, host: str = "1
     localhost socket. The connection completes in the listener's backlog,
     so accept runs after connect on the same thread.
     """
-    with socket.create_server((host, port)) as listener:
+    with socket.create_server(("127.0.0.1", port)) as listener:
         listener.settimeout(10)
-        client = socket.create_connection((host, listener.getsockname()[1]), timeout=10)
+        client = socket.create_connection(listener.getsockname(), timeout=10)
         try:
             conn, _ = listener.accept()
         except OSError:
@@ -209,7 +208,7 @@ def tcp_pair(port: int = 0, transcript: Transcript | None = None, host: str = "1
             raise
     for sock in (conn, client):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return _channel_pair(conn, client, transcript)
+    return _channel_pair(conn, client)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The source party holds the only trustworthy labels, so model selection works
 by K-fold validation on its rows: train on the complement of a fold, push
-pseudo-labels to the target's unlabeled rows, retrain with the parties'
-roles swapped (the pseudo-labeled target now acts as the label holder), and
-let the retrained target-side prototype label the held-out source rows. A
-config whose transferred knowledge is real survives the round trip; one that
+pseudo-labels to every target row, retrain with the parties' roles swapped
+(the pseudo-labeled target now acts as the label holder), and let the
+retrained target-side prototype label the held-out source rows. A config
+whose transferred knowledge is real survives the round trip; one that
 overfits the overlap does not.
 
 Held-out labels never enter any training phase: fold rows are dropped from
@@ -133,14 +133,9 @@ def run_fold(split: FederationSplit, fold_ids: np.ndarray, cfg: TrainingConfig,
     net_b = fresh_network(dims_target, seed + 1, sub.x_target, pretrain_epochs)
     engine.train(sub, net_a, net_b, cfg, seed)
 
-    # Pseudo-label every target row whose true label is not safely usable:
-    # the never-labeled rows plus any labeled pair the fold holds out.
-    labeled_keep = sub.labeled_ids
-    needs_pseudo = ~np.isin(split.ids_target, labeled_keep)
-    pseudo = engine.predict(sub, net_a, net_b, split.ids_target[needs_pseudo], seed)
-    labels_target = np.empty(len(split.ids_target), dtype=int)
-    labels_target[~needs_pseudo] = split.labels_for(split.ids_target[~needs_pseudo])
-    labels_target[needs_pseudo] = pseudo
+    # Pseudo-label every target row, the kept labeled pairs too: the target
+    # learns only predicted labels, never one of the source's true labels.
+    labels_target = engine.predict(sub, net_a, net_b, split.ids_target, seed)
 
     mirrored = mirror_split(split, labels_target, fold_ids)
     net_b2 = fresh_network(dims_target, seed + 2, mirrored.x_source, pretrain_epochs)

@@ -22,7 +22,7 @@ from secureftl.experiments import (
     run_experiment,
 )
 from secureftl.nets import init_network
-from secureftl.objective import ObjectiveConfig, full_loss, plaintext_gradients
+from secureftl.objective import full_loss, plaintext_gradients
 from secureftl.paillier import Ciphertext, ciphertext_wire_size, keygen
 from secureftl.plain import TrainingConfig, train_plain
 from secureftl.protocol import audit_training, predict_encrypted, train_encrypted
@@ -109,7 +109,7 @@ def test_02_gradients_match_finite_differences():
         labels_a = rng.choice([-1, 1], size=n_c + n_ab)
         c_a = c_b = np.arange(n_c)
         ab_a = ab_b = np.arange(n_c, n_c + n_ab)
-        cfg = ObjectiveConfig(
+        cfg = TrainingConfig(
             gamma=float(rng.uniform(0.01, 0.2)),
             weight_decay=float(rng.uniform(0.0, 0.02)),
             alignment="inner" if idx % 2 else "distance",

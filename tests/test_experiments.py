@@ -111,6 +111,24 @@ def test_validate_refuses_what_the_run_refuses_before_out_dir(tmp_path, bad, mes
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(engine="encrypted", frac_bits=-1), "frac_bits -1 outside [0, 255]"),
+    (dict(pretrain_epochs=-1), "pretrain_epochs = -1"),
+    (dict(d_source_features=0), "d_source_features = 0"),
+    (dict(n=3), "n = 3"),
+    (dict(transport="tcp", port=-5), "port = -5"),
+], ids=["frac-bits", "pretrain-epochs", "source-features", "rows", "port"])
+def test_validate_refuses_what_the_run_fails_on_after_out_dir(tmp_path, bad, message):
+    # Unrefused, each of these passed validate, and the run made out_dir
+    # before it failed; the port failed with OverflowError.
+    out_dir = tmp_path / "out"
+    cfg = ExperimentConfig(**{**dict(kind="overlap-sweep", n=24, sweep=(6,), seeds=1,
+                                     max_iterations=1, out_dir=str(out_dir)), **bad})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(cfg)
+    assert not out_dir.exists()
+
+
 def test_config_training_and_dims():
     cfg = ExperimentConfig(d_source_features=7, d_target_features=4, hidden=3,
                            learning_rate=0.1, loss_mode="taylor")
@@ -282,13 +300,12 @@ def test_encrypted_run_publishes_transcript(tmp_path):
     cfg = _fast_base(tmp_path, kind="overlap-sweep", sweep=(6,), engine="encrypted",
                      n=16, n_overlap=6, n_labeled=4, n_eval=4,
                      max_iterations=2, seeds=1)
-    result = run_experiment(cfg)
+    run_experiment(cfg)
     rows = _read_rows(tmp_path, "transcript_summary.csv")
     assert rows, "encrypted runs must publish a transcript summary"
     all_rows = [r for r in rows if r["msg_type"] == "ALL"]
     assert len(all_rows) == 2
     assert all(len(r["sha256"]) == 64 for r in all_rows)
-    assert set(result.bytes_by_direction) == {"source->target", "target->source"}
 
 
 def _count_channels(monkeypatch) -> list:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from secureftl.nets import init_network
 from secureftl.objective import (
     LOG2,
-    ObjectiveConfig,
     alignment_spec,
     full_loss,
     label_prototype,
@@ -20,6 +19,7 @@ from secureftl.objective import (
     threshold_labels,
     transfer_terms,
 )
+from secureftl.plain import TrainingConfig
 
 # frozen: log(2) - 1/2 + 1/8 and log(1 + e^-1), computed by hand
 TAYLOR_AT_1 = 0.3181471805599453
@@ -102,9 +102,9 @@ def test_alignment_row_loss():
 
 def test_objective_config_validation():
     with pytest.raises(ValueError):
-        ObjectiveConfig(loss_mode="cubic")
+        TrainingConfig(loss_mode="cubic")
     with pytest.raises(ValueError):
-        ObjectiveConfig(alignment="cosine")
+        TrainingConfig(alignment="cosine")
 
 
 def _brute_force_loss(u_source, labels_source, u_target_c, labels_c,
@@ -136,7 +136,7 @@ def test_transfer_terms_against_brute_force(alignment):
     labels_c = labels_source[:4]
     u_source_ab = u_source[2:5]
     u_target_ab = rng.uniform(0, 1, size=(3, d))
-    cfg = ObjectiveConfig(gamma=0.07, weight_decay=0.01, alignment=alignment)
+    cfg = TrainingConfig(gamma=0.07, weight_decay=0.01, alignment=alignment)
     terms = transfer_terms(u_source, labels_source, u_target_c, labels_c,
                            u_source_ab, u_target_ab, 1.5, 2.5, cfg)
     expected = _brute_force_loss(u_source, labels_source, u_target_c, labels_c,
@@ -172,7 +172,7 @@ def test_plaintext_gradients_match_finite_differences(alignment):
     labels_a = rng.choice([-1, 1], size=5)
     c_a, c_b = np.array([0, 1]), np.array([0, 1])
     ab_a, ab_b = np.array([2, 3]), np.array([2, 3])
-    cfg = ObjectiveConfig(gamma=0.05, weight_decay=0.01, alignment=alignment)
+    cfg = TrainingConfig(gamma=0.05, weight_decay=0.01, alignment=alignment)
     grads_a, grads_b, _ = plaintext_gradients(
         net_a, x_a, labels_a, net_b, x_b, c_a, c_b, ab_a, ab_b, cfg)
 

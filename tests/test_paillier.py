@@ -326,7 +326,7 @@ def test_serialize_roundtrip():
     ct = encrypt(PK, -7.125, 16, rng)
     buf = serialize_ciphertext(ct)
     assert len(buf) == ciphertext_wire_size(512)
-    back, offset = deserialize_ciphertext(buf, {PK.fingerprint: PK})
+    back, offset = deserialize_ciphertext(buf, PK)
     assert offset == len(buf)
     assert back.value == ct.value and back.frac_bits == ct.frac_bits
     assert decrypt(SK, back) == -7.125
@@ -336,7 +336,7 @@ def test_deserialize_unknown_key():
     rng = random.Random(10)
     buf = serialize_ciphertext(encrypt(PK, 1.0, 8, rng))
     with pytest.raises(KeyMismatchError):
-        deserialize_ciphertext(buf, {})
+        deserialize_ciphertext(buf, keygen(bits=512, rng=random.Random(2)).public)
 
 
 @pytest.mark.parametrize("value", [0, SK.p, 2 * SK.q], ids=["zero", "p", "2q"])
@@ -345,7 +345,7 @@ def test_deserialize_rejects_non_units(value):
     # would decrypt silently to an arbitrary raw value.
     buf = serialize_ciphertext(Ciphertext(value, 8, PK))
     with pytest.raises(CiphertextFormatError, match="not a unit"):
-        deserialize_ciphertext(buf, {PK.fingerprint: PK})
+        deserialize_ciphertext(buf, PK)
 
 
 def test_ciphertext_is_randomised():

@@ -30,15 +30,7 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         TrainingConfig(tolerance=-0.1)
     with pytest.raises(ValueError):
-        TrainingConfig(loss_mode="cubic").objective()
-
-
-def test_config_objective_passthrough():
-    cfg = TrainingConfig(gamma=0.11, weight_decay=0.003, alignment="distance")
-    obj = cfg.objective()
-    assert obj.gamma == 0.11
-    assert obj.weight_decay == 0.003
-    assert obj.alignment == "distance"
+        TrainingConfig(loss_mode="cubic")
 
 
 def test_target_batch_composition(small_split):

@@ -411,6 +411,27 @@ def test_encrypted_rejects_too_deep_net_before_keygen(small_split, monkeypatch):
     assert channels[2].frames() == []
 
 
+@pytest.mark.parametrize("call, frac_bits, message", [
+    ("train", -1, "frac_bits -1 outside [0, 255]"),
+    ("predict", -1, "frac_bits -1 outside [0, 255]"),
+    ("predict", 200, "fraction bits 400 exceed 255"),
+], ids=["train-negative", "predict-negative", "predict-scores-too-wide"])
+def test_fraction_bits_the_wire_cannot_carry_are_refused_before_any_frame(small_split, call,
+                                                                         frac_bits, message):
+    # Prediction scores are at 2 frac_bits, so 200 would fail only at the
+    # server, after the requester sent its PREDICT_REQUEST.
+    nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
+    channels = loopback_pair()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if call == "train":
+            train_encrypted(small_split, *nets, _tiny_cfg(), key_bits=512, frac_bits=frac_bits,
+                            channels=channels)
+        else:
+            predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
+                              frac_bits=frac_bits, channels=channels)
+    assert channels[2].frames() == []
+
+
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 @pytest.mark.parametrize("edit, message", [
     (dict(labels_source=[0, -1, 1, -1]), "source labels must be"),
@@ -1307,8 +1328,7 @@ def _reencrypted(old: PrivateKey, new: PublicKey):
         for section in sections:
             cts, pos = [], 0
             while pos < len(section.data):
-                ct, pos = paillier.deserialize_ciphertext(
-                    section.data, {old.public.fingerprint: old.public}, pos)
+                ct, pos = paillier.deserialize_ciphertext(section.data, old.public, pos)
                 cts.append(ct)
             out.append(_ct_section(section.name, section.dims, [
                 new.encrypt_raw(raw, ct.frac_bits, rng)
@@ -1317,23 +1337,26 @@ def _reencrypted(old: PrivateKey, new: PublicKey):
     return edit
 
 
-@pytest.mark.parametrize("msg_type, reader, sent", [
-    (MsgType.COMPONENTS_B, "source", [MsgType.PUBKEY, MsgType.COMPONENTS_A]),
-    (MsgType.COMPONENTS_A, "target", [MsgType.PUBKEY]),
-    (MsgType.PREDICT_REQUEST, "source", [MsgType.PUBKEY]),
+@pytest.mark.parametrize("msg_type, reader, sent, section", [
+    (MsgType.COMPONENTS_B, "source", [MsgType.PUBKEY, MsgType.COMPONENTS_A], "quad"),
+    (MsgType.COMPONENTS_A, "target", [MsgType.PUBKEY], "quad"),
+    (MsgType.PREDICT_REQUEST, "source", [MsgType.PUBKEY], "u"),
 ], ids=["source-reads-components", "target-reads-components", "server-reads-request"])
 def test_frame_under_the_readers_own_key_is_refused_where_read(small_split, msg_type, reader,
-                                                              sent):
+                                                              sent, section):
     # A party computes only on its peer's ciphertexts. The peer's frame
     # re-encrypted under the reader's own key raises KeyMismatchError where
     # it is read, before the reader sends another frame: the target does
-    # not send even its COMPONENTS_B.
+    # not send even its COMPONENTS_B. The error names the first section read,
+    # the reader's own key as the one found, and the writer's as expected.
     keys = {role: _party_keys((512, role, 0))[0] for role in ("source", "target")}
     writer = "target" if reader == "source" else "source"
     nets = init_network([3, 2], seed=4), init_network([2, 2], seed=5)
     channels = _watched_pair([], reader, _resectioned(
         msg_type, _reencrypted(keys[writer], keys[reader].public)))
-    with pytest.raises(KeyMismatchError, match=keys[reader].public.fingerprint.hex()):
+    found, expected = (keys[role].public.fingerprint.hex() for role in (reader, writer))
+    with pytest.raises(KeyMismatchError,
+                       match=f"^section {section}: ciphertext under key {found}, expected {expected}$"):
         if msg_type == MsgType.PREDICT_REQUEST:
             predict_encrypted(small_split, *nets, small_split.eval_ids, key_bits=512,
                               channels=channels)

@@ -83,6 +83,33 @@ def test_run_fold_scores_heldout_rows():
     assert 0.0 <= score <= 1.0
 
 
+class _AllPositiveEngine:
+    """An Engine stand-in: predicts +1 for every id and records each split
+    it trains on."""
+
+    def __init__(self):
+        self.trained = []
+
+    def train(self, split, net_source, net_target, cfg, seed=0):
+        self.trained.append(split)
+        return None, None
+
+    def predict(self, split, net_source, net_target, query_ids, seed=0):
+        return np.ones(len(query_ids), dtype=int)
+
+
+def test_run_fold_hands_the_target_only_predicted_labels(small_split):
+    # The original target holds the labels of the mirrored run. Each of them
+    # is a prediction, the kept labeled pair 11, whose true label is -1, too.
+    fold = np.array([13])
+    assert -1 in small_split.labels_for(np.setdiff1d(small_split.labeled_ids, fold))
+    engine = _AllPositiveEngine()
+    run_fold(small_split, fold, _fast_cfg(), [3, 2], [2, 2], engine)
+    _, mirrored = engine.trained
+    assert np.array_equal(mirrored.ids_source, small_split.ids_target)
+    assert np.array_equal(mirrored.labels_source, np.ones(len(small_split.ids_target)))
+
+
 def test_run_fold_rejects_empty_fold(small_split):
     with pytest.raises(ValueError):
         run_fold(small_split, np.array([], dtype=int), _fast_cfg(), [3, 2], [2, 2])

@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# The most latent draws synth_two_view takes for one row to clear its margin:
+# a margin that the normal projection clears with probability p fails a row
+# with probability (1 - p)^MARGIN_DRAWS, about e^-27 at margin 3.
+MARGIN_DRAWS = 10_000
+
+
 class IngestionError(ValueError):
     """A CSV cell or column could not be interpreted."""
 
@@ -208,7 +214,8 @@ def synth_two_view(n: int, d_source: int, d_target: int, noise: float, seed: int
     are the alignment pairs and the first n_labeled the supervised pairs.
     n_eval rows are exclusive to the target and reserved for evaluation; all
     remaining rows are exclusive to the label-rich source. A positive margin
-    resamples latent points until |w.z| >= margin, producing separable data.
+    resamples latent points until |w.z| >= margin, producing separable data;
+    a row still inside the margin after MARGIN_DRAWS draws raises ValueError.
     """
     if n < 4:
         raise ValueError("need at least 4 samples")
@@ -231,8 +238,13 @@ def synth_two_view(n: int, d_source: int, d_target: int, noise: float, seed: int
     z = rng.normal(size=(n, latent_dim))
     if margin > 0:
         for i in range(n):
-            while abs(z[i] @ w) < margin:
+            for _ in range(MARGIN_DRAWS):
+                if abs(z[i] @ w) >= margin:
+                    break
                 z[i] = rng.normal(size=latent_dim)
+            else:
+                raise ValueError(f"margin = {margin}: no latent point cleared it in "
+                                 f"{MARGIN_DRAWS} draws")
     labels = np.where(z @ w >= 0, 1, -1)
 
     mix_source = rng.normal(size=(d_source, latent_dim)) / np.sqrt(latent_dim)

@@ -103,6 +103,9 @@ class ExperimentConfig:
             raise ValueError(f"n = {self.n}, d_source_features = {self.d_source_features}, "
                              f"d_target_features = {self.d_target_features}: a synth dataset "
                              "needs at least 4 rows and a feature column per party")
+        elif self.latent_dim < 1:
+            raise ValueError(f"latent_dim = {self.latent_dim}: a synth dataset labels rows by "
+                             "the sign of a latent projection, which needs a dimension")
         if self.engine not in ENGINE_KINDS:
             raise ValueError(f"unknown engine {self.engine!r}")
         self.training()  # the training fields, as either engine checks them

@@ -12,10 +12,11 @@ Uses the g = n + 1 variant: Enc(m) = (1 + m*n) * r^n mod n^2, so g^m costs
 a multiply instead of a full modular exponentiation, and the modulus n is
 the whole public key.
 
-Every modular exponentiation, inverses aside, is one _powmod: libgmp's
-mpz_powm through ctypes when the system's libgmp loads, else builtin pow.
-Both compute the same integers, so keys, ciphertexts and transcripts do not
-depend on which one runs.
+Every modular exponentiation runs on libgmp through ctypes when the
+system's libgmp loads, else on builtin pow: _powmod is mpz_powm or pow, and
+on libgmp a _multiexp_job is one mpz session (_gmp_multiexp), its Python
+loop of _powmod being the fallback. Both backends compute the same integers,
+so keys, ciphertexts and transcripts do not depend on which one runs.
 
 Every exponentiation runs in a module-level kernel that a map-like callable
 (the builtin map, or an executor's map over worker processes) can take one
@@ -93,8 +94,8 @@ class _Mpz(ctypes.Structure):
 
 
 def _load_gmp() -> ctypes.CDLL | None:
-    """libgmp with the signatures _powmod calls declared, or None when the
-    library cannot be found or loaded."""
+    """libgmp with the signatures _powmod and _gmp_multiexp call declared,
+    or None when the library cannot be found or loaded."""
     name = ctypes.util.find_library("gmp")
     if name is None:
         return None
@@ -110,49 +111,57 @@ def _load_gmp() -> ctypes.CDLL | None:
             ("__gmpz_export", [ctypes.c_char_p, ctypes.POINTER(size), int_, size, int_, size,
                                mpz], ctypes.c_void_p),
             ("__gmpz_sizeinbase", [mpz, int_], size),
-            ("__gmpz_powm", [mpz, mpz, mpz, mpz], None)):
+            ("__gmpz_set_ui", [mpz, ctypes.c_ulong], None),
+            ("__gmpz_powm", [mpz, mpz, mpz, mpz], None),
+            ("__gmpz_powm_ui", [mpz, mpz, ctypes.c_ulong, mpz], None),
+            ("__gmpz_invert", [mpz, mpz, mpz], int_),
+            ("__gmpz_mul", [mpz, mpz, mpz], None),
+            ("__gmpz_mod", [mpz, mpz, mpz], None)):
         getattr(lib, function).argtypes = argtypes
         getattr(lib, function).restype = restype
     return lib
 
 
 _GMP = _load_gmp()
+_ULONG_MAX = (1 << 8 * ctypes.sizeof(ctypes.c_ulong)) - 1  # mpz_powm_ui's largest exponent
 
 
-def _to_mpz(z: _Mpz, value: int):
-    """Set the initialised z to the non-negative value, as big-endian bytes."""
-    count = (value.bit_length() + 7) // 8
-    _GMP.__gmpz_import(z, count, 1, 1, 0, 0, value.to_bytes(count, "big"))
+def _mpz(held: list[_Mpz], value: int = 0) -> _Mpz:
+    """A new mpz in held, the caller's to clear, set to the non-negative value."""
+    held.append(z := _Mpz())
+    _GMP.__gmpz_init(z)
+    if value:
+        count = (value.bit_length() + 7) // 8
+        _GMP.__gmpz_import(z, count, 1, 1, 0, 0, value.to_bytes(count, "big"))
+    return z
+
+
+def _from_mpz(z: _Mpz) -> int:
+    """The non-negative value of z, exported as big-endian bytes."""
+    out = ctypes.create_string_buffer(_GMP.__gmpz_sizeinbase(z, 256))
+    count = ctypes.c_size_t()
+    _GMP.__gmpz_export(out, ctypes.byref(count), 1, 1, 0, 0, z)
+    return int.from_bytes(out.raw[:count.value], "big")
 
 
 def _gmp_powmod(base: int, exp: int, mod: int) -> int:
     """pow(base, exp, mod), by libgmp's mpz_powm when base >= 0, exp >= 0 and
     mod >= 1, and by builtin pow otherwise: mpz_powm divides by a zero mod,
-    which kills the process where pow raises ValueError.
-
-    The mpz values live for one call, so threads share none, and every libgmp
-    call releases the GIL."""
+    which kills the process where pow raises ValueError."""
     if base < 0 or exp < 0 or mod < 1:
         return pow(base, exp, mod)
-    result, b, e, m = mpzs = _Mpz(), _Mpz(), _Mpz(), _Mpz()
-    for z in mpzs:
-        _GMP.__gmpz_init(z)
+    held = []
     try:
-        _to_mpz(b, base)
-        _to_mpz(e, exp)
-        _to_mpz(m, mod)
-        _GMP.__gmpz_powm(result, b, e, m)
-        out = ctypes.create_string_buffer(_GMP.__gmpz_sizeinbase(result, 256))
-        count = ctypes.c_size_t()
-        _GMP.__gmpz_export(out, ctypes.byref(count), 1, 1, 0, 0, result)
-        return int.from_bytes(out.raw[:count.value], "big")
+        result = _mpz(held)
+        _GMP.__gmpz_powm(result, _mpz(held, base), _mpz(held, exp), _mpz(held, mod))
+        return _from_mpz(result)
     finally:
-        for z in mpzs:
+        for z in held:
             _GMP.__gmpz_clear(z)
 
 
-# Every exponentiation in this module, inverses aside: libgmp's when it
-# loads, else builtin pow. Both give the same integers.
+# Every exponentiation outside _gmp_multiexp: libgmp's when it loads, else
+# builtin pow. Both give the same integers.
 _powmod = pow if _GMP is None else _gmp_powmod
 
 
@@ -273,20 +282,53 @@ def _inverses(values: list[int], modulus: int) -> list[int]:
     return out
 
 
+def _gmp_multiexp(bases: list[int], columns: list[list[int]], nsq: int) -> list[int]:
+    """_multiexp_job as one mpz session: n^2 and each base a nonzero exponent
+    uses are imported once, each base with a negative exponent is inverted
+    once (mpz_invert), each term is one mpz_powm_ui (mpz_powm when |e| exceeds
+    an unsigned long), each column accumulates by mpz_mul and mpz_mod and is
+    exported once. Its mpz values are its own, so threads can run it at once."""
+    held = []
+    try:
+        m, acc, term = _mpz(held, nsq), _mpz(held), _mpz(held)
+        terms = {(j, e > 0) for column in columns for j, e in enumerate(column) if e}
+        powered = {(j, True): _mpz(held, bases[j]) for j in {j for j, _ in terms}}
+        for j in {j for j, positive in terms if not positive}:
+            powered[j, False] = _mpz(held)
+            if not _GMP.__gmpz_invert(powered[j, False], powered[j, True], m):
+                raise ValueError("base is not invertible for the given modulus")
+        out = []
+        for column in columns:
+            _GMP.__gmpz_set_ui(acc, 1)
+            for j, e in enumerate(column):
+                if not e:
+                    continue
+                if abs(e) <= _ULONG_MAX:
+                    _GMP.__gmpz_powm_ui(term, powered[j, e > 0], abs(e), m)
+                else:
+                    _GMP.__gmpz_powm(term, powered[j, e > 0], _mpz(held, abs(e)), m)
+                _GMP.__gmpz_mul(acc, acc, term)
+                _GMP.__gmpz_mod(acc, acc, m)
+            out.append(_from_mpz(acc))
+        return out
+    finally:
+        for z in held:
+            _GMP.__gmpz_clear(z)
+
+
 def _multiexp_job(job: tuple[list[int], list[list[int]], int]) -> list[int]:
     """prod_j bases[j]^column[j] mod n^2 for every column, job being (bases,
     exponent columns, n^2) with signed exponents: the ciphertext of every
-    column's combination of the bases' plaintexts.
+    column's combination of the bases' plaintexts. A column of zeros is 1.
 
-    Each column is the product of one _powmod per nonzero term: on libgmp a
-    separate exponentiation per term costs less than Straus's interleaved
-    windows in Python, whose table products and digit loop pay the
-    interpreter for every multiplication. On the builtin pow fallback it
-    costs more than those windows did (BENCH_gmp.json). A negative exponent
-    raises the base's inverse; one batch inversion serves every base that
-    needs one. A column of zeros is 1, the ciphertext of 0.
-    """
+    When _powmod is libgmp's, the job is one _gmp_multiexp. The fallback, on
+    builtin pow or an n^2 below 2 (mpz_powm would divide by zero), is one
+    _powmod per nonzero term after one batch inversion of the bases with a
+    negative exponent; both give the same integers, an inverse being unique.
+    Per-term powers beat Straus's windows in Python on libgmp only (BENCH_gmp.json)."""
     bases, columns, nsq = job
+    if _powmod is _gmp_powmod and nsq > 1:
+        return _gmp_multiexp(bases, columns, nsq)
     negative = sorted({j for column in columns for j, e in enumerate(column) if e < 0})
     inverse = dict(zip(negative, _inverses([bases[j] for j in negative], nsq)))
     out = []

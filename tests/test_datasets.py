@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,15 @@ def test_synth_two_view_margin_separates():
     x = np.column_stack([split.x_source, np.ones(len(split.x_source))])
     w, *_ = np.linalg.lstsq(x, split.labels_source, rcond=None)
     assert np.all(np.sign(x @ w) == split.labels_source)
+
+
+def test_synth_two_view_refuses_a_margin_no_row_clears():
+    # |w.z| >= 6 has probability about 2e-9 per draw: the row's resampling
+    # gives up after MARGIN_DRAWS draws instead of running on.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="margin = 6"):
+        synth_two_view(n=40, d_source=4, d_target=3, noise=0.05, margin=6)
+    assert time.perf_counter() - started < 10
 
 
 def test_synth_two_view_noise_target_changes_target_only():

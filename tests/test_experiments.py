@@ -101,9 +101,11 @@ def test_config_and_engine_refuse_a_non_taylor_loss_alike(small_split):
     (dict(pretrain_epochs=-1), "pretrain_epochs = -1"),
     (dict(d_source_features=0), "d_source_features = 0"),
     (dict(n=3), "n = 3"),
+    (dict(latent_dim=0), "latent_dim = 0"),
     (dict(transport="tcp", port=-5), "port = -5"),
 ], ids=["gamma", "weight-decay", "alignment", "learning-rate", "key-bits", "frac-bits",
-        "negative-frac-bits", "pretrain-epochs", "source-features", "rows", "port"])
+        "negative-frac-bits", "pretrain-epochs", "source-features", "rows", "latent-dim",
+        "port"])
 def test_validate_refuses_what_the_run_refuses_before_out_dir(tmp_path, bad, message):
     # The refusal the run would reach only in training, at keygen, at the
     # depth check, in building the data or a net, or at the socket (there

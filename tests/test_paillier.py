@@ -572,16 +572,13 @@ def test_powmod_zero_modulus_raises_as_pow_does():
         paillier._powmod(3, 5, 0)
 
 
-def test_powmod_from_two_threads():
-    # Both party threads exponentiate at once: each call's mpz values must be
-    # its own.
+def _in_two_threads(check):
+    """Run check(1) and check(2) in two threads at once under a short switch
+    interval, and assert that both ended and returned True."""
     results, interval = {}, sys.getswitchinterval()
 
     def run(seed):
-        rng = random.Random(seed)
-        ops = [(rng.getrandbits(512), rng.getrandbits(256), rng.getrandbits(512) | 1)
-               for _ in range(300)]
-        results[seed] = all(paillier._powmod(*op) == pow(*op) for op in ops)
+        results[seed] = check(seed)
 
     threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
     sys.setswitchinterval(1e-5)
@@ -596,26 +593,87 @@ def test_powmod_from_two_threads():
     assert results == {1: True, 2: True}
 
 
+def test_powmod_from_two_threads():
+    # Both party threads exponentiate at once: each call's mpz values must be
+    # its own.
+    def check(seed):
+        rng = random.Random(seed)
+        ops = [(rng.getrandbits(512), rng.getrandbits(256), rng.getrandbits(512) | 1)
+               for _ in range(300)]
+        return all(paillier._powmod(*op) == pow(*op) for op in ops)
+
+    _in_two_threads(check)
+
+
 # Exponents of every width from 0 to 200 bits, either sign.
 _EXPONENTS = st.integers(0, 200).flatmap(
     lambda bits: st.integers(-(1 << bits) + 1, (1 << bits) - 1))
 _CTS = SK.encrypt_raws([3, -5, 7 << 30, -11], 16, random.Random(9))
 NSQ = PK.n_squared
 
+# Both exponentiation backends, each picked by the one name _multiexp_job
+# follows, as test_golden_transcripts[builtin-pow] picks builtin pow.
+BACKENDS = pytest.mark.parametrize("powmod", [
+    pytest.param(paillier._gmp_powmod, id="libgmp", marks=pytest.mark.skipif(
+        paillier._GMP is None, reason="libgmp does not load")),
+    pytest.param(pow, id="builtin-pow")])
 
+
+@contextmanager
+def _backend(powmod):
+    """paillier._powmod set to powmod for the with block: a property test
+    cannot take monkeypatch, which hypothesis would not reset per example."""
+    saved, paillier._powmod = paillier._powmod, powmod
+    try:
+        yield
+    finally:
+        paillier._powmod = saved
+
+
+def _separate_pows(bases, columns):
+    """prod_j bases[j]^column[j] mod NSQ for every column, by builtin pow."""
+    return [math.prod(pow(b, e, NSQ) for b, e in zip(bases, column)) % NSQ
+            for column in columns]
+
+
+@BACKENDS
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_multiexp_job_equals_separate_pows(data):
+@given(data=st.data())
+def test_multiexp_job_equals_separate_pows(powmod, data):
     # Repeated bases, several columns, and always a column of zeros, whose
     # product is 1.
     picks = data.draw(st.lists(st.sampled_from(_CTS), min_size=1, max_size=5))
     bases = [ct.value for ct in picks]
     row = st.lists(_EXPONENTS, min_size=len(bases), max_size=len(bases))
     columns = data.draw(st.lists(row, min_size=1, max_size=4)) + [[0] * len(bases)]
-    expected = [math.prod(pow(b, e, NSQ) for b, e in zip(bases, column)) % NSQ
-                for column in columns]
-    assert _multiexp_job((bases, columns, NSQ)) == expected
+    expected = _separate_pows(bases, columns)
+    with _backend(powmod):
+        assert _multiexp_job((bases, columns, NSQ)) == expected
     assert expected[-1] == 1
+
+
+@BACKENDS
+def test_multiexp_job_refuses_to_invert_a_base_sharing_a_factor_with_n(powmod):
+    # A multiple of p has no inverse mod n^2: a negative exponent on it
+    # raises as pow(base, -1, n^2) does, and a positive one does not.
+    bases = [_CTS[0].value, SK.p * 7]
+    with _backend(powmod):
+        assert _multiexp_job((bases, [[-3, 2]], NSQ)) == _separate_pows(bases, [[-3, 2]])
+        with pytest.raises(ValueError):
+            _multiexp_job((bases, [[-3, 2], [1, -1]], NSQ))
+
+
+def test_multiexp_job_from_two_threads():
+    # On one CPU both party threads run the kernel in-process at once: each
+    # job's mpz values must be its own.
+    def check(seed):
+        rng = random.Random(seed)
+        jobs = [([ct.value for ct in rng.sample(_CTS, 3)],
+                 [[rng.randrange(-1 << 80, 1 << 80) for _ in range(3)] for _ in range(2)], NSQ)
+                for _ in range(40)]
+        return all(_multiexp_job(job) == _separate_pows(*job[:2]) for job in jobs)
+
+    _in_two_threads(check)
 
 
 def _summed_pows(a, b, frac_bits):
@@ -633,9 +691,10 @@ def _summed_pows(a, b, frac_bits):
     return out
 
 
+@BACKENDS
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_contractions_equal_summed_pows(data):
+@given(data=st.data())
+def test_contractions_equal_summed_pows(powmod, data):
     # Structural zeros among the ciphertexts (an all-zero row gives 0),
     # zero and rounding float exponents (an all-zero column gives the
     # ciphertext 1), and the numpy broadcasting of a batch dim and of 1-d
@@ -651,8 +710,9 @@ def test_contractions_equal_summed_pows(data):
                                     min_size=inner, max_size=inner)))
     expected = _summed_pows(a, b, 8)
     record = _Recorder()
-    plain, batched, vector = contractions(record, (a, b, 8), (np.stack([a, a]), b, 8),
-                                          (a, b[:, 0], 8))
+    with _backend(powmod):
+        plain, batched, vector = contractions(record, (a, b, 8), (np.stack([a, a]), b, 8),
+                                              (a, b[:, 0], 8))
     assert len(record.calls) <= 1
     assert _fields(plain) == _fields(expected)
     assert _fields(batched) == _fields(np.stack([expected, expected]))

@@ -98,20 +98,12 @@ class FederationSplit:
         return self.labels_source[self.source_rows(ids)]
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    label_column: str
-    categorical: tuple[str, ...] = ()
-    positive_label: str = "1"
-
-
-def load_csv(path: str, schema: CsvSchema):
+def load_csv(path: str, label_column: str):
     """Read a headered CSV into (features, labels, feature_names).
 
-    Categorical columns expand to one indicator column per observed level
-    (levels sorted); the label column maps to +1 on schema.positive_label and
-    -1 otherwise. Non-numeric cells outside categorical columns raise with
-    their row and column.
+    The label column maps a cell 1 to +1 and any other cell to -1; every
+    other column is a numeric feature, and a non-numeric cell raises with
+    its row and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -120,47 +112,24 @@ def load_csv(path: str, schema: CsvSchema):
         except StopIteration:
             raise IngestionError(f"{path}: empty file") from None
         rows = list(reader)
-    if schema.label_column not in header:
-        raise IngestionError(f"{path}: label column {schema.label_column!r} not found")
-    for col in schema.categorical:
-        if col not in header:
-            raise IngestionError(f"{path}: categorical column {col!r} not found")
-    label_idx = header.index(schema.label_column)
-    cat_idx = {header.index(c) for c in schema.categorical}
-
-    levels: dict[int, list[str]] = {
-        i: sorted({row[i] for row in rows}) for i in cat_idx}
-    names: list[str] = []
-    for i, col in enumerate(header):
-        if i == label_idx:
-            continue
-        if i in cat_idx:
-            names.extend(f"{col}={level}" for level in levels[i])
-        else:
-            names.append(col)
-
-    features = np.zeros((len(rows), len(names)))
+    if label_column not in header:
+        raise IngestionError(f"{path}: label column {label_column!r} not found")
+    label_idx = header.index(label_column)
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+    features = np.zeros((len(rows), len(feature_idx)))
     labels = np.zeros(len(rows), dtype=int)
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise IngestionError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        pos = 0
-        for i, col in enumerate(header):
+        labels[r] = 1 if row[label_idx].strip() == "1" else -1
+        for pos, i in enumerate(feature_idx):
             cell = row[i].strip()
-            if i == label_idx:
-                labels[r] = 1 if cell == schema.positive_label else -1
-                continue
-            if i in cat_idx:
-                features[r, pos + levels[i].index(cell)] = 1.0
-                pos += len(levels[i])
-                continue
             try:
                 features[r, pos] = float(cell)
             except ValueError:
-                raise IngestionError(
-                    f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {col!r}") from None
-            pos += 1
-    return features, labels, names
+                raise IngestionError(f"{path}: non-numeric cell {cell!r} at row {r + 2}, "
+                                     f"column {header[i]!r}") from None
+    return features, labels, [header[i] for i in feature_idx]
 
 
 def vertical_split(x, labels, columns_source, overlap_fraction: float,
@@ -206,16 +175,16 @@ def vertical_split(x, labels, columns_source, overlap_fraction: float,
 def synth_two_view(n: int, d_source: int, d_target: int, noise: float, seed: int = 0,
                    latent_dim: int = 4, n_overlap: int | None = None,
                    n_labeled: int | None = None, n_eval: int | None = None,
-                   n_pool: int | None = None, noise_target: float | None = None,
-                   margin: float = 0.0) -> FederationSplit:
+                   noise_target: float | None = None, margin: float = 0.0) -> FederationSplit:
     """Two noisy linear views of a shared latent variable, label = sign(w.z).
 
-    Co-occurring rows form a pool of size n_pool; the first n_overlap of them
-    are the alignment pairs and the first n_labeled the supervised pairs.
-    n_eval rows are exclusive to the target and reserved for evaluation; all
-    remaining rows are exclusive to the label-rich source. A positive margin
-    resamples latent points until |w.z| >= margin, producing separable data;
-    a row still inside the margin after MARGIN_DRAWS draws raises ValueError.
+    Co-occurring rows form a pool of max(n_overlap, n_labeled); the first
+    n_overlap of them are the alignment pairs and the first n_labeled the
+    supervised pairs. n_eval rows are exclusive to the target and reserved
+    for evaluation; all remaining rows are exclusive to the label-rich
+    source. A positive margin resamples latent points until |w.z| >= margin,
+    producing separable data; a row still inside the margin after
+    MARGIN_DRAWS draws raises ValueError.
     """
     if n < 4:
         raise ValueError("need at least 4 samples")
@@ -226,10 +195,7 @@ def synth_two_view(n: int, d_source: int, d_target: int, noise: float, seed: int
         n_labeled = max(1, round(0.2 * n_overlap))
     if n_eval is None:
         n_eval = round(0.2 * n)
-    if n_pool is None:
-        n_pool = max(n_overlap, n_labeled)
-    if n_pool < max(n_overlap, n_labeled):
-        raise ValueError("pool smaller than requested overlap or labeled sets")
+    n_pool = max(n_overlap, n_labeled)
     if n_pool + n_eval > n:
         raise ValueError("pool plus eval exceed the sample count")
 

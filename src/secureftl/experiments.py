@@ -18,7 +18,6 @@ import numpy as np
 
 from .baselines import train_linear_svm, train_logistic, train_sae_classifier
 from .datasets import (
-    CsvSchema,
     FederationSplit,
     fit_standardizer,
     load_csv,
@@ -187,26 +186,26 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # data and channel helpers
 
-def build_split(cfg: ExperimentConfig, seed: int, n: int | None = None,
-                n_overlap: int | None = None,
-                n_labeled: int | None = None) -> FederationSplit:
+def build_split(cfg: ExperimentConfig, seed: int,
+                n_overlap: int | None = None) -> FederationSplit:
     if cfg.dataset != "synth":
-        x, labels, _names = load_csv(cfg.dataset, CsvSchema(cfg.csv_label_column))
+        x, labels, _names = load_csv(cfg.dataset, cfg.csv_label_column)
         split = vertical_split(x, labels, list(range(x.shape[1] // 2)), cfg.overlap_fraction,
                                cfg.label_fraction, rng=seed)
+        if not len(split.eval_ids):
+            raise ValueError(f"overlap_fraction = {cfg.overlap_fraction} leaves the CSV split "
+                             "no target-only row to evaluate on")
         # Each party standardizes its columns over the rows it holds.
         split.x_source = standardize(split.x_source, *fit_standardizer(split.x_source))
         split.x_target = standardize(split.x_target, *fit_standardizer(split.x_target))
         return split
     return synth_two_view(
-        n=cfg.n if n is None else n, d_source=cfg.d_source_features,
-        d_target=cfg.d_target_features, noise=cfg.noise, seed=seed,
-        latent_dim=cfg.latent_dim, margin=cfg.margin,
+        n=cfg.n, d_source=cfg.d_source_features, d_target=cfg.d_target_features,
+        noise=cfg.noise, seed=seed, latent_dim=cfg.latent_dim, margin=cfg.margin,
         noise_target=None if cfg.noise_target < 0 else cfg.noise_target,
         # A config count of 0 means the default; an override is taken as it is.
         n_overlap=(cfg.n_overlap or None) if n_overlap is None else n_overlap,
-        n_labeled=(cfg.n_labeled or None) if n_labeled is None else n_labeled,
-        n_eval=cfg.n_eval or None)
+        n_labeled=cfg.n_labeled or None, n_eval=cfg.n_eval or None)
 
 
 def open_channels(cfg: ExperimentConfig):
@@ -244,15 +243,12 @@ def _fresh_nets(cfg: ExperimentConfig, split: FederationSplit,
 
 
 def _train_and_eval(cfg: ExperimentConfig, split: FederationSplit, seed: int,
-                    loss_mode: str | None = None, engine: Engine | None = None):
-    """One engine run; returns (loss_history, eval F1, transcript or None)."""
-    if engine is None:
-        engine = _make_engine(cfg)
+                    engine: Engine, loss_mode: str | None = None):
+    """One engine run; returns (loss_history, eval F1)."""
     net_a, net_b = _fresh_nets(cfg, split, seed)
-    trained, transcript = engine.train(split, net_a, net_b, cfg.training(loss_mode), seed)
+    trained, _ = engine.train(split, net_a, net_b, cfg.training(loss_mode), seed)
     predicted = engine.predict(split, net_a, net_b, split.eval_ids, seed)
-    score = weighted_f1(predicted, split.labels_eval).weighted_f1
-    return trained.loss_history, score, transcript
+    return trained.loss_history, weighted_f1(predicted, split.labels_eval).weighted_f1
 
 
 def _append_losses(loss_rows: list, seed: int, variant: str, history: list[float]):
@@ -272,7 +268,7 @@ def _run_taylor_vs_exact(cfg: ExperimentConfig, engine: Engine, result: RunResul
         seed = cfg.seed + s
         split = build_split(cfg, seed)
         for mode in ("taylor", "exact"):
-            history, score, _ = _train_and_eval(cfg, split, seed, mode, engine)
+            history, score = _train_and_eval(cfg, split, seed, engine, mode)
             finals[mode].append(score)
             result.rows.append({
                 "seed": seed, "loss_mode": mode,
@@ -297,19 +293,15 @@ def _run_ftl_vs_self(cfg: ExperimentConfig, engine: Engine, result: RunResult,
         x_eval = split.x_target[split.target_rows(split.eval_ids)]
         scores: dict[str, float] = {}
         for mode, name in (("taylor", "ftl_taylor"), ("exact", "ftl_exact")):
-            history, score, _ = _train_and_eval(cfg, split, seed, mode, engine)
+            history, score = _train_and_eval(cfg, split, seed, engine, mode)
             scores[name] = score
             if s == 0 and mode == cfg.loss_mode:
                 _append_losses(loss_rows, seed, name, history)
-        lr_model = train_logistic(x_c, y_c, seed=seed)
-        svm_model = train_linear_svm(x_c, y_c, seed=seed)
-        sae_model = train_sae_classifier(x_c, y_c, cfg.dims(split)[1], seed=seed)
-        scores["self_lr"] = weighted_f1(lr_model.predict(x_eval),
-                                        split.labels_eval).weighted_f1
-        scores["self_svm"] = weighted_f1(svm_model.predict(x_eval),
-                                         split.labels_eval).weighted_f1
-        scores["self_sae"] = weighted_f1(sae_model.predict(x_eval),
-                                         split.labels_eval).weighted_f1
+        for name, model in (
+                ("self_lr", train_logistic(x_c, y_c, seed=seed)),
+                ("self_svm", train_linear_svm(x_c, y_c, seed=seed)),
+                ("self_sae", train_sae_classifier(x_c, y_c, cfg.dims(split)[1], seed=seed))):
+            scores[name] = weighted_f1(model.predict(x_eval), split.labels_eval).weighted_f1
         for name, score in scores.items():
             per_model.setdefault(name, []).append(score)
             result.rows.append({"seed": seed, "model": name, "eval_f1": f"{score:.6f}"})
@@ -325,7 +317,7 @@ def _run_overlap_sweep(cfg: ExperimentConfig, engine: Engine, result: RunResult,
         for s in range(cfg.seeds):
             seed = cfg.seed + s
             split = build_split(cfg, seed, n_overlap=int(n_ab))
-            history, score, _ = _train_and_eval(cfg, split, seed, engine=engine)
+            history, score = _train_and_eval(cfg, split, seed, engine)
             scores.append(score)
             result.rows.append({"n_overlap": n_ab, "seed": seed,
                                 "eval_f1": f"{score:.6f}"})
@@ -433,14 +425,24 @@ def _transcript_rows(transcript) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Dispatch one experiment kind and write its CSV files."""
+    """Dispatch one experiment kind and write its CSV files.
+
+    A run that fails removes out_dir again if this call made it and it is
+    still empty.
+    """
     cfg.validate()
+    created = not os.path.exists(cfg.out_dir)
     os.makedirs(cfg.out_dir, exist_ok=True)
     result = RunResult()
     loss_rows: list[dict] = []
     timing_rows: list[dict] = []
     engine = _make_engine(cfg)
-    _RUNNERS[cfg.kind](cfg, engine, result, loss_rows, timing_rows)
+    try:
+        _RUNNERS[cfg.kind](cfg, engine, result, loss_rows, timing_rows)
+    except BaseException:
+        if created and not os.listdir(cfg.out_dir):
+            os.rmdir(cfg.out_dir)
+        raise
 
     # Every kind trains before it predicts, so the first channel pair opened
     # carried the experiment's first encrypted training run.

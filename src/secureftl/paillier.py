@@ -52,10 +52,10 @@ every witness is drawn as before, so the keys and the rng's state after
 keygen are those of the plain test. A round's squarings are products
 x * x % m, since a ctypes call costs more than a squaring of this size.
 
-This is a research implementation: keys default to 1024 bits and randomness
-may come from a seeded PRNG for reproducible protocol transcripts, and
-neither pow nor mpz_powm runs in constant time. Do not use it to protect
-real data.
+This is a research implementation: keygen takes any even key size from
+MIN_KEY_BITS up, randomness may come from a seeded PRNG for reproducible
+protocol transcripts, and neither pow nor mpz_powm runs in constant time.
+Do not use it to protect real data.
 """
 
 from __future__ import annotations
@@ -485,7 +485,7 @@ def check_key_bits(bits: int):
         raise ValueError(f"key size must be an even number of bits, at least {MIN_KEY_BITS}")
 
 
-def keygen(bits: int = 1024, rng: random.Random | None = None) -> PrivateKey:
+def keygen(bits: int, rng: random.Random | None = None) -> PrivateKey:
     """Generate a private key, whose .public is its public key, with a
     modulus of exactly `bits` bits."""
     check_key_bits(bits)

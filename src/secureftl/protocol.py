@@ -50,8 +50,9 @@ instead of waiting for the lost job. The executor is shut down when the
 call returns or fails.
 
 Every frame is numbered: PUBKEY 0, the per-iteration frames their iteration,
-STOP the last iteration run, prediction frames the request's sequence
-number. A frame of an unexpected type or number raises ProtocolError.
+STOP the last iteration run, and prediction frames 1, since each
+predict_encrypted call builds fresh parties that serve or ask once. A frame
+of an unexpected type or number raises ProtocolError.
 
 Set-up is the PUBKEY exchange. Both parties take one key_bits, and keygen
 gives a modulus of exactly that many bits, so a peer's modulus of any other
@@ -437,7 +438,6 @@ class _Party:
         # (name, dims, frac_bits) per section masked under a frame number
         # whose blob has not come back yet.
         self.awaiting: dict[int, list[tuple[str, tuple[int, ...], int]]] = {}
-        self.predict_seq = 0
 
     # -- plumbing
 
@@ -548,6 +548,13 @@ class _Party:
         self.applied_log.update(((seq, name), u) for name, u in unmasked.items())
         return values
 
+    def _loss_share(self, u_ab: np.ndarray, start: float = 0.0) -> float:
+        """start, plus this party's weight-decay term and its own alignment
+        terms on its overlap rows u_ab, summed left to right: the golden
+        digests pin that float order."""
+        return (start + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
+                + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
+
     def _unmask_and_apply(self, seq: int, payload: bytes) -> dict[str, float]:
         """_unmask, then one step of this party's net on its layer*.{weights,
         bias} sections; the rest (the loss at the source) are returned."""
@@ -561,8 +568,7 @@ class _Party:
 
     def request_labels(self, u_rows: np.ndarray) -> np.ndarray:
         """Send own encrypted representations, decrypt masked scores, get labels."""
-        self.predict_seq += 1
-        seq = self.predict_seq
+        seq = 1
         n, d = u_rows.shape
         (u,) = self._encrypt((u_rows, self.frac_bits))
         self._send(MsgType.PREDICT_REQUEST, seq, pack_sections([_ct_section("u", (n, d), u.flat)]))
@@ -573,8 +579,7 @@ class _Party:
 
     def serve_labels(self, prototype: np.ndarray) -> np.ndarray:
         """Score encrypted peer representations against a local prototype."""
-        self.predict_seq += 1
-        seq = self.predict_seq
+        seq = 1
         (request,) = _read(self._recv({MsgType.PREDICT_REQUEST: seq}).payload,
                            [("u", (None, len(prototype)))])
         u = _section_cts(request, self.peer_key, self.frac_bits)
@@ -626,9 +631,7 @@ class SourceParty(_Party):
         f = self.frac_bits
         u_ab = trace[-1][self.ab_rows]
         y = self.labels_c
-        constant = (len(y) * LOG2
-                    + 0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
-                    + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
+        constant = self._loss_share(u_ab, len(y) * LOG2)
         # Each pair term is a contraction landing at 3f: quad and lin (at f)
         # against coefficients at 2f, and align (at 2f) against u at f.
         pairs = contractions(self.mapper, (
@@ -713,14 +716,10 @@ class TargetParty(_Party):
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
         u_c, u_ab = u[self.c_pos], u[self.ab_pos]
-        # The scalar loss share: this party's weight-decay term, plus its own
-        # alignment terms when the alignment kind has any.
-        reg_value = (0.5 * self.cfg.weight_decay * self.net.squared_param_norm()
-                     + self.cfg.gamma * float(np.sum(self.align.own_loss(u_ab))))
         f = self.frac_bits
         quad, lin, align, reg = self._encrypt(
             (u_c[:, :, None] * u_c[:, None, :], f), (u_c, f),
-            (self.cfg.gamma * self.align.kappa * u_ab, 2 * f), (reg_value, 3 * f))
+            (self.cfg.gamma * self.align.kappa * u_ab, 2 * f), (self._loss_share(u_ab), 3 * f))
         return ComponentBatch(quad, lin, align, reg.item())
 
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_Tensor]:

@@ -105,8 +105,8 @@ class Transcript:
                 if (direction is None or r.direction == direction)
                 and (msg_type is None or r.msg_type == msg_type)]
 
-    def payload_bytes(self, direction: str | None = None, msg_type: int | None = None) -> int:
-        return sum(len(r.payload) for r in self.frames(direction, msg_type))
+    def payload_bytes(self, direction: str | None = None) -> int:
+        return sum(len(r.payload) for r in self.frames(direction))
 
 
 class SocketChannel:

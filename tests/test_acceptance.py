@@ -16,6 +16,7 @@ from conftest import decrypt_raw, multiply
 from secureftl.datasets import synth_two_view
 from secureftl.encoding import decode_raw, encode
 from secureftl.experiments import (
+    _make_engine,
     _train_and_eval,
     build_split,
     load_config,
@@ -218,8 +219,8 @@ def test_05_transfer_beats_self_learning(tmp_path):
     scores = []
     for s in range(cfg.seeds):
         split = build_split(bigger, cfg.seed + s)
-        _, score, _ = _train_and_eval(bigger, split, cfg.seed + s,
-                                      loss_mode="taylor")
+        _, score = _train_and_eval(bigger, split, cfg.seed + s, _make_engine(bigger),
+                                   loss_mode="taylor")
         scores.append(score)
     f1_200 = sum(scores) / len(scores)
     ok = margin >= 0.03 and f1_200 >= f1_100

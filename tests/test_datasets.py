@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secureftl.datasets import (
-    CsvSchema,
     FederationSplit,
     IngestionError,
     fit_standardizer,
@@ -116,10 +115,7 @@ def test_synth_two_view_noise_target_changes_target_only():
 def test_synth_two_view_pool_bounds():
     with pytest.raises(ValueError):
         synth_two_view(n=20, d_source=3, d_target=3, noise=0.1,
-                       n_overlap=10, n_labeled=4, n_pool=8)
-    with pytest.raises(ValueError):
-        synth_two_view(n=20, d_source=3, d_target=3, noise=0.1,
-                       n_pool=18, n_eval=6)
+                       n_overlap=18, n_eval=6)
 
 
 def test_weighted_f1_perfect_and_shapes():
@@ -161,21 +157,21 @@ def test_vertical_split_membership():
 
 def test_load_csv(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("a,color,label\n1.5,red,1\n2.0,blue,0\n0.5,red,0\n")
-    x, labels, names = load_csv(str(path), CsvSchema("label", categorical=("color",)))
-    assert names == ["a", "color=blue", "color=red"]
+    path.write_text("a,label,b\n1.5,1,3\n2.0,0,-1\n0.5,yes,0\n")
+    x, labels, names = load_csv(str(path), "label")
+    assert names == ["a", "b"]
     assert np.array_equal(labels, [1, -1, -1])
-    assert np.allclose(x[1], [2.0, 1.0, 0.0])
+    assert np.allclose(x[1], [2.0, -1.0])
 
 
 def test_load_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,label\noops,1\n")
     with pytest.raises(IngestionError):
-        load_csv(str(path), CsvSchema("label"))
+        load_csv(str(path), "label")
     path.write_text("a,b\n1,2\n")
     with pytest.raises(IngestionError):
-        load_csv(str(path), CsvSchema("label"))
+        load_csv(str(path), "label")
 
 
 def test_standardize_roundtrip():

@@ -1,5 +1,4 @@
 import hashlib
-import os
 import re
 
 import numpy as np
@@ -121,6 +120,47 @@ def test_validate_refuses_what_the_run_refuses_before_out_dir(tmp_path, bad, mes
     assert not out_dir.exists()
 
 
+def _csv_rows(tmp_path) -> str:
+    """A 30-row CSV of four numeric features and a 0/1 label."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b,c,d,label\n" + "".join(
+        ",".join(f"{v:.4f}" for v in rng.standard_normal(4)) + f",{i % 2}\n" for i in range(30)))
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(kind="overlap-sweep", n=20, sweep=(50,)),
+    dict(kind="overlap-sweep", n=20, sweep=(4,), n_eval=30),
+    dict(kind="scaling-sweep", engine="encrypted", sweep=(4,), dim_sweep=(0,)),
+    dict(kind="scaling-sweep", engine="encrypted", n=40, sweep=(200,)),
+    dict(kind="trcv-vs-cv", n=40, n_labeled=1, sweep=(2,)),
+    dict(kind="trcv-vs-cv", n=12, sweep=(20,)),
+    dict(kind="overlap-sweep", n=40, sweep=(8,), margin=6.0),
+    dict(kind="taylor-vs-exact", dataset="csv", overlap_fraction=1.5),
+    dict(kind="taylor-vs-exact", dataset="csv", overlap_fraction=1.0),
+    dict(kind="ftl-vs-self", dataset="csv", label_fraction=0.0),
+], ids=["sweep-over-rows", "eval-over-rows", "zero-width", "scaling-over-rows", "one-label",
+        "folds-over-rows", "margin", "csv-overlap-over-one", "csv-no-eval-row",
+        "csv-no-labels"])
+def test_a_run_its_data_cannot_serve_fails_typed_and_leaves_no_out_dir(tmp_path, bad):
+    # validate passes these; the data step, a net or a baseline then refuses
+    # with ValueError, and the run removes the out_dir it made.
+    if bad.get("dataset") == "csv":
+        bad = {**bad, "dataset": _csv_rows(tmp_path)}
+    out_dir = tmp_path / "out"
+    cfg = ExperimentConfig(**{**dict(seeds=1, max_iterations=1, out_dir=str(out_dir)), **bad})
+    cfg.validate()
+    with pytest.raises(ValueError):
+        run_experiment(cfg)
+    assert not out_dir.exists()
+    # An out_dir the run did not make stays, even empty.
+    out_dir.mkdir()
+    with pytest.raises(ValueError):
+        run_experiment(cfg)
+    assert out_dir.is_dir()
+
+
 def test_config_training_and_dims():
     cfg = ExperimentConfig(d_source_features=7, d_target_features=4, hidden=3,
                            learning_rate=0.1, loss_mode="taylor")
@@ -152,24 +192,20 @@ def test_build_split_takes_a_zero_override():
     # config's count.
     cfg = ExperimentConfig(n=60, n_overlap=10, n_labeled=4, n_eval=8)
     assert len(build_split(cfg, 0, n_overlap=0).overlap_ids) == 0
-    assert len(build_split(cfg, 0, n_overlap=0, n_labeled=0).labeled_ids) == 0
     assert len(build_split(cfg, 0).overlap_ids) == 10
 
 
 def test_csv_dataset_rejects_row_counts(tmp_path):
     # A CSV split takes its rows from overlap_fraction and label_fraction, so
     # a sweep's or the config's row counts would be silently ignored.
-    rng = np.random.default_rng(0)
-    path = tmp_path / "rows.csv"
-    path.write_text("a,b,c,d,label\n" + "".join(
-        ",".join(f"{v:.4f}" for v in rng.standard_normal(4)) + f",{i % 2}\n" for i in range(30)))
-    base = dict(dataset=str(path), csv_label_column="label", engine="encrypted")
+    path = _csv_rows(tmp_path)
+    base = dict(dataset=path, csv_label_column="label", engine="encrypted")
     for bad in (dict(kind="overlap-sweep"), dict(kind="scaling-sweep"), dict(n_overlap=5),
                 dict(n_labeled=3), dict(n_eval=2)):
         (key,) = bad
         with pytest.raises(ValueError, match=f"{key} = "):
             ExperimentConfig(**base, **bad).validate()
-    cfg = ExperimentConfig(dataset=str(path), kind="taylor-vs-exact", seeds=1, max_iterations=2,
+    cfg = ExperimentConfig(dataset=path, kind="taylor-vs-exact", seeds=1, max_iterations=2,
                            d_source_features=2, d_target_features=2, label_fraction=0.5,
                            out_dir=str(tmp_path / "out"))
     assert len(run_experiment(cfg).rows) == 2

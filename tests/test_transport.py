@@ -98,8 +98,8 @@ def test_transcript_filters_and_summary():
     transcript.record(DIR_TARGET_TO_SOURCE, Frame(MsgType.STOP, 1, b""))
     assert len(transcript.frames(DIR_SOURCE_TO_TARGET)) == 2
     assert len(transcript.frames(msg_type=MsgType.STOP)) == 1
-    assert transcript.payload_bytes(DIR_SOURCE_TO_TARGET, MsgType.COMPONENTS_A) == 4
-    assert transcript.payload_bytes(DIR_TARGET_TO_SOURCE, MsgType.STOP) == 0
+    assert transcript.payload_bytes(DIR_SOURCE_TO_TARGET) == 4
+    assert transcript.payload_bytes(DIR_TARGET_TO_SOURCE) == 0
 
 
 def test_tcp_pair_roundtrip():

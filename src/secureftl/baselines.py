@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import Network, fresh_network, sigmoid
-from .objective import threshold_labels
+from .plain import threshold_labels
 
 
 @dataclass

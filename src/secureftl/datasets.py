@@ -132,6 +132,14 @@ def load_csv(path: str, label_column: str):
     return features, labels, [header[i] for i in feature_idx]
 
 
+def check_fractions(overlap_fraction: float, label_fraction: float):
+    """Refuse a split fraction outside [0, 1], naming it."""
+    for name, value in (("overlap_fraction", overlap_fraction),
+                        ("label_fraction", label_fraction)):
+        if not 0 <= value <= 1:
+            raise ValueError(f"{name} = {value}: a fraction lies in [0, 1]")
+
+
 def vertical_split(x, labels, columns_source, overlap_fraction: float,
                    label_fraction: float, rng=0) -> FederationSplit:
     """Split one dataset into a two-party federation.
@@ -145,8 +153,7 @@ def vertical_split(x, labels, columns_source, overlap_fraction: float,
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if not 0 <= overlap_fraction <= 1 or not 0 <= label_fraction <= 1:
-        raise ValueError("fractions must lie in [0, 1]")
+    check_fractions(overlap_fraction, label_fraction)
     cols_source = np.asarray(columns_source, dtype=int)
     cols_target = np.setdiff1d(np.arange(x.shape[1]), cols_source)
     if not len(cols_source) or not len(cols_target):

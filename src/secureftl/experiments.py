@@ -19,6 +19,7 @@ import numpy as np
 from .baselines import train_linear_svm, train_logistic, train_sae_classifier
 from .datasets import (
     FederationSplit,
+    check_fractions,
     fit_standardizer,
     load_csv,
     standardize,
@@ -90,6 +91,7 @@ class ExperimentConfig:
         if self.dataset != "synth":
             if not os.path.exists(self.dataset):
                 raise ValueError(f"dataset file {self.dataset!r} does not exist")
+            check_fractions(self.overlap_fraction, self.label_fraction)
             # A CSV split's rows come from overlap_fraction and label_fraction.
             if self.kind in ("overlap-sweep", "scaling-sweep"):
                 raise ValueError(f"kind = {self.kind} sweeps row counts, which a CSV "
@@ -122,8 +124,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.transport == "tcp" and not 0 <= self.port <= 65535:
             raise ValueError(f"port = {self.port}: a TCP port lies in [0, 65535]")
-        if self.hidden < 1:
-            raise ValueError("shared representation needs at least one unit")
+        if min((self.hidden, *self.dim_sweep)) < 1:
+            raise ValueError(f"hidden = {self.hidden}, dim_sweep = {self.dim_sweep}: a shared "
+                             "representation needs at least one unit")
         if self.seeds < 1:
             raise ValueError(f"seeds = {self.seeds}: a run needs at least one seed")
         for key in ("n_overlap", "n_labeled", "n_eval", "pretrain_epochs", "sweep", "dim_sweep"):

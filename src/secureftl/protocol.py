@@ -136,7 +136,6 @@ from .datasets import FederationSplit
 from .encoding import (DEFAULT_FRAC_BITS, MAX_FRAC_BITS, check_frac_bits, check_frac_match,
                        check_frac_sum, decode_raw, encode, encode_array)
 from .nets import LayerParams, Network
-from .objective import LOG2, alignment_spec, label_prototype, threshold_labels
 from .paillier import (
     MIN_KEY_BITS,
     Ciphertext,
@@ -151,14 +150,8 @@ from .paillier import (
     keygen,
     serialize_ciphertext,
 )
-from .plain import (
-    TrainingConfig,
-    TrainingResult,
-    predict_plain,
-    source_prototype,
-    target_batch,
-    train_plain,
-)
+from .plain import (LOG2, PartyRows, TrainingConfig, TrainingResult, alignment_spec,
+                    label_prototype, party_rows, predict_plain, threshold_labels, train_plain)
 from .transport import (
     DIR_SOURCE_TO_TARGET,
     DIR_TARGET_TO_SOURCE,
@@ -410,7 +403,7 @@ def _party_keys(job: tuple[int, str, int]) -> tuple[PrivateKey, tuple]:
 
 
 class _Party:
-    """State shared by both roles: keys, channel, masks, audit trail.
+    """State shared by both roles: own rows, keys, channel, masks, audit trail.
 
     keys is _party_keys((key_bits, role, seed)); the rng continues from the
     state keygen left it in. mapper is the map own-key encryption and
@@ -419,8 +412,9 @@ class _Party:
 
     role: str
 
-    def __init__(self, channel, net: Network, cfg: TrainingConfig,
-                 keys: tuple[PrivateKey, tuple], frac_bits: int):
+    def __init__(self, rows: PartyRows, net: Network, cfg: TrainingConfig,
+                 channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
+        self.rows = rows
         self.channel = channel
         self.net = net
         self.cfg = cfg
@@ -473,12 +467,12 @@ class _Party:
         return [np.array([next(cts) for _ in range(part.size)], dtype=object).reshape(part.shape)
                 for part, _ in raws]
 
-    def _with_plain_part(self, tensors: list[_Tensor], trace: list[np.ndarray],
-                         ab_rows: np.ndarray) -> list[_Tensor]:
+    def _with_plain_part(self, tensors: list[_Tensor], trace: list[np.ndarray]) -> list[_Tensor]:
         """Give every tensor, encoded once at its fraction bits, the part of
         this party's gradient it holds in plaintext, as the plaintext oracle
         computes it: Network.backward of gamma * own_grad on its overlap rows
         (0 elsewhere), plus weight decay * theta."""
+        ab_rows = self.rows.ab_rows
         upstream = np.zeros(trace[-1].shape)
         upstream[ab_rows] = self.cfg.gamma * self.align.own_grad(trace[-1][ab_rows])
         grads = self.net.backward(trace, upstream)
@@ -564,11 +558,13 @@ class _Party:
                                   for idx in range(len(self.net.layers))], self.cfg.learning_rate)
         return {name: float(v) for name, v in values.items()}
 
-    # -- prediction roles (either party can serve or request)
+    # -- prediction roles: the party with labels serves, the other requests
 
-    def request_labels(self, u_rows: np.ndarray) -> np.ndarray:
-        """Send own encrypted representations, decrypt masked scores, get labels."""
+    def request_labels(self, x_rows: np.ndarray) -> np.ndarray:
+        """Send the encrypted representations of own feature rows x_rows,
+        decrypt the masked scores, get labels."""
         seq = 1
+        u_rows = self.net.forward(x_rows)
         n, d = u_rows.shape
         (u,) = self._encrypt((u_rows, self.frac_bits))
         self._send(MsgType.PREDICT_REQUEST, seq, pack_sections([_ct_section("u", (n, d), u.flat)]))
@@ -577,9 +573,11 @@ class _Party:
             _read(frame.payload, [("predict.scores", (n,))])))
         return _read_labels(self._recv({MsgType.PREDICT_LABELS: seq}).payload, n)
 
-    def serve_labels(self, prototype: np.ndarray) -> np.ndarray:
-        """Score encrypted peer representations against a local prototype."""
+    def serve_labels(self) -> np.ndarray:
+        """Score encrypted peer representations against the prototype of
+        own rows and labels."""
         seq = 1
+        prototype = label_prototype(self.net.forward(self.rows.x), self.rows.labels)
         (request,) = _read(self._recv({MsgType.PREDICT_REQUEST: seq}).payload,
                            [("u", (None, len(prototype)))])
         u = _section_cts(request, self.peer_key, self.frac_bits)
@@ -600,17 +598,14 @@ class SourceParty(_Party):
 
     role = "source"
 
-    def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
+    def __init__(self, rows: PartyRows, net: Network, cfg: TrainingConfig,
                  channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
-        super().__init__(channel, net, cfg, keys, frac_bits)
-        self.x = split.x_source
-        self.labels = split.labels_source.astype(int)
-        self.labels_c = split.labels_for(split.labeled_ids).astype(int)
-        self.ab_rows = split.source_rows(split.overlap_ids)
-        self.peer_layout = ComponentBatch.layout(len(self.labels_c), len(self.ab_rows),
+        super().__init__(rows, net, cfg, channel, keys, frac_bits)
+        self.labels_c = rows.labels[rows.c_rows]
+        self.peer_layout = ComponentBatch.layout(len(rows.c_rows), len(rows.ab_rows),
                                                  net.hidden_dim, frac_bits, True)
         # Row j's coefficient on the pooled basis: y_j on pooled[o] at output o.
-        self.coef = self.labels[:, None, None] * np.eye(net.hidden_dim)
+        self.coef = rows.labels[:, None, None] * np.eye(net.hidden_dim)
 
     def compute_components(self, trace: list[np.ndarray], prototype: np.ndarray) -> ComponentBatch:
         """Encrypt the prototype-quadratic, prototype-linear, and alignment
@@ -621,7 +616,7 @@ class SourceParty(_Party):
         return ComponentBatch(*self._encrypt(
             ((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype), f),
             ((-0.5 * y)[:, None] * prototype, 2 * f),
-            (self.cfg.gamma * self.align.kappa * u[self.ab_rows], 2 * f)))
+            (self.cfg.gamma * self.align.kappa * u[self.rows.ab_rows], 2 * f)))
 
     def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
                       prototype: np.ndarray) -> _Tensor:
@@ -629,7 +624,7 @@ class SourceParty(_Party):
         at 3f: the pair terms plus reg, with the source's own constant as its
         plaintext part; quad is comps.quad summed over labeled pairs."""
         f = self.frac_bits
-        u_ab = trace[-1][self.ab_rows]
+        u_ab = trace[-1][self.rows.ab_rows]
         y = self.labels_c
         constant = self._loss_share(u_ab, len(y) * LOG2)
         # Each pair term is a contraction landing at 3f: quad and lin (at f)
@@ -653,23 +648,24 @@ class SourceParty(_Party):
         shares with coefficient y_j = +-1, and only the overlap rows carry
         ciphertexts of their own through encrypted_backward.
         """
-        f, n = self.frac_bits, len(self.labels)
+        f, n = self.frac_bits, len(self.rows.labels)
         (pooled,) = contractions(self.mapper, (
             np.concatenate([quad, comps.lin]).T,
             np.concatenate([0.25 * prototype / n, -0.5 * self.labels_c / n]), f))
         tensors = encrypted_backward(self.net, trace, self.coef, f, pooled, self.mapper)
         for tensor, extra in zip(tensors, encrypted_backward(
-                self.net, [a[self.ab_rows] for a in trace], comps.align, f, mapper=self.mapper)):
+                self.net, [a[self.rows.ab_rows] for a in trace], comps.align, f,
+                mapper=self.mapper)):
             tensor.values = tensor.values + extra.values
-        return self._with_plain_part(tensors, trace, self.ab_rows)
+        return self._with_plain_part(tensors, trace)
 
     def run_training(self) -> TrainingResult:
         self.exchange_keys()
         result = TrainingResult(self.net, None)
         previous = math.inf
         for iteration in range(1, self.cfg.max_iterations + 1):
-            trace = self.net.forward_trace(self.x)
-            prototype = label_prototype(trace[-1], self.labels)
+            trace = self.net.forward_trace(self.rows.x)
+            prototype = label_prototype(trace[-1], self.rows.labels)
             self._send(MsgType.COMPONENTS_A, iteration,
                        self.compute_components(trace, prototype).to_payload())
             frame = self._recv({MsgType.COMPONENTS_B: iteration})
@@ -705,17 +701,15 @@ class TargetParty(_Party):
 
     role = "target"
 
-    def __init__(self, split: FederationSplit, net: Network, cfg: TrainingConfig,
+    def __init__(self, rows: PartyRows, net: Network, cfg: TrainingConfig,
                  channel, keys: tuple[PrivateKey, tuple], frac_bits: int):
-        super().__init__(channel, net, cfg, keys, frac_bits)
-        batch_ids, self.c_pos, self.ab_pos = target_batch(split)
-        self.x = split.x_target[split.target_rows(batch_ids)]
-        self.peer_layout = ComponentBatch.layout(len(self.c_pos), len(self.ab_pos),
+        super().__init__(rows, net, cfg, channel, keys, frac_bits)
+        self.peer_layout = ComponentBatch.layout(len(rows.c_rows), len(rows.ab_rows),
                                                  net.hidden_dim, frac_bits, False)
 
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
-        u_c, u_ab = u[self.c_pos], u[self.ab_pos]
+        u_c, u_ab = u[self.rows.c_rows], u[self.rows.ab_rows]
         f = self.frac_bits
         quad, lin, align, reg = self._encrypt(
             (u_c[:, :, None] * u_c[:, None, :], f), (u_c, f),
@@ -727,12 +721,13 @@ class TargetParty(_Party):
         f, u = self.frac_bits, trace[-1]
         # Pair c's upstream at output o contracts quad[c, o, :] against 2 u_c
         # and adds lin[c, o]; the source sent lin and align at 2f.
-        (by_pair,) = contractions(self.mapper, (comps.quad, 2.0 * u[self.c_pos, :, None], f))
+        (by_pair,) = contractions(self.mapper,
+                                  (comps.quad, 2.0 * u[self.rows.c_rows, :, None], f))
         upstream = np.zeros(u.shape, dtype=object)
-        upstream[self.c_pos] = by_pair[..., 0] + comps.lin
-        upstream[self.ab_pos] += comps.align
+        upstream[self.rows.c_rows] = by_pair[..., 0] + comps.lin
+        upstream[self.rows.ab_rows] += comps.align
         tensors = encrypted_backward(self.net, trace, upstream, f, mapper=self.mapper)
-        return self._with_plain_part(tensors, trace, self.ab_pos)
+        return self._with_plain_part(tensors, trace)
 
     def run_training(self):
         self.exchange_keys()
@@ -745,7 +740,7 @@ class TargetParty(_Party):
             if frame.msg_type == MsgType.STOP:
                 return
             comps = ComponentBatch.from_payload(frame.payload, self.peer_key, self.peer_layout)
-            trace = self.net.forward_trace(self.x)
+            trace = self.net.forward_trace(self.rows.x)
             self._send(MsgType.COMPONENTS_B, iteration,
                        self.compute_components(trace).to_payload())
             tensors = self.assemble_gradient(comps, trace)
@@ -786,8 +781,9 @@ def _close(channels):
 def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: TrainingConfig,
                  channels, key_bits: int, frac_bits: int, seed: int,
                  source_fn: Callable, target_fn: Callable):
-    """Build both parties over the channel ends and run them side by side;
-    returns ((source, target), (source_fn(source), target_fn(target))).
+    """Build both parties, each from its own rows of split, over the channel
+    ends and run them side by side; returns ((source, target),
+    (source_fn(source), target_fn(target))).
 
     The executor forks its workers at the keygen map, before the target
     thread starts; its map cuts every batch into one chunk per worker, and
@@ -817,8 +813,9 @@ def _run_parties(split: FederationSplit, nets: tuple[Network, Network], cfg: Tra
     try:
         keys = list(mapper(_party_keys, [(key_bits, role, seed) for role in
                                          (SourceParty.role, TargetParty.role)]))
-        parties = (SourceParty(split, nets[0], cfg, channels[0], keys[0], frac_bits),
-                   TargetParty(split, nets[1], cfg, channels[1], keys[1], frac_bits))
+        rows = party_rows(split)
+        parties = (SourceParty(rows[0], nets[0], cfg, channels[0], keys[0], frac_bits),
+                   TargetParty(rows[1], nets[1], cfg, channels[1], keys[1], frac_bits))
         for party in parties:
             party.mapper = mapper
         thread = threading.Thread(target=run, args=(1, target_fn), daemon=True)
@@ -906,19 +903,18 @@ def predict_encrypted(split: FederationSplit, net_source: Network, net_target: N
     try:
         check_frac_bits(frac_bits)
         check_frac_sum(frac_bits, frac_bits)
-        prototype = source_prototype(split, net_source)
-        u_query = net_target.forward(split.x_target[split.target_rows(query_ids)])
+        x_query = split.x_target[split.target_rows(query_ids)]
     except BaseException:
         _close(channels)
         raise
 
     def serve(server: SourceParty) -> np.ndarray:
         server.exchange_keys()
-        return server.serve_labels(prototype)
+        return server.serve_labels()
 
     def ask(requester: TargetParty) -> np.ndarray:
         requester.exchange_keys()
-        return requester.request_labels(u_query)
+        return requester.request_labels(x_query)
 
     (server, requester), (_, labels) = _run_parties(
         split, (net_source, net_target), TrainingConfig(), channels, key_bits, frac_bits, seed,

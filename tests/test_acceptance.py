@@ -23,9 +23,8 @@ from secureftl.experiments import (
     run_experiment,
 )
 from secureftl.nets import init_network
-from secureftl.objective import full_loss, plaintext_gradients
 from secureftl.paillier import Ciphertext, ciphertext_wire_size, keygen
-from secureftl.plain import TrainingConfig, train_plain
+from secureftl.plain import PartyRows, TrainingConfig, full_loss, plaintext_gradients, train_plain
 from secureftl.protocol import audit_training, predict_encrypted, train_encrypted
 from secureftl.transport import (
     DIR_SOURCE_TO_TARGET,
@@ -108,15 +107,14 @@ def test_02_gradients_match_finite_differences():
         x_a = rng.normal(size=(n_c + n_ab, dims_a[0]))
         x_b = rng.normal(size=(n_c + n_ab, dims_b[0]))
         labels_a = rng.choice([-1, 1], size=n_c + n_ab)
-        c_a = c_b = np.arange(n_c)
-        ab_a = ab_b = np.arange(n_c, n_c + n_ab)
+        rows_a = PartyRows(x_a, np.arange(n_c), np.arange(n_c, n_c + n_ab), labels_a)
+        rows_b = PartyRows(x_b, np.arange(n_c), np.arange(n_c, n_c + n_ab))
         cfg = TrainingConfig(
             gamma=float(rng.uniform(0.01, 0.2)),
             weight_decay=float(rng.uniform(0.0, 0.02)),
             alignment="inner" if idx % 2 else "distance",
             loss_mode="taylor" if idx % 4 < 2 else "exact")
-        grads_a, grads_b, _ = plaintext_gradients(
-            net_a, x_a, labels_a, net_b, x_b, c_a, c_b, ab_a, ab_b, cfg)
+        grads_a, grads_b, _ = plaintext_gradients(net_a, rows_a, net_b, rows_b, cfg)
 
         for net, other, grads, as_source in ((net_a, net_b, grads_a, True),
                                              (net_b, net_a, grads_b, False)):
@@ -124,10 +122,8 @@ def test_02_gradients_match_finite_differences():
                 probe = net.copy()
                 probe.set_flat(flat)
                 if as_source:
-                    return full_loss(probe, x_a, labels_a, other, x_b,
-                                     c_a, c_b, ab_a, ab_b, cfg)
-                return full_loss(other, x_a, labels_a, probe, x_b,
-                                 c_a, c_b, ab_a, ab_b, cfg)
+                    return full_loss(probe, rows_a, other, rows_b, cfg)
+                return full_loss(other, rows_a, probe, rows_b, cfg)
 
             flat = net.get_flat()
             packed = np.concatenate([np.concatenate([g.weights.ravel(), g.bias])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from secureftl import experiments, nets
+from secureftl.datasets import vertical_split
 from secureftl.experiments import (
     ExperimentConfig,
     build_split,
@@ -102,9 +103,11 @@ def test_config_and_engine_refuse_a_non_taylor_loss_alike(small_split):
     (dict(n=3), "n = 3"),
     (dict(latent_dim=0), "latent_dim = 0"),
     (dict(transport="tcp", port=-5), "port = -5"),
+    (dict(kind="scaling-sweep", engine="encrypted", sweep=(4,), dim_sweep=(2, 0)),
+     "dim_sweep = (2, 0)"),
 ], ids=["gamma", "weight-decay", "alignment", "learning-rate", "key-bits", "frac-bits",
         "negative-frac-bits", "pretrain-epochs", "source-features", "rows", "latent-dim",
-        "port"])
+        "port", "dim-sweep"])
 def test_validate_refuses_what_the_run_refuses_before_out_dir(tmp_path, bad, message):
     # The refusal the run would reach only in training, at keygen, at the
     # depth check, in building the data or a net, or at the socket (there
@@ -132,17 +135,14 @@ def _csv_rows(tmp_path) -> str:
 @pytest.mark.parametrize("bad", [
     dict(kind="overlap-sweep", n=20, sweep=(50,)),
     dict(kind="overlap-sweep", n=20, sweep=(4,), n_eval=30),
-    dict(kind="scaling-sweep", engine="encrypted", sweep=(4,), dim_sweep=(0,)),
     dict(kind="scaling-sweep", engine="encrypted", n=40, sweep=(200,)),
     dict(kind="trcv-vs-cv", n=40, n_labeled=1, sweep=(2,)),
     dict(kind="trcv-vs-cv", n=12, sweep=(20,)),
     dict(kind="overlap-sweep", n=40, sweep=(8,), margin=6.0),
-    dict(kind="taylor-vs-exact", dataset="csv", overlap_fraction=1.5),
     dict(kind="taylor-vs-exact", dataset="csv", overlap_fraction=1.0),
     dict(kind="ftl-vs-self", dataset="csv", label_fraction=0.0),
-], ids=["sweep-over-rows", "eval-over-rows", "zero-width", "scaling-over-rows", "one-label",
-        "folds-over-rows", "margin", "csv-overlap-over-one", "csv-no-eval-row",
-        "csv-no-labels"])
+], ids=["sweep-over-rows", "eval-over-rows", "scaling-over-rows", "one-label",
+        "folds-over-rows", "margin", "csv-no-eval-row", "csv-no-labels"])
 def test_a_run_its_data_cannot_serve_fails_typed_and_leaves_no_out_dir(tmp_path, bad):
     # validate passes these; the data step, a net or a baseline then refuses
     # with ValueError, and the run removes the out_dir it made.
@@ -209,6 +209,24 @@ def test_csv_dataset_rejects_row_counts(tmp_path):
                            d_source_features=2, d_target_features=2, label_fraction=0.5,
                            out_dir=str(tmp_path / "out"))
     assert len(run_experiment(cfg).rows) == 2
+
+
+@pytest.mark.parametrize("bad", [dict(overlap_fraction=1.5), dict(label_fraction=-0.1)],
+                         ids=["overlap-fraction", "label-fraction"])
+def test_csv_fractions_outside_0_1_are_refused(tmp_path, bad):
+    # validate and vertical_split refuse them with one check, so the run
+    # stops before it makes out_dir.
+    (key,) = bad
+    out_dir = tmp_path / "out"
+    cfg = ExperimentConfig(dataset=_csv_rows(tmp_path), kind="taylor-vs-exact", seeds=1,
+                           max_iterations=1, out_dir=str(out_dir), **bad)
+    for refused in (cfg.validate, lambda: run_experiment(cfg),
+                    lambda: vertical_split(np.zeros((4, 2)), [1, -1, 1, -1], [0],
+                                           **{"overlap_fraction": 0.5, "label_fraction": 0.5,
+                                              **bad})):
+        with pytest.raises(ValueError, match=f"{key} = "):
+            refused()
+    assert not out_dir.exists()
 
 
 def test_csv_run_takes_each_partys_widths_and_statistics_from_its_split(tmp_path):

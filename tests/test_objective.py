@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from secureftl.nets import init_network
-from secureftl.objective import (
+from secureftl.plain import (
     LOG2,
+    PartyRows,
+    TrainingConfig,
     alignment_spec,
     full_loss,
     label_prototype,
@@ -18,7 +20,6 @@ from secureftl.objective import (
     threshold_labels,
     transfer_terms,
 )
-from secureftl.plain import TrainingConfig
 
 # frozen: log(2) - 1/2 + 1/8 and log(1 + e^-1), computed by hand
 TAYLOR_AT_1 = 0.3181471805599453
@@ -141,7 +142,6 @@ def test_transfer_terms_against_brute_force(alignment):
     expected = _brute_force_loss(u_source, labels_source, u_target_c, labels_c,
                                  u_source_ab, u_target_ab, 1.5, 2.5, cfg)
     assert terms.loss == pytest.approx(expected, rel=1e-12)
-    assert terms.prototype == pytest.approx(label_prototype(u_source, labels_source))
 
 
 def _fd_check(net, flat_to_loss, grads, rel_tol):
@@ -169,21 +169,20 @@ def test_plaintext_gradients_match_finite_differences(alignment):
     x_a = rng.normal(size=(5, 4))
     x_b = rng.normal(size=(4, 3))
     labels_a = rng.choice([-1, 1], size=5)
-    c_a, c_b = np.array([0, 1]), np.array([0, 1])
-    ab_a, ab_b = np.array([2, 3]), np.array([2, 3])
+    rows_a = PartyRows(x_a, np.array([0, 1]), np.array([2, 3]), labels_a)
+    rows_b = PartyRows(x_b, np.array([0, 1]), np.array([2, 3]))
     cfg = TrainingConfig(gamma=0.05, weight_decay=0.01, alignment=alignment)
-    grads_a, grads_b, _ = plaintext_gradients(
-        net_a, x_a, labels_a, net_b, x_b, c_a, c_b, ab_a, ab_b, cfg)
+    grads_a, grads_b, _ = plaintext_gradients(net_a, rows_a, net_b, rows_b, cfg)
 
     def loss_with_a(flat):
         probe = net_a.copy()
         probe.set_flat(flat)
-        return full_loss(probe, x_a, labels_a, net_b, x_b, c_a, c_b, ab_a, ab_b, cfg)
+        return full_loss(probe, rows_a, net_b, rows_b, cfg)
 
     def loss_with_b(flat):
         probe = net_b.copy()
         probe.set_flat(flat)
-        return full_loss(net_a, x_a, labels_a, probe, x_b, c_a, c_b, ab_a, ab_b, cfg)
+        return full_loss(net_a, rows_a, probe, rows_b, cfg)
 
     _fd_check(net_a, loss_with_a, grads_a, 1e-4)
     _fd_check(net_b, loss_with_b, grads_b, 1e-4)

@@ -23,8 +23,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from secureftl.datasets import FederationSplit
 from secureftl.nets import init_network
-from secureftl.objective import label_prototype, predict_phi
-from secureftl.plain import TrainingConfig, predict_plain, train_plain
+from secureftl.plain import (TrainingConfig, label_prototype, predict_phi, predict_plain,
+                             train_plain)
 from secureftl.protocol import audit_training, predict_encrypted, train_encrypted
 
 F = 40

@@ -5,9 +5,9 @@ from secureftl.datasets import synth_two_view
 from secureftl.nets import init_network
 from secureftl.plain import (
     TrainingConfig,
+    party_rows,
     predict_plain,
     source_prototype,
-    target_batch,
     train_plain,
 )
 
@@ -33,13 +33,20 @@ def test_config_defaults_and_validation():
         TrainingConfig(loss_mode="cubic")
 
 
-def test_target_batch_composition(small_split):
-    batch_ids, labeled_pos, overlap_pos = target_batch(small_split)
-    assert np.array_equal(batch_ids, np.unique(np.concatenate(
-        [small_split.labeled_ids, small_split.overlap_ids])))
+def test_party_rows_composition(small_split):
+    source, target = party_rows(small_split)
+    # The target's batch is the rows the loss touches, in id order.
+    batch_ids = np.unique(np.concatenate([small_split.labeled_ids, small_split.overlap_ids]))
+    assert np.array_equal(target.x, small_split.x_target[small_split.target_rows(batch_ids)])
     # positions index into batch_ids in the labeled/overlap id order
-    assert np.array_equal(batch_ids[labeled_pos], small_split.labeled_ids)
-    assert np.array_equal(batch_ids[overlap_pos], small_split.overlap_ids)
+    assert np.array_equal(batch_ids[target.c_rows], small_split.labeled_ids)
+    assert np.array_equal(batch_ids[target.ab_rows], small_split.overlap_ids)
+    assert target.labels is None
+    # The source's batch is all its rows, with its labels.
+    assert np.array_equal(source.x, small_split.x_source)
+    assert np.array_equal(source.labels, small_split.labels_source)
+    assert np.array_equal(small_split.ids_source[source.c_rows], small_split.labeled_ids)
+    assert np.array_equal(small_split.ids_source[source.ab_rows], small_split.overlap_ids)
 
 
 def test_train_records_one_loss_per_iteration(small_split):

@@ -20,7 +20,6 @@ from secureftl import paillier
 from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import EncodingOverflowError, is_zero
 from secureftl.nets import init_network
-from secureftl.objective import label_prototype, predict_phi, threshold_labels
 from secureftl.paillier import (
     Ciphertext,
     KeyMismatchError,
@@ -29,7 +28,15 @@ from secureftl.paillier import (
     _multiexp_job,
     keygen,
 )
-from secureftl.plain import TrainingConfig, predict_plain, train_plain
+from secureftl.plain import (
+    TrainingConfig,
+    label_prototype,
+    party_rows,
+    predict_phi,
+    predict_plain,
+    threshold_labels,
+    train_plain,
+)
 from secureftl.protocol import (
     ENGINE_KINDS,
     ComponentBatch,
@@ -152,13 +159,13 @@ def test_contractions_give_each_worker_one_stride_of_every_row(monkeypatch, smal
     party = _source_party(small_split, loopback[0])
     calls = []
     party.mapper = lambda fn, jobs: calls.append(len(jobs)) or map(fn, jobs)
-    d, trace = party.net.hidden_dim, party.net.forward_trace(party.x)
+    d, trace = party.net.hidden_dim, party.net.forward_trace(party.rows.x)
     comps = ComponentBatch(_enc_array(key.public, rng.normal(size=(2, d, d))),
                            _enc_array(key.public, rng.normal(size=(2, d))),
                            _enc_array(key.public, rng.normal(size=(3, d)), 2 * F),
                            encrypt(key.public, 0.5, 3 * F))
     party.assemble_loss(comps, comps.quad.sum(axis=0), trace,
-                        label_prototype(trace[-1], party.labels))
+                        label_prototype(trace[-1], party.rows.labels))
     assert calls == [4]
 
 
@@ -259,13 +266,13 @@ def _tiny_cfg(**kw):
 
 def _source_party(split, channel):
     """A source party with a [3, 2] net and its 512-bit keys at seed 0."""
-    return SourceParty(split, init_network([3, 2], seed=4), _tiny_cfg(), channel,
+    return SourceParty(party_rows(split)[0], init_network([3, 2], seed=4), _tiny_cfg(), channel,
                        _party_keys((512, "source", 0)), F)
 
 
 def _target_party(split, channel):
     """A target party with a [2, 2] net and its 512-bit keys at seed 0."""
-    return TargetParty(split, init_network([2, 2], seed=5), _tiny_cfg(), channel,
+    return TargetParty(party_rows(split)[1], init_network([2, 2], seed=5), _tiny_cfg(), channel,
                        _party_keys((512, "target", 0)), F)
 
 

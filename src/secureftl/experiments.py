@@ -107,6 +107,12 @@ class ExperimentConfig:
         elif self.latent_dim < 1:
             raise ValueError(f"latent_dim = {self.latent_dim}: a synth dataset labels rows by "
                              "the sign of a latent projection, which needs a dimension")
+        if self.dataset == "synth":
+            # A synth split's rows come from n_overlap and n_labeled.
+            for key in ("overlap_fraction", "label_fraction"):
+                if getattr(self, key) != getattr(ExperimentConfig, key):
+                    raise ValueError(f"{key} = {getattr(self, key)}: a synth dataset does not "
+                                     "take fractions; set n_overlap and n_labeled")
         if self.engine not in ENGINE_KINDS:
             raise ValueError(f"unknown engine {self.engine!r}")
         self.training()  # the training fields, as either engine checks them

@@ -61,21 +61,23 @@ no party masks its values under a weaker key than its own.
 
 The encrypted algebra is the plaintext one, in numpy object arrays of
 paillier.Ciphertext or the int 0, the structural zero that no ciphertext
-reached (it adds nothing). Components are (n_c, d, d) quad, (n_c, d) lin
-and (n_ab, d) align arrays. Plaintext enters at two points only. A product
-is a contraction of ciphertexts against float64 (paillier.contractions,
-a @ b), its plaintext factors multiplied in float64 and encoded once:
-encrypted_backward crosses a layer in one contraction per output, at f more
-fraction bits, and the source's shared basis takes its coefficients from
-plaintext Network.backward passes. And every masked entry gets one plaintext
-addend, joined with its mask: a _Tensor carries as raws at its fraction bits
-what its party computes alone (own alignment terms through Network.backward
-plus weight decay, or the loss's constant), and _mask adds plain + mask to
-each ciphertext entry with add_raw, or encrypts it under the peer's key
-where no ciphertext reached. Each ciphertext is made at the fraction bits
-its consumer uses: both parties' align, gamma kappa u, and the source's lin
-at 2f, since the peer adds them to its 2f upstream as they are, and the
-target's reg at 3f, the loss's fraction bits.
+reached (it adds nothing). Components are (n_c, d, d) quad, (n_c, d) lin and
+(n_ab, d) align arrays. Quads are symmetric, and the source's 0.125 y^2 p p^T
+is one for all pairs: a party encrypts upper triangles only, the source one
+per iteration, and no receiver relies on that. Plaintext enters at two
+points only. A product is a contraction of ciphertexts against float64
+(paillier.contractions, a @ b), its plaintext factors multiplied in float64
+and encoded once: encrypted_backward crosses a layer in one contraction per
+output, at f more fraction bits, and the source's shared basis takes its
+coefficients from plaintext Network.backward passes. And every masked entry
+gets one plaintext addend, joined with its mask: a _Tensor carries as raws
+at its fraction bits what its party computes alone (own alignment terms
+through Network.backward plus weight decay, or the loss's constant), and
+_mask adds plain + mask to each ciphertext entry with add_raw, or encrypts
+it under the peer's key where no ciphertext reached. Each ciphertext is made
+at the fraction bits its consumer uses: both parties' align, gamma kappa u,
+and the source's lin at 2f, since the peer adds them to its 2f upstream as
+they are, and the target's reg at 3f, the loss's fraction bits.
 
 Every payload is a list of sections (transport.pack_sections). A section's
 data is either serialized ciphertexts (ct, at the fraction bits given for
@@ -84,7 +86,7 @@ f = frac_bits, under the key given) or a frac byte and signed integers
 
   frame            section           dims         data
   PUBKEY           n                 ()           int: the modulus (g = n + 1)
-  COMPONENTS_A/B   quad              (n_c, d, d)  ct at f, sender's key
+  COMPONENTS_A/B   quad              (n_c, d, d)  ct at f, sender's key, symmetric
                    lin               (n_c, d)     ct at 2f in A, f in B
                    align             (n_ab, d)    ct at 2f
                    reg               ()           ct at 3f, COMPONENTS_B only
@@ -287,6 +289,14 @@ def _read_labels(payload: bytes, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # component batches
+
+def _symmetric(upper: np.ndarray, d: int) -> np.ndarray:
+    """(..., d, d) from row-major upper triangles on upper's last axis, mirrored."""
+    rows, cols = np.triu_indices(d)
+    index = np.empty((d, d), dtype=int)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return upper[..., index]
+
 
 @dataclass
 class ComponentBatch:
@@ -608,15 +618,16 @@ class SourceParty(_Party):
         self.coef = rows.labels[:, None, None] * np.eye(net.hidden_dim)
 
     def compute_components(self, trace: list[np.ndarray], prototype: np.ndarray) -> ComponentBatch:
-        """Encrypt the prototype-quadratic, prototype-linear, and alignment
-        components under this party's own key; the target adds lin and align
-        to its 2f-bit upstream as they are, so they are encrypted at 2f."""
-        u = trace[-1]
-        y, f = self.labels_c, self.frac_bits
-        return ComponentBatch(*self._encrypt(
-            ((y * y)[:, None, None] * np.outer(0.125 * prototype, prototype), f),
+        """Encrypt quad, lin and align under this party's own key, lin and
+        align at 2f: the target adds them to its 2f upstream as they are.
+        y^2 = 1, so every pair's quad is the one symmetric 0.125 p p^T: its
+        upper triangle is encrypted once (none with no labeled pair)."""
+        u, y, f, d = trace[-1], self.labels_c, self.frac_bits, len(prototype)
+        upper, lin, align = self._encrypt(
+            (np.outer(0.125 * prototype, prototype)[np.triu_indices(d)][None, :][:len(y)], f),
             ((-0.5 * y)[:, None] * prototype, 2 * f),
-            (self.cfg.gamma * self.align.kappa * u[self.rows.ab_rows], 2 * f)))
+            (self.cfg.gamma * self.align.kappa * u[self.rows.ab_rows], 2 * f))
+        return ComponentBatch(np.broadcast_to(_symmetric(upper, d), (len(y), d, d)), lin, align)
 
     def assemble_loss(self, comps: ComponentBatch, quad: np.ndarray, trace: list[np.ndarray],
                       prototype: np.ndarray) -> _Tensor:
@@ -710,11 +721,11 @@ class TargetParty(_Party):
     def compute_components(self, trace: list[np.ndarray]) -> ComponentBatch:
         u = trace[-1]
         u_c, u_ab = u[self.rows.c_rows], u[self.rows.ab_rows]
-        f = self.frac_bits
-        quad, lin, align, reg = self._encrypt(
-            (u_c[:, :, None] * u_c[:, None, :], f), (u_c, f),
+        f, (rows, cols) = self.frac_bits, np.triu_indices(u.shape[1])
+        upper, lin, align, reg = self._encrypt(
+            (u_c[:, rows] * u_c[:, cols], f), (u_c, f),
             (self.cfg.gamma * self.align.kappa * u_ab, 2 * f), (self._loss_share(u_ab), 3 * f))
-        return ComponentBatch(quad, lin, align, reg.item())
+        return ComponentBatch(_symmetric(upper, u.shape[1]), lin, align, reg.item())
 
     def assemble_gradient(self, comps: ComponentBatch, trace: list[np.ndarray]) -> list[_Tensor]:
         """Own-parameter gradient under the source's key, before masking."""

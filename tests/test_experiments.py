@@ -229,6 +229,22 @@ def test_csv_fractions_outside_0_1_are_refused(tmp_path, bad):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("bad", [dict(overlap_fraction=1.5), dict(label_fraction=-3.0),
+                                 dict(overlap_fraction=0.25), dict(label_fraction=0.5)],
+                         ids=["overlap-over-one", "label-negative", "overlap-set", "label-set"])
+def test_synth_dataset_refuses_fractions(tmp_path, bad):
+    # A synth split takes its rows from n_overlap and n_labeled, so a set
+    # fraction, in [0, 1] or not, would be silently ignored.
+    (key,) = bad
+    out_dir = tmp_path / "out"
+    cfg = ExperimentConfig(kind="taylor-vs-exact", seeds=1, max_iterations=1,
+                           out_dir=str(out_dir), **bad)
+    for refused in (cfg.validate, lambda: run_experiment(cfg)):
+        with pytest.raises(ValueError, match=f"{key} = .*set n_overlap and n_labeled"):
+            refused()
+    assert not out_dir.exists()
+
+
 def test_csv_run_takes_each_partys_widths_and_statistics_from_its_split(tmp_path):
     # A 5-feature CSV splits 2 columns to the source and 3 to the target,
     # whatever the configured widths, and each party standardizes its

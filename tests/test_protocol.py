@@ -16,7 +16,7 @@ import pytest
 from conftest import decrypt, decrypt_raw, encrypt
 from hypothesis import given, settings, strategies as st
 
-from secureftl import paillier
+from secureftl import paillier, protocol
 from secureftl.datasets import FederationSplit, synth_two_view
 from secureftl.encoding import EncodingOverflowError, is_zero
 from secureftl.nets import init_network
@@ -599,10 +599,10 @@ def _terms(jobs) -> int:
 
 class _PartyWatch:
     """Per role, the exponent terms of the _multiexp_job jobs a party hands
-    its mapper, each term's (base, exponent bit length), and the kernel runs
-    on its thread outside any mapper (a contraction on the builtin map
-    instead of the party's mapper), in the runs started while monkeypatch
-    holds.
+    its mapper, each term's (base, exponent bit length), the _encrypt_job
+    jobs it hands its mapper, and the kernel runs on its thread outside any
+    mapper (a contraction on the builtin map instead of the party's mapper),
+    in the runs started while monkeypatch holds.
     exchange_keys, the first step of every training and prediction routine,
     records the party's thread and wraps its mapper."""
 
@@ -611,6 +611,7 @@ class _PartyWatch:
         self.terms = {"source": 0, "target": 0}
         self.mapped_jobs = {"source": 0, "target": 0}
         self.exponents = {"source": [], "target": []}
+        self.encryptions = {"source": 0, "target": 0}
         self.kernel_threads = []  # (thread, terms) per kernel run outside a mapper
         exchange_keys = _Party.exchange_keys
 
@@ -623,6 +624,8 @@ class _PartyWatch:
             self.threads[role].add(threading.get_ident())
 
             def counting(fn, jobs):
+                if fn is paillier._encrypt_job:
+                    self.encryptions[role] += len(jobs)
                 if fn is watched_kernel:
                     self.terms[role] += _terms(jobs)
                     self.mapped_jobs[role] += len(jobs)
@@ -724,6 +727,92 @@ def test_source_overlap_rows_take_exponents_at_f(small_split, monkeypatch):
     assert bits and max(bits) < F + 8, f"{len(bits)} exponents of {sum(bits)} bits"
 
 
+def _own_key_encryptions(n_c: int, n_ab: int, d: int) -> tuple[int, int]:
+    """(source, target) own-key encryptions of one iteration: the source's
+    quad triangle once when any pair is labeled, the target's once per
+    labeled pair, every lin and align entry, and the target's reg."""
+    triangle = d * (d + 1) // 2
+    return (triangle * (n_c > 0) + n_c * d + n_ab * d, n_c * triangle + n_c * d + n_ab * d + 1)
+
+
+@pytest.mark.parametrize("workers", [None, 1], ids=["pooled", "one-worker"])
+@pytest.mark.parametrize("n_labeled, n_overlap, dims", [
+    (3, 4, ([3, 3], [2, 3])), (3, 4, ([3, 4, 2], [2, 4, 2])),
+    (0, 4, ([3, 4, 3], [2, 4, 3])), (3, 0, ([3, 4, 3], [2, 4, 3]))],
+    ids=["one-layer", "two-layer", "no-labeled", "no-overlap"])
+def test_own_key_encryptions_per_iteration(monkeypatch, n_labeled, n_overlap, dims, workers):
+    # Only a quad's upper triangle is encrypted, and the source's quad,
+    # 0.125 p p^T for every pair since y^2 = 1, once for all pairs.
+    split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                           n_overlap=n_overlap, n_labeled=n_labeled, n_eval=2)
+    if workers:
+        monkeypatch.setattr(protocol, "_workers", lambda: workers)
+        monkeypatch.setattr(paillier, "_workers", lambda: workers)
+    watch = _source_watch(split, monkeypatch, *dims)
+    assert (watch.encryptions["source"], watch.encryptions["target"]) == _own_key_encryptions(
+        n_labeled, n_overlap, dims[0][-1])
+
+
+def _values(cts: np.ndarray) -> np.ndarray:
+    return np.array([ct.value for ct in cts.flat], dtype=object).reshape(cts.shape)
+
+
+def _distinct_positions(batch: ComponentBatch) -> list[int]:
+    """The ciphertext values at the positions of a batch whose plaintexts
+    may differ as far as its receiver knows: each quad's upper triangle (the
+    source's first pair's only, as its pairs share one quad), lin, align and
+    reg."""
+    quad = _values(batch.quad)
+    if batch.reg is None:
+        quad = quad[:1]
+    rows, cols = np.triu_indices(quad.shape[-1])
+    upper = quad[:, rows, cols]
+    return [*upper.flat, *_values(batch.lin).flat, *_values(batch.align).flat,
+            *([batch.reg.value] if batch.reg is not None else [])]
+
+
+def test_components_repeat_a_ciphertext_only_where_its_equality_is_public():
+    split = synth_two_view(n=12, d_source=3, d_target=2, noise=0.1, seed=1, latent_dim=2,
+                           n_overlap=4, n_labeled=3, n_eval=2)
+    run = train_encrypted(split, init_network([3, 3], seed=4), init_network([2, 3], seed=5),
+                          _tiny_cfg(max_iterations=1), key_bits=512, frac_bits=F, seed=0)
+    (frame_a,) = run.transcript.frames(DIR_SOURCE_TO_TARGET, MsgType.COMPONENTS_A)
+    (frame_b,) = run.transcript.frames(DIR_TARGET_TO_SOURCE, MsgType.COMPONENTS_B)
+    batch_a = ComponentBatch.from_payload(frame_a.payload, run.source.own_key.public,
+                                          run.target.peer_layout)
+    batch_b = ComponentBatch.from_payload(frame_b.payload, run.target.own_key.public,
+                                          run.source.peer_layout)
+    for batch, count in zip((batch_a, batch_b), _own_key_encryptions(3, 4, 3)):
+        quad = _values(batch.quad)
+        assert (quad == quad.transpose(0, 2, 1)).all()
+        distinct = _distinct_positions(batch)
+        assert len(distinct) == len(set(distinct)) == count
+        every = [*quad.flat, *_values(batch.lin).flat, *_values(batch.align).flat]
+        assert set(every) <= set(distinct)
+    assert (_values(batch_a.quad) == _values(batch_a.quad)[:1]).all()
+
+
+def test_equal_plaintexts_are_encrypted_apart(small_split, loopback):
+    # Equal plaintexts at positions whose equality the peer does not know
+    # must still be distinct ciphertexts: a ciphertext reused for an equal
+    # value would tell the target, say, that two labeled pairs share a label.
+    source_end, target_end, _ = loopback
+    split = dataclasses.replace(small_split, labeled_ids=np.array([10, 12]))
+    split.validate()
+    source, target = _source_party(split, source_end), _target_party(split, target_end)
+    assert list(source.labels_c) == [1, 1]
+    batches = (source.compute_components([np.ones((4, 2))], np.ones(2)),
+               target.compute_components([np.ones((4, 2))]))
+    keys = (source.own_key, target.own_key)
+    layouts = (target.peer_layout, source.peer_layout)
+    for batch, key, layout, count in zip(batches, keys, layouts, _own_key_encryptions(2, 3, 2)):
+        batch = ComponentBatch.from_payload(batch.to_payload(), key.public, layout)
+        assert decrypt_raw(key, batch.lin[0, 0]) == decrypt_raw(key, batch.lin[1, 1])
+        assert decrypt_raw(key, batch.quad[0, 0, 0]) == decrypt_raw(key, batch.quad[1, 0, 1])
+        distinct = _distinct_positions(batch)
+        assert len(distinct) == len(set(distinct)) == count
+
+
 def test_recv_rejects_unexpected_message(small_split, loopback):
     source_end, target_end, _ = loopback
     target_end.send(Frame(MsgType.STOP, 0))
@@ -785,13 +874,14 @@ def _content_digests(transcript, source, target) -> dict[str, str]:
 
 
 # Per-direction sha256 over every value a frame carries, whatever its byte
-# layout. The training digests were pinned when the target came to send its
-# align as gamma kappa u at 2f, like the source, and its reg at 3f: the
-# source's overlap-row exponents moved to f and its loss to 3f. The
-# prediction digests predate that change, which leaves prediction untouched.
+# layout. The training digests were pinned when each party came to encrypt
+# only the upper triangle of its quad, mirrored, and the source its quad once
+# for all labeled pairs: every plaintext is the same, but fewer encryptions
+# draw r, so the later ciphertexts and masks move. The prediction digests
+# predate that change, which leaves prediction untouched.
 CONTENT_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "c4dd081f28ddb5d8f8b13a60c5caa02f32e7bbca7af2d73cdd5b14e76ebc8f96",
-    DIR_TARGET_TO_SOURCE: "9e08958a1a968f7640904c07ac572e444b3c3846fd263e798c802b79eff3eb6c",
+    DIR_SOURCE_TO_TARGET: "f09deeea54689396cbacf4b94f83bc71a803ab3c3bf9db131b2553a472ff10b8",
+    DIR_TARGET_TO_SOURCE: "44f6bc878bbe10b5fe4961149a6b65dca729e3fe9060375b62bcdfdce021b734",
 }
 CONTENT_PREDICT = {
     DIR_SOURCE_TO_TARGET: "31ede96207589279146689a828950cb255d664cb1f800eda78218ccba0d1488e",
@@ -801,17 +891,17 @@ CONTENT_PREDICT = {
 # Per-direction sha256 over (type, iteration, payload) of every frame: the
 # exact bytes on the wire under the section codec.
 GOLDEN_TRAIN = {
-    DIR_SOURCE_TO_TARGET: "464b89cd8b5bd540e343190eece5d74e9d1afda36e7115eec9763df074ea93fb",
-    DIR_TARGET_TO_SOURCE: "4c88aee8bd812e9f97991c60a4ea0d542186b707b5133690d216dfd5e5f92d00",
+    DIR_SOURCE_TO_TARGET: "6d766a4ca10fafe93cbb650558f78fb7bf3ba4d3fbc0f0c2096bfd1b54fc0ac3",
+    DIR_TARGET_TO_SOURCE: "adcfaa0add847594c0ecd2546c71749aeaf6994555de2dcef1a03dc3b994c4ad",
 }
 # Two iterations with two-layer nets ([3, 4, 2] source, [2, 4, 2] target).
 CONTENT_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "e9bd4c175b6daeb2547b5fb79a62dae35032ac777261ccf76735e69b01e67b8d",
-    DIR_TARGET_TO_SOURCE: "8d9f6c1557c4cef264df731d1d1cec9f8f2edb96d4297095567b26af25604194",
+    DIR_SOURCE_TO_TARGET: "599fb5f81f6aba4267861f3cd29d487e47f102730ba83461fba63fdbdcfc7d5f",
+    DIR_TARGET_TO_SOURCE: "b5b19ee6d96c7dd4229ac488d38639e816f28621bc4cacc0701891af63faf81d",
 }
 GOLDEN_TRAIN_2LAYER = {
-    DIR_SOURCE_TO_TARGET: "52fed8c6dc8a052df357036810910129a69e4761fe73f8d23e7b38579adb1201",
-    DIR_TARGET_TO_SOURCE: "712d36416dbdc95943c8c4aad2f2bc6b6aebb286b8e56801a1a6a7923b9986ad",
+    DIR_SOURCE_TO_TARGET: "571a06ae60367801c54b73b2b81f9a401bb5174cde932cf2167fc472c19a3a3b",
+    DIR_TARGET_TO_SOURCE: "8b22c683413d74f78d610fec51735f661a7189a5663d2a858f16abecb9cdfdf4",
 }
 GOLDEN_PREDICT = {
     DIR_SOURCE_TO_TARGET: "b43a813fbbef343fa1a5dcf254f48e6a07418f142bca545abb2efe1a4cca699c",
@@ -852,16 +942,17 @@ def test_golden_transcripts(small_split, monkeypatch, builtin_pow):
 
 
 # Two iterations with two-layer nets and alignment = distance on splits with
-# no labeled pairs, no overlap pairs, or neither, all pinned with the
-# training digests above: the loss moved to 3f in every one.
+# no labeled pairs, no overlap pairs, or neither. The loss moved to 3f in
+# every one; only the split with labeled pairs moved with the training
+# digests above, since with none there is no quad to encrypt.
 CONTENT_DEGENERATE = {
     (0, 3): {
         DIR_SOURCE_TO_TARGET: "af4d31270aa312f9107c992c8da986248bf7f007dd4b0a2506f6564ded005f97",
         DIR_TARGET_TO_SOURCE: "e3538a261f21527d54072564bff3d9d35ddc6d819df5aacafffa532e43de7eb0",
     },
     (2, 0): {
-        DIR_SOURCE_TO_TARGET: "01a3df22e7046cde015b6f0924496b8d00e850114c3acc61db8bf3646da5cffe",
-        DIR_TARGET_TO_SOURCE: "daa780c6acdd22fd350d8c757c8f3e4d1df34f0e4ce6f3ff17f5f7c378362f3c",
+        DIR_SOURCE_TO_TARGET: "32bcbacba9c9c468ae718ebee4811b10674a0f28b044d4f06f2932a17e691a86",
+        DIR_TARGET_TO_SOURCE: "c0f26c0c21e1861ab3cf786687f28af9b93d2f3c162e5ebae170597b6b441b99",
     },
     (0, 0): {
         DIR_SOURCE_TO_TARGET: "bce06c32b6b7fdfedc2389100eb63b73f44bda14c2c1efb44f1652ca7799c91b",
